@@ -28,6 +28,9 @@ class ShapeMismatch(ValueError):
 _TAPE: list["Value"] = []
 _GRAD_ENABLED = True
 
+# Added to the variance before the square root in every layer norm.
+LN_EPS = 1e-5
+
 
 def reset_tape() -> None:
     _TAPE.clear()
@@ -185,21 +188,21 @@ def concat_cols(*parts: Value) -> Value:
     return _node(out_data, tuple(parts), bwd)
 
 
-def concat_rows(parts: Sequence[Value]) -> Value:
-    parts = tuple(parts)
-    cols = parts[0].shape[1]
-    for p in parts:
-        if p.shape[1] != cols:
-            raise ShapeMismatch("concat_rows", ("*", cols), p.shape)
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    heights = [p.shape[0] for p in parts]
+def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """(rows x cols) matrix whose row k sums the rows of ``values`` with idx k.
 
-    def bwd(g):
-        at = 0
-        for p, h in zip(parts, heights):
-            _accum(p, g[at:at + h])
-            at += h
-    return _node(out_data, parts, bwd)
+    The indices must lie in [0, rows). A stable sort groups equal indices
+    (keeping their order), ``np.add.reduceat`` sums each group, and the sums
+    are assigned to their distinct rows.
+    """
+    out = np.zeros((rows, values.shape[1]))
+    if idx.size == 0:
+        return out
+    perm = np.argsort(idx, kind="stable")
+    sorted_idx = idx[perm]
+    starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    out[sorted_idx[starts]] = np.add.reduceat(values[perm], starts, axis=0)
+    return out
 
 
 def row_gather(x: Value, index) -> Value:
@@ -207,9 +210,7 @@ def row_gather(x: Value, index) -> Value:
     out_data = x.data[idx]
 
     def bwd(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        _accum(x, _segment_sum(g, idx, x.shape[0]))
     return _node(out_data, (x,), bwd)
 
 
@@ -218,8 +219,7 @@ def scatter_sum(x: Value, index, out_rows: int) -> Value:
     idx = np.asarray(index, dtype=np.int64)
     if idx.shape[0] != x.shape[0]:
         raise ShapeMismatch("scatter_sum", (x.shape[0],), idx.shape)
-    out_data = np.zeros((out_rows, x.shape[1]))
-    np.add.at(out_data, idx, x.data)
+    out_data = _segment_sum(x.data, idx, out_rows)
 
     def bwd(g):
         _accum(x, g[idx])
@@ -237,7 +237,7 @@ def take_per_row(x: Value, cols) -> Value:
     def bwd(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, (rows, idx), g[:, 0])
+        x.grad[rows, idx] += g[:, 0]    # one (row, col) pair per row
     return _node(out_data, (x,), bwd)
 
 
@@ -246,22 +246,6 @@ def relu(x: Value) -> Value:
 
     def bwd(g):
         _accum(x, g * (x.data > 0.0))
-    return _node(out_data, (x,), bwd)
-
-
-def sigmoid(x: Value) -> Value:
-    out_data = 1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500)))
-
-    def bwd(g):
-        _accum(x, g * out_data * (1.0 - out_data))
-    return _node(out_data, (x,), bwd)
-
-
-def tanh(x: Value) -> Value:
-    out_data = np.tanh(x.data)
-
-    def bwd(g):
-        _accum(x, g * (1.0 - out_data * out_data))
     return _node(out_data, (x,), bwd)
 
 
@@ -315,7 +299,8 @@ def dropout(x: Value, p: float, rng: Rng, train: bool) -> Value:
     return _node(out_data, (x,), bwd)
 
 
-def layer_norm(x: Value, gamma: Value, beta: Value, eps: float = 1e-5) -> Value:
+def layer_norm(x: Value, gamma: Value, beta: Value,
+               eps: float = LN_EPS) -> Value:
     """Row-wise normalization with learnable scale and shift (single rows)."""
     if gamma.shape != (1, x.shape[1]) or beta.shape != (1, x.shape[1]):
         raise ShapeMismatch("layer_norm", (1, x.shape[1]),
@@ -333,6 +318,118 @@ def layer_norm(x: Value, gamma: Value, beta: Value, eps: float = 1e-5) -> Value:
         _accum(x, (gy - gy.mean(axis=1, keepdims=True)
                    - norm * (gy * norm).mean(axis=1, keepdims=True)) / sd)
     return _node(out_data, (x, gamma, beta), bwd)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # np.clip(x, -500, 500) by two ufuncs, which cost less per call
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
+
+
+def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
+              bias: Sequence[Value], ln_g: Value, ln_b: Value) -> Value:
+    """A GRU run over the rows of ``seq`` (in time order), as one tape node.
+
+    ``wx``, ``wh`` and ``bias`` hold the (z, r, c) input weights (d x H),
+    recurrent weights (H x H) and biases (1 x H). From a zero state, row t
+    of the (n x H) output is the state h after
+
+        z = sigmoid(x Wxz + bz + h Whz)     r = sigmoid(x Wxr + br + h Whr)
+        c = tanh(layer_norm(x Wxc + bc + (r * h) Whc; ln_g, ln_b))
+        h = (1 - z) * c + z * h
+
+    The input projections are one GEMM before a plain NumPy loop over the
+    rows. The backward pass is backpropagation through time written by hand:
+    one reverse loop carries dh and stores the gate pre-activation gradients,
+    from which a few GEMMs after the loop give every weight gradient.
+    """
+    wx, wh, bias = tuple(wx), tuple(wh), tuple(bias)
+    n, d = seq.shape
+    hid = wh[0].shape[1]
+    for w in wx:
+        if w.shape != (d, hid):
+            raise ShapeMismatch("gru_sweep Wx", (d, hid), w.shape)
+    for w in wh:
+        if w.shape != (hid, hid):
+            raise ShapeMismatch("gru_sweep Wh", (hid, hid), w.shape)
+    for b in (*bias, ln_g, ln_b):
+        if b.shape != (1, hid):
+            raise ShapeMismatch("gru_sweep bias", (1, hid), b.shape)
+
+    wx_all = np.concatenate([w.data for w in wx], axis=1)          # d x 3H
+    proj = seq.data @ wx_all + np.concatenate([b.data for b in bias], axis=1)
+    whzr = np.concatenate([wh[0].data, wh[1].data], axis=1)         # H x 2H
+    whc = wh[2].data
+    gain, shift = ln_g.data[0], ln_b.data[0]
+    keep = _GRAD_ENABLED
+    out = np.empty((n, hid))
+    if keep:
+        zr_all = np.empty((n, 2 * hid))
+        c_all = np.empty((n, hid))
+        norm_all = np.empty((n, hid))
+        sd_all = np.empty(n)
+    h = np.zeros(hid)
+    for t in range(n):
+        zr = _sigmoid(proj[t, :2 * hid] + h @ whzr)
+        z, r = zr[:hid], zr[hid:]
+        pre = proj[t, 2 * hid:] + (r * h) @ whc
+        centered = pre - np.add.reduce(pre) / hid      # the mean, cheaper per call
+        sd = np.sqrt(centered @ centered / hid + LN_EPS)
+        norm = centered / sd
+        c = np.tanh(norm * gain + shift)
+        h = (1.0 - z) * c + z * h
+        out[t] = h
+        if keep:
+            zr_all[t] = zr
+            c_all[t] = c
+            norm_all[t] = norm
+            sd_all[t] = sd
+    if not keep:
+        return Value(out)
+
+    def bwd(g):
+        prev = np.zeros_like(out)           # the state each row starts from
+        prev[1:] = out[:-1]
+        z_all, r_all = zr_all[:, :hid], zr_all[:, hid:]
+        # Factors that do not depend on dh, for all rows at once: from dh to
+        # the layer-norm output, and to the z and r pre-activations (the
+        # latter through the gradient at r * prev).
+        dy_dh = (1.0 - z_all) * (1.0 - c_all * c_all)
+        gy_dh = dy_dh * gain
+        dz_dh = (prev - c_all) * z_all * (1.0 - z_all)
+        dr_drh = prev * r_all * (1.0 - r_all)
+        d_h = np.empty((n, hid))            # full gradient at each state
+        d_pre = np.empty((n, 3 * hid))      # dZ | dR | dP, pre-activation
+        whzr_t, whc_t = whzr.T, whc.T
+        dh = np.zeros(hid)
+        for t in range(n - 1, -1, -1):
+            dh = dh + g[t]
+            d_h[t] = dh
+            gy = dh * gy_dh[t]
+            norm = norm_all[t]
+            row = d_pre[t]
+            dp = row[2 * hid:]
+            dp[:] = (gy - np.add.reduce(gy) / hid
+                     - norm * (gy @ norm / hid)) / sd_all[t]
+            drh = dp @ whc_t
+            np.multiply(dh, dz_dh[t], out=row[:hid])
+            np.multiply(drh, dr_drh[t], out=row[hid:2 * hid])
+            dh = dh * z_all[t] + drh * r_all[t] + row[:2 * hid] @ whzr_t
+        d_y = d_h * dy_dh
+        d_zr, d_p = d_pre[:, :2 * hid], d_pre[:, 2 * hid:]
+        _accum(seq, d_pre @ wx_all.T)
+        grads_x = seq.data.T @ d_pre
+        grads_b = d_pre.sum(axis=0, keepdims=True)
+        for k in range(3):
+            cols = slice(k * hid, (k + 1) * hid)
+            _accum(wx[k], grads_x[:, cols])
+            _accum(bias[k], grads_b[:, cols])
+        grads_hzr = prev.T @ d_zr
+        _accum(wh[0], grads_hzr[:, :hid])
+        _accum(wh[1], grads_hzr[:, hid:])
+        _accum(wh[2], (r_all * prev).T @ d_p)
+        _accum(ln_g, (d_y * norm_all).sum(axis=0, keepdims=True))
+        _accum(ln_b, d_y.sum(axis=0, keepdims=True))
+    return Value(out, (seq, *wx, *wh, *bias, ln_g, ln_b), bwd)
 
 
 def sum_all(x: Value) -> Value:

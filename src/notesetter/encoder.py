@@ -11,6 +11,10 @@ pre-activation) and between blocks. The block output — the GRU states in
 note-id order — feeds the next block; the last block's output is the
 embedding matrix.
 
+Each sweep is one fused tape node, ``autodiff.gru_sweep``: a plain NumPy
+loop forward and backpropagation through time written by hand backward, so
+the GRU adds one tape node per layer whatever the note count.
+
 Ablation switches: ``use_gru=False`` drops the recurrence entirely (the
 block output is the normalized convolution), and ``gru_on_initial_features``
 makes every layer's GRU read the projected input features h^(0) instead of
@@ -86,31 +90,6 @@ def init_encoder_params(config: EncoderConfig, rng: Rng) -> dict[str, Value]:
     return params
 
 
-def _gru_sweep(seq: Value, params: dict[str, Value], prefix: str,
-               hidden: int) -> Value:
-    """Run the GRU over the rows of ``seq`` (already in time order)."""
-    n = seq.shape[0]
-    zx = ad.add(ad.matmul(seq, params[f"{prefix}.Wxz"]), params[f"{prefix}.bz"])
-    rx = ad.add(ad.matmul(seq, params[f"{prefix}.Wxr"]), params[f"{prefix}.br"])
-    cx = ad.add(ad.matmul(seq, params[f"{prefix}.Wxc"]), params[f"{prefix}.bc"])
-    ln_g = params[f"{prefix}.ln.g"]
-    ln_b = params[f"{prefix}.ln.b"]
-    state = Value(np.zeros((1, hidden)))
-    rows = []
-    for t in range(n):
-        z = ad.sigmoid(ad.add(ad.row_gather(zx, [t]),
-                              ad.matmul(state, params[f"{prefix}.Whz"])))
-        r = ad.sigmoid(ad.add(ad.row_gather(rx, [t]),
-                              ad.matmul(state, params[f"{prefix}.Whr"])))
-        c = ad.tanh(ad.layer_norm(
-            ad.add(ad.row_gather(cx, [t]),
-                   ad.matmul(ad.mul(r, state), params[f"{prefix}.Whc"])),
-            ln_g, ln_b))
-        state = ad.add(ad.mul(ad.affine(z, -1.0, 1.0), c), ad.mul(z, state))
-        rows.append(state)
-    return ad.concat_rows(rows)
-
-
 def encode(graph: ScoreGraph, params: dict[str, Value], config: EncoderConfig,
            rng: Rng, train: bool) -> Value:
     """Embed every note; (node_count x hidden_size)."""
@@ -149,8 +128,11 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: EncoderConfig,
         conv = ad.dropout(ad.relu(mixed), config.dropout_p, rng, train)
         if config.use_gru:
             source = initial if config.gru_on_initial_features else conv
-            swept = _gru_sweep(ad.row_gather(source, order), params,
-                               f"{pre}.gru", h)
+            gru = f"{pre}.gru"
+            wx, wh, bias = ([params[f"{gru}.{kind}{gate}"] for gate in "zrc"]
+                            for kind in ("Wx", "Wh", "b"))
+            swept = ad.gru_sweep(ad.row_gather(source, order), wx, wh, bias,
+                                 params[f"{gru}.ln.g"], params[f"{gru}.ln.b"])
             states = ad.row_gather(swept, inverse_order)
             block = ad.add(conv, states) if config.gru_on_initial_features else states
         else:

@@ -1,4 +1,5 @@
-"""Shared fixtures: paths to the hand-written MusicXML corpus and parsed scores.
+"""Shared fixtures: paths to the hand-written MusicXML corpus and parsed scores,
+and the straight-line NumPy oracles for layer norm and the GRU sweep.
 
 The five files under tests/fixtures/ are hand-authored and hand-verified;
 tests that need ground truth about them carry [DERIVED] tables worked out
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from notesetter.musicxml import read_score_file
@@ -59,3 +61,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
+
+
+def numpy_layer_norm(x, g, b, eps=1e-5):
+    mean = x.mean(axis=1, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * g + b
+
+
+def numpy_gru(seq, wx, wh, bias, ln_g, ln_b):
+    """Straight-line GRU with layer norm on the candidate, row by row.
+
+    The oracle for the fused sweep: ``wx``, ``wh`` and ``bias`` hold the
+    (z, r, c) arrays, and row t of the result is the state after row t.
+    """
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+
+    (wxz, wxr, wxc), (whz, whr, whc), (bz, br, bc) = wx, wh, bias
+    state = np.zeros((1, whz.shape[1]))
+    rows = []
+    for t in range(seq.shape[0]):
+        x = seq[t:t + 1]
+        z = sig(x @ wxz + bz + state @ whz)
+        r = sig(x @ wxr + br + state @ whr)
+        c = np.tanh(numpy_layer_norm(x @ wxc + bc + (r * state) @ whc,
+                                     ln_g, ln_b))
+        state = (1.0 - z) * c + z * state
+        rows.append(state[0])
+    return np.array(rows)

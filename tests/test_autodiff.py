@@ -16,6 +16,8 @@ from notesetter import autodiff as ad
 from notesetter.autodiff import ShapeMismatch, Value
 from notesetter.rng import Rng
 
+from conftest import numpy_gru
+
 
 def central_diff(loss_fn, param: Value, eps: float = 1e-6) -> np.ndarray:
     """Finite-difference d(loss)/d(param) by perturbing param.data in place."""
@@ -146,17 +148,9 @@ def test_concat_cols_and_rows():
     b = Value(np.array([[3.0, 4.0], [5.0, 6.0]]))
     cc = ad.concat_cols(a, b)
     np.testing.assert_array_equal(cc.data, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
-    cr = ad.concat_rows([a, Value(np.array([[9.0]]))])
-    np.testing.assert_array_equal(cr.data, [[1.0], [2.0], [9.0]])
     check_grads(lambda: weighted_sum(ad.concat_cols(a, b), 5), [a, b])
-    check_grads(lambda: weighted_sum(ad.concat_rows([a, b_col]), 6), [a])
     with pytest.raises(ShapeMismatch):
         ad.concat_cols(a, Value(np.ones((3, 1))))
-    with pytest.raises(ShapeMismatch):
-        ad.concat_rows([a, b])
-
-
-b_col = Value(np.array([[7.0]]))
 
 
 def test_row_gather_forward_and_grad():
@@ -193,6 +187,40 @@ def test_take_per_row():
         ad.take_per_row(x, np.array([0]))
 
 
+def test_segment_sums_match_add_at():
+    # [DERIVED: np.add.at oracle] duplicate indices accumulate, rows no index
+    # names stay zero, and out_rows may exceed the largest index.
+    x = Value(Rng(20).normal(5, 2).reshape(5, 2))
+    idx = np.array([3, 0, 3, 1, 3])
+    expected = np.zeros((6, 2))
+    np.add.at(expected, idx, x.data)
+    np.testing.assert_array_equal(ad.scatter_sum(x, idx, 6).data, expected)
+    check_grads(lambda: weighted_sum(ad.scatter_sum(x, idx, 6), 21), [x])
+    ad.reset_tape()
+    x.grad = None
+    loss = weighted_sum(ad.row_gather(x, idx), 22)
+    ad.backward(loss)
+    weights = Rng(22).normal(5, 2).reshape(5, 2)    # as weighted_sum draws
+    expected = np.zeros((5, 2))
+    np.add.at(expected, idx, weights)
+    np.testing.assert_allclose(x.grad, expected, atol=1e-15)
+    ad.reset_tape()
+
+
+def test_segment_sums_empty_index():
+    # A piece with no chord candidates gathers and scatters zero rows.
+    x = Value(np.ones((3, 2)))
+    empty = np.array([], dtype=np.int64)
+    ad.reset_tape()
+    gathered = ad.row_gather(x, empty)
+    assert gathered.shape == (0, 2)
+    scattered = ad.scatter_sum(gathered, empty, 4)
+    np.testing.assert_array_equal(scattered.data, np.zeros((4, 2)))
+    ad.backward(ad.add(ad.sum_all(scattered), ad.sum_all(x)))
+    np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+    ad.reset_tape()
+
+
 # --- nonlinearities ---
 
 def test_relu():
@@ -205,29 +233,21 @@ def test_relu():
 def test_sigmoid_tanh_softplus_log():
     x = Value(np.array([[0.0, 1.0, -2.0]]))
     np.testing.assert_allclose(
-        ad.sigmoid(x).data, 1.0 / (1.0 + np.exp(-x.data)), atol=1e-15)
-    np.testing.assert_allclose(ad.tanh(x).data, np.tanh(x.data), atol=1e-15)
-    np.testing.assert_allclose(
         ad.softplus(x).data, np.log1p(np.exp(-np.abs(x.data)))
         + np.maximum(x.data, 0.0), atol=1e-15)
     pos = Value(np.array([[0.5, 1.0, 3.0]]))
     np.testing.assert_allclose(ad.log(pos).data, np.log(pos.data), atol=1e-15)
     for v in (x, pos):
-        check_grads(lambda v=v: weighted_sum(ad.sigmoid(v), 11), [v])
-        check_grads(lambda v=v: weighted_sum(ad.tanh(v), 12), [v])
         check_grads(lambda v=v: weighted_sum(ad.softplus(v), 13), [v])
     check_grads(lambda: weighted_sum(ad.log(pos), 14), [pos])
 
 
 def test_sigmoid_and_softplus_extremes_stay_finite():
     big = Value(np.array([[1000.0, -1000.0]]))
-    s = ad.sigmoid(big)
-    assert s.data[0, 0] == 1.0
-    assert 0.0 <= s.data[0, 1] < 1e-200  # clipped logit, vanishing not NaN
     sp = ad.softplus(big)
     assert sp.data[0, 0] == 1000.0  # softplus(x) -> x for large x
     assert sp.data[0, 1] == 0.0
-    assert np.all(np.isfinite(s.data)) and np.all(np.isfinite(sp.data))
+    assert np.all(np.isfinite(sp.data))
 
 
 def test_softmax_and_log_softmax():
@@ -262,6 +282,89 @@ def test_layer_norm_forward_oracle_and_grad():
                 rtol=1e-5, atol=1e-6)
     with pytest.raises(ShapeMismatch):
         ad.layer_norm(y, Value(np.ones((1, 2))), Value(np.zeros((1, 2))))
+
+
+def _gru_inputs(n: int, hidden: int, seed: int, scale: float = 1.0):
+    """seq, [Wx], [Wh], [b], ln_g, ln_b with nonzero biases and norm params."""
+    rng = Rng(seed)
+
+    def mat(rows, cols, s=1.0):
+        return Value(rng.normal(rows, cols).reshape(rows, cols) * s)
+
+    seq = mat(n, hidden, scale)
+    wx = [mat(hidden, hidden, 0.7) for _ in range(3)]
+    wh = [mat(hidden, hidden, 0.7) for _ in range(3)]
+    bias = [mat(1, hidden, 0.3) for _ in range(3)]
+    ln_g = Value(np.array([[1.1, 0.9, 1.3]])[:, :hidden])
+    ln_b = Value(np.array([[0.05, -0.1, 0.2]])[:, :hidden])
+    return seq, wx, wh, bias, ln_g, ln_b
+
+
+def test_gru_sweep_forward_matches_numpy():
+    inputs = _gru_inputs(7, 3, seed=30)
+    got = ad.gru_sweep(*inputs)
+    seq, wx, wh, bias, ln_g, ln_b = inputs
+    expected = numpy_gru(seq.data, [w.data for w in wx], [w.data for w in wh],
+                         [b.data for b in bias], ln_g.data, ln_b.data)
+    np.testing.assert_allclose(got.data, expected, atol=1e-12)
+    with ad.no_grad():
+        np.testing.assert_array_equal(ad.gru_sweep(*inputs).data, got.data)
+    ad.reset_tape()
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_gru_sweep_gradients(n):
+    seq, wx, wh, bias, ln_g, ln_b = _gru_inputs(n, 3, seed=31 + n)
+    every = [seq, *wx, *wh, *bias, ln_g, ln_b]
+    check_grads(lambda: weighted_sum(ad.gru_sweep(seq, wx, wh, bias, ln_g,
+                                                  ln_b), 32), every)
+
+
+def test_gru_sweep_is_one_tape_node():
+    inputs = _gru_inputs(6, 3, seed=33)
+    ad.reset_tape()
+    ad.gru_sweep(*inputs)
+    assert ad.tape_size() == 1
+    with ad.no_grad():
+        ad.gru_sweep(*inputs)
+    assert ad.tape_size() == 1
+    ad.reset_tape()
+
+
+def test_gru_sweep_extremes_stay_finite():
+    # Inputs of +-1e3 drive the gate logits past the +-500 sigmoid clip.
+    seq, wx, wh, bias, ln_g, ln_b = _gru_inputs(4, 3, seed=34)
+    seq.data[...] = np.where(seq.data > 0, 1e3, -1e3)
+    every = [seq, *wx, *wh, *bias, ln_g, ln_b]
+    ad.reset_tape()
+    for p in every:
+        p.grad = None
+    out = ad.gru_sweep(seq, wx, wh, bias, ln_g, ln_b)
+    ad.backward(weighted_sum(out, 35))
+    assert np.all(np.isfinite(out.data))
+    for p in every:
+        assert np.all(np.isfinite(p.grad))
+    ad.reset_tape()
+    # Saturated gates: z = 1 exactly keeps the zero state, z = 0 takes c.
+    eye = Value(np.eye(2))
+    zero = Value(np.zeros((2, 2)))
+    row = Value(np.zeros((1, 2)))
+    big = Value(np.array([[1e3, -1e3]]))
+    h = ad.gru_sweep(big, [eye, eye, eye], [zero] * 3, [row] * 3,
+                     Value(np.ones((1, 2))), row)
+    c = np.tanh(np.array([1e3, -1e3]) / np.sqrt(1e6 + 1e-5))
+    assert h.data[0, 0] == 0.0
+    assert h.data[0, 1] == pytest.approx(c[1], abs=1e-200)
+    ad.reset_tape()
+
+
+def test_gru_sweep_shape_checks():
+    seq, wx, wh, bias, ln_g, ln_b = _gru_inputs(2, 3, seed=36)
+    with pytest.raises(ShapeMismatch):
+        ad.gru_sweep(seq, wx[:2] + [Value(np.ones((2, 3)))], wh, bias, ln_g,
+                     ln_b)
+    with pytest.raises(ShapeMismatch):
+        ad.gru_sweep(seq, wx, wh, bias, Value(np.ones((1, 2))), ln_b)
 
 
 def test_dropout_train_matches_uniform_mask_oracle():

@@ -13,12 +13,15 @@ import math
 import numpy as np
 import pytest
 
+from notesetter import autodiff as ad
 from notesetter.encoder import (EncoderConfig, RelationMismatch, encode,
                                 init_encoder_params)
 from notesetter.graph import RELATIONS, build_graph
 from notesetter.notes import make_score
 from notesetter.rng import Rng
 from notesetter.synth import random_score
+
+from conftest import numpy_gru, numpy_layer_norm
 
 
 def small_graph():
@@ -107,12 +110,6 @@ def test_relation_mismatch():
         encode(broken, params, config, Rng(0), train=False)
 
 
-def _numpy_layer_norm(x, g, b, eps=1e-5):
-    mean = x.mean(axis=1, keepdims=True)
-    var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * g + b
-
-
 def _numpy_conv(graph, hidden, params, pre, aggregation):
     n = graph.node_count
     mixed = hidden @ params[f"{pre}.conv.W0"].data
@@ -141,30 +138,19 @@ def test_no_gru_single_layer_matches_numpy(aggregation):
 
     h0 = graph.features @ params["enc.proj.W"].data + params["enc.proj.b"].data
     conv = _numpy_conv(graph, h0, params, "enc.l1", aggregation)
-    expected = _numpy_layer_norm(conv, params["enc.l1.ln.g"].data,
+    expected = numpy_layer_norm(conv, params["enc.l1.ln.g"].data,
                                  params["enc.l1.ln.b"].data)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def _numpy_gru_sweep(seq, params, pre):
-    def sig(x):
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+    def gate_params(*names):
+        return [params[f"{pre}.{name}"].data for name in names]
 
-    state = np.zeros((1, seq.shape[1]))
-    rows = []
-    for t in range(seq.shape[0]):
-        x = seq[t:t + 1]
-        z = sig(x @ params[f"{pre}.Wxz"].data + params[f"{pre}.bz"].data
-                + state @ params[f"{pre}.Whz"].data)
-        r = sig(x @ params[f"{pre}.Wxr"].data + params[f"{pre}.br"].data
-                + state @ params[f"{pre}.Whr"].data)
-        c_pre = (x @ params[f"{pre}.Wxc"].data + params[f"{pre}.bc"].data
-                 + (r * state) @ params[f"{pre}.Whc"].data)
-        c = np.tanh(_numpy_layer_norm(c_pre, params[f"{pre}.ln.g"].data,
-                                      params[f"{pre}.ln.b"].data))
-        state = (1.0 - z) * c + z * state
-        rows.append(state[0])
-    return np.array(rows)
+    return numpy_gru(seq, gate_params("Wxz", "Wxr", "Wxc"),
+                     gate_params("Whz", "Whr", "Whc"),
+                     gate_params("bz", "br", "bc"),
+                     *gate_params("ln.g", "ln.b"))
 
 
 def test_gru_single_layer_matches_numpy():
@@ -184,7 +170,7 @@ def test_gru_single_layer_matches_numpy():
     order = np.asarray(graph.note_order)
     swept = _numpy_gru_sweep(conv[order], params, "enc.l1.gru")
     states = swept[np.argsort(order)]
-    expected = _numpy_layer_norm(states, params["enc.l1.ln.g"].data,
+    expected = numpy_layer_norm(states, params["enc.l1.ln.g"].data,
                                  params["enc.l1.ln.b"].data)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -201,7 +187,7 @@ def test_gru_on_initial_features_matches_numpy():
     order = np.asarray(graph.note_order)
     swept = _numpy_gru_sweep(h0[order], params, "enc.l1.gru")
     states = swept[np.argsort(order)]
-    expected = _numpy_layer_norm(conv + states, params["enc.l1.ln.g"].data,
+    expected = numpy_layer_norm(conv + states, params["enc.l1.ln.g"].data,
                                  params["enc.l1.ln.b"].data)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -225,3 +211,23 @@ def test_multi_layer_random_scores_finite():
         out = encode(graph, params, config, Rng(seed), train=True)
         assert out.shape == (graph.node_count, 8)
         assert np.all(np.isfinite(out.data))
+
+
+def test_gru_tape_size_independent_of_piece_length():
+    # The fused sweep is one tape node per layer, so the tape no longer
+    # grows with the note count (given every relation has edges).
+    config = EncoderConfig(hidden_size=4, num_layers=2, dropout_p=0.25)
+    params = init_encoder_params(config, Rng(0))
+    sizes = []
+    for n_notes, n_bars in ((20, 4), (80, 16)):
+        graph = build_graph(random_score(0, n_notes=n_notes, n_bars=n_bars))
+        assert graph.node_count == n_notes
+        assert all(len(graph.edges[rel][0]) for rel in RELATIONS)
+        ad.reset_tape()
+        encode(graph, params, config, Rng(0), train=True)
+        sizes.append(ad.tape_size())
+        ad.reset_tape()
+        with ad.no_grad():
+            encode(graph, params, config, Rng(0), train=True)
+        assert ad.tape_size() == 0
+    assert sizes[0] == sizes[1]
