@@ -90,8 +90,9 @@ class Value:
 
 def _accum(v: Value, g: np.ndarray) -> None:
     if v.grad is None:
-        v.grad = np.zeros_like(v.data)
-    v.grad += g
+        v.grad = g.copy()
+    else:
+        v.grad += g
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Value:
@@ -108,11 +109,6 @@ def backward(loss: Value) -> None:
     for node in reversed(_TAPE):
         if node.grad is not None and node._backward is not None:
             node._backward(node.grad)
-
-
-def zero_grads(values) -> None:
-    for v in values:
-        v.grad = None
 
 
 # --- primitives ---
@@ -263,17 +259,6 @@ def log(x: Value) -> Value:
 
     def bwd(g):
         _accum(x, g / x.data)
-    return _node(out_data, (x,), bwd)
-
-
-def softmax_rows(x: Value) -> Value:
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        _accum(x, out_data * (g - dot))
     return _node(out_data, (x,), bwd)
 
 

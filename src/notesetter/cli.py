@@ -23,7 +23,7 @@ from .autodiff import reset_tape
 from .checkpoint import (BadCheckpoint, ChecksumMismatch, load_checkpoint,
                          restore_params)
 from .config import BadConfig, config_hash, load_run_config
-from .graph import build_graph, coverage_report, dump_graph_jsonl
+from .graph import coverage_report, dump_graph_jsonl
 from .model import graph_for, init_params, loss_for_score
 from .musicxml import (InconsistentTiming, MalformedXml, TooManyVoices,
                        UnrepresentableDuration, UnsupportedElement,
@@ -80,6 +80,7 @@ def _run_config(args):
         "weight_decay": args.weight_decay,
         "threshold": args.threshold,
         "strict_same_bar_candidates": args.strict,
+        "pair_agg": getattr(args, "pair_agg", None),
     }
     return load_run_config(args.config, overrides)
 
@@ -215,10 +216,9 @@ def cmd_engrave(args) -> int:
     config = _run_config(args)
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
-    pair_agg = args.pair_agg or config.pair_agg
     for path in args.inputs:
         data = engrave_dump(path, threshold=config.threshold,
-                            pair_agg=pair_agg)
+                            pair_agg=config.pair_agg)
         name = Path(path).stem
         if name.endswith(".pred"):
             name = name[:-len(".pred")]
@@ -236,7 +236,8 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(manifest, split=split)
     if not corpus:
         raise EmptyCorpus(f"manifest has no pieces in split {args.split!r}")
-    report = evaluate_corpus(corpus, params, model_config)
+    report = evaluate_corpus(corpus, params, model_config,
+                             threshold=config.threshold)
     print(report.table())
     if args.out_dir is not None:
         out_dir = _need_out_dir(args)
@@ -271,7 +272,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_graph_dump(args) -> int:
     config = _run_config(args)
-    cross_bar = not config.strict_same_bar_candidates
     out_dir = Path(args.out_dir) if args.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,8 +279,7 @@ def cmd_graph_dump(args) -> int:
         if not Path(path).is_file():
             raise MissingInput(f"input {path} does not exist")
         result = read_score_file(path)
-        graph = build_graph(result.score, cross_bar=cross_bar)
-        text = dump_graph_jsonl(graph)
+        text = dump_graph_jsonl(graph_for(result.score, config))
         if out_dir is None:
             sys.stdout.write(text)
         else:
@@ -288,7 +287,8 @@ def cmd_graph_dump(args) -> int:
             out_path.write_text(text, encoding="utf-8")
             print(f"{path} -> {out_path}")
             if result.score.labels is not None:
-                print(coverage_report(result.score, cross_bar=cross_bar))
+                print(coverage_report(result.score,
+                                      cross_bar=config.cross_bar))
     return 0
 
 

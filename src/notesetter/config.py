@@ -11,10 +11,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from pathlib import Path
 from typing import Optional
 
-from .model import MODEL_SHAPE_KEYS, ModelConfig
+from .model import ModelConfig
 from .trainer import TrainConfig
 
 
@@ -23,37 +24,26 @@ class BadConfig(ValueError):
 
 
 @dataclasses.dataclass
-class RunConfig:
-    seed: int = 0
-    hidden_size: int = 256
-    num_layers: int = 3
-    dropout: float = 0.5
-    aggregation: str = "sum"
-    use_gru: bool = True
-    gru_on_initial_features: bool = False
-    pair_agg: str = "max"
+class RunConfig(ModelConfig, TrainConfig):
+    """Every setting of a run: the model's and the training's, inherited from
+    ``ModelConfig`` and ``TrainConfig``, plus the two engraving settings."""
+
     threshold: float = 0.5
-    strict_same_bar_candidates: bool = False
-    epochs: int = 50
-    lr: float = 1e-3
-    weight_decay: float = 5e-4
-    val_fraction: float = 0.1
-    clip_norm: Optional[float] = None
+    pair_agg: str = "max"
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            hidden_size=self.hidden_size, num_layers=self.num_layers,
-            dropout_p=self.dropout, aggregation=self.aggregation,
-            use_gru=self.use_gru,
-            gru_on_initial_features=self.gru_on_initial_features,
-            threshold=self.threshold, pair_agg=self.pair_agg,
-            strict_same_bar_candidates=self.strict_same_bar_candidates)
+        return _project(self, ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, lr=self.lr,
-                           weight_decay=self.weight_decay, seed=self.seed,
-                           val_fraction=self.val_fraction,
-                           clip_norm=self.clip_norm)
+        return _project(self, TrainConfig)
+
+    def validate(self) -> None:
+        ModelConfig.validate(self)
+        TrainConfig.validate(self)
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold {self.threshold} outside (0, 1)")
+        if self.pair_agg not in ("max", "mean"):
+            raise ValueError(f"pair_agg {self.pair_agg!r}")
 
     def to_text(self) -> str:
         """Effective configuration as a sorted, re-parseable key=value file."""
@@ -70,37 +60,39 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+def _project(config: RunConfig, cls):
+    return cls(**{f.name: getattr(config, f.name)
+                  for f in dataclasses.fields(cls)})
+
+
+_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _coerce(key: str, text: str):
     text = text.strip()
-    if key in ("use_gru", "gru_on_initial_features",
-               "strict_same_bar_candidates"):
+    kind = _TYPES[key]
+    if kind is bool:
         lowered = text.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
         raise BadConfig(f"{key}: {text!r} is not a boolean")
-    if key in ("seed", "hidden_size", "num_layers", "epochs"):
+    if kind is int:
         try:
             return int(text)
         except ValueError as exc:
             raise BadConfig(f"{key}: {text!r} is not an integer") from exc
-    if key in ("dropout", "threshold", "lr", "weight_decay", "val_fraction"):
+    if kind == Optional[float]:
+        if text.lower() in ("none", ""):
+            return None
+        kind = float
+    if kind is float:
         try:
             return float(text)
         except ValueError as exc:
             raise BadConfig(f"{key}: {text!r} is not a number") from exc
-    if key == "clip_norm":
-        if text.lower() in ("none", ""):
-            return None
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise BadConfig(f"clip_norm: {text!r} is not a number") from exc
-    return text  # aggregation, pair_agg
+    return text
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -114,7 +106,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                             f"got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise BadConfig(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise BadConfig(f"{source}:{lineno}: duplicate key {key!r}")
@@ -133,14 +125,13 @@ def load_run_config(path: Optional[Path] = None,
         values.update(parse_config_text(path.read_text(encoding="utf-8"),
                                         source=str(path)))
     for key, value in (overrides or {}).items():
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise BadConfig(f"unknown override {key!r}")
         if value is not None:
             values[key] = value
     config = RunConfig(**values)
     try:
-        config.model_config().validate()
-        config.train_config().validate()
+        config.validate()
     except ValueError as exc:
         raise BadConfig(str(exc)) from exc
     return config
@@ -148,6 +139,5 @@ def load_run_config(path: Optional[Path] = None,
 
 def config_hash(config: RunConfig) -> str:
     """Hash of the shape-determining keys only (12 hex chars)."""
-    shape = {k: getattr(config.model_config(), k) for k in MODEL_SHAPE_KEYS}
-    blob = json.dumps(shape, sort_keys=True).encode("utf-8")
+    blob = json.dumps(config.shape_dict(), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]

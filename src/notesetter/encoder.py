@@ -20,12 +20,18 @@ block output is the normalized convolution), and ``gru_on_initial_features``
 makes every layer's GRU read the projected input features h^(0) instead of
 that layer's convolution output, adding its states to the convolution
 before the block norm.
+
+``encode`` and ``init_encoder_params`` take the model's ``ModelConfig``
+(declared in ``model.py``). They read ``hidden_size``, ``num_layers``,
+``dropout``, ``aggregation``, ``use_gru`` and ``gru_on_initial_features``;
+its one graph setting, ``strict_same_bar_candidates``, acts when the graph
+is built.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,30 +41,15 @@ from .graph import RELATIONS, ScoreGraph
 from .notes import N_FEATURES
 from .rng import Rng
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 
 class RelationMismatch(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class EncoderConfig:
-    hidden_size: int = 256
-    num_layers: int = 3
-    dropout_p: float = 0.5
-    aggregation: str = "sum"          # "sum" (paper) or "mean" (ablation)
-    use_gru: bool = True
-    gru_on_initial_features: bool = False
-
-    def validate(self) -> None:
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
-        if self.aggregation not in ("sum", "mean"):
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
-
-
-def init_encoder_params(config: EncoderConfig, rng: Rng) -> dict[str, Value]:
+def init_encoder_params(config: ModelConfig, rng: Rng) -> dict[str, Value]:
     """Fresh encoder parameters; creation order is fixed for determinism."""
     config.validate()
     h = config.hidden_size
@@ -90,7 +81,7 @@ def init_encoder_params(config: EncoderConfig, rng: Rng) -> dict[str, Value]:
     return params
 
 
-def encode(graph: ScoreGraph, params: dict[str, Value], config: EncoderConfig,
+def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
            rng: Rng, train: bool) -> Value:
     """Embed every note; (node_count x hidden_size)."""
     config.validate()
@@ -125,7 +116,7 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: EncoderConfig,
             if config.aggregation == "mean":
                 agg = ad.mul(agg, mean_scale[rel])
             mixed = ad.add(mixed, ad.matmul(agg, params[f"{pre}.conv.W.{rel}"]))
-        conv = ad.dropout(ad.relu(mixed), config.dropout_p, rng, train)
+        conv = ad.dropout(ad.relu(mixed), config.dropout, rng, train)
         if config.use_gru:
             source = initial if config.gru_on_initial_features else conv
             gru = f"{pre}.gru"

@@ -15,6 +15,7 @@ import json
 
 from .decoders import NODE_HEADS, labels_to_classes
 from .notes import LabelSet, Score
+from .postprocess import UnionFind
 
 
 class LengthMismatch(ValueError):
@@ -27,19 +28,11 @@ _JOINT_PARTS = ("note_type", "dots", "tuplet")
 
 def collapse_units(n: int, chord_edges) -> list[int]:
     """Map each note id to its ground-truth chord unit (root = smallest id)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    dsu = UnionFind(n)
     for u, w in chord_edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[max(ru, rw)] = min(ru, rw)
-    return [find(i) for i in range(n)]
+        dsu.union(u, w)
+    smallest: dict[int, int] = {}
+    return [smallest.setdefault(dsu.find(i), i) for i in range(n)]
 
 
 def _lift(pairs, unit_of) -> set:

@@ -8,7 +8,7 @@ from typing import Optional
 from .autodiff import Value, no_grad
 from .decoders import (LossResult, Predictions, PredictionBundle, decode_all,
                        init_decoder_params, total_loss)
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import encode, init_encoder_params
 from .graph import ScoreGraph, build_graph
 from .notes import Score
 from .rng import Rng
@@ -20,33 +20,27 @@ MODEL_SHAPE_KEYS = ("hidden_size", "num_layers", "aggregation", "use_gru",
 
 @dataclasses.dataclass
 class ModelConfig:
+    """The encoder's and the score graph's settings."""
+
     hidden_size: int = 256
     num_layers: int = 3
-    dropout_p: float = 0.5
-    aggregation: str = "sum"
+    dropout: float = 0.5
+    aggregation: str = "sum"          # "sum" (paper) or "mean" (ablation)
     use_gru: bool = True
     gru_on_initial_features: bool = False
-    threshold: float = 0.5
-    pair_agg: str = "max"
     strict_same_bar_candidates: bool = False
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            hidden_size=self.hidden_size, num_layers=self.num_layers,
-            dropout_p=self.dropout_p, aggregation=self.aggregation,
-            use_gru=self.use_gru,
-            gru_on_initial_features=self.gru_on_initial_features)
 
     @property
     def cross_bar(self) -> bool:
         return not self.strict_same_bar_candidates
 
     def validate(self) -> None:
-        self.encoder_config().validate()
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold {self.threshold} outside (0, 1)")
-        if self.pair_agg not in ("max", "mean"):
-            raise ValueError(f"pair_agg {self.pair_agg!r}")
+        if self.num_layers < 1:
+            raise ValueError("num_layers must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if self.aggregation not in ("sum", "mean"):
+            raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
     def shape_dict(self) -> dict:
         return {k: getattr(self, k) for k in MODEL_SHAPE_KEYS}
@@ -55,15 +49,14 @@ class ModelConfig:
 def init_params(config: ModelConfig, rng: Rng) -> dict[str, Value]:
     """All trainable parameters, in a fixed creation order."""
     config.validate()
-    params = init_encoder_params(config.encoder_config(), rng)
+    params = init_encoder_params(config, rng)
     params.update(init_decoder_params(config.hidden_size, rng))
     return params
 
 
 def forward(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
             rng: Optional[Rng] = None, train: bool = False) -> Predictions:
-    embeddings = encode(graph, params, config.encoder_config(), rng=rng,
-                        train=train)
+    embeddings = encode(graph, params, config, rng=rng, train=train)
     return decode_all(embeddings, graph, params)
 
 

@@ -49,7 +49,7 @@ class UnfillableGap(RuntimeError):
         self.length_div = length_div
 
 
-class _UnionFind:
+class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
@@ -190,7 +190,7 @@ def pool_chords(bundle: PredictionBundle, score: Score,
                 threshold: float = 0.5) -> list[PooledNode]:
     n = len(score.notes)
     staff_pred = [bundle.staff_of(i) for i in range(n)]
-    dsu = _UnionFind(n)
+    dsu = UnionFind(n)
     for (u, w), p in zip(bundle.chord_pairs, bundle.chord_probs.tolist()):
         if (p >= threshold
                 and score.notes[u].duration_div == score.notes[w].duration_div

@@ -59,9 +59,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = int(self.integers(i + 1)[0])
             items[i], items[j] = items[j], items[i]
-
-    def spawn(self, stream: int) -> "Rng":
-        """Independent child generator; (seed, stream) determines it."""
-        with np.errstate(over="ignore"):
-            tag = _mix(self.seed ^ (np.uint64(stream & 0xFFFFFFFFFFFFFFFF) * _GOLDEN))
-        return Rng(int(tag))

@@ -188,10 +188,9 @@ def train(corpus, model_config: ModelConfig, train_config: TrainConfig,
 
 
 def evaluate_corpus(corpus, params, config: ModelConfig,
-                    threshold: Optional[float] = None) -> EvalReport:
+                    threshold: float = 0.5) -> EvalReport:
     if not corpus:
         raise EmptyCorpus("nothing to evaluate")
-    threshold = config.threshold if threshold is None else threshold
     pieces = []
     for score in corpus:
         bundle = predict_bundle(score, params, config)

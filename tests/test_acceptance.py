@@ -91,7 +91,7 @@ def test_criterion_2_overfits_fixture_corpus():
     t0 = time.perf_counter()
     corpus = [parse_fixture(name).score
               for name in ("fixture_a", "fixture_b")]
-    model = ModelConfig(hidden_size=32, dropout_p=0.0)
+    model = ModelConfig(hidden_size=32, dropout=0.0)
     schedule = TrainConfig(epochs=300, lr=1e-3, weight_decay=0.0, seed=0,
                            val_fraction=0.0)
     params, _result = train(corpus, model, schedule)
@@ -303,7 +303,7 @@ def test_criterion_6_metrics_match_brute_force():
 def test_criterion_7_bitwise_determinism(tmp_path):
     corpus = [parse_fixture(name).score
               for name in ("fixture_a", "fixture_b")]
-    model = ModelConfig(hidden_size=16, dropout_p=0.0)
+    model = ModelConfig(hidden_size=16, dropout=0.0)
     schedule = TrainConfig(epochs=150, lr=1e-3, weight_decay=0.0, seed=42,
                            val_fraction=0.0)
 
@@ -360,7 +360,7 @@ def test_criterion_8_candidate_coverage():
     # The shortfall must reach training, not vanish: the loss reports how
     # many gold edges the strict candidate set excluded (16 on fixture_a).
     score = parse_fixture("fixture_a").score
-    strict_cfg = ModelConfig(hidden_size=8, num_layers=1, dropout_p=0.0,
+    strict_cfg = ModelConfig(hidden_size=8, num_layers=1, dropout=0.0,
                              strict_same_bar_candidates=True)
     params = init_params(strict_cfg, Rng(0))
     out = loss_for_score(score, graph_for(score, strict_cfg), params,

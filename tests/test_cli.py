@@ -13,8 +13,9 @@ import notesetter
 from notesetter.checkpoint import load_checkpoint
 from notesetter.cli import EXIT_CODES, main
 from notesetter.config import RunConfig, parse_config_text
-from notesetter.musicxml import parse_musicxml, validate_subset
-from notesetter.pipeline import load_manifest
+from notesetter.musicxml import parse_musicxml, read_score_file, validate_subset
+from notesetter.pipeline import engrave_dump, load_manifest, write_predictions
+from notesetter.postprocess import perfect_bundle
 
 from conftest import FIXTURE_DIR, fixture_path
 
@@ -234,6 +235,20 @@ def test_strict_flag_reaches_config(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "config.effective").read_text()
     assert "strict_same_bar_candidates = true" in text
+
+
+def test_pair_agg_flag_reaches_config_and_engraving(tmp_path, capsys):
+    score = read_score_file(fixture_path("fixture_a")).score
+    dump = tmp_path / "fixture_a.pred.jsonl"
+    write_predictions(dump, score, perfect_bundle(score))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "engrave", str(dump), "--pair-agg", "mean",
+                       "--out-dir", str(out_dir))
+    assert code == 0 and err == ""
+    text = (out_dir / "config.effective").read_text()
+    assert "pair_agg = mean" in text.splitlines()
+    assert (out_dir / "fixture_a.musicxml").read_bytes() == \
+        engrave_dump(dump, pair_agg="mean")
 
 
 def _declared_console_script(name):

@@ -13,7 +13,8 @@ from notesetter.config import (
     load_run_config,
     parse_config_text,
 )
-from notesetter.model import MODEL_SHAPE_KEYS
+from notesetter.model import MODEL_SHAPE_KEYS, ModelConfig
+from notesetter.trainer import TrainConfig
 
 
 def test_to_text_round_trips_defaults():
@@ -42,6 +43,47 @@ def test_to_text_formatting():
     assert text.endswith("\n")
     # every field appears exactly once
     assert len(lines) == len(dataclasses.fields(RunConfig))
+
+
+def test_default_text_is_pinned():
+    # The persisted format: existing config files and checkpoints rely on it.
+    assert RunConfig().to_text() == (
+        "aggregation = sum\n"
+        "clip_norm = none\n"
+        "dropout = 0.5\n"
+        "epochs = 50\n"
+        "gru_on_initial_features = false\n"
+        "hidden_size = 256\n"
+        "lr = 0.001\n"
+        "num_layers = 3\n"
+        "pair_agg = max\n"
+        "seed = 0\n"
+        "strict_same_bar_candidates = false\n"
+        "threshold = 0.5\n"
+        "use_gru = true\n"
+        "val_fraction = 0.1\n"
+        "weight_decay = 0.0005\n")
+
+
+def test_default_hash_is_pinned():
+    assert config_hash(RunConfig()) == "411583bb91c5"
+
+
+def test_each_field_is_declared_once():
+    model = {f.name for f in dataclasses.fields(ModelConfig)}
+    train = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert not model & train
+    run = {f.name for f in dataclasses.fields(RunConfig)}
+    assert run - model - train == {"threshold", "pair_agg"}
+
+
+def test_projections_carry_every_field():
+    config = RunConfig(seed=7, hidden_size=32, dropout=0.25, lr=0.01,
+                       strict_same_bar_candidates=True, clip_norm=2.5)
+    assert config.model_config() == ModelConfig(
+        hidden_size=32, dropout=0.25, strict_same_bar_candidates=True)
+    assert config.train_config() == TrainConfig(seed=7, lr=0.01,
+                                                clip_norm=2.5)
 
 
 def test_parse_skips_comments_and_blanks():
@@ -122,6 +164,9 @@ def test_load_unknown_override():
     {"dropout": 1.5},
     {"num_layers": 0},
     {"aggregation": "max"},
+    {"threshold": 0.0},
+    {"threshold": 1.0},
+    {"pair_agg": "median"},
 ])
 def test_load_rejects_invalid_values(overrides):
     with pytest.raises(BadConfig):

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from notesetter import autodiff as ad
-from notesetter.encoder import (EncoderConfig, RelationMismatch, encode,
-                                init_encoder_params)
+from notesetter.encoder import RelationMismatch, encode, init_encoder_params
 from notesetter.graph import RELATIONS, build_graph
+from notesetter.model import ModelConfig
 from notesetter.notes import make_score
 from notesetter.rng import Rng
 from notesetter.synth import random_score
@@ -32,7 +32,7 @@ def small_graph():
 
 
 def test_param_names_and_shapes():
-    config = EncoderConfig(hidden_size=4, num_layers=2, dropout_p=0.0)
+    config = ModelConfig(hidden_size=4, num_layers=2, dropout=0.0)
     params = init_encoder_params(config, Rng(0))
     expected = {"enc.proj.W", "enc.proj.b"}
     for layer in (1, 2):
@@ -55,7 +55,7 @@ def test_param_names_and_shapes():
 
 
 def test_init_determinism_and_scale():
-    config = EncoderConfig(hidden_size=64, num_layers=1)
+    config = ModelConfig(hidden_size=64, num_layers=1)
     a = init_encoder_params(config, Rng(5))
     b = init_encoder_params(config, Rng(5))
     for name in a:
@@ -71,16 +71,16 @@ def test_init_determinism_and_scale():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EncoderConfig(num_layers=0).validate()
+        ModelConfig(num_layers=0).validate()
     with pytest.raises(ValueError):
-        EncoderConfig(dropout_p=1.0).validate()
+        ModelConfig(dropout=1.0).validate()
     with pytest.raises(ValueError):
-        EncoderConfig(aggregation="max").validate()
+        ModelConfig(aggregation="max").validate()
 
 
 def test_encode_shape_and_eval_determinism():
     graph = small_graph()
-    config = EncoderConfig(hidden_size=8, num_layers=2, dropout_p=0.5)
+    config = ModelConfig(hidden_size=8, num_layers=2, dropout=0.5)
     params = init_encoder_params(config, Rng(1))
     out1 = encode(graph, params, config, Rng(11), train=False)
     out2 = encode(graph, params, config, Rng(999), train=False)
@@ -91,7 +91,7 @@ def test_encode_shape_and_eval_determinism():
 
 def test_dropout_draws_differ_in_training():
     graph = small_graph()
-    config = EncoderConfig(hidden_size=8, num_layers=1, dropout_p=0.5)
+    config = ModelConfig(hidden_size=8, num_layers=1, dropout=0.5)
     params = init_encoder_params(config, Rng(1))
     t1 = encode(graph, params, config, Rng(11), train=True)
     t2 = encode(graph, params, config, Rng(12), train=True)
@@ -104,7 +104,7 @@ def test_relation_mismatch():
     graph = small_graph()
     broken = dataclasses.replace(
         graph, edges={k: v for k, v in graph.edges.items() if k != "silence"})
-    config = EncoderConfig(hidden_size=4, num_layers=1, dropout_p=0.0)
+    config = ModelConfig(hidden_size=4, num_layers=1, dropout=0.0)
     params = init_encoder_params(config, Rng(0))
     with pytest.raises(RelationMismatch):
         encode(broken, params, config, Rng(0), train=False)
@@ -131,7 +131,7 @@ def test_no_gru_single_layer_matches_numpy(aggregation):
     # [DERIVED: duplicate-formula oracle] conv-only block:
     #   relu(h W0 + sum_r A_r h W_r) -> layer_norm
     graph = small_graph()
-    config = EncoderConfig(hidden_size=5, num_layers=1, dropout_p=0.0,
+    config = ModelConfig(hidden_size=5, num_layers=1, dropout=0.0,
                            aggregation=aggregation, use_gru=False)
     params = init_encoder_params(config, Rng(3))
     got = encode(graph, params, config, Rng(0), train=False).data
@@ -157,7 +157,7 @@ def test_gru_single_layer_matches_numpy():
     # [DERIVED: duplicate-formula oracle] full hybrid block with the GRU
     # swept in note order, states mapped back to id order, then the block norm.
     graph = small_graph()
-    config = EncoderConfig(hidden_size=3, num_layers=1, dropout_p=0.0,
+    config = ModelConfig(hidden_size=3, num_layers=1, dropout=0.0,
                            aggregation="sum", use_gru=True)
     params = init_encoder_params(config, Rng(7))
     # Perturb the norm parameters so the oracle can't pass by symmetry.
@@ -177,7 +177,7 @@ def test_gru_single_layer_matches_numpy():
 
 def test_gru_on_initial_features_matches_numpy():
     graph = small_graph()
-    config = EncoderConfig(hidden_size=3, num_layers=1, dropout_p=0.0,
+    config = ModelConfig(hidden_size=3, num_layers=1, dropout=0.0,
                            use_gru=True, gru_on_initial_features=True)
     params = init_encoder_params(config, Rng(9))
     got = encode(graph, params, config, Rng(0), train=False).data
@@ -194,9 +194,9 @@ def test_gru_on_initial_features_matches_numpy():
 
 def test_aggregation_modes_differ():
     graph = small_graph()
-    base = dict(hidden_size=6, num_layers=1, dropout_p=0.0, use_gru=False)
-    cfg_sum = EncoderConfig(aggregation="sum", **base)
-    cfg_mean = EncoderConfig(aggregation="mean", **base)
+    base = dict(hidden_size=6, num_layers=1, dropout=0.0, use_gru=False)
+    cfg_sum = ModelConfig(aggregation="sum", **base)
+    cfg_mean = ModelConfig(aggregation="mean", **base)
     params = init_encoder_params(cfg_sum, Rng(4))
     out_sum = encode(graph, params, cfg_sum, Rng(0), train=False)
     out_mean = encode(graph, params, cfg_mean, Rng(0), train=False)
@@ -204,7 +204,7 @@ def test_aggregation_modes_differ():
 
 
 def test_multi_layer_random_scores_finite():
-    config = EncoderConfig(hidden_size=8, num_layers=3, dropout_p=0.25)
+    config = ModelConfig(hidden_size=8, num_layers=3, dropout=0.25)
     params = init_encoder_params(config, Rng(10))
     for seed in range(4):
         graph = build_graph(random_score(seed, n_notes=9))
@@ -216,7 +216,7 @@ def test_multi_layer_random_scores_finite():
 def test_gru_tape_size_independent_of_piece_length():
     # The fused sweep is one tape node per layer, so the tape no longer
     # grows with the note count (given every relation has edges).
-    config = EncoderConfig(hidden_size=4, num_layers=2, dropout_p=0.25)
+    config = ModelConfig(hidden_size=4, num_layers=2, dropout=0.25)
     params = init_encoder_params(config, Rng(0))
     sizes = []
     for n_notes, n_bars in ((20, 4), (80, 16)):

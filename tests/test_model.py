@@ -26,7 +26,7 @@ from notesetter.model import (
 from notesetter.rng import Rng
 from notesetter.synth import random_score
 
-CONFIG = ModelConfig(hidden_size=8, num_layers=2, dropout_p=0.0)
+CONFIG = ModelConfig(hidden_size=8, num_layers=2, dropout=0.0)
 
 
 def test_shape_keys_cover_architecture():
@@ -44,8 +44,8 @@ def test_cross_bar_property():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(threshold=0.0), dict(threshold=1.0), dict(pair_agg="median"),
-    dict(num_layers=0), dict(dropout_p=1.0), dict(aggregation="max"),
+    dict(num_layers=-1), dict(dropout=-0.1), dict(aggregation=""),
+    dict(num_layers=0), dict(dropout=1.0), dict(aggregation="max"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ def test_predict_bundle_deterministic_and_clean():
 
 def test_predict_bundle_dropout_ignored_at_inference():
     score = random_score(8, n_notes=10)
-    heavy = dataclasses.replace(CONFIG, dropout_p=0.9)
+    heavy = dataclasses.replace(CONFIG, dropout=0.9)
     params = init_params(heavy, Rng(3))
     a = predict_bundle(score, params, heavy)
     b = predict_bundle(score, params, CONFIG)

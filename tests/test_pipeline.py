@@ -212,7 +212,7 @@ def test_engrave_dump_matches_direct_engraving(tmp_path):
 
 
 def test_predict_file_smoke():
-    config = ModelConfig(hidden_size=8, num_layers=1, dropout_p=0.0)
+    config = ModelConfig(hidden_size=8, num_layers=1, dropout=0.0)
     params = init_params(config, Rng(0))
     score, bundle = predict_file(fixture_path("fixture_a"), params, config)
     assert score.name == "fixture_a"

@@ -137,28 +137,3 @@ def test_shuffle_empty_and_single():
     one = [42]
     rng.shuffle(one)
     assert one == [42]
-
-
-def test_spawn_seed_derivation():
-    # [DERIVED] child seed = mix(seed ^ stream * golden).
-    child = Rng(7).spawn(3)
-    assert int(child.seed) == _mix_oracle((7 ^ ((3 * _GOLDEN) & _M64)) & _M64)
-    # spawn(0, 1): 0 ^ golden == golden, so the child seed equals mix(golden),
-    # which is also the first raw output of seed 0.
-    assert int(Rng(0).spawn(1).seed) == 0xE220A8397B1DCDAF
-
-
-def test_spawn_streams_are_distinct_and_reproducible():
-    parent = Rng(555)
-    a = parent.spawn(1).uniform(8)
-    b = parent.spawn(2).uniform(8)
-    again = Rng(555).spawn(1).uniform(8)
-    assert not np.array_equal(a, b)
-    assert np.array_equal(a, again)
-
-
-def test_spawn_does_not_disturb_parent_stream():
-    lone = Rng(9).uniform(4)
-    parent = Rng(9)
-    parent.spawn(17)
-    assert np.array_equal(parent.uniform(4), lone)

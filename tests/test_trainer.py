@@ -24,7 +24,7 @@ from notesetter.trainer import (
     train,
 )
 
-SMALL = ModelConfig(hidden_size=8, num_layers=1, dropout_p=0.0)
+SMALL = ModelConfig(hidden_size=8, num_layers=1, dropout=0.0)
 FAST = TrainConfig(epochs=4, lr=1e-2, weight_decay=0.0, seed=0,
                    val_fraction=0.0)
 
