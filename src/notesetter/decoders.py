@@ -15,7 +15,6 @@ cross-entropy averaged over pairs for the pair heads.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Optional
 
@@ -79,6 +78,12 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
+def staff_probabilities(staff_logits: np.ndarray) -> np.ndarray:
+    """P(lower staff) per note: softmax of the staff logits, column 1."""
+    return np.exp(staff_logits - np.logaddexp.reduce(staff_logits, axis=1,
+                                                     keepdims=True))[:, 1]
+
+
 @dataclasses.dataclass
 class Predictions:
     """Tape-connected head outputs, input to the loss."""
@@ -91,9 +96,7 @@ class Predictions:
 
     def bundle(self) -> "PredictionBundle":
         note = {h: np.array(v.data) for h, v in self.note_logits.items()}
-        staff_probs = np.exp(note["staff"]
-                             - np.logaddexp.reduce(note["staff"], axis=1,
-                                                   keepdims=True))[:, 1]
+        staff_probs = staff_probabilities(note["staff"])
         voice = (_stable_sigmoid(self.voice_logits.data[:, 0])
                  if self.voice_logits is not None else np.zeros(0))
         chord = (_stable_sigmoid(self.chord_logits.data[:, 0])
@@ -136,49 +139,6 @@ class PredictionBundle:
                 raise ValueError(f"{name} pair/probability count mismatch")
             if len(probs) and not ((probs > 0.0) & (probs < 1.0)).all():
                 raise ValueError(f"{name} probabilities outside (0,1)")
-
-    def to_json_lines(self) -> list[str]:
-        lines = []
-        for i in range(self.note_count):
-            lines.append(json.dumps(
-                {"kind": "note", "id": i,
-                 "logits": {h: self.note_logits[h][i].tolist()
-                            for h in NODE_HEADS}}))
-        for head, pairs, probs in (("voice", self.voice_pairs, self.voice_probs),
-                                   ("chord", self.chord_pairs, self.chord_probs)):
-            for (u, w), p in zip(pairs, probs.tolist()):
-                lines.append(json.dumps(
-                    {"kind": "pair", "head": head, "u": u, "w": w, "p": p}))
-        return lines
-
-    @staticmethod
-    def from_json_lines(lines) -> "PredictionBundle":
-        notes: dict[int, dict] = {}
-        pairs = {"voice": [], "chord": []}
-        probs = {"voice": [], "chord": []}
-        for line in lines:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec["kind"] == "note":
-                notes[rec["id"]] = rec["logits"]
-            elif rec["kind"] == "pair":
-                pairs[rec["head"]].append((rec["u"], rec["w"]))
-                probs[rec["head"]].append(rec["p"])
-        n = len(notes)
-        if sorted(notes) != list(range(n)):
-            raise ValueError("prediction dump has missing or duplicate note ids")
-        note_logits = {h: np.array([notes[i][h] for i in range(n)])
-                       for h in NODE_HEADS}
-        staff = note_logits["staff"]
-        staff_probs = np.exp(staff - np.logaddexp.reduce(staff, axis=1,
-                                                         keepdims=True))[:, 1]
-        return PredictionBundle(
-            note_logits=note_logits, staff_probs=staff_probs,
-            voice_pairs=tuple(map(tuple, pairs["voice"])),
-            voice_probs=np.array(probs["voice"]),
-            chord_pairs=tuple(map(tuple, pairs["chord"])),
-            chord_probs=np.array(probs["chord"]))
 
 
 def decode_all(embeddings: Value, graph: ScoreGraph,

@@ -20,7 +20,6 @@ import dataclasses
 import gzip
 import logging
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .notes import (ALTER_VALUES, CLEF_F, CLEF_G, DEFAULT_SPELLING_BY_PC,
                     KEY_MAX_FIFTHS, KEY_MIN_FIFTHS, LabelSet, MAX_DOTS,
                     NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
                     STEP_TO_PC, QuantizedNote, Score, TimeSignature,
-                    TUPLET_RATIOS, bar_length_div, spelling_parts,
+                    TUPLET_RATIOS, bar_at, bar_length_div, spelling_parts,
                     spelling_of, spelling_pitch_class)
 from .postprocess import EngravedScore
 
@@ -575,8 +574,7 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
 
     events_by_bar: dict[int, dict[int, list]] = {}
     for ev in engraved.events:
-        b = next(i for i in reversed(range(len(bars)))
-                 if bars[i][0] <= ev.onset_div)
+        b = bar_at(bars, ev.onset_div)
         events_by_bar.setdefault(b, {}).setdefault(ev.voice, []).append(ev)
 
     # timed items: (time, order, bar, builder); stops before clefs before starts
@@ -585,7 +583,7 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
         for start, clef in regions:
             if start == 0:
                 continue
-            b = next(i for i in reversed(range(len(bars))) if bars[i][0] <= start)
+            b = bar_at(bars, start)
             if start == bars[b][0]:
                 continue  # measure-start changes ride in <attributes>
             timed.setdefault(b, []).append((start, 1, ("clef", staff, clef)))
@@ -594,14 +592,14 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
         for start, clef in regions:
             if start == 0:
                 continue
-            b = next(i for i in reversed(range(len(bars))) if bars[i][0] <= start)
+            b = bar_at(bars, start)
             if start == bars[b][0]:
                 clef_at_bar_start[(b, staff)] = clef
     for staff, regions in sorted(engraved.octave_regions.items()):
         for start, end, shift in regions:
-            sb = next(i for i in reversed(range(len(bars))) if bars[i][0] <= start)
+            sb = bar_at(bars, start)
             timed.setdefault(sb, []).append((start, 2, ("shift", staff, shift)))
-            eb = next(i for i in reversed(range(len(bars))) if bars[i][0] < end)
+            eb = bar_at(bars, end - 1)  # the bar the region's last tick is in
             timed.setdefault(eb, []).append((end, 0, ("stop", staff, shift)))
 
     root = ET.Element("score-partwise", {"version": "3.1"})

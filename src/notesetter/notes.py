@@ -7,9 +7,12 @@ threads.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 # --- label vocabularies (orders are frozen; checkpoints depend on them) ---
@@ -275,21 +278,35 @@ def bar_length_div(numerator: int, denominator: int, divisions: int) -> int:
     return int(length)
 
 
-def bar_table(divisions: int, time_signatures: tuple[TimeSignature, ...],
-              num_bars: int) -> list[tuple[int, int]]:
-    """Onset and length in divisions of bars 0..num_bars-1."""
+def _bars(divisions: int, time_signatures):
+    """(onset_div, duration_div) of bars 0, 1, 2, ... without end."""
     sigs = sorted(time_signatures, key=lambda t: t.bar_index)
-    bars: list[tuple[int, int]] = []
     onset = 0
     cur = 0
-    for b in range(num_bars):
+    for b in itertools.count():
         if cur + 1 < len(sigs) and sigs[cur + 1].bar_index == b:
             cur += 1
         sig = sigs[cur]
         length = bar_length_div(sig.numerator, sig.denominator, divisions)
-        bars.append((onset, length))
+        if length <= 0:
+            raise ValueError(f"bar {b} has length {length}")
+        yield onset, length
         onset += length
-    return bars
+
+
+def bar_table(divisions: int, time_signatures: tuple[TimeSignature, ...],
+              num_bars: int) -> list[tuple[int, int]]:
+    """Onset and length in divisions of bars 0..num_bars-1."""
+    return list(itertools.islice(_bars(divisions, time_signatures), num_bars))
+
+
+def bar_at(bars: list[tuple[int, int]], div: int) -> int:
+    """Index of the bar holding division ``div``: the last bar of ``bars``
+    (a bar table) whose onset is at or before it."""
+    i = bisect.bisect_right(bars, div, key=itemgetter(0)) - 1
+    if i < 0:
+        raise ValueError(f"division {div} before bar 0")
+    return i
 
 
 def make_score(divisions: int, time_signatures, note_specs, labels=None,
@@ -306,15 +323,13 @@ def make_score(divisions: int, time_signatures, note_specs, labels=None,
     max_offset = max((on + dur for on, dur, _ in triples), default=0)
     # enough bars to cover the last offset
     bars: list[tuple[int, int]] = []
-    n_bars = 1
-    while True:
-        bars = bar_table(divisions, sigs, n_bars)
-        if bars[-1][0] + bars[-1][1] >= max_offset:
+    for onset, length in _bars(divisions, sigs):
+        bars.append((onset, length))
+        if onset + length >= max_offset:
             break
-        n_bars += 1
     notes = []
     for i, (onset, dur, midi) in enumerate(triples):
-        bar_i = next(b for b in reversed(range(len(bars))) if bars[b][0] <= onset)
+        bar_i = bar_at(bars, onset)
         notes.append(QuantizedNote.make(
             id=i, onset_div=onset, duration_div=dur, midi_pitch=midi,
             bar_index=bar_i, bar_onset_div=bars[bar_i][0],

@@ -1,10 +1,24 @@
 """Batch plumbing: corpus ingest with manifests, prediction dumps, engraving.
 
-A prediction dump is JSON-lines: one ``meta`` record carrying the quantized
-score (so downstream steps need no other input), then one record per note and
-per candidate pair. The manifest records a seeded 80/20 train/test split that
-depends only on (seed, piece name), so re-ingesting a grown corpus never
-moves existing pieces between splits.
+A prediction dump (``<name>.pred.jsonl``) is UTF-8 JSON lines, written by
+``write_predictions`` and read by ``read_predictions`` and nothing else:
+
+* a ``meta`` record first: ``"format": 2``, the piece name, divisions, time
+  signatures and the (onset, duration, midi) notes, so downstream steps need
+  no other input;
+* one ``{"kind": "logits", "head": h, "rows": [[...], ...]}`` per node head,
+  in ``NODE_HEADS`` order, an (n_notes x width) matrix;
+* one ``{"kind": "pairs", "head": "voice"|"chord", "u": [...], "w": [...],
+  "p": [...]}`` per pair head: parallel arrays of note ids and probabilities.
+
+Floats are written by ``repr``, so every value reads back bit-exactly. Blank
+lines and records of other kinds are skipped. A dump without ``"format": 2``
+(the older one-record-per-note layout) and every malformed dump are refused
+with ``MissingInput``.
+
+The manifest records a seeded 80/20 train/test split that depends only on
+(seed, piece name), so re-ingesting a grown corpus never moves existing
+pieces between splits.
 """
 
 from __future__ import annotations
@@ -14,13 +28,17 @@ import zlib
 from pathlib import Path
 from typing import Optional
 
-from .decoders import PredictionBundle
+import numpy as np
+
+from .decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS, PredictionBundle,
+                       staff_probabilities)
 from .musicxml import export_musicxml, read_score_file
 from .notes import Score, make_score
 from .postprocess import engrave
 from .model import ModelConfig, predict_bundle
 
 MANIFEST_VERSION = 1
+PREDICTION_FORMAT = 2
 SCORE_SUFFIXES = (".musicxml", ".xml", ".mxl")
 
 
@@ -105,8 +123,10 @@ def load_corpus(manifest: dict, split: Optional[str] = None) -> list[Score]:
 # --- prediction dumps ---
 
 def prediction_lines(score: Score, bundle: PredictionBundle) -> list[str]:
+    """The dump's records, one JSON text each: meta, logits, then pairs."""
     meta = {
         "kind": "meta",
+        "format": PREDICTION_FORMAT,
         "name": score.name,
         "divisions": score.divisions_per_quarter,
         "time_signatures": [[t.bar_index, t.numerator, t.denominator]
@@ -114,7 +134,18 @@ def prediction_lines(score: Score, bundle: PredictionBundle) -> list[str]:
         "notes": [[n.onset_div, n.duration_div, n.midi_pitch]
                   for n in score.notes],
     }
-    return [json.dumps(meta)] + bundle.to_json_lines()
+    lines = [json.dumps(meta)]
+    for head in NODE_HEADS:
+        lines.append(json.dumps({"kind": "logits", "head": head,
+                                 "rows": bundle.note_logits[head].tolist()}))
+    for head, pairs, probs in (
+            ("voice", bundle.voice_pairs, bundle.voice_probs),
+            ("chord", bundle.chord_pairs, bundle.chord_probs)):
+        lines.append(json.dumps({"kind": "pairs", "head": head,
+                                 "u": [u for u, _ in pairs],
+                                 "w": [w for _, w in pairs],
+                                 "p": probs.tolist()}))
+    return lines
 
 
 def write_predictions(path: Path, score: Score,
@@ -124,28 +155,91 @@ def write_predictions(path: Path, score: Score,
 
 
 def read_predictions(path: Path) -> tuple[Score, PredictionBundle]:
+    """Parse and check a dump; anything malformed is a MissingInput."""
     path = Path(path)
     if not path.is_file():
         raise MissingInput(f"prediction dump {path} does not exist")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    meta = None
-    for line in lines:
-        if line.strip():
+    try:
+        return _parse_dump(path.read_text(encoding="utf-8"), path.stem)
+    except MissingInput as exc:
+        raise MissingInput(f"{path}: {exc}") from None
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise MissingInput(f"{path}: malformed dump: "
+                           f"{type(exc).__name__}: {exc}") from exc
+
+
+def _parse_dump(text: str,
+                default_name: str) -> tuple[Score, PredictionBundle]:
+    records = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
             rec = json.loads(line)
-            if rec.get("kind") == "meta":
-                meta = rec
-            break
-    if meta is None:
-        raise MissingInput(f"{path}: first record must be the meta line")
+        except json.JSONDecodeError as exc:
+            raise MissingInput(
+                f"line {number} is not valid JSON ({exc})") from None
+        if not isinstance(rec, dict):
+            raise MissingInput(f"line {number} is not a JSON object")
+        records.append(rec)
+    if not records or records[0].get("kind") != "meta":
+        raise MissingInput("first record must be the meta line")
+    meta = records[0]
+    if meta.get("format") != PREDICTION_FORMAT:
+        raise MissingInput(f"dump format {meta.get('format')!r} is not "
+                           f"{PREDICTION_FORMAT}: written by an older "
+                           f"notesetter; re-run predict")
     score = make_score(meta["divisions"],
                        [tuple(t) for t in meta["time_signatures"]],
                        [tuple(n) for n in meta["notes"]],
-                       name=meta.get("name", path.stem))
-    bundle = PredictionBundle.from_json_lines(lines)
-    if bundle.note_count != len(score.notes):
-        raise MissingInput(
-            f"{path}: dump has {bundle.note_count} notes, "
-            f"meta describes {len(score.notes)}")
+                       name=meta.get("name", default_name))
+    n = len(score.notes)
+
+    by_head: dict[tuple, dict] = {}
+    for rec in records[1:]:
+        key = (rec.get("kind"), rec.get("head"))
+        if key[0] not in ("logits", "pairs"):
+            continue
+        if key in by_head:
+            raise MissingInput(
+                f"duplicate {key[0]} record for head {key[1]!r}")
+        by_head[key] = rec
+
+    def record(kind: str, head: str) -> dict:
+        if (kind, head) not in by_head:
+            raise MissingInput(f"no {kind} record for head {head!r}")
+        return by_head[kind, head]
+
+    note_logits = {}
+    for head in NODE_HEADS:
+        logits = np.array(record("logits", head)["rows"], dtype=np.float64)
+        if logits.shape != (n, HEAD_WIDTHS[head]):
+            raise MissingInput(f"{head} logits have shape {logits.shape}, "
+                               f"want {(n, HEAD_WIDTHS[head])} for {n} notes")
+        note_logits[head] = logits
+
+    pairs, probs = {}, {}
+    for head in PAIR_HEADS:
+        rec = record("pairs", head)
+        u, w, p = rec["u"], rec["w"], rec["p"]
+        if not len(u) == len(w) == len(p):
+            raise MissingInput(f"{head} pairs: u, w and p have lengths "
+                               f"{len(u)}, {len(w)} and {len(p)}")
+        ends = np.array([u, w]).reshape(2, len(u))
+        if len(u) and (ends.dtype.kind != "i" or ends.min() < 0
+                       or ends.max() >= n):
+            raise MissingInput(f"{head} pairs: an index is not a note id "
+                               f"in [0, {n})")
+        if (ends[0] == ends[1]).any():
+            raise MissingInput(f"{head} pairs: a pair joins a note to itself")
+        pairs[head] = tuple(zip(*ends.tolist()))
+        probs[head] = np.array(p, dtype=np.float64).reshape(len(p))
+
+    bundle = PredictionBundle(
+        note_logits=note_logits,
+        staff_probs=staff_probabilities(note_logits["staff"]),
+        voice_pairs=pairs["voice"], voice_probs=probs["voice"],
+        chord_pairs=pairs["chord"], chord_probs=probs["chord"])
     bundle.validate()
     return score, bundle
 

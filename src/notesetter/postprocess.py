@@ -27,12 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from .decoders import PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS
+from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
+                       staff_probabilities)
 from .graph import ScoreGraph, build_graph
 from .hungarian import hungarian
 from .notes import (MAX_DOTS, NOTE_TYPE_NAMES, STEM_NONE, Score,
                     TimeSignature, TUPLET_VALUES, KEY_MIN_FIFTHS,
-                    QuantizedNote, bar_table, key_class,
+                    QuantizedNote, bar_at, bar_table,
                     symbolic_duration_div)
 
 _PROB_FLOOR = 1e-12
@@ -149,15 +150,15 @@ class EngravedScore:
         bars = self.bars()
         for voice, evs in self.voice_events().items():
             for ev in evs:
-                bar_i = _bar_of(bars, ev.onset_div)
+                bar_i = bar_at(bars, ev.onset_div)
                 onset, length = bars[bar_i]
                 if ev.onset_div < onset or ev.offset_div > onset + length:
                     raise ValueError(f"voice {voice}: event crosses a barline")
             for prev, nxt in zip(evs, evs[1:]):
                 if prev.offset_div > nxt.onset_div:
                     raise ValueError(f"voice {voice}: overlapping events")
-            first_bar = _bar_of(bars, evs[0].onset_div)
-            last_bar = _bar_of(bars, evs[-1].onset_div)
+            first_bar = bar_at(bars, evs[0].onset_div)
+            last_bar = bar_at(bars, evs[-1].onset_div)
             for b in range(first_bar, last_bar + 1):
                 onset, length = bars[b]
                 total = sum(e.duration_div for e in evs
@@ -175,13 +176,6 @@ class EngravedScore:
             for (s1, e1, _), (s2, _, _) in zip(regions, regions[1:]):
                 if s2 < e1:
                     raise ValueError(f"overlapping octave regions on staff {staff}")
-
-
-def _bar_of(bars: list[tuple[int, int]], div: int) -> int:
-    for i in reversed(range(len(bars))):
-        if bars[i][0] <= div:
-            return i
-    raise ValueError(f"division {div} before bar 0")
 
 
 # --- step 1: chord pooling ---
@@ -465,8 +459,8 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
                 duration_div=pool.duration_div, note_ids=pool.ids,
                 note_type=note_type, dots=dots, tuplet=tuplet, stem=stem))
         chord_events.sort(key=lambda e: e.onset_div)
-        first_bar = _bar_of(bars, chord_events[0].onset_div)
-        last_bar = _bar_of(bars, chord_events[-1].onset_div)
+        first_bar = bar_at(bars, chord_events[0].onset_div)
+        last_bar = bar_at(bars, chord_events[-1].onset_div)
         cursor = bars[first_bar][0]
         pending = list(chord_events)
         for b in range(first_bar, last_bar + 1):
@@ -535,9 +529,7 @@ def perfect_bundle(score: Score, graph: Optional[ScoreGraph] = None,
         logits = np.zeros((n, HEAD_WIDTHS[head]))
         logits[np.arange(n), classes[head]] = margin
         note_logits[head] = logits
-    staff = note_logits["staff"]
-    staff_probs = np.exp(staff - np.logaddexp.reduce(staff, axis=1,
-                                                     keepdims=True))[:, 1]
+    staff_probs = staff_probabilities(note_logits["staff"])
     voice_pairs = graph.candidate_pairs
     truth_v = score.labels.voice_edges
     voice_probs = np.array([0.99 if pair in truth_v else 0.01

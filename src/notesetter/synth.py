@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoders import HEAD_WIDTHS, NODE_HEADS, PredictionBundle
+from .decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle,
+                       staff_probabilities)
 from .graph import (ScoreGraph, candidate_pairs, chord_candidate_pairs)
 from .notes import (KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, N_KEY_CLASSES, Score,
                     TimeSignature, TUPLET_VALUES, bar_table, make_score)
@@ -90,9 +91,7 @@ def random_bundle(graph: ScoreGraph, seed: int,
     n = graph.node_count
     note_logits = {head: rng.normal(n, HEAD_WIDTHS[head]) * scale
                    for head in NODE_HEADS}
-    staff = note_logits["staff"]
-    staff_probs = np.exp(
-        staff - np.logaddexp.reduce(staff, axis=1, keepdims=True))[:, 1]
+    staff_probs = staff_probabilities(note_logits["staff"])
 
     def sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))

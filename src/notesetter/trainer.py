@@ -20,7 +20,6 @@ from .checkpoint import save_checkpoint
 from .metrics import EvalReport, evaluate_bundle
 from .model import (ModelConfig, graph_for, init_params, loss_for_score,
                     predict_bundle)
-from .notes import Score
 from .optim import Adam, clip_grad_norm
 from .rng import Rng
 

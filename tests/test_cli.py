@@ -251,6 +251,54 @@ def test_pair_agg_flag_reaches_config_and_engraving(tmp_path, capsys):
         engrave_dump(dump, pair_agg="mean")
 
 
+def _edit_records(edit):
+    def apply(lines):
+        records = [json.loads(line) for line in lines]
+        edit(records)
+        return [json.dumps(r) for r in records]
+    return apply
+
+
+# A fixture_a dump is meta, nine logits records, voice pairs, chord pairs.
+VOICE = 10
+DUMP_DEFECTS = {
+    "truncated": lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]],
+    "old_format": _edit_records(lambda records: records[0].pop("format")),
+    "missing_head": _edit_records(lambda records: records.pop(3)),
+    "duplicate_head": _edit_records(
+        lambda records: records.append(records[3])),
+    "rows_ragged": _edit_records(
+        lambda records: records[1]["rows"][0].append(0.0)),
+    "rows_shape": _edit_records(
+        lambda records: [row.append(0.0) for row in records[1]["rows"]]),
+    "unequal_pair_arrays": _edit_records(
+        lambda records: records[VOICE]["w"].pop()),
+    "pair_index_outside": _edit_records(
+        lambda records: records[VOICE]["u"].__setitem__(0, 999)),
+    "pair_joins_note_to_itself": _edit_records(
+        lambda records: records[VOICE]["u"].__setitem__(
+            0, records[VOICE]["w"][0])),
+    "probability_outside": _edit_records(
+        lambda records: records[VOICE]["p"].__setitem__(0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DUMP_DEFECTS))
+def test_malformed_dump_exit_code(tmp_path, capsys, defect):
+    score = read_score_file(fixture_path("fixture_a")).score
+    dump = tmp_path / "fixture_a.pred.jsonl"
+    write_predictions(dump, score, perfect_bundle(score))
+    lines = dump.read_text().splitlines()
+    assert [json.loads(line).get("head") for line in lines][VOICE] == "voice"
+    dump.write_text("\n".join(DUMP_DEFECTS[defect](lines)) + "\n")
+    code, out, err = run(capsys, "engrave", str(dump),
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("ERROR MissingInput: ")
+    assert err.count("\n") == 1
+
+
 def _declared_console_script(name):
     """The `module:attr` entry point that pyproject declares for `name`."""
     try:

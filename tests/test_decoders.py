@@ -11,7 +11,7 @@ from notesetter import autodiff as ad
 from notesetter.autodiff import Value
 from notesetter.decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS,
                                  POOLED_HEADS, LabelOutOfRange, Predictions,
-                                 PredictionBundle, decode_all,
+                                 decode_all,
                                  init_decoder_params, labels_to_classes,
                                  total_loss, zero_output_layers)
 from notesetter.graph import build_graph
@@ -145,44 +145,6 @@ def test_bundle_argmax_and_validate_errors():
     bundle.voice_probs = np.array([0.5, 0.5])  # count mismatch
     with pytest.raises(ValueError):
         bundle.validate()
-
-
-def test_bundle_json_round_trip():
-    rng = Rng(8)
-    n = 3
-    note_logits = {h: Value(rng.normal(n, HEAD_WIDTHS[h])
-                            .reshape(n, HEAD_WIDTHS[h]) * 3)
-                   for h in NODE_HEADS}
-    preds = Predictions(note_logits=note_logits,
-                        voice_pairs=((0, 1), (1, 2)),
-                        voice_logits=Value(np.array([[0.3], [-4.0]])),
-                        chord_pairs=((0, 2),),
-                        chord_logits=Value(np.array([[1.25]])))
-    bundle = preds.bundle()
-    again = PredictionBundle.from_json_lines(bundle.to_json_lines())
-    for h in NODE_HEADS:
-        np.testing.assert_array_equal(again.note_logits[h],
-                                      bundle.note_logits[h])
-    np.testing.assert_array_equal(again.staff_probs, bundle.staff_probs)
-    assert again.voice_pairs == bundle.voice_pairs
-    np.testing.assert_array_equal(again.voice_probs, bundle.voice_probs)
-    assert again.chord_pairs == bundle.chord_pairs
-    np.testing.assert_array_equal(again.chord_probs, bundle.chord_probs)
-
-
-def test_from_json_lines_errors_and_unknown_kinds():
-    bundle = hand_predictions().bundle()
-    lines = bundle.to_json_lines()
-    with pytest.raises(ValueError):
-        PredictionBundle.from_json_lines(
-            [ln for ln in lines if '"id": 0' not in ln])  # missing id 0
-    # A duplicated id that displaces another leaves a gap and is rejected.
-    displaced = [ln.replace('"id": 1', '"id": 2') for ln in lines]
-    with pytest.raises(ValueError):
-        PredictionBundle.from_json_lines(displaced)
-    extra = lines + ['{"kind": "meta", "name": "x"}', "", "   "]
-    again = PredictionBundle.from_json_lines(extra)
-    assert again.note_count == bundle.note_count
 
 
 def full_labels(n, voice_edges=(), chord_edges=(), **overrides):

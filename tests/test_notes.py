@@ -10,7 +10,7 @@ from notesetter.notes import (ALTER_VALUES, DEFAULT_SPELLING_BY_PC, MAX_DOTS,
                               N_FEATURES, N_KEY_CLASSES, N_SPELLING,
                               NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
                               STEP_TO_PC, TUPLET_VALUES, QuantizedNote, Score,
-                              TimeSignature, bar_length_div, bar_table,
+                              TimeSignature, bar_at, bar_length_div, bar_table,
                               compute_features, key_class, key_fifths,
                               make_score, spelling_class, spelling_of,
                               spelling_parts, spelling_pitch_class,
@@ -175,6 +175,35 @@ def test_bar_table_with_signature_change():
     # [DERIVED] 4/4 then 3/4 from bar 2 at divisions 2: lengths 8,8,6,6.
     sigs = (TimeSignature(0, 4, 4), TimeSignature(2, 3, 4))
     assert bar_table(2, sigs, 4) == [(0, 8), (8, 8), (16, 6), (22, 6)]
+
+
+def _bar_by_scan(bars, div):
+    """The straight scan bar_at replaces: last bar whose onset <= div."""
+    return next(i for i in reversed(range(len(bars))) if bars[i][0] <= div)
+
+
+def test_bar_at_matches_straight_scan():
+    for sigs, divisions in (((TimeSignature(0, 4, 4), TimeSignature(2, 3, 4),
+                              TimeSignature(5, 6, 8), TimeSignature(7, 2, 2)),
+                             2),
+                            ((TimeSignature(0, 3, 8), TimeSignature(1, 5, 4)),
+                             6)):
+        bars = bar_table(divisions, sigs, 10)
+        end = bars[-1][0] + bars[-1][1]
+        for div in range(end + 3):  # every tick, barlines included
+            assert bar_at(bars, div) == _bar_by_scan(bars, div)
+        for onset, _ in bars:
+            assert bars[bar_at(bars, onset)][0] == onset
+        with pytest.raises(ValueError, match="before bar 0"):
+            bar_at(bars, -1)
+        # notes exactly on barlines land in the bar that starts there
+        specs = [(onset, 1, 60) for onset, _ in bars] + [(end - 1, 1, 62)]
+        score = make_score(divisions, sigs, specs)
+        assert [n.bar_index for n in score.notes] == list(range(10)) + [9]
+        assert score.num_bars == 10
+        for note in score.notes:
+            b = _bar_by_scan(bars, note.onset_div)
+            assert (note.bar_onset_div, note.bar_duration_div) == bars[b]
 
 
 def test_make_score_sorts_and_numbers():

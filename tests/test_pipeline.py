@@ -1,5 +1,6 @@
 """Tests for corpus ingest, manifests, and prediction dump round trips."""
 
+import dataclasses
 import json
 import shutil
 import zlib
@@ -7,9 +8,13 @@ import zlib
 import numpy as np
 import pytest
 
+from notesetter.autodiff import Value
+from notesetter.decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle,
+                                 Predictions, staff_probabilities)
 from notesetter.graph import build_graph
 from notesetter.model import ModelConfig, init_params, predict_bundle
 from notesetter.musicxml import export_musicxml, parse_musicxml
+from notesetter.notes import make_score
 from notesetter.pipeline import (
     MissingInput,
     engrave_dump,
@@ -149,55 +154,191 @@ def test_load_corpus_missing_file(tmp_path):
 # --- prediction dumps ---
 
 
+def dump_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_records(path, records, extra_lines=()):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records)
+                    + "".join(line + "\n" for line in extra_lines))
+
+
+def assert_same_bundle(got, want):
+    """Every field equal bit for bit, with float64 arrays and int pairs."""
+    for field in dataclasses.fields(PredictionBundle):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "note_logits":
+            assert sorted(a) == sorted(b)
+            pairs = [(a[h], b[h]) for h in b]
+        elif isinstance(b, np.ndarray):
+            pairs = [(a, b)]
+        else:
+            assert a == b
+            assert all(type(i) is int for pair in a for i in pair)
+            continue
+        for x, y in pairs:
+            assert x.dtype == np.float64 and x.shape == y.shape
+            assert x.tobytes() == np.asarray(y, dtype=np.float64).tobytes()
+
+
+def three_note_score():
+    return make_score(4, [(0, 4, 4)], [(0, 4, 60), (4, 4, 62), (8, 4, 64)])
+
+
+# values whose shortest repr needs 17 significant digits
+DIGITS_17 = (0.1 + 0.2, 1.2345678901234567, 2.0000000000000004,
+             -123456.78901234567)
+
+
+def extreme_bundle(score):
+    """Logits near +-1e300, subnormal and 17-digit values; probabilities near
+    1e-300 and 1 - 1e-16; no chord pairs at all."""
+    n = len(score.notes)
+    specials = (1e300, -1e300, -0.0, 5e-324) + DIGITS_17
+    rng = np.random.default_rng(4)
+    note_logits = {}
+    for k, head in enumerate(NODE_HEADS):
+        block = rng.normal(size=(n, HEAD_WIDTHS[head])) * 7
+        flat = block.reshape(-1)
+        for j in range(0, flat.size, 3):
+            flat[j] = specials[(j + k) % len(specials)]
+        note_logits[head] = block
+    voice_pairs = build_graph(score).candidate_pairs
+    probs = (1e-300, 1 - 1e-16, 0.30000000000000004, 0.5,
+             2.2250738585072014e-308)
+    voice_probs = np.array([probs[i % len(probs)]
+                            for i in range(len(voice_pairs))])
+    return PredictionBundle(
+        note_logits=note_logits,
+        staff_probs=staff_probabilities(note_logits["staff"]),
+        voice_pairs=voice_pairs, voice_probs=voice_probs,
+        chord_pairs=(), chord_probs=np.zeros(0))
+
+
 def test_prediction_lines_meta_first():
     score = random_score(0, n_notes=6)
     bundle = random_bundle(build_graph(score), 1)
-    lines = prediction_lines(score, bundle)
-    meta = json.loads(lines[0])
+    records = [json.loads(line) for line in prediction_lines(score, bundle)]
+    meta = records[0]
     assert meta["kind"] == "meta"
+    assert meta["format"] == 2
     assert meta["name"] == score.name
     assert meta["divisions"] == score.divisions_per_quarter
     assert meta["notes"] == [[n.onset_div, n.duration_div, n.midi_pitch]
                              for n in score.notes]
-    kinds = [json.loads(line)["kind"] for line in lines[1:]]
-    assert set(kinds) <= {"note", "pair"}
-    assert kinds.count("note") == 6
+    # one record per head: node heads in NODE_HEADS order, then the pairs
+    assert [(r["kind"], r["head"]) for r in records[1:]] == (
+        [("logits", h) for h in NODE_HEADS]
+        + [("pairs", "voice"), ("pairs", "chord")])
+    for rec in records[1:1 + len(NODE_HEADS)]:
+        assert rec["rows"] == bundle.note_logits[rec["head"]].tolist()
+        assert len(rec["rows"]) == 6
+    for rec, pairs, probs in ((records[-2], bundle.voice_pairs,
+                               bundle.voice_probs),
+                              (records[-1], bundle.chord_pairs,
+                               bundle.chord_probs)):
+        assert list(zip(rec["u"], rec["w"])) == list(pairs)
+        assert rec["p"] == probs.tolist()
 
 
 def test_predictions_round_trip(tmp_path):
     score = random_score(2, n_notes=9)
-    bundle = random_bundle(build_graph(score), 3)
     path = tmp_path / "preds.jsonl"
-    write_predictions(path, score, bundle)
-    score_back, bundle_back = read_predictions(path)
-    assert score_back.name == score.name
-    assert score_back.notes == score.notes
-    assert score_back.time_signatures == score.time_signatures
-    for head, block in bundle.note_logits.items():
-        assert np.array_equal(bundle_back.note_logits[head], block)
-    assert bundle_back.voice_pairs == bundle.voice_pairs
-    assert np.array_equal(bundle_back.voice_probs, bundle.voice_probs)
-    assert bundle_back.chord_pairs == bundle.chord_pairs
+    for bundle in (random_bundle(build_graph(score), 3),
+                   extreme_bundle(score)):
+        write_predictions(path, score, bundle)
+        score_back, bundle_back = read_predictions(path)
+        assert score_back.name == score.name
+        assert score_back.notes == score.notes
+        assert score_back.time_signatures == score.time_signatures
+        assert_same_bundle(bundle_back, bundle)
+    assert bundle_back.chord_pairs == () and len(bundle_back.chord_probs) == 0
+    assert len(bundle_back.voice_pairs) > 0
+    assert all(len(repr(x).lstrip("-0.").replace(".", "")) == 17
+               for x in DIGITS_17)
+
+
+def test_bundle_json_round_trip(tmp_path):
+    rng = Rng(8)
+    n = 3
+    note_logits = {h: Value(rng.normal(n, HEAD_WIDTHS[h])
+                            .reshape(n, HEAD_WIDTHS[h]) * 3)
+                   for h in NODE_HEADS}
+    preds = Predictions(note_logits=note_logits,
+                        voice_pairs=((0, 1), (1, 2)),
+                        voice_logits=Value(np.array([[0.3], [-4.0]])),
+                        chord_pairs=((0, 2),),
+                        chord_logits=Value(np.array([[1.25]])))
+    bundle = preds.bundle()
+    path = tmp_path / "hand.pred.jsonl"
+    write_predictions(path, three_note_score(), bundle)
+    assert_same_bundle(read_predictions(path)[1], bundle)
+
+
+def test_dump_head_records_errors_and_unknown_kinds(tmp_path):
+    score = three_note_score()
+    path = tmp_path / "hand.pred.jsonl"
+    write_predictions(path, score, extreme_bundle(score))
+    records = dump_records(path)
+    bundle = read_predictions(path)[1]
+    bad = tmp_path / "bad.pred.jsonl"
+    for i, rec in enumerate(records[1:], 1):
+        write_records(bad, records[:i] + records[i + 1:])
+        with pytest.raises(MissingInput, match=f"no {rec['kind']} record "
+                                               f"for head '{rec['head']}'"):
+            read_predictions(bad)
+        write_records(bad, records + [rec])
+        with pytest.raises(MissingInput, match="duplicate"):
+            read_predictions(bad)
+    # blank lines and records of unknown kinds are skipped
+    extra = tmp_path / "extra.pred.jsonl"
+    write_records(extra, records[:1] + [{"kind": "note", "id": 0}]
+                  + records[1:] + [{"kind": "meta", "name": "x"}],
+                  extra_lines=("", "   "))
+    assert_same_bundle(read_predictions(extra)[1], bundle)
 
 
 def test_read_predictions_errors(tmp_path):
     with pytest.raises(MissingInput, match="does not exist"):
         read_predictions(tmp_path / "none.jsonl")
 
-    no_meta = tmp_path / "no_meta.jsonl"
     score = random_score(4, n_notes=5)
     bundle = random_bundle(build_graph(score), 5)
-    no_meta.write_text("\n".join(bundle.to_json_lines()) + "\n")
+    path = tmp_path / "good.jsonl"
+    write_predictions(path, score, bundle)
+    records = dump_records(path)
+
+    no_meta = tmp_path / "no_meta.jsonl"
+    write_records(no_meta, records[1:])
     with pytest.raises(MissingInput, match="meta"):
         read_predictions(no_meta)
 
     short = tmp_path / "short.jsonl"
-    lines = prediction_lines(score, bundle)
-    meta = json.loads(lines[0])
-    meta["notes"] = meta["notes"][:-1]  # meta disagrees with note records
-    short.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
-    with pytest.raises((MissingInput, ValueError)):
+    meta = dict(records[0], notes=records[0]["notes"][:-1])
+    write_records(short, [meta] + records[1:])  # meta disagrees with rows
+    with pytest.raises(MissingInput, match=r"shape \(5, 2\), want \(4, 2\)"):
         read_predictions(short)
+
+    # a meta record that describes no score is refused, not looped over
+    bad_meta = tmp_path / "bad_meta.jsonl"
+    for fields in ({"time_signatures": [[0, 0, 4]]},
+                   {"time_signatures": [[0, 4, 0]]},
+                   {"time_signatures": []},
+                   {"notes": [[-4, 4, 60]] + records[0]["notes"][1:]},
+                   {"divisions": "4"}):
+        write_records(bad_meta, [dict(records[0], **fields)] + records[1:])
+        with pytest.raises(MissingInput, match="malformed dump"):
+            read_predictions(bad_meta)
+
+    # the one-record-per-note layout of older versions is refused
+    old = tmp_path / "old.jsonl"
+    old_meta = {k: v for k, v in records[0].items() if k != "format"}
+    write_records(old, [old_meta] + [
+        {"kind": "note", "id": i,
+         "logits": {h: bundle.note_logits[h][i].tolist() for h in NODE_HEADS}}
+        for i in range(5)])
+    with pytest.raises(MissingInput, match="older notesetter; re-run predict"):
+        read_predictions(old)
 
 
 def test_engrave_dump_matches_direct_engraving(tmp_path):
