@@ -168,22 +168,6 @@ def affine(x: Value, scale: float, shift: float = 0.0) -> Value:
     return _node(out_data, (x,), bwd)
 
 
-def concat_cols(*parts: Value) -> Value:
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise ShapeMismatch("concat_cols", (rows, "*"), p.shape)
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.shape[1] for p in parts]
-
-    def bwd(g):
-        at = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[:, at:at + w])
-            at += w
-    return _node(out_data, tuple(parts), bwd)
-
-
 def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
     """(rows x cols) matrix whose row k sums the rows of ``values`` with idx k.
 
@@ -220,6 +204,42 @@ def scatter_sum(x: Value, index, out_rows: int) -> Value:
     def bwd(g):
         _accum(x, g[idx])
     return _node(out_data, (x,), bwd)
+
+
+def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
+    """The ReLU first layer of a pair head, as one tape node.
+
+    Row k is ``relu([emb[u[k]]; emb[w[k]]] @ w1 + b1)``. The layer is linear
+    before the ReLU, and ``[h_u; h_w] @ w1 = h_u @ w1[:H] + h_w @ w1[H:]``, so
+    one (n x 2hh) product per piece, ``emb @ [w1[:H] | w1[H:]]``, is gathered
+    per pair. No (pairs x 2H) matrix is built, forward or backward: the
+    backward pass sums the pair gradients per note, over u and over w.
+    """
+    ui = np.asarray(u, dtype=np.int64)
+    wi = np.asarray(w, dtype=np.int64)
+    n, hid = emb.shape
+    if w1.shape[0] != 2 * hid or b1.shape != (1, w1.shape[1]):
+        raise ShapeMismatch("pair_hidden", ((2 * hid, "hh"), (1, "hh")),
+                            (w1.shape, b1.shape))
+    if ui.shape != wi.shape or ui.ndim != 1:
+        raise ShapeMismatch("pair_hidden", ("m",), (ui.shape, wi.shape))
+    hh = w1.shape[1]
+    halves = np.concatenate([w1.data[:hid], w1.data[hid:]], axis=1)  # H x 2hh
+    proj = emb.data @ halves            # row i: [h_i W1[:H] | h_i W1[H:]]
+    out_data = np.take(proj[:, :hh], ui, axis=0)
+    out_data += np.take(proj[:, hh:], wi, axis=0)
+    out_data += b1.data
+    np.maximum(out_data, 0.0, out=out_data)
+
+    def bwd(g):
+        d = g * (out_data > 0.0)
+        d_proj = np.concatenate([_segment_sum(d, ui, n), _segment_sum(d, wi, n)],
+                                axis=1)
+        _accum(emb, d_proj @ halves.T)
+        d_halves = emb.data.T @ d_proj
+        _accum(w1, np.concatenate([d_halves[:, :hh], d_halves[:, hh:]]))
+        _accum(b1, d.sum(axis=0, keepdims=True))
+    return _node(out_data, (emb, w1, b1), bwd)
 
 
 def take_per_row(x: Value, cols) -> Value:

@@ -4,8 +4,12 @@ Eleven heads read the same embedding matrix: nine per-note softmax heads
 (staff, spelling, key, stem, octave shift, clef, note type, dots, tuplet)
 and two per-pair sigmoid heads (voice over the voice-candidate pairs, chord over
 all unordered same-onset pairs). Every head is a 2-layer MLP: a ReLU hidden
-layer followed by a linear output. Pair heads read the concatenation
-[h_u; h_w].
+layer followed by a linear output. A pair head's hidden layer reads the
+concatenation [h_u; h_w], computed in factored form: since
+[h_u; h_w]·W1 = h_u·W1[:H] + h_w·W1[H:], one (notes x 2 hidden) product per
+piece is gathered per pair (``autodiff.pair_hidden``). The parameters keep
+the concatenated shapes (W1 is 2H x hidden), so checkpoints are unchanged.
+Pairs are (m, 2) int64 arrays of note ids, ordered by (u, w).
 
 The training objective is the plain (unweighted) sum of all head losses:
 categorical cross-entropy averaged over notes for each node head, binary
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .graph import ScoreGraph, chord_candidate_pairs
+from .graph import ScoreGraph, as_pairs, chord_candidate_pairs, in_edges
 from .notes import (LabelSet, N_KEY_CLASSES, N_SPELLING, key_class,
                     tuplet_class)
 from .rng import Rng
@@ -67,11 +71,15 @@ def zero_output_layers(params: dict[str, Value]) -> None:
             p.data[...] = 0.0
 
 
+def _output_layer(hidden: Value, params: dict[str, Value], head: str) -> Value:
+    return ad.add(ad.matmul(hidden, params[f"dec.{head}.W2"]),
+                  params[f"dec.{head}.b2"])
+
+
 def _head_forward(x: Value, params: dict[str, Value], head: str) -> Value:
     hidden = ad.relu(ad.add(ad.matmul(x, params[f"dec.{head}.W1"]),
                             params[f"dec.{head}.b1"]))
-    return ad.add(ad.matmul(hidden, params[f"dec.{head}.W2"]),
-                  params[f"dec.{head}.b2"])
+    return _output_layer(hidden, params, head)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -89,10 +97,14 @@ class Predictions:
     """Tape-connected head outputs, input to the loss."""
 
     note_logits: dict[str, Value]
-    voice_pairs: tuple[tuple[int, int], ...]
+    voice_pairs: np.ndarray              # (m, 2) int64 (u, w), by (u, w)
     voice_logits: Optional[Value]
-    chord_pairs: tuple[tuple[int, int], ...]
+    chord_pairs: np.ndarray              # (m, 2) int64 (u, w), u < w
     chord_logits: Optional[Value]
+
+    def __post_init__(self):
+        self.voice_pairs = as_pairs(self.voice_pairs)
+        self.chord_pairs = as_pairs(self.chord_pairs)
 
     def bundle(self) -> "PredictionBundle":
         note = {h: np.array(v.data) for h, v in self.note_logits.items()}
@@ -112,10 +124,14 @@ class PredictionBundle:
 
     note_logits: dict[str, np.ndarray]
     staff_probs: np.ndarray              # P(lower staff) per note
-    voice_pairs: tuple[tuple[int, int], ...]
-    voice_probs: np.ndarray
-    chord_pairs: tuple[tuple[int, int], ...]
-    chord_probs: np.ndarray
+    voice_pairs: np.ndarray              # (m, 2) int64 (u, w), by (u, w)
+    voice_probs: np.ndarray              # (m,) P(w follows u in a voice)
+    chord_pairs: np.ndarray              # (m, 2) int64 (u, w), u < w
+    chord_probs: np.ndarray              # (m,) P(u and w share a chord)
+
+    def __post_init__(self):
+        self.voice_pairs = as_pairs(self.voice_pairs)
+        self.chord_pairs = as_pairs(self.chord_pairs)
 
     @property
     def note_count(self) -> int:
@@ -147,13 +163,12 @@ def decode_all(embeddings: Value, graph: ScoreGraph,
                    for head in NODE_HEADS}
 
     def pair_logits(pairs, head):
-        if not pairs:
+        if not len(pairs):
             return None
-        us = [u for u, _ in pairs]
-        ws = [w for _, w in pairs]
-        x = ad.concat_cols(ad.row_gather(embeddings, us),
-                           ad.row_gather(embeddings, ws))
-        return _head_forward(x, params, head)
+        hidden = ad.pair_hidden(embeddings, params[f"dec.{head}.W1"],
+                                params[f"dec.{head}.b1"],
+                                pairs[:, 0], pairs[:, 1])
+        return _output_layer(hidden, params, head)
 
     voice_pairs = graph.candidate_pairs
     chord_pairs = chord_candidate_pairs(graph)
@@ -217,21 +232,14 @@ def total_loss(preds: Predictions, labels: LabelSet, n: int) -> LossResult:
         y = Value(targets.reshape(-1, 1))
         return ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, y)))
 
-    excluded = 0
+    excluded = len(labels.voice_edges)
     if preds.voice_logits is not None:
-        lam = set(preds.voice_pairs)
-        positives = {e for e in labels.voice_edges if e in lam}
-        excluded = len(labels.voice_edges) - len(positives)
-        y = np.array([1.0 if pair in positives else 0.0
-                      for pair in preds.voice_pairs])
-        accumulate(bce(preds.voice_logits, y), "voice")
-    else:
-        excluded = len(labels.voice_edges)
+        y = in_edges(preds.voice_pairs, labels.voice_edges, n)
+        excluded -= int(y.sum())
+        accumulate(bce(preds.voice_logits, y.astype(np.float64)), "voice")
     if preds.chord_logits is not None:
-        truth = set(labels.chord_edges)
-        y = np.array([1.0 if pair in truth else 0.0
-                      for pair in preds.chord_pairs])
-        accumulate(bce(preds.chord_logits, y), "chord")
+        y = in_edges(preds.chord_pairs, labels.chord_edges, n)
+        accumulate(bce(preds.chord_logits, y.astype(np.float64)), "chord")
 
     if not np.isfinite(total.item()):
         from .optim import NonFiniteLoss

@@ -45,7 +45,7 @@ class ScoreGraph:
     node_count: int
     features: np.ndarray                  # (node_count, 17)
     edges: dict                           # relation -> (src array, dst array)
-    candidate_pairs: tuple[tuple[int, int], ...]
+    candidate_pairs: np.ndarray           # (m, 2) int64 voice candidates, by (u, w)
     note_order: np.ndarray                # permutation by (onset_div, midi_pitch)
 
     def validate(self) -> None:
@@ -71,19 +71,50 @@ class ScoreGraph:
             raise ValueError("note_order is not a permutation")
 
 
-def candidate_pairs(score: Score, cross_bar: bool = True) -> tuple[tuple[int, int], ...]:
-    """The candidate set: ordered (u, w) pairs a voice edge may connect."""
+def as_pairs(pairs) -> np.ndarray:
+    """Pairs of note ids as an (m, 2) int64 array (m may be 0)."""
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"pairs must be (m, 2), got shape {arr.shape}")
+    return arr
+
+
+def pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """One integer per pair, u * n + w; sorted pairs give sorted keys."""
+    return pairs[:, 0] * n + pairs[:, 1]
+
+
+def in_edges(pairs: np.ndarray, edges, n: int) -> np.ndarray:
+    """Whether each pair is one of ``edges``, (u, w) tuples of ids in [0, n)."""
+    truth = as_pairs(list(edges))
+    if truth.size and (truth.min() < 0 or truth.max() >= n):
+        raise ValueError(f"an edge joins a note outside [0, {n})")
+    return np.isin(pair_keys(pairs, n), pair_keys(truth, n))
+
+
+def candidate_pairs(score: Score, cross_bar: bool = True) -> np.ndarray:
+    """The candidate set: ordered (u, w) pairs a voice edge may connect.
+
+    Notes are in onset order (``Score.validate``), so the partners of u are
+    one run of ids: those with onset(w) in [offset(u), end of u's bar), plus
+    with ``cross_bar`` the notes on the next bar's downbeat. Two
+    ``searchsorted`` calls find every run; the result is (m, 2) int64 in
+    (u, w) order, the same as the pairwise scan over all notes.
+    """
     notes = score.notes
-    pairs = []
-    for u in notes:
-        for w in notes:
-            if u.bar_index == w.bar_index:
-                if u.offset_div <= w.onset_div:
-                    pairs.append((u.id, w.id))
-            elif cross_bar and w.bar_index == u.bar_index + 1:
-                if w.onset_div == w.bar_onset_div and u.offset_div <= w.onset_div:
-                    pairs.append((u.id, w.id))
-    return tuple(sorted(pairs))
+    onsets = np.array([x.onset_div for x in notes], dtype=np.int64)
+    offsets = np.array([x.offset_div for x in notes], dtype=np.int64)
+    bar_ends = np.array([x.bar_onset_div + x.bar_duration_div for x in notes],
+                        dtype=np.int64)
+    lo = np.searchsorted(onsets, offsets, side="left")
+    hi = np.searchsorted(onsets, bar_ends, side="right" if cross_bar else "left")
+    counts = np.maximum(hi - lo, 0)
+    u = np.repeat(np.arange(len(notes), dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts          # where each run starts in w
+    w = np.arange(len(u), dtype=np.int64) + np.repeat(lo - first, counts)
+    return np.stack([u, w], axis=1)
 
 
 def build_graph(score: Score, cross_bar: bool = True) -> ScoreGraph:
@@ -159,10 +190,10 @@ def build_graph(score: Score, cross_bar: bool = True) -> ScoreGraph:
     return graph
 
 
-def chord_candidate_pairs(graph: ScoreGraph) -> tuple[tuple[int, int], ...]:
-    """All unordered same-onset pairs (u < v), i.e. the forward onset edges."""
-    src, dst = graph.edges["onset"]
-    return tuple(zip(src.tolist(), dst.tolist()))
+def chord_candidate_pairs(graph: ScoreGraph) -> np.ndarray:
+    """All unordered same-onset pairs (u < v), i.e. the forward onset edges,
+    as an (m, 2) int64 array in (u, v) order."""
+    return np.stack(graph.edges["onset"], axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,7 +216,7 @@ class CandidateCoverage:
 def coverage_report(score: Score, cross_bar: bool = True) -> CandidateCoverage:
     if score.labels is None:
         raise ValueError("coverage_report needs ground-truth labels")
-    lam = set(candidate_pairs(score, cross_bar))
+    lam = set(map(tuple, candidate_pairs(score, cross_bar).tolist()))
     truth = sorted(score.labels.voice_edges)
     missing = tuple((u, w) for u, w in truth if (u, w) not in lam)
     return CandidateCoverage(total_truth_edges=len(truth),

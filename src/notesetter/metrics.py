@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
+
 from .decoders import NODE_HEADS, labels_to_classes
 from .notes import LabelSet, Score
 from .postprocess import UnionFind
@@ -48,16 +50,14 @@ def voice_pair_sets(bundle, labels: LabelSet, n: int,
                     threshold: float = 0.5) -> tuple[set, set]:
     """(predicted, gold) successor pairs over collapsed chord units."""
     unit_of = collapse_units(n, labels.chord_edges)
-    predicted = {pair for pair, p in zip(bundle.voice_pairs, bundle.voice_probs)
-                 if p >= threshold}
+    predicted = bundle.voice_pairs[bundle.voice_probs >= threshold].tolist()
     return _lift(predicted, unit_of), _lift(labels.voice_edges, unit_of)
 
 
 def chord_pair_sets(bundle, labels: LabelSet,
                     threshold: float = 0.5) -> tuple[set, set]:
-    predicted = {tuple(sorted(pair))
-                 for pair, p in zip(bundle.chord_pairs, bundle.chord_probs)
-                 if p >= threshold}
+    accepted = bundle.chord_pairs[bundle.chord_probs >= threshold]
+    predicted = set(map(tuple, np.sort(accepted, axis=1).tolist()))
     return predicted, set(labels.chord_edges)
 
 

@@ -309,6 +309,11 @@ def bar_at(bars: list[tuple[int, int]], div: int) -> int:
     return i
 
 
+# The most bars a score may span. It bounds what a score's note list (for
+# instance a prediction dump's meta line) can make make_score allocate.
+MAX_BARS = 10_000
+
+
 def make_score(divisions: int, time_signatures, note_specs, labels=None,
                name: str = "") -> Score:
     """Build a canonical Score from (onset, duration, midi) triples.
@@ -321,9 +326,12 @@ def make_score(divisions: int, time_signatures, note_specs, labels=None,
                  for t in time_signatures)
     triples = sorted(note_specs, key=lambda t: (t[0], t[2]))
     max_offset = max((on + dur for on, dur, _ in triples), default=0)
-    # enough bars to cover the last offset
+    # enough bars to cover the last offset, and never more than MAX_BARS
     bars: list[tuple[int, int]] = []
     for onset, length in _bars(divisions, sigs):
+        if len(bars) == MAX_BARS:
+            raise ValueError(f"the notes end at division {max_offset}, "
+                             f"beyond the {MAX_BARS}-bar limit")
         bars.append((onset, length))
         if onset + length >= max_offset:
             break

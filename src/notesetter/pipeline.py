@@ -9,7 +9,8 @@ A prediction dump (``<name>.pred.jsonl``) is UTF-8 JSON lines, written by
 * one ``{"kind": "logits", "head": h, "rows": [[...], ...]}`` per node head,
   in ``NODE_HEADS`` order, an (n_notes x width) matrix;
 * one ``{"kind": "pairs", "head": "voice"|"chord", "u": [...], "w": [...],
-  "p": [...]}`` per pair head: parallel arrays of note ids and probabilities.
+  "p": [...]}`` per pair head: parallel arrays of note ids and probabilities,
+  read back as an (m, 2) int64 pair array and an (m,) probability vector.
 
 Floats are written by ``repr``, so every value reads back bit-exactly. Blank
 lines and records of other kinds are skipped. A dump without ``"format": 2``
@@ -32,6 +33,7 @@ import numpy as np
 
 from .decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS, PredictionBundle,
                        staff_probabilities)
+from .graph import as_pairs
 from .musicxml import export_musicxml, read_score_file
 from .notes import Score, make_score
 from .postprocess import engrave
@@ -142,8 +144,8 @@ def prediction_lines(score: Score, bundle: PredictionBundle) -> list[str]:
             ("voice", bundle.voice_pairs, bundle.voice_probs),
             ("chord", bundle.chord_pairs, bundle.chord_probs)):
         lines.append(json.dumps({"kind": "pairs", "head": head,
-                                 "u": [u for u, _ in pairs],
-                                 "w": [w for _, w in pairs],
+                                 "u": pairs[:, 0].tolist(),
+                                 "w": pairs[:, 1].tolist(),
                                  "p": probs.tolist()}))
     return lines
 
@@ -232,7 +234,7 @@ def _parse_dump(text: str,
                                f"in [0, {n})")
         if (ends[0] == ends[1]).any():
             raise MissingInput(f"{head} pairs: a pair joins a note to itself")
-        pairs[head] = tuple(zip(*ends.tolist()))
+        pairs[head] = as_pairs(np.ascontiguousarray(ends.T))
         probs[head] = np.array(p, dtype=np.float64).reshape(len(p))
 
     bundle = PredictionBundle(

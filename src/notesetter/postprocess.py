@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 from typing import Optional
 
@@ -29,7 +30,8 @@ import numpy as np
 
 from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
                        staff_probabilities)
-from .graph import ScoreGraph, build_graph
+from .graph import (ScoreGraph, build_graph, chord_candidate_pairs, in_edges,
+                    pair_keys)
 from .hungarian import hungarian
 from .notes import (MAX_DOTS, NOTE_TYPE_NAMES, STEM_NONE, Score,
                     TimeSignature, TUPLET_VALUES, KEY_MIN_FIFTHS,
@@ -182,26 +184,32 @@ class EngravedScore:
 
 def pool_chords(bundle: PredictionBundle, score: Score,
                 threshold: float = 0.5) -> list[PooledNode]:
-    n = len(score.notes)
-    staff_pred = [bundle.staff_of(i) for i in range(n)]
+    notes = score.notes
+    n = len(notes)
+    staff_pred = bundle.staff_probs >= 0.5
+    durations = np.array([x.duration_div for x in notes], dtype=np.int64)
+    u, w = bundle.chord_pairs[:, 0], bundle.chord_pairs[:, 1]
+    accept = ((bundle.chord_probs >= threshold)
+              & (durations[u] == durations[w]) & (staff_pred[u] == staff_pred[w]))
     dsu = UnionFind(n)
-    for (u, w), p in zip(bundle.chord_pairs, bundle.chord_probs.tolist()):
-        if (p >= threshold
-                and score.notes[u].duration_div == score.notes[w].duration_div
-                and staff_pred[u] == staff_pred[w]):
-            dsu.union(u, w)
-    members: dict[int, list[int]] = collections.defaultdict(list)
-    for i in range(n):
-        members[dsu.find(i)].append(i)
+    for a, b in bundle.chord_pairs[accept].tolist():
+        dsu.union(a, b)
+    roots = np.array([dsu.find(i) for i in range(n)], dtype=np.int64)
+    # one run of ids per pool, each run in id order
+    order = np.argsort(roots, kind="stable")
+    starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
+    counts = np.diff(starts, append=n)
+    means = {head: np.add.reduceat(bundle.note_logits[head][order], starts,
+                                   axis=0) / counts[:, None]
+             for head in POOLED_HEADS}
     pools = []
-    for ids in members.values():
-        ids = tuple(sorted(ids))
-        pooled = {head: bundle.note_logits[head][list(ids)].mean(axis=0)
-                  for head in POOLED_HEADS}
+    for k, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
+        ids = tuple(order[start:start + count].tolist())
+        first = notes[ids[0]]
         pools.append(PooledNode(
-            ids=ids, onset_div=score.notes[ids[0]].onset_div,
-            duration_div=score.notes[ids[0]].duration_div,
-            staff=staff_pred[ids[0]], pooled_logits=pooled))
+            ids=ids, onset_div=first.onset_div,
+            duration_div=first.duration_div, staff=int(staff_pred[ids[0]]),
+            pooled_logits={head: means[head][k] for head in POOLED_HEADS}))
     pools.sort(key=lambda p: (p.onset_div, p.staff, p.ids[0]))
     return pools
 
@@ -214,22 +222,44 @@ class VoiceStream:
     pool_indices: list[int]
 
 
+def _pool_pair_probabilities(pools: list[PooledNode],
+                             bundle: PredictionBundle, pair_agg: str) -> dict:
+    """P(pool b follows pool a) by key ``a * len(pools) + b``: the max or
+    mean over the voice probabilities of their member pairs, taken in (u, w)
+    order, clamped to [floor, 1 - floor]. Pools with no candidate pair
+    between them have no key."""
+    n_pools = len(pools)
+    pool_of = np.full(bundle.note_count, -1, dtype=np.int64)
+    pool_of[np.fromiter(itertools.chain.from_iterable(p.ids for p in pools),
+                        np.int64)] = np.repeat(np.arange(n_pools),
+                                               [len(p.ids) for p in pools])
+    pairs = bundle.voice_pairs
+    pu, pw = pool_of[pairs[:, 0]], pool_of[pairs[:, 1]]
+    inside = (pu >= 0) & (pw >= 0)
+    keys = (pu * n_pools + pw)[inside]
+    if not len(keys):
+        return {}
+    order = np.lexsort((pair_keys(pairs, bundle.note_count)[inside], keys))
+    keys = keys[order]
+    probs = bundle.voice_probs[inside][order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if pair_agg == "max":
+        agg = np.maximum.reduceat(probs, starts)
+    else:
+        agg = np.add.reduceat(probs, starts) / np.diff(starts, append=len(keys))
+    agg = np.minimum(np.maximum(agg, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
+    return dict(zip(keys[starts].tolist(), agg.tolist()))
+
+
 def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
                   threshold: float = 0.5, pair_agg: str = "max") -> list[VoiceStream]:
     """Chain pooled nodes into monophonic per-staff voice streams."""
     if pair_agg not in ("max", "mean"):
         raise ValueError(f"unknown pair aggregation {pair_agg!r}")
-    prob = dict(zip(bundle.voice_pairs, bundle.voice_probs.tolist()))
+    pair_prob = _pool_pair_probabilities(pools, bundle, pair_agg)
+    n_pools = len(pools)
     dummy_cost = -math.log(min(max(threshold, _PROB_FLOOR), 1.0 - _PROB_FLOOR))
     streams: list[VoiceStream] = []
-
-    def pair_probability(last: PooledNode, new: PooledNode) -> float:
-        found = [prob[(u, w)] for u in last.ids for w in new.ids
-                 if (u, w) in prob]
-        if not found:
-            return _PROB_FLOOR
-        p = max(found) if pair_agg == "max" else sum(found) / len(found)
-        return min(max(p, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
 
     for staff in (0, 1):
         pool_ids = [i for i, p in enumerate(pools) if p.staff == staff]
@@ -242,10 +272,11 @@ def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
                         if pools[s.pool_indices[-1]].offset_div <= onset]
             r, c = len(eligible), len(group)
             cost = np.full((r + c, r + c), dummy_cost)
-            for i, stream in enumerate(eligible):
-                last = pools[stream.pool_indices[-1]]
-                for j, pi in enumerate(group):
-                    cost[i, j] = -math.log(pair_probability(last, pools[pi]))
+            if r:
+                cost[:r, :c] = [
+                    [-math.log(pair_prob.get(s.pool_indices[-1] * n_pools + pi,
+                                             _PROB_FLOOR)) for pi in group]
+                    for s in eligible]
             col_of_row = hungarian(cost)
             row_of_col = {j: i for i, j in enumerate(col_of_row)}
             for i, stream in enumerate(eligible):
@@ -531,14 +562,11 @@ def perfect_bundle(score: Score, graph: Optional[ScoreGraph] = None,
         note_logits[head] = logits
     staff_probs = staff_probabilities(note_logits["staff"])
     voice_pairs = graph.candidate_pairs
-    truth_v = score.labels.voice_edges
-    voice_probs = np.array([0.99 if pair in truth_v else 0.01
-                            for pair in voice_pairs])
-    from .graph import chord_candidate_pairs
     chord_pairs = chord_candidate_pairs(graph)
-    truth_c = score.labels.chord_edges
-    chord_probs = np.array([0.99 if pair in truth_c else 0.01
-                            for pair in chord_pairs])
+    voice_probs = np.where(in_edges(voice_pairs, score.labels.voice_edges, n),
+                           0.99, 0.01)
+    chord_probs = np.where(in_edges(chord_pairs, score.labels.chord_edges, n),
+                           0.99, 0.01)
     return PredictionBundle(note_logits=note_logits, staff_probs=staff_probs,
                             voice_pairs=voice_pairs, voice_probs=voice_probs,
                             chord_pairs=chord_pairs, chord_probs=chord_probs)

@@ -60,7 +60,7 @@ def random_labels(score: Score, rng: Rng, cross_bar: bool = True) -> LabelSet:
     candidates = candidate_pairs(score, cross_bar=cross_bar)
     keep_v = rng.uniform(max(len(candidates), 1))
     voice_edges = frozenset(
-        pair for pair, k in zip(candidates, keep_v) if k < 0.25)
+        map(tuple, candidates[keep_v[:len(candidates)] < 0.25].tolist()))
     same_onset = [(a.id, b.id)
                   for i, a in enumerate(score.notes)
                   for b in score.notes[i + 1:]

@@ -143,14 +143,73 @@ def test_sub_mul_affine():
 
 # --- structural primitives ---
 
-def test_concat_cols_and_rows():
-    a = Value(np.array([[1.0], [2.0]]))
-    b = Value(np.array([[3.0, 4.0], [5.0, 6.0]]))
-    cc = ad.concat_cols(a, b)
-    np.testing.assert_array_equal(cc.data, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
-    check_grads(lambda: weighted_sum(ad.concat_cols(a, b), 5), [a, b])
+# Pairs with repeated ends on both sides, a reversed pair, and a note that
+# appears as both u and w.
+PAIR_U = np.array([0, 0, 2, 3, 3, 1, 4, 2])
+PAIR_W = np.array([1, 2, 1, 1, 0, 0, 1, 3])
+NO_PAIRS = np.zeros(0, dtype=np.int64)
+
+
+def _pair_inputs(seed, n=5, hid=4, hh=6):
+    rng = Rng(seed)
+    return (Value(rng.normal(n, hid).reshape(n, hid)),
+            Value(rng.normal(2 * hid, hh).reshape(2 * hid, hh)),
+            Value(rng.normal(1, hh).reshape(1, hh) * 0.5))
+
+
+def numpy_pair_hidden(emb, w1, b1, u, w):
+    """The concatenated form: relu([emb[u]; emb[w]] @ w1 + b1)."""
+    x = np.concatenate([emb[u], emb[w]], axis=1)
+    return np.maximum(x @ w1 + b1, 0.0)
+
+
+def test_pair_hidden_matches_concatenated_form():
+    emb, w1, b1 = _pair_inputs(40)
+    ad.reset_tape()
+    out = ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W)
+    assert ad.tape_size() == 1
+    want = numpy_pair_hidden(emb.data, w1.data, b1.data, PAIR_U, PAIR_W)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    assert (want == 0).any() and (want > 0).any()   # both sides of the ReLU
+    with ad.no_grad():
+        np.testing.assert_array_equal(
+            ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W).data, out.data)
+    assert ad.tape_size() == 1
+    assert ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS).shape == (0, 6)
+    ad.reset_tape()
+
+
+def test_pair_hidden_gradients():
+    emb, w1, b1 = _pair_inputs(41)
+    check_grads(lambda: weighted_sum(
+        ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W), 42), [emb, w1, b1])
+
+
+def test_pair_hidden_empty_pair_set_gradients():
+    # No pairs: the head adds nothing, and its backward adds zeros.
+    emb, w1, b1 = _pair_inputs(43)
+    check_grads(lambda: ad.add(
+        weighted_sum(ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS), 44),
+        weighted_sum(emb, 45)), [emb, w1, b1])
+    ad.reset_tape()
+    loss = ad.add(ad.sum_all(ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS)),
+                  ad.sum_all(emb))
+    w1.grad = b1.grad = emb.grad = None
+    ad.backward(loss)
+    np.testing.assert_array_equal(w1.grad, np.zeros_like(w1.data))
+    np.testing.assert_array_equal(b1.grad, np.zeros_like(b1.data))
+    np.testing.assert_array_equal(emb.grad, np.ones_like(emb.data))
+    ad.reset_tape()
+
+
+def test_pair_hidden_shape_checks():
+    emb, w1, b1 = _pair_inputs(47)
     with pytest.raises(ShapeMismatch):
-        ad.concat_cols(a, Value(np.ones((3, 1))))
+        ad.pair_hidden(emb, Value(w1.data[:7]), b1, PAIR_U, PAIR_W)
+    with pytest.raises(ShapeMismatch):
+        ad.pair_hidden(emb, w1, Value(b1.data[:, :5]), PAIR_U, PAIR_W)
+    with pytest.raises(ShapeMismatch):
+        ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W[:-1])
 
 
 def test_row_gather_forward_and_grad():

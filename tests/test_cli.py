@@ -280,6 +280,9 @@ DUMP_DEFECTS = {
             0, records[VOICE]["w"][0])),
     "probability_outside": _edit_records(
         lambda records: records[VOICE]["p"].__setitem__(0, 1.5)),
+    # a note at onset 10**7 would need 625,000 bars of 4/4 at 4 divisions
+    "too_many_bars": _edit_records(
+        lambda records: records[0]["notes"][-1].__setitem__(0, 10 ** 7)),
 }
 
 

@@ -60,6 +60,29 @@ def small_graph():
     return build_graph(score)
 
 
+def test_pair_head_first_layer_is_one_tape_node():
+    graph = small_graph()
+    params = init_decoder_params(6, Rng(2))
+    emb = Value(Rng(3).normal(graph.node_count, 6).reshape(graph.node_count, 6))
+    ad.reset_tape()
+    decode_all(emb, graph, params)
+    tape = list(ad._TAPE)
+    for head in PAIR_HEADS:
+        w1 = params[f"dec.{head}.W1"]
+        readers = [node for node in tape
+                   if any(p is w1 for p in node._parents)]
+        assert len(readers) == 1, head
+        hidden = readers[0]
+        assert hidden._parents[0] is emb
+        # the output layer's matmul reads the hidden layer directly
+        assert [node for node in tape if node._parents[:1] == (hidden,)][0] \
+            ._parents[1] is params[f"dec.{head}.W2"]
+    # node heads: matmul, add, relu, matmul, add; pair heads: one node, then
+    # the output matmul and add
+    assert len(tape) == 5 * len(NODE_HEADS) + 3 * len(PAIR_HEADS)
+    ad.reset_tape()
+
+
 def test_decode_all_shapes_and_mlp_oracle():
     graph = small_graph()
     params = init_decoder_params(6, Rng(2))
@@ -67,9 +90,10 @@ def test_decode_all_shapes_and_mlp_oracle():
     preds = decode_all(emb, graph, params)
     for head in NODE_HEADS:
         assert preds.note_logits[head].shape == (4, HEAD_WIDTHS[head])
-    assert preds.voice_pairs == tuple(map(tuple, graph.candidate_pairs))
+    assert preds.voice_pairs.dtype == np.int64
+    np.testing.assert_array_equal(preds.voice_pairs, graph.candidate_pairs)
     assert preds.voice_logits.shape == (len(preds.voice_pairs), 1)
-    assert preds.chord_pairs == ((0, 1),)
+    assert preds.chord_pairs.tolist() == [[0, 1]]
     assert preds.chord_logits.shape == (1, 1)
 
     # [DERIVED: duplicate-formula oracle] 2-layer MLP, relu hidden.

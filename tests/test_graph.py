@@ -20,7 +20,8 @@ from notesetter.graph import (EDGE_TYPES, RELATIONS, CandidateCoverage,
                               EmptyScore, build_graph, candidate_pairs,
                               chord_candidate_pairs, coverage_report,
                               dump_graph_jsonl)
-from notesetter.notes import LabelSet, compute_features, make_score
+from notesetter.notes import (LabelSet, TimeSignature, bar_table,
+                              compute_features, make_score)
 from notesetter.synth import random_score
 
 # [DERIVED] hand score: divisions 2, 4/4 (bar = 8 divisions), 2 bars.
@@ -51,6 +52,12 @@ def edge_set(graph, relation):
     return set(zip(src.tolist(), dst.tolist()))
 
 
+def pair_set(pairs):
+    """An (m, 2) pair array as a set of (u, w) tuples."""
+    assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+    return set(map(tuple, pairs.tolist()))
+
+
 def test_relation_vocabulary():
     assert EDGE_TYPES == ("onset", "during", "follow", "silence")
     assert len(RELATIONS) == 8
@@ -69,14 +76,14 @@ def test_hand_score_edges():
 
 
 def test_hand_score_candidates_cross_bar():
-    assert set(candidate_pairs(hand_score(), cross_bar=True)) \
+    assert pair_set(candidate_pairs(hand_score(), cross_bar=True)) \
         == HAND_LAMBDA_CROSS
     graph = build_graph(hand_score(), cross_bar=True)
-    assert set(map(tuple, graph.candidate_pairs)) == HAND_LAMBDA_CROSS
+    assert pair_set(graph.candidate_pairs) == HAND_LAMBDA_CROSS
 
 
 def test_hand_score_candidates_strict():
-    assert set(candidate_pairs(hand_score(), cross_bar=False)) \
+    assert pair_set(candidate_pairs(hand_score(), cross_bar=False)) \
         == HAND_LAMBDA_STRICT
 
 
@@ -105,8 +112,8 @@ def test_single_note_score():
     assert graph.node_count == 1
     for rel in RELATIONS:
         assert edge_set(graph, rel) == set()
-    assert len(graph.candidate_pairs) == 0
-    assert chord_candidate_pairs(graph) == ()
+    assert graph.candidate_pairs.shape == (0, 2)
+    assert chord_candidate_pairs(graph).shape == (0, 2)
 
 
 def test_two_simultaneous_notes():
@@ -116,8 +123,8 @@ def test_two_simultaneous_notes():
     graph = build_graph(score)
     assert edge_set(graph, "onset") == {(0, 1)}
     assert edge_set(graph, "onset_inv") == {(1, 0)}
-    assert set(candidate_pairs(score)) == set()
-    assert chord_candidate_pairs(graph) == ((0, 1),)
+    assert pair_set(candidate_pairs(score)) == set()
+    assert chord_candidate_pairs(graph).tolist() == [[0, 1]]
 
 
 def test_empty_score_raises():
@@ -140,6 +147,53 @@ def brute_force_lambda(score, cross_bar):
             if same_bar or next_bar:
                 out.add((u.id, w.id))
     return out
+
+
+def straight_scan_candidates(score, cross_bar):
+    """The candidate rule as a scan over all ordered note pairs, sorted."""
+    pairs = []
+    for u in score.notes:
+        for w in score.notes:
+            if u.bar_index == w.bar_index:
+                if u.offset_div <= w.onset_div:
+                    pairs.append((u.id, w.id))
+            elif cross_bar and w.bar_index == u.bar_index + 1:
+                if w.onset_div == w.bar_onset_div and u.offset_div <= w.onset_div:
+                    pairs.append((u.id, w.id))
+    return sorted(pairs)
+
+
+def barline_score(seed):
+    """Time-signature changes (4/4, 3/4, 6/8, 2/4) with many notes starting
+    or ending on a barline, and some sustained across one."""
+    sigs = [(0, 4, 4), (2, 3, 4), (3, 6, 8), (5, 2, 4)]
+    bars = bar_table(4, tuple(TimeSignature(*t) for t in sigs), 8)
+    rng = np.random.default_rng(seed)
+    triples = set()
+    for _ in range(40):
+        onset, length = bars[int(rng.integers(len(bars)))]
+        if rng.random() < 0.5:
+            onset += int(rng.integers(length))
+        end = onset + int(rng.integers(1, length + 1))
+        if rng.random() < 0.3:                 # end on the next barline
+            end = max(start + size for start, size in bars if start <= onset)
+        triples.add((onset, max(end - onset, 1), int(rng.integers(48, 84))))
+    return make_score(4, sigs, sorted(triples))
+
+
+def test_candidate_pairs_match_straight_scan(parsed_fixtures):
+    scores = [result.score for result in parsed_fixtures.values()]
+    scores += [random_score(seed, n_notes=6 + 5 * seed, n_bars=1 + seed % 4,
+                            numerator=(4, 3, 6)[seed % 3]) for seed in range(9)]
+    scores += [barline_score(seed) for seed in range(4)]
+    scores.append(make_score(2, [(0, 4, 4)], [(0, 4, 60)]))
+    for score in scores:
+        for cross in (True, False):
+            got = candidate_pairs(score, cross_bar=cross)
+            assert got.dtype == np.int64 and got.shape == (len(got), 2)
+            assert got.tolist() == [list(p) for p in
+                                    straight_scan_candidates(score, cross)], \
+                (score.name, cross)
 
 
 def brute_force_edges(score):
@@ -185,7 +239,7 @@ def test_random_scores_match_brute_force():
             assert edge_set(graph, f"{rel}_inv") \
                 == {(b, a) for a, b in expected[rel]}, (seed, rel)
         for cross in (True, False):
-            assert set(candidate_pairs(score, cross_bar=cross)) \
+            assert pair_set(candidate_pairs(score, cross_bar=cross)) \
                 == brute_force_lambda(score, cross), (seed, cross)
 
 
@@ -228,7 +282,7 @@ def test_chord_candidates_are_forward_onset_edges():
     score = make_score(2, [(0, 4, 4)],
                        [(0, 4, 60), (0, 4, 64), (0, 2, 67), (4, 4, 62)])
     graph = build_graph(score)
-    assert set(chord_candidate_pairs(graph)) == {(0, 1), (0, 2), (1, 2)}
+    assert chord_candidate_pairs(graph).tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_dump_graph_jsonl():

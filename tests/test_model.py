@@ -83,9 +83,10 @@ def test_graph_for_honors_strict_mode():
     full = graph_for(score, CONFIG)
     strict = graph_for(
         score, dataclasses.replace(CONFIG, strict_same_bar_candidates=True))
-    assert set(strict.candidate_pairs) <= set(full.candidate_pairs)
-    assert full.candidate_pairs == build_graph(score,
-                                               cross_bar=True).candidate_pairs
+    assert (set(map(tuple, strict.candidate_pairs.tolist()))
+            <= set(map(tuple, full.candidate_pairs.tolist())))
+    np.testing.assert_array_equal(
+        full.candidate_pairs, build_graph(score, cross_bar=True).candidate_pairs)
 
 
 def test_forward_produces_all_heads():
@@ -96,7 +97,7 @@ def test_forward_produces_all_heads():
     for head in NODE_HEADS:
         assert preds.note_logits[head].shape == (9, HEAD_WIDTHS[head])
     assert preds.voice_logits is not None
-    assert preds.voice_pairs == graph.candidate_pairs
+    np.testing.assert_array_equal(preds.voice_pairs, graph.candidate_pairs)
     reset_tape()
 
 
@@ -159,7 +160,8 @@ def test_predict_bundle_deterministic_and_clean():
     for head in NODE_HEADS:
         assert np.array_equal(a.note_logits[head], b.note_logits[head])
     assert np.array_equal(a.voice_probs, b.voice_probs)
-    assert a.voice_pairs == graph_for(score, CONFIG).candidate_pairs
+    np.testing.assert_array_equal(a.voice_pairs,
+                                  graph_for(score, CONFIG).candidate_pairs)
 
 
 def test_predict_bundle_dropout_ignored_at_inference():

@@ -164,18 +164,19 @@ def write_records(path, records, extra_lines=()):
 
 
 def assert_same_bundle(got, want):
-    """Every field equal bit for bit, with float64 arrays and int pairs."""
+    """Every field equal bit for bit, with float64 arrays and (m, 2) int64
+    pair arrays."""
     for field in dataclasses.fields(PredictionBundle):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name == "note_logits":
             assert sorted(a) == sorted(b)
             pairs = [(a[h], b[h]) for h in b]
-        elif isinstance(b, np.ndarray):
-            pairs = [(a, b)]
-        else:
-            assert a == b
-            assert all(type(i) is int for pair in a for i in pair)
+        elif field.name.endswith("_pairs"):
+            assert a.dtype == np.int64 and a.shape == (len(b), 2)
+            assert a.tolist() == np.asarray(b).reshape(-1, 2).tolist()
             continue
+        else:
+            pairs = [(a, b)]
         for x, y in pairs:
             assert x.dtype == np.float64 and x.shape == y.shape
             assert x.tobytes() == np.asarray(y, dtype=np.float64).tobytes()
@@ -237,7 +238,7 @@ def test_prediction_lines_meta_first():
                                bundle.voice_probs),
                               (records[-1], bundle.chord_pairs,
                                bundle.chord_probs)):
-        assert list(zip(rec["u"], rec["w"])) == list(pairs)
+        assert [rec["u"], rec["w"]] == pairs.T.tolist()
         assert rec["p"] == probs.tolist()
 
 
@@ -252,8 +253,16 @@ def test_predictions_round_trip(tmp_path):
         assert score_back.notes == score.notes
         assert score_back.time_signatures == score.time_signatures
         assert_same_bundle(bundle_back, bundle)
-    assert bundle_back.chord_pairs == () and len(bundle_back.chord_probs) == 0
+    assert bundle_back.chord_pairs.shape == (0, 2)
+    assert len(bundle_back.chord_probs) == 0
     assert len(bundle_back.voice_pairs) > 0
+    # a single note has no pairs of either kind
+    one = make_score(4, [(0, 4, 4)], [(0, 4, 60)], name="one")
+    bundle = random_bundle(build_graph(one), 6)
+    write_predictions(path, one, bundle)
+    bundle_back = read_predictions(path)[1]
+    assert_same_bundle(bundle_back, bundle)
+    assert bundle_back.voice_pairs.shape == (0, 2)
     assert all(len(repr(x).lstrip("-0.").replace(".", "")) == 17
                for x in DIGITS_17)
 

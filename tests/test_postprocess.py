@@ -482,7 +482,8 @@ def test_perfect_bundle_structure():
     bundle = perfect_bundle(score)
     bundle.validate()
     graph = build_graph(score)
-    assert bundle.voice_pairs == tuple(map(tuple, graph.candidate_pairs))
+    assert bundle.voice_pairs.dtype == np.int64
+    np.testing.assert_array_equal(bundle.voice_pairs, graph.candidate_pairs)
     assert set(np.round(bundle.voice_probs, 2)) <= {0.01, 0.99}
     for head in NODE_HEADS:
         assert bundle.note_logits[head].max() == 20.0
