@@ -4,12 +4,12 @@ Each of the L blocks computes a heterogeneous GraphSAGE convolution
 
     h~_u = ReLU( W0 h_u + sum_r sum_{v in N_r(u)} W_r h_v )
 
-followed by dropout, then sweeps a GRU over the notes in ``note_order``
-(onset, then pitch), carrying the hidden state from each note to the next.
-Layer normalization is applied inside the GRU cell (on the candidate
-pre-activation) and between blocks. The block output — the GRU states in
-note-id order — feeds the next block; the last block's output is the
-embedding matrix.
+followed by dropout, then sweeps a GRU over the notes in id order, which
+is (onset, pitch) order (``Score.validate``), carrying the hidden state from
+each note to the next. Layer normalization is applied inside the GRU cell
+(on the candidate pre-activation) and between blocks. The block output — the
+GRU states, row u for note u — feeds the next block; the last block's output
+is the embedding matrix.
 
 Each sweep is one fused tape node, ``autodiff.gru_sweep``: a plain NumPy
 loop forward and backpropagation through time written by hand backward, so
@@ -91,8 +91,6 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
     if missing:
         raise RelationMismatch(f"graph lacks relations {missing}")
 
-    order = graph.note_order
-    inverse_order = np.argsort(order)
     mean_scale: dict[str, Value] = {}
     if config.aggregation == "mean":
         for rel in RELATIONS:
@@ -122,9 +120,8 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
             gru = f"{pre}.gru"
             wx, wh, bias = ([params[f"{gru}.{kind}{gate}"] for gate in "zrc"]
                             for kind in ("Wx", "Wh", "b"))
-            swept = ad.gru_sweep(ad.row_gather(source, order), wx, wh, bias,
-                                 params[f"{gru}.ln.g"], params[f"{gru}.ln.b"])
-            states = ad.row_gather(swept, inverse_order)
+            states = ad.gru_sweep(source, wx, wh, bias,
+                                  params[f"{gru}.ln.g"], params[f"{gru}.ln.b"])
             block = ad.add(conv, states) if config.gru_on_initial_features else states
         else:
             block = conv

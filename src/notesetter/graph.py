@@ -13,18 +13,31 @@ each (8 relation types). For ``offset(u) = onset(u) + duration(u)``:
 The voice-candidate set contains ordered pairs (u, w) with
 ``offset(u) <= onset(w)`` in the same bar, plus — with the cross-bar
 extension on (default) — pairs where w sits on the downbeat of the next bar.
+
+Every relation is built as index runs. ``Score.validate`` keeps notes in
+(onset, pitch) order with ids 0..n-1, so for each u the partners of every
+relation form one contiguous run of ids ``[lo[u], hi[u])``, found by
+``np.searchsorted`` over the onsets; ``_runs`` expands the runs into (u, w)
+arrays in (u, w) order. With ``on``/``off`` the onset and offset arrays:
+
+* onset:   ``[u + 1, end of u's onset group)``
+* during:  ``[end of u's onset group, first onset >= off[u])``
+* follow:  ``[first onset >= off[u], first onset > off[u])``
+* silence: the onset group right after ``off[u]``, when ``off[u]`` lies
+  strictly before it and is the latest offset of every note starting
+  before it (``np.maximum.accumulate(off)``): then nothing sounds in the gap.
+* voice candidates: ``[first onset >= off[u], end of u's bar)``, with
+  ``cross_bar`` up to the end of the next bar's downbeat group.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import heapq
 import json
 
 import numpy as np
 
-from .notes import Score, compute_features
+from .notes import Score, node_features
 
 EDGE_TYPES = ("onset", "during", "follow", "silence")
 RELATIONS = EDGE_TYPES + tuple(f"{t}_inv" for t in EDGE_TYPES)
@@ -32,10 +45,6 @@ RELATIONS = EDGE_TYPES + tuple(f"{t}_inv" for t in EDGE_TYPES)
 
 class EmptyScore(ValueError):
     pass
-
-
-def _empty_edges() -> tuple[np.ndarray, np.ndarray]:
-    return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,7 +55,6 @@ class ScoreGraph:
     features: np.ndarray                  # (node_count, 17)
     edges: dict                           # relation -> (src array, dst array)
     candidate_pairs: np.ndarray           # (m, 2) int64 voice candidates, by (u, w)
-    note_order: np.ndarray                # permutation by (onset_div, midi_pitch)
 
     def validate(self) -> None:
         n = self.node_count
@@ -67,8 +75,6 @@ class ScoreGraph:
                     raise ValueError(f"{rel} edge ({u},{v}) out of range")
                 if u == v:
                     raise ValueError(f"{rel} self-loop at {u}")
-        if sorted(self.note_order.tolist()) != list(range(n)):
-            raise ValueError("note_order is not a permutation")
 
 
 def as_pairs(pairs) -> np.ndarray:
@@ -94,98 +100,63 @@ def in_edges(pairs: np.ndarray, edges, n: int) -> np.ndarray:
     return np.isin(pair_keys(pairs, n), pair_keys(truth, n))
 
 
-def candidate_pairs(score: Score, cross_bar: bool = True) -> np.ndarray:
-    """The candidate set: ordered (u, w) pairs a voice edge may connect.
+def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, w) with w in [lo[u], hi[u]), as int64 arrays in (u, w)
+    order; an empty or reversed range contributes nothing."""
+    counts = np.maximum(hi - lo, 0)
+    u = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts          # where each run starts in w
+    w = np.arange(len(u), dtype=np.int64) + np.repeat(lo - first, counts)
+    return u, w
 
-    Notes are in onset order (``Score.validate``), so the partners of u are
-    one run of ids: those with onset(w) in [offset(u), end of u's bar), plus
-    with ``cross_bar`` the notes on the next bar's downbeat. Two
-    ``searchsorted`` calls find every run; the result is (m, 2) int64 in
-    (u, w) order, the same as the pairwise scan over all notes.
-    """
-    notes = score.notes
-    onsets = np.array([x.onset_div for x in notes], dtype=np.int64)
-    offsets = np.array([x.offset_div for x in notes], dtype=np.int64)
-    bar_ends = np.array([x.bar_onset_div + x.bar_duration_div for x in notes],
+
+def _times(score: Score) -> tuple[np.ndarray, np.ndarray]:
+    """Onset and offset of every note, as int64 arrays in id order."""
+    onsets = np.array([x.onset_div for x in score.notes], dtype=np.int64)
+    durations = np.array([x.duration_div for x in score.notes], dtype=np.int64)
+    return onsets, onsets + durations
+
+
+def relation_edges(score: Score) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The four forward relations, each as (src, dst) int64 arrays in
+    (src, dst) order (see the module docstring for the runs)."""
+    on, off = _times(score)
+    group_end = np.searchsorted(on, on, side="right")
+    next_on = np.searchsorted(on, off, side="left")    # first onset >= off[u]
+    after_off = np.searchsorted(on, off, side="right")  # first onset > off[u]
+    # silence: the group at next_on starts after off[u], and no note that
+    # starts before that group ends after off[u]; next_on >= u + 1 >= 1, and
+    # the clipped j fails on[j] > off[u] when no onset follows off[u]
+    j = np.minimum(next_on, len(on) - 1)
+    silent = (on[j] > off) & (np.maximum.accumulate(off)[next_on - 1] == off)
+    silence_hi = np.where(silent, group_end[j], next_on)
+    return {"onset": _runs(np.arange(1, len(on) + 1), group_end),
+            "during": _runs(group_end, next_on),
+            "follow": _runs(next_on, after_off),
+            "silence": _runs(next_on, silence_hi)}
+
+
+def candidate_pairs(score: Score, cross_bar: bool = True) -> np.ndarray:
+    """The candidate set: ordered (u, w) pairs a voice edge may connect, as
+    an (m, 2) int64 array in (u, w) order (runs: see the module docstring)."""
+    onsets, offsets = _times(score)
+    bar_ends = np.array([x.bar_onset_div + x.bar_duration_div for x in score.notes],
                         dtype=np.int64)
     lo = np.searchsorted(onsets, offsets, side="left")
     hi = np.searchsorted(onsets, bar_ends, side="right" if cross_bar else "left")
-    counts = np.maximum(hi - lo, 0)
-    u = np.repeat(np.arange(len(notes), dtype=np.int64), counts)
-    first = np.cumsum(counts) - counts          # where each run starts in w
-    w = np.arange(len(u), dtype=np.int64) + np.repeat(lo - first, counts)
-    return np.stack([u, w], axis=1)
+    return np.stack(_runs(lo, hi), axis=1)
 
 
 def build_graph(score: Score, cross_bar: bool = True) -> ScoreGraph:
-    notes = score.notes
-    n = len(notes)
-    if n == 0:
+    if not score.notes:
         raise EmptyScore("cannot build a graph from a score with no notes")
-
-    features = np.array([compute_features(note).as_row() for note in notes])
-    onsets = np.array([note.onset_div for note in notes])
-    pitches = np.array([note.midi_pitch for note in notes])
-    note_order = np.lexsort((pitches, onsets)).astype(np.int64)
-
-    groups: "collections.OrderedDict[int, list[int]]" = collections.OrderedDict()
-    for i in note_order.tolist():
-        groups.setdefault(int(onsets[i]), []).append(i)
-
-    onset_e: list[tuple[int, int]] = []
-    during_e: list[tuple[int, int]] = []
-    follow_e: list[tuple[int, int]] = []
-    silence_e: list[tuple[int, int]] = []
-
-    ends_at: dict[int, list[int]] = collections.defaultdict(list)
-    sounding: list[tuple[int, int]] = []  # heap of (offset, id), onset < current
-    prev_max_offset: int | None = None
-
-    for t, group in groups.items():
-        # same-onset pairs, one direction (id order = onset,pitch order)
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                onset_e.append((group[a], group[b]))
-        # notes still sounding strictly across t
-        while sounding and sounding[0][0] <= t:
-            heapq.heappop(sounding)
-        for _, u in sorted(sounding):
-            for v in group:
-                during_e.append((u, v))
-        # first onset group after a truly silent gap
-        if prev_max_offset is not None and prev_max_offset < t:
-            for u in sorted(ends_at.get(prev_max_offset, ())):
-                for v in group:
-                    silence_e.append((u, v))
-        for v in group:
-            note = notes[v]
-            heapq.heappush(sounding, (note.offset_div, v))
-            ends_at[note.offset_div].append(v)
-            prev_max_offset = (note.offset_div if prev_max_offset is None
-                               else max(prev_max_offset, note.offset_div))
-
-    onset_ids = set(groups)
-    for u in range(n):
-        if notes[u].offset_div in onset_ids:
-            for v in groups[notes[u].offset_div]:
-                follow_e.append((u, v))
-
-    def pack(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-        if not pairs:
-            return _empty_edges()
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        return (arr[:, 0].copy(), arr[:, 1].copy())
-
-    edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for rel, pairs in (("onset", onset_e), ("during", during_e),
-                       ("follow", follow_e), ("silence", silence_e)):
-        src, dst = pack(pairs)
+    edges = {}
+    for rel, (src, dst) in relation_edges(score).items():
         edges[rel] = (src, dst)
-        edges[f"{rel}_inv"] = (dst.copy(), src.copy())
-
-    graph = ScoreGraph(node_count=n, features=features, edges=edges,
-                       candidate_pairs=candidate_pairs(score, cross_bar),
-                       note_order=note_order)
+        edges[f"{rel}_inv"] = (dst, src)
+    graph = ScoreGraph(node_count=len(score.notes),
+                       features=node_features(score.notes), edges=edges,
+                       candidate_pairs=candidate_pairs(score, cross_bar))
     graph.validate()
     return graph
 

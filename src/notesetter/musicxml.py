@@ -579,22 +579,16 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
 
     # timed items: (time, order, bar, builder); stops before clefs before starts
     timed: dict[int, list] = {}
-    for staff, regions in sorted(engraved.clef_regions.items()):
-        for start, clef in regions:
-            if start == 0:
-                continue
-            b = bar_at(bars, start)
-            if start == bars[b][0]:
-                continue  # measure-start changes ride in <attributes>
-            timed.setdefault(b, []).append((start, 1, ("clef", staff, clef)))
     clef_at_bar_start: dict[tuple[int, int], int] = {}
     for staff, regions in sorted(engraved.clef_regions.items()):
         for start, clef in regions:
             if start == 0:
                 continue
             b = bar_at(bars, start)
-            if start == bars[b][0]:
+            if start == bars[b][0]:  # measure-start changes ride in <attributes>
                 clef_at_bar_start[(b, staff)] = clef
+            else:
+                timed.setdefault(b, []).append((start, 1, ("clef", staff, clef)))
     for staff, regions in sorted(engraved.octave_regions.items()):
         for start, end, shift in regions:
             sb = bar_at(bars, start)

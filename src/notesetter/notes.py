@@ -15,6 +15,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
+import numpy as np
+
 # --- label vocabularies (orders are frozen; checkpoints depend on them) ---
 
 STEP_NAMES = ("A", "B", "C", "D", "E", "F", "G")
@@ -145,41 +147,30 @@ class QuantizedNote:
         return note
 
 
-@dataclass(frozen=True)
-class NodeFeatures:
-    """Input features of one note node.
-
-    ``bar_index`` rides along as a plain scalar so the assembled feature
-    matrix is 17-wide (12 + octave + duration + onset fraction + downbeat + bar).
-    """
-
-    pitch_class_onehot: tuple[float, ...]
-    octave_value: float
-    norm_duration: float
-    onset_fraction: float
-    downbeat_flag: float
-    bar_index: float
-
-    def as_row(self) -> tuple[float, ...]:
-        return self.pitch_class_onehot + (
-            self.octave_value, self.norm_duration, self.onset_fraction,
-            self.downbeat_flag, self.bar_index)
-
 N_FEATURES = 17
 
 
-def compute_features(note: QuantizedNote) -> NodeFeatures:
-    """Pure feature extraction; identical note gives bit-identical output."""
-    onehot = tuple(1.0 if pc == note.pitch_class else 0.0 for pc in range(12))
-    rel_onset = note.onset_div - note.bar_onset_div
-    return NodeFeatures(
-        pitch_class_onehot=onehot,
-        octave_value=float(note.octave),
-        norm_duration=math.tanh(note.duration_div / note.bar_duration_div),
-        onset_fraction=rel_onset / note.bar_duration_div,
-        downbeat_flag=1.0 if rel_onset == 0 else 0.0,
-        bar_index=float(note.bar_index),
-    )
+def node_features(notes) -> np.ndarray:
+    """The (n, 17) input feature matrix, one row per note in order.
+
+    Columns: pitch-class one-hot (12), octave, tanh(duration / bar length),
+    onset fraction within the bar, downbeat flag, bar index. Each row
+    depends only on its note, so an identical note gives a bit-identical row.
+    """
+    n = len(notes)
+    cols = np.array([(x.pitch_class, x.octave, x.onset_div - x.bar_onset_div,
+                      x.bar_duration_div, x.bar_index) for x in notes],
+                    dtype=np.int64).reshape(n, 5)
+    pitch_class, octave, rel_onset, bar_length, bar_index = cols.T
+    features = np.zeros((n, N_FEATURES))
+    features[np.arange(n), pitch_class] = 1.0
+    features[:, 12] = octave
+    features[:, 13] = [math.tanh(x.duration_div / x.bar_duration_div)
+                       for x in notes]
+    features[:, 14] = rel_onset / bar_length
+    features[:, 15] = rel_onset == 0
+    features[:, 16] = bar_index
+    return features
 
 
 @dataclass(frozen=True)

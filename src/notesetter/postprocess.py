@@ -151,20 +151,18 @@ class EngravedScore:
             raise ValueError("events do not cover every note exactly once")
         bars = self.bars()
         for voice, evs in self.voice_events().items():
+            totals: collections.Counter = collections.Counter()  # bar -> durations
             for ev in evs:
                 bar_i = bar_at(bars, ev.onset_div)
                 onset, length = bars[bar_i]
                 if ev.onset_div < onset or ev.offset_div > onset + length:
                     raise ValueError(f"voice {voice}: event crosses a barline")
+                totals[bar_i] += ev.duration_div
             for prev, nxt in zip(evs, evs[1:]):
                 if prev.offset_div > nxt.onset_div:
                     raise ValueError(f"voice {voice}: overlapping events")
-            first_bar = bar_at(bars, evs[0].onset_div)
-            last_bar = bar_at(bars, evs[-1].onset_div)
-            for b in range(first_bar, last_bar + 1):
-                onset, length = bars[b]
-                total = sum(e.duration_div for e in evs
-                            if onset <= e.onset_div < onset + length)
+            for b in range(min(totals), max(totals) + 1):
+                total, length = totals[b], bars[b][1]
                 if total != length:
                     raise ValueError(
                         f"voice {voice}, bar {b}: durations sum to {total}, "

@@ -11,7 +11,8 @@ import numpy as np
 
 from .decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle,
                        staff_probabilities)
-from .graph import (ScoreGraph, candidate_pairs, chord_candidate_pairs)
+from .graph import (ScoreGraph, candidate_pairs, chord_candidate_pairs,
+                    relation_edges)
 from .notes import (KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, N_KEY_CLASSES, Score,
                     TimeSignature, TUPLET_VALUES, bar_table, make_score)
 from .rng import Rng
@@ -61,14 +62,10 @@ def random_labels(score: Score, rng: Rng, cross_bar: bool = True) -> LabelSet:
     keep_v = rng.uniform(max(len(candidates), 1))
     voice_edges = frozenset(
         map(tuple, candidates[keep_v[:len(candidates)] < 0.25].tolist()))
-    same_onset = [(a.id, b.id)
-                  for i, a in enumerate(score.notes)
-                  for b in score.notes[i + 1:]
-                  if a.onset_div == b.onset_div]
+    same_onset = np.stack(relation_edges(score)["onset"], axis=1)  # u < w
     keep_c = rng.uniform(max(len(same_onset), 1))
     chord_edges = frozenset(
-        (min(u, w), max(u, w))
-        for (u, w), k in zip(same_onset, keep_c) if k < 0.3)
+        map(tuple, same_onset[keep_c[:len(same_onset)] < 0.3].tolist()))
     return LabelSet(
         staff=draw(2),
         spelling=draw(HEAD_WIDTHS["spelling"]),

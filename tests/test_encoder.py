@@ -24,11 +24,20 @@ from notesetter.synth import random_score
 from conftest import numpy_gru, numpy_layer_norm
 
 
+def small_score():
+    return make_score(2, [(0, 4, 4)],
+                      [(0, 4, 60), (0, 4, 64), (2, 2, 67), (4, 2, 62),
+                       (7, 1, 65), (8, 8, 59), (10, 2, 72)])
+
+
 def small_graph():
-    score = make_score(2, [(0, 4, 4)],
-                       [(0, 4, 60), (0, 4, 64), (2, 2, 67), (4, 2, 62),
-                        (7, 1, 65), (8, 8, 59), (10, 2, 72)])
-    return build_graph(score)
+    return build_graph(small_score())
+
+
+def sweep_order(score):
+    """Note ids in (onset, pitch) order, the order the GRU must sweep."""
+    return np.lexsort(([x.midi_pitch for x in score.notes],
+                       [x.onset_div for x in score.notes]))
 
 
 def test_param_names_and_shapes():
@@ -155,8 +164,10 @@ def _numpy_gru_sweep(seq, params, pre):
 
 def test_gru_single_layer_matches_numpy():
     # [DERIVED: duplicate-formula oracle] full hybrid block with the GRU
-    # swept in note order, states mapped back to id order, then the block norm.
-    graph = small_graph()
+    # swept in (onset, pitch) order, states mapped back to id order, then the
+    # block norm.
+    score = small_score()
+    graph = build_graph(score)
     config = ModelConfig(hidden_size=3, num_layers=1, dropout=0.0,
                            aggregation="sum", use_gru=True)
     params = init_encoder_params(config, Rng(7))
@@ -167,7 +178,7 @@ def test_gru_single_layer_matches_numpy():
 
     h0 = graph.features @ params["enc.proj.W"].data + params["enc.proj.b"].data
     conv = _numpy_conv(graph, h0, params, "enc.l1", "sum")
-    order = np.asarray(graph.note_order)
+    order = sweep_order(score)
     swept = _numpy_gru_sweep(conv[order], params, "enc.l1.gru")
     states = swept[np.argsort(order)]
     expected = numpy_layer_norm(states, params["enc.l1.ln.g"].data,
@@ -176,7 +187,8 @@ def test_gru_single_layer_matches_numpy():
 
 
 def test_gru_on_initial_features_matches_numpy():
-    graph = small_graph()
+    score = small_score()
+    graph = build_graph(score)
     config = ModelConfig(hidden_size=3, num_layers=1, dropout=0.0,
                            use_gru=True, gru_on_initial_features=True)
     params = init_encoder_params(config, Rng(9))
@@ -184,7 +196,7 @@ def test_gru_on_initial_features_matches_numpy():
 
     h0 = graph.features @ params["enc.proj.W"].data + params["enc.proj.b"].data
     conv = _numpy_conv(graph, h0, params, "enc.l1", "sum")
-    order = np.asarray(graph.note_order)
+    order = sweep_order(score)
     swept = _numpy_gru_sweep(h0[order], params, "enc.l1.gru")
     states = swept[np.argsort(order)]
     expected = numpy_layer_norm(conv + states, params["enc.l1.ln.g"].data,

@@ -20,8 +20,8 @@ from notesetter.graph import (EDGE_TYPES, RELATIONS, CandidateCoverage,
                               EmptyScore, build_graph, candidate_pairs,
                               chord_candidate_pairs, coverage_report,
                               dump_graph_jsonl)
-from notesetter.notes import (LabelSet, TimeSignature, bar_table,
-                              compute_features, make_score)
+from notesetter.notes import (LabelSet, TimeSignature, bar_table, make_score,
+                              node_features)
 from notesetter.synth import random_score
 
 # [DERIVED] hand score: divisions 2, 4/4 (bar = 8 divisions), 2 bars.
@@ -50,6 +50,13 @@ def hand_score(labels=None):
 def edge_set(graph, relation):
     src, dst = graph.edges[relation]
     return set(zip(src.tolist(), dst.tolist()))
+
+
+def edge_list(graph, relation):
+    """A relation's edges as (src, dst) tuples, in the order stored."""
+    src, dst = graph.edges[relation]
+    assert src.dtype == dst.dtype == np.int64
+    return list(zip(src.tolist(), dst.tolist()))
 
 
 def pair_set(pairs):
@@ -87,23 +94,14 @@ def test_hand_score_candidates_strict():
         == HAND_LAMBDA_STRICT
 
 
-def test_note_order_sorts_by_onset_then_pitch():
-    graph = build_graph(hand_score())
-    order = list(graph.note_order)
-    score = hand_score()
-    keyed = sorted(range(7), key=lambda i: (score.notes[i].onset_div,
-                                            score.notes[i].midi_pitch))
-    assert order == keyed
-
-
-def test_feature_matrix_matches_compute_features():
+def test_feature_matrix_matches_node_features():
     score = hand_score()
     graph = build_graph(score)
     assert graph.features.shape == (7, 17)
-    for note in score.notes:
-        np.testing.assert_allclose(graph.features[note.id],
-                                   compute_features(note).as_row(),
-                                   atol=1e-15)
+    np.testing.assert_array_equal(graph.features, node_features(score.notes))
+    for note in score.notes:      # each row depends only on its own note
+        np.testing.assert_array_equal(graph.features[note.id],
+                                      node_features([note])[0])
 
 
 def test_single_note_score():
@@ -229,18 +227,25 @@ def brute_force_edges(score):
     return edges
 
 
-def test_random_scores_match_brute_force():
-    for seed in range(12):
-        score = random_score(seed, n_notes=10)
+def test_random_scores_match_brute_force(parsed_fixtures):
+    # Each relation is compared as an ordered array: forward edges in
+    # (u, v) order, the inverse as the forward edges swapped, in the same order.
+    scores = [result.score for result in parsed_fixtures.values()]
+    scores += [random_score(seed, n_notes=10) for seed in range(12)]
+    scores += [random_score(seed, n_notes=60, n_bars=4 + seed % 5,
+                            numerator=(4, 3, 6)[seed % 3]) for seed in range(6)]
+    scores += [barline_score(seed) for seed in range(6)]
+    for score in scores:
         graph = build_graph(score)
         expected = brute_force_edges(score)
         for rel in EDGE_TYPES:
-            assert edge_set(graph, rel) == expected[rel], (seed, rel)
-            assert edge_set(graph, f"{rel}_inv") \
-                == {(b, a) for a, b in expected[rel]}, (seed, rel)
+            want = sorted(expected[rel])
+            assert edge_list(graph, rel) == want, (score.name, rel)
+            assert edge_list(graph, f"{rel}_inv") == [(b, a) for a, b in want], \
+                (score.name, rel)
         for cross in (True, False):
             assert pair_set(candidate_pairs(score, cross_bar=cross)) \
-                == brute_force_lambda(score, cross), (seed, cross)
+                == brute_force_lambda(score, cross), (score.name, cross)
 
 
 def test_build_graph_is_input_order_invariant():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from notesetter.notes import (ALTER_VALUES, DEFAULT_SPELLING_BY_PC, MAX_DOTS,
@@ -11,7 +12,7 @@ from notesetter.notes import (ALTER_VALUES, DEFAULT_SPELLING_BY_PC, MAX_DOTS,
                               NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
                               STEP_TO_PC, TUPLET_VALUES, QuantizedNote, Score,
                               TimeSignature, bar_at, bar_length_div, bar_table,
-                              compute_features, key_class, key_fifths,
+                              key_class, key_fifths, node_features,
                               make_score, spelling_class, spelling_of,
                               spelling_parts, spelling_pitch_class,
                               symbolic_duration_div, tuplet_class)
@@ -128,38 +129,36 @@ def test_quantized_note_validation():
         QuantizedNote.make(0, 16, 4, 60, 0, 0, 16)  # onset outside bar
 
 
-def test_compute_features_quarter_in_44():
+def test_node_features_quarter_in_44():
     # [DERIVED] quarter at the downbeat of a 4/4 bar, divisions 1:
     # norm_duration = tanh(1/4) ~= 0.2449, onset_fraction 0, downbeat 1.
     note = QuantizedNote.make(0, 0, 1, 60, 0, 0, 4)
-    f = compute_features(note)
-    assert f.pitch_class_onehot == tuple(1.0 if i == 0 else 0.0
-                                         for i in range(12))
-    assert f.norm_duration == pytest.approx(0.24491866240370913, abs=1e-12)
-    assert f.onset_fraction == 0.0
-    assert f.downbeat_flag == 1.0
-    assert f.octave_value == 4.0
-    assert f.bar_index == 0.0
-    row = f.as_row()
-    assert len(row) == N_FEATURES == 17
-    assert row[12:] == (4.0, f.norm_duration, 0.0, 1.0, 0.0)
+    f = node_features([note])
+    assert f.shape == (1, N_FEATURES) and N_FEATURES == 17
+    assert f.dtype == np.float64
+    row = tuple(f[0].tolist())
+    assert row[:12] == tuple(1.0 if i == 0 else 0.0 for i in range(12))
+    assert row[13] == pytest.approx(0.24491866240370913, abs=1e-12)
+    assert row[12:] == (4.0, row[13], 0.0, 1.0, 0.0)
 
 
-def test_compute_features_formula_duplicate():
-    # [DERIVED: duplicate-formula oracle] straight-line reimplementation.
-    for onset, dur, midi, bar_i, bar_on, bar_len in [
-            (3, 2, 67, 0, 0, 8), (9, 6, 41, 1, 8, 8), (14, 1, 99, 1, 8, 8)]:
-        note = QuantizedNote.make(0, onset, dur, midi, bar_i, bar_on, bar_len)
-        f = compute_features(note)
-        assert f.pitch_class_onehot[midi % 12] == 1.0
-        assert sum(f.pitch_class_onehot) == 1.0
-        assert f.octave_value == float(midi // 12 - 1)
-        assert f.norm_duration == pytest.approx(math.tanh(dur / bar_len),
-                                                abs=1e-15)
-        assert f.onset_fraction == pytest.approx((onset - bar_on) / bar_len,
-                                                 abs=1e-15)
-        assert f.downbeat_flag == (1.0 if onset == bar_on else 0.0)
-        assert f.bar_index == float(bar_i)
+def test_node_features_formula_duplicate():
+    # [DERIVED: duplicate-formula oracle] straight-line reimplementation,
+    # one row per note in the order given.
+    specs = [(3, 2, 67, 0, 0, 8), (9, 6, 41, 1, 8, 8), (14, 1, 99, 1, 8, 8)]
+    notes = [QuantizedNote.make(i, onset, dur, midi, bar_i, bar_on, bar_len)
+             for i, (onset, dur, midi, bar_i, bar_on, bar_len) in enumerate(specs)]
+    f = node_features(notes)
+    assert f.shape == (len(specs), 17)
+    for row, (onset, dur, midi, bar_i, bar_on, bar_len) in zip(f, specs):
+        assert row[midi % 12] == 1.0
+        assert row[:12].sum() == 1.0
+        assert row[12] == float(midi // 12 - 1)
+        assert row[13] == math.tanh(dur / bar_len)
+        assert row[14] == pytest.approx((onset - bar_on) / bar_len, abs=1e-15)
+        assert row[15] == (1.0 if onset == bar_on else 0.0)
+        assert row[16] == float(bar_i)
+    assert node_features([]).shape == (0, 17)
 
 
 def test_bar_length_div():

@@ -457,6 +457,35 @@ def test_validate_catches_bar_sum_violation():
         broken.validate()
 
 
+def test_validate_catches_short_bar_inside_a_voice():
+    # One voice of whole notes over three bars (divisions 2, bar = 8).
+    # Bar 1 sits strictly between the voice's first and last bar, so a
+    # short total there, or no events there at all, must still raise.
+    triples = [(0, 8, 72), (8, 8, 74), (16, 8, 76)]
+    labels = full_labels(3, note_type=(WHOLE,) * 3,
+                         voice_edges={(0, 1), (1, 2)})
+    engraved = engrave_from_labels(
+        make_score(2, [(0, 4, 4)], triples, labels=labels))
+    engraved.validate()
+    middle = [e for e in engraved.events if e.onset_div == 8]
+    assert [e.note_ids for e in middle] == [(1,)]
+    voice = middle[0].voice
+
+    shortened = dataclasses.replace(engraved, events=tuple(
+        dataclasses.replace(e, duration_div=7) if e is middle[0] else e
+        for e in engraved.events))
+    with pytest.raises(ValueError, match=fr"voice {voice}, bar 1: durations "
+                                         r"sum to 7, bar length is 8"):
+        shortened.validate()
+
+    moved = dataclasses.replace(engraved, events=tuple(
+        dataclasses.replace(e, voice=voice + 1) if e is middle[0] else e
+        for e in engraved.events))
+    with pytest.raises(ValueError, match=fr"voice {voice}, bar 1: durations "
+                                         r"sum to 0, bar length is 8"):
+        moved.validate()
+
+
 def test_validate_catches_octave_region_errors():
     engraved = engrave_from_labels(two_voice_score())
     with pytest.raises(ValueError):
