@@ -160,20 +160,23 @@ def mul(a: Value, b: Value) -> Value:
     return _node(out_data, (a, b), bwd)
 
 
-def affine(x: Value, scale: float, shift: float = 0.0) -> Value:
-    out_data = scale * x.data + shift
+def affine(x: Value, scale: float) -> Value:
+    out_data = scale * x.data
 
     def bwd(g):
         _accum(x, scale * g)
     return _node(out_data, (x,), bwd)
 
 
-def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
-    """(rows x cols) matrix whose row k sums the rows of ``values`` with idx k.
+def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int,
+                 take: Optional[np.ndarray] = None,
+                 scale: Optional[np.ndarray] = None) -> np.ndarray:
+    """(rows x cols) matrix whose row k sums the items i with idx[i] == k.
 
-    The indices must lie in [0, rows). A stable sort groups equal indices
-    (keeping their order), ``np.add.reduceat`` sums each group, and the sums
-    are assigned to their distinct rows.
+    Item i is row i of ``values``, or row take[i] when ``take`` is given,
+    times scale[i] when ``scale`` is given. The indices must lie in [0, rows).
+    A stable sort groups equal indices (keeping their order), the items are
+    gathered once in that order, and ``np.add.reduceat`` sums each group.
     """
     out = np.zeros((rows, values.shape[1]))
     if idx.size == 0:
@@ -181,29 +184,53 @@ def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
     perm = np.argsort(idx, kind="stable")
     sorted_idx = idx[perm]
     starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
-    out[sorted_idx[starts]] = np.add.reduceat(values[perm], starts, axis=0)
+    items = values[perm if take is None else take[perm]]
+    if scale is not None:
+        items *= scale[perm, None]
+    out[sorted_idx[starts]] = np.add.reduceat(items, starts, axis=0)
     return out
 
 
-def row_gather(x: Value, index) -> Value:
-    idx = np.asarray(index, dtype=np.int64)
-    out_data = x.data[idx]
+def relational_conv(h: Value, weights: Sequence[Value], src, dst, rel,
+                    scale: Optional[np.ndarray] = None) -> Value:
+    """The relation-typed graph convolution over an edge list, as one tape node.
+
+    ``weights`` holds W0 and one (d x H) matrix per relation; edge e runs from
+    src[e] to dst[e] in relation rel[e]. Row v of the output is
+
+        h[v] @ W0 + sum over edges e into v of scale[e] * h[src[e]] @ W_{rel[e] + 1}
+
+    (scale 1 when none is given). One GEMM gives ``h @ [W0 | W_1 | ...]``;
+    viewed as (n(R+1) x H), its row u(R+1) + k is h[u] @ W_k, so each edge
+    gathers one row and one segment sum over ``dst`` adds them up. Backward
+    runs the same steps transposed: a segment sum of g[dst] onto the
+    gathered rows, then two GEMMs.
+    """
+    weights = tuple(weights)
+    n, d = h.shape
+    k = len(weights)
+    hid = weights[0].shape[1]
+    for w in weights:
+        if w.shape != (d, hid):
+            raise ShapeMismatch("relational_conv W", (d, hid), w.shape)
+    src, dst, rel = (np.asarray(a, dtype=np.int64) for a in (src, dst, rel))
+    shapes = {a.shape for a in (src, dst, rel, *([] if scale is None else [scale]))}
+    if len(shapes) != 1 or src.ndim != 1:
+        raise ShapeMismatch("relational_conv edges", ("E",), shapes)
+    side = np.concatenate([w.data for w in weights], axis=1)    # d x kH
+    proj = h.data @ side
+    rows = src * k + rel + 1            # row of h[src] @ W_{rel + 1} in the view
+    out_data = _segment_sum(proj.reshape(n * k, hid), dst, n, rows, scale)
+    out_data += proj[:, :hid]
 
     def bwd(g):
-        _accum(x, _segment_sum(g, idx, x.shape[0]))
-    return _node(out_data, (x,), bwd)
-
-
-def scatter_sum(x: Value, index, out_rows: int) -> Value:
-    """Sum rows of x into out_rows buckets given a per-row bucket index."""
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.shape[0] != x.shape[0]:
-        raise ShapeMismatch("scatter_sum", (x.shape[0],), idx.shape)
-    out_data = _segment_sum(x.data, idx, out_rows)
-
-    def bwd(g):
-        _accum(x, g[idx])
-    return _node(out_data, (x,), bwd)
+        d_proj = _segment_sum(g, rows, n * k, dst, scale).reshape(n, k * hid)
+        d_proj[:, :hid] += g
+        _accum(h, d_proj @ side.T)
+        d_side = h.data.T @ d_proj
+        for i, w in enumerate(weights):
+            _accum(w, d_side[:, i * hid:(i + 1) * hid])
+    return _node(out_data, (h, *weights), bwd)
 
 
 def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
@@ -274,14 +301,6 @@ def softplus(x: Value) -> Value:
     return _node(out_data, (x,), bwd)
 
 
-def log(x: Value) -> Value:
-    out_data = np.log(x.data)
-
-    def bwd(g):
-        _accum(x, g / x.data)
-    return _node(out_data, (x,), bwd)
-
-
 def log_softmax_rows(x: Value) -> Value:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -304,15 +323,14 @@ def dropout(x: Value, p: float, rng: Rng, train: bool) -> Value:
     return _node(out_data, (x,), bwd)
 
 
-def layer_norm(x: Value, gamma: Value, beta: Value,
-               eps: float = LN_EPS) -> Value:
+def layer_norm(x: Value, gamma: Value, beta: Value) -> Value:
     """Row-wise normalization with learnable scale and shift (single rows)."""
     if gamma.shape != (1, x.shape[1]) or beta.shape != (1, x.shape[1]):
         raise ShapeMismatch("layer_norm", (1, x.shape[1]),
                             (gamma.shape, beta.shape))
     mu = x.data.mean(axis=1, keepdims=True)
     centered = x.data - mu
-    sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + LN_EPS)
     norm = centered / sd
     out_data = norm * gamma.data + beta.data
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .model import ModelConfig
+from .postprocess import DEFAULT_PAIR_AGG, DEFAULT_THRESHOLD
 from .trainer import TrainConfig
 
 
@@ -28,8 +29,8 @@ class RunConfig(ModelConfig, TrainConfig):
     """Every setting of a run: the model's and the training's, inherited from
     ``ModelConfig`` and ``TrainConfig``, plus the two engraving settings."""
 
-    threshold: float = 0.5
-    pair_agg: str = "max"
+    threshold: float = DEFAULT_THRESHOLD
+    pair_agg: str = DEFAULT_PAIR_AGG
 
     def model_config(self) -> ModelConfig:
         return _project(self, ModelConfig)

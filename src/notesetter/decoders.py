@@ -47,19 +47,17 @@ class LabelOutOfRange(ValueError):
     pass
 
 
-def init_decoder_params(hidden_size: int, rng: Rng,
-                        head_hidden: Optional[int] = None) -> dict[str, Value]:
+def init_decoder_params(hidden_size: int, rng: Rng) -> dict[str, Value]:
     """Fresh head parameters; creation order is fixed for determinism."""
-    hh = head_hidden or hidden_size
     params: dict[str, Value] = {}
     for head in NODE_HEADS + PAIR_HEADS:
         fan_in = 2 * hidden_size if head in PAIR_HEADS else hidden_size
         width = HEAD_WIDTHS[head]
-        params[f"dec.{head}.W1"] = Value(rng.normal(fan_in, hh)
+        params[f"dec.{head}.W1"] = Value(rng.normal(fan_in, hidden_size)
                                          * math.sqrt(1.0 / fan_in))
-        params[f"dec.{head}.b1"] = Value(np.zeros((1, hh)))
-        params[f"dec.{head}.W2"] = Value(rng.normal(hh, width)
-                                         * math.sqrt(1.0 / hh))
+        params[f"dec.{head}.b1"] = Value(np.zeros((1, hidden_size)))
+        params[f"dec.{head}.W2"] = Value(rng.normal(hidden_size, width)
+                                         * math.sqrt(1.0 / hidden_size))
         params[f"dec.{head}.b2"] = Value(np.zeros((1, width)))
     return params
 

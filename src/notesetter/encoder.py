@@ -11,9 +11,15 @@ each note to the next. Layer normalization is applied inside the GRU cell
 GRU states, row u for note u — feeds the next block; the last block's output
 is the embedding matrix.
 
+The convolution is one tape node, ``autodiff.relational_conv``, over the
+graph's single edge list (``src``, ``dst``, ``rel``): one GEMM projects every
+note by W0 and all eight W_r, and one segment sum adds the projected sources
+into each destination. With ``aggregation="mean"`` each edge is scaled by one
+over its destination's in-degree within the edge's relation.
+
 Each sweep is one fused tape node, ``autodiff.gru_sweep``: a plain NumPy
 loop forward and backpropagation through time written by hand backward, so
-the GRU adds one tape node per layer whatever the note count.
+a layer adds the same few tape nodes whatever the note count.
 
 Ablation switches: ``use_gru=False`` drops the recurrence entirely (the
 block output is the normalized convolution), and ``gru_on_initial_features``
@@ -43,10 +49,6 @@ from .rng import Rng
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-
-
-class RelationMismatch(ValueError):
-    pass
 
 
 def init_encoder_params(config: ModelConfig, rng: Rng) -> dict[str, Value]:
@@ -85,19 +87,11 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
            rng: Rng, train: bool) -> Value:
     """Embed every note; (node_count x hidden_size)."""
     config.validate()
-    h = config.hidden_size
-    n = graph.node_count
-    missing = [r for r in RELATIONS if r not in graph.edges]
-    if missing:
-        raise RelationMismatch(f"graph lacks relations {missing}")
-
-    mean_scale: dict[str, Value] = {}
+    scale = None
     if config.aggregation == "mean":
-        for rel in RELATIONS:
-            _, dst = graph.edges[rel]
-            deg = np.bincount(dst, minlength=n).astype(np.float64)
-            scale = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 1.0)
-            mean_scale[rel] = Value(np.repeat(scale.reshape(-1, 1), h, axis=1))
+        # 1 / in-degree of each edge's destination within its relation
+        key = graph.dst * len(RELATIONS) + graph.rel
+        scale = 1.0 / np.bincount(key, minlength=graph.node_count * len(RELATIONS))[key]
 
     features = Value(graph.features)
     hidden = ad.add(ad.matmul(features, params["enc.proj.W"]), params["enc.proj.b"])
@@ -105,15 +99,10 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
 
     for layer in range(1, config.num_layers + 1):
         pre = f"enc.l{layer}"
-        mixed = ad.matmul(hidden, params[f"{pre}.conv.W0"])
-        for rel in RELATIONS:
-            src, dst = graph.edges[rel]
-            if len(src) == 0:
-                continue
-            agg = ad.scatter_sum(ad.row_gather(hidden, src), dst, n)
-            if config.aggregation == "mean":
-                agg = ad.mul(agg, mean_scale[rel])
-            mixed = ad.add(mixed, ad.matmul(agg, params[f"{pre}.conv.W.{rel}"]))
+        weights = [params[f"{pre}.conv.W0"]]
+        weights += [params[f"{pre}.conv.W.{rel}"] for rel in RELATIONS]
+        mixed = ad.relational_conv(hidden, weights, graph.src, graph.dst,
+                                   graph.rel, scale)
         conv = ad.dropout(ad.relu(mixed), config.dropout, rng, train)
         if config.use_gru:
             source = initial if config.gru_on_initial_features else conv

@@ -1,4 +1,4 @@
-"""Score graph construction: typed edges, node features, voice candidates.
+"""Score graph: one typed edge list, node features, voice candidates.
 
 The input graph has four forward relations over notes, plus an inverse for
 each (8 relation types). For ``offset(u) = onset(u) + duration(u)``:
@@ -49,32 +49,39 @@ class EmptyScore(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ScoreGraph:
-    """Typed adjacency + feature matrix + voice-candidate pairs for one score."""
+    """Typed edge list + feature matrix + voice-candidate pairs for one score.
+
+    Edge e runs from src[e] to dst[e] in relation ``RELATIONS[rel[e]]``. The
+    forward relations come first, in ``RELATIONS`` order, each in (src, dst)
+    order; then each inverse, as its forward edges swapped, in the same order.
+    """
 
     node_count: int
     features: np.ndarray                  # (node_count, 17)
-    edges: dict                           # relation -> (src array, dst array)
+    src: np.ndarray                       # (E,) int64 source note ids
+    dst: np.ndarray                       # (E,) int64 destination note ids
+    rel: np.ndarray                       # (E,) int64 index into RELATIONS
     candidate_pairs: np.ndarray           # (m, 2) int64 voice candidates, by (u, w)
+
+    def edges(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
+        """One relation's (src, dst) arrays, in the order stored."""
+        mask = self.rel == RELATIONS.index(relation)
+        return self.src[mask], self.dst[mask]
 
     def validate(self) -> None:
         n = self.node_count
         if self.features.shape != (n, self.features.shape[1]):
             raise ValueError("feature matrix row count mismatch")
-        if set(self.edges) != set(RELATIONS):
-            raise ValueError("relation set mismatch")
-        for rel in EDGE_TYPES:
-            src, dst = self.edges[rel]
-            isrc, idst = self.edges[f"{rel}_inv"]
-            if len(src) != len(isrc):
-                raise ValueError(f"|{rel}_inv| != |{rel}|")
-            fwd = set(zip(src.tolist(), dst.tolist()))
-            if fwd != set(zip(idst.tolist(), isrc.tolist())):
-                raise ValueError(f"{rel}_inv is not the mirror of {rel}")
-            for u, v in fwd:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"{rel} edge ({u},{v}) out of range")
-                if u == v:
-                    raise ValueError(f"{rel} self-loop at {u}")
+        if not len(self.src) == len(self.dst) == len(self.rel):
+            raise ValueError("src, dst and rel differ in length")
+        ids = np.concatenate([self.src, self.dst])
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError(f"an edge joins a note outside [0, {n})")
+        if self.rel.size and (self.rel.min() < 0 or self.rel.max() >= len(RELATIONS)):
+            raise ValueError("a relation index is out of range")
+        loops = self.src[self.src == self.dst]
+        if loops.size:
+            raise ValueError(f"self-loop at note {loops[0]}")
 
 
 def as_pairs(pairs) -> np.ndarray:
@@ -150,13 +157,14 @@ def candidate_pairs(score: Score, cross_bar: bool = True) -> np.ndarray:
 def build_graph(score: Score, cross_bar: bool = True) -> ScoreGraph:
     if not score.notes:
         raise EmptyScore("cannot build a graph from a score with no notes")
-    edges = {}
-    for rel, (src, dst) in relation_edges(score).items():
-        edges[rel] = (src, dst)
-        edges[f"{rel}_inv"] = (dst, src)
-    graph = ScoreGraph(node_count=len(score.notes),
-                       features=node_features(score.notes), edges=edges,
-                       candidate_pairs=candidate_pairs(score, cross_bar))
+    forward = list(relation_edges(score).values())
+    counts = [len(src) for src, _ in forward]
+    graph = ScoreGraph(
+        node_count=len(score.notes), features=node_features(score.notes),
+        src=np.concatenate([src for src, _ in forward] + [dst for _, dst in forward]),
+        dst=np.concatenate([dst for _, dst in forward] + [src for src, _ in forward]),
+        rel=np.repeat(np.arange(len(RELATIONS), dtype=np.int64), counts + counts),
+        candidate_pairs=candidate_pairs(score, cross_bar))
     graph.validate()
     return graph
 
@@ -164,7 +172,7 @@ def build_graph(score: Score, cross_bar: bool = True) -> ScoreGraph:
 def chord_candidate_pairs(graph: ScoreGraph) -> np.ndarray:
     """All unordered same-onset pairs (u < v), i.e. the forward onset edges,
     as an (m, 2) int64 array in (u, v) order."""
-    return np.stack(graph.edges["onset"], axis=1)
+    return np.stack(graph.edges("onset"), axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,10 +204,8 @@ def coverage_report(score: Score, cross_bar: bool = True) -> CandidateCoverage:
 
 
 def dump_graph_jsonl(graph: ScoreGraph) -> str:
-    """One edge per line (relation, src, dst) for debugging."""
-    lines = []
-    for rel in RELATIONS:
-        src, dst = graph.edges[rel]
-        for u, v in zip(src.tolist(), dst.tolist()):
-            lines.append(json.dumps({"relation": rel, "src": u, "dst": v}))
+    """One edge per line (relation, src, dst), in the order stored."""
+    lines = [json.dumps({"relation": RELATIONS[r], "src": u, "dst": v})
+             for r, u, v in zip(graph.rel.tolist(), graph.src.tolist(),
+                                graph.dst.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")

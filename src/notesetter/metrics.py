@@ -47,7 +47,7 @@ def _lift(pairs, unit_of) -> set:
 
 
 def voice_pair_sets(bundle, labels: LabelSet, n: int,
-                    threshold: float = 0.5) -> tuple[set, set]:
+                    threshold: float) -> tuple[set, set]:
     """(predicted, gold) successor pairs over collapsed chord units."""
     unit_of = collapse_units(n, labels.chord_edges)
     predicted = bundle.voice_pairs[bundle.voice_probs >= threshold].tolist()
@@ -55,7 +55,7 @@ def voice_pair_sets(bundle, labels: LabelSet, n: int,
 
 
 def chord_pair_sets(bundle, labels: LabelSet,
-                    threshold: float = 0.5) -> tuple[set, set]:
+                    threshold: float) -> tuple[set, set]:
     accepted = bundle.chord_pairs[bundle.chord_probs >= threshold]
     predicted = set(map(tuple, np.sort(accepted, axis=1).tolist()))
     return predicted, set(labels.chord_edges)
@@ -96,7 +96,7 @@ def _counts_f1(counts: tuple[int, int, int]) -> tuple[float, float, float]:
     return (precision, recall, f1)
 
 
-def evaluate_bundle(bundle, score: Score, threshold: float = 0.5) -> PieceMetrics:
+def evaluate_bundle(bundle, score: Score, threshold: float) -> PieceMetrics:
     """Score one prediction bundle against the piece's labels."""
     labels = score.labels
     if labels is None:

@@ -25,16 +25,7 @@ STEP_TO_PC = {"A": 9, "B": 11, "C": 0, "D": 2, "E": 4, "F": 5, "G": 7}
 ALTER_VALUES = (-2, -1, 0, 1, 2)  # double-flat .. double-sharp
 N_SPELLING = 35  # 7 steps x 5 alters
 
-STAFF_NAMES = ("upper", "lower")
-STAFF_UPPER, STAFF_LOWER = 0, 1
-
-STEM_NAMES = ("up", "down", "no-stem")
 STEM_UP, STEM_DOWN, STEM_NONE = 0, 1, 2
-
-OCTAVE_SHIFT_NAMES = ("none", "8va", "8vb", "15ma")
-SHIFT_NONE = 0
-
-CLEF_NAMES = ("G", "F", "C")
 CLEF_G, CLEF_F, CLEF_C = 0, 1, 2
 
 NOTE_TYPE_NAMES = ("breve", "whole", "half", "quarter", "eighth", "16th", "32nd", "64th")

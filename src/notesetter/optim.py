@@ -19,22 +19,20 @@ class NonFiniteLoss(RuntimeError):
 class Adam:
     """Adam with bias correction and decoupled weight decay.
 
-    ``decoupled=True`` (the default) applies weight decay directly to the
-    parameters (``p -= lr * wd * p``), independent of the adaptive step;
-    ``decoupled=False`` folds ``wd * p`` into the gradient instead.
-    Parameters are leaf Values mutated in place.
+    Weight decay applies directly to the parameters (``p -= lr * wd * p``),
+    independent of the adaptive step. Parameters are leaf Values mutated in
+    place.
     """
 
     def __init__(self, params: Mapping[str, Value], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0, decoupled: bool = True):
+                 weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -51,8 +49,6 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise NonFiniteLoss(f"non-finite gradient for parameter {name!r}")
-            if self.weight_decay and not self.decoupled:
-                g = g + self.weight_decay * p.data
             m = self._m[name]
             v = self._v[name]
             m *= self.beta1
@@ -60,7 +56,7 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and self.decoupled:
+            if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= self.lr * update
 

@@ -36,7 +36,7 @@ from .decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS, PredictionBundle,
 from .graph import as_pairs
 from .musicxml import export_musicxml, read_score_file
 from .notes import Score, make_score
-from .postprocess import engrave
+from .postprocess import DEFAULT_PAIR_AGG, DEFAULT_THRESHOLD, engrave
 from .model import ModelConfig, predict_bundle
 
 MANIFEST_VERSION = 1
@@ -251,8 +251,8 @@ def predict_file(path: Path, params, config: ModelConfig) -> tuple[Score, Predic
     return result.score, predict_bundle(result.score, params, config)
 
 
-def engrave_dump(path: Path, threshold: float = 0.5,
-                 pair_agg: str = "max") -> bytes:
+def engrave_dump(path: Path, threshold: float = DEFAULT_THRESHOLD,
+                 pair_agg: str = DEFAULT_PAIR_AGG) -> bytes:
     """Prediction dump file -> engraved MusicXML bytes."""
     score, bundle = read_predictions(path)
     engraved = engrave(bundle, score, threshold=threshold, pair_agg=pair_agg)

@@ -29,14 +29,17 @@ from typing import Optional
 import numpy as np
 
 from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
-                       staff_probabilities)
-from .graph import (ScoreGraph, build_graph, chord_candidate_pairs, in_edges,
-                    pair_keys)
+                       labels_to_classes, staff_probabilities)
+from .graph import build_graph, chord_candidate_pairs, in_edges, pair_keys
 from .hungarian import hungarian
 from .notes import (MAX_DOTS, NOTE_TYPE_NAMES, STEM_NONE, Score,
                     TimeSignature, TUPLET_VALUES, KEY_MIN_FIFTHS,
                     QuantizedNote, bar_at, bar_table,
                     symbolic_duration_div)
+
+# defaults of the two engraving settings (pair acceptance, pooled voice pairs)
+DEFAULT_THRESHOLD = 0.5
+DEFAULT_PAIR_AGG = "max"
 
 _PROB_FLOOR = 1e-12
 
@@ -181,7 +184,7 @@ class EngravedScore:
 # --- step 1: chord pooling ---
 
 def pool_chords(bundle: PredictionBundle, score: Score,
-                threshold: float = 0.5) -> list[PooledNode]:
+                threshold: float) -> list[PooledNode]:
     notes = score.notes
     n = len(notes)
     staff_pred = bundle.staff_probs >= 0.5
@@ -250,7 +253,7 @@ def _pool_pair_probabilities(pools: list[PooledNode],
 
 
 def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
-                  threshold: float = 0.5, pair_agg: str = "max") -> list[VoiceStream]:
+                  threshold: float, pair_agg: str) -> list[VoiceStream]:
     """Chain pooled nodes into monophonic per-staff voice streams."""
     if pair_agg not in ("max", "mean"):
         raise ValueError(f"unknown pair aggregation {pair_agg!r}")
@@ -532,8 +535,9 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     return engraved
 
 
-def engrave(bundle: PredictionBundle, score: Score, threshold: float = 0.5,
-            pair_agg: str = "max") -> EngravedScore:
+def engrave(bundle: PredictionBundle, score: Score,
+            threshold: float = DEFAULT_THRESHOLD,
+            pair_agg: str = DEFAULT_PAIR_AGG) -> EngravedScore:
     """The full decode pipeline: pool chords, chain voices, unpool, fill."""
     pools = pool_chords(bundle, score, threshold)
     streams = assign_voices(pools, bundle, threshold, pair_agg)
@@ -543,20 +547,18 @@ def engrave(bundle: PredictionBundle, score: Score, threshold: float = 0.5,
 
 # --- oracle-mode helpers ---
 
-def perfect_bundle(score: Score, graph: Optional[ScoreGraph] = None,
-                   margin: float = 20.0) -> PredictionBundle:
-    """The bundle a perfect model would emit for a labeled score."""
+def perfect_bundle(score: Score) -> PredictionBundle:
+    """The bundle a perfect model would emit for a labeled score: a logit
+    margin of 20 on every true class, pair probabilities 0.99 and 0.01."""
     if score.labels is None:
         raise ValueError("perfect_bundle needs ground-truth labels")
-    if graph is None:
-        graph = build_graph(score)
-    from .decoders import labels_to_classes
+    graph = build_graph(score)
     n = len(score.notes)
     classes = labels_to_classes(score.labels, n)
     note_logits = {}
     for head in NODE_HEADS:
         logits = np.zeros((n, HEAD_WIDTHS[head]))
-        logits[np.arange(n), classes[head]] = margin
+        logits[np.arange(n), classes[head]] = 20.0
         note_logits[head] = logits
     staff_probs = staff_probabilities(note_logits["staff"])
     voice_pairs = graph.candidate_pairs
@@ -570,8 +572,8 @@ def perfect_bundle(score: Score, graph: Optional[ScoreGraph] = None,
                             chord_pairs=chord_pairs, chord_probs=chord_probs)
 
 
-def engrave_from_labels(score: Score, threshold: float = 0.5) -> EngravedScore:
-    return engrave(perfect_bundle(score), score, threshold)
+def engrave_from_labels(score: Score) -> EngravedScore:
+    return engrave(perfect_bundle(score), score)
 
 
 def labels_of(engraved: EngravedScore):

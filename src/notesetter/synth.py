@@ -18,14 +18,12 @@ from .notes import (KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, N_KEY_CLASSES, Score,
 from .rng import Rng
 
 
-def random_score(seed: int, n_notes: int = 12, divisions: int = 4,
-                 numerator: int = 4, denominator: int = 4, n_bars: int = 2,
-                 name: str = "", with_labels: bool = True,
-                 cross_bar: bool = True) -> Score:
-    """A random but valid labeled piece on the division grid."""
+def random_score(seed: int, n_notes: int = 12, numerator: int = 4,
+                 n_bars: int = 2) -> Score:
+    """A random but valid labeled piece in ``numerator``/4, 4 divisions per
+    quarter, named ``synth-<seed>``."""
     rng = Rng(seed)
-    bars = bar_table(divisions,
-                     (TimeSignature(0, numerator, denominator),), n_bars)
+    bars = bar_table(4, (TimeSignature(0, numerator, 4),), n_bars)
     triples = []
     seen = set()
     while len(triples) < n_notes:
@@ -39,11 +37,8 @@ def random_score(seed: int, n_notes: int = 12, divisions: int = 4,
             continue
         seen.add((onset, midi))
         triples.append((onset, duration, midi))
-    score = make_score(divisions, ((0, numerator, denominator),), triples,
-                       name=name or f"synth-{seed}")
-    if not with_labels:
-        return score
-    labels = random_labels(score, rng, cross_bar=cross_bar)
+    score = make_score(4, ((0, numerator, 4),), triples, name=f"synth-{seed}")
+    labels = random_labels(score, rng)
     score = Score(divisions_per_quarter=score.divisions_per_quarter,
                   time_signatures=score.time_signatures, notes=score.notes,
                   labels=labels, name=score.name)
@@ -51,14 +46,14 @@ def random_score(seed: int, n_notes: int = 12, divisions: int = 4,
     return score
 
 
-def random_labels(score: Score, rng: Rng, cross_bar: bool = True) -> LabelSet:
+def random_labels(score: Score, rng: Rng) -> LabelSet:
     """Uniformly random labels over the vocabularies, edges from candidates."""
     n = len(score.notes)
 
     def draw(width: int) -> tuple[int, ...]:
         return tuple(int(v) for v in rng.integers(width, n))
 
-    candidates = candidate_pairs(score, cross_bar=cross_bar)
+    candidates = candidate_pairs(score)
     keep_v = rng.uniform(max(len(candidates), 1))
     voice_edges = frozenset(
         map(tuple, candidates[keep_v[:len(candidates)] < 0.25].tolist()))
@@ -81,12 +76,12 @@ def random_labels(score: Score, rng: Rng, cross_bar: bool = True) -> LabelSet:
         chord_edges=chord_edges)
 
 
-def random_bundle(graph: ScoreGraph, seed: int,
-                  scale: float = 2.0) -> PredictionBundle:
-    """Random logits/probabilities shaped for the graph's candidates."""
+def random_bundle(graph: ScoreGraph, seed: int) -> PredictionBundle:
+    """Random logits/probabilities shaped for the graph's candidates, from
+    normal draws times 2."""
     rng = Rng(seed)
     n = graph.node_count
-    note_logits = {head: rng.normal(n, HEAD_WIDTHS[head]) * scale
+    note_logits = {head: rng.normal(n, HEAD_WIDTHS[head]) * 2.0
                    for head in NODE_HEADS}
     staff_probs = staff_probabilities(note_logits["staff"])
 
@@ -98,6 +93,6 @@ def random_bundle(graph: ScoreGraph, seed: int,
     return PredictionBundle(
         note_logits=note_logits, staff_probs=staff_probs,
         voice_pairs=voice_pairs,
-        voice_probs=sigmoid(rng.normal(len(voice_pairs)) * scale),
+        voice_probs=sigmoid(rng.normal(len(voice_pairs)) * 2.0),
         chord_pairs=chord_pairs,
-        chord_probs=sigmoid(rng.normal(len(chord_pairs)) * scale))
+        chord_probs=sigmoid(rng.normal(len(chord_pairs)) * 2.0))

@@ -21,6 +21,7 @@ from .metrics import EvalReport, evaluate_bundle
 from .model import (ModelConfig, graph_for, init_params, loss_for_score,
                     predict_bundle)
 from .optim import Adam, clip_grad_norm
+from .postprocess import DEFAULT_THRESHOLD
 from .rng import Rng
 
 
@@ -109,7 +110,7 @@ def train(corpus, model_config: ModelConfig, train_config: TrainConfig,
     if params is None:
         params = init_params(model_config, rng)
     optimizer = Adam(params, lr=train_config.lr,
-                     weight_decay=train_config.weight_decay, decoupled=True)
+                     weight_decay=train_config.weight_decay)
     graphs = {s.name: graph_for(s, model_config) for s in corpus}
 
     best_loss = math.inf
@@ -187,7 +188,7 @@ def train(corpus, model_config: ModelConfig, train_config: TrainConfig,
 
 
 def evaluate_corpus(corpus, params, config: ModelConfig,
-                    threshold: float = 0.5) -> EvalReport:
+                    threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
     if not corpus:
         raise EmptyCorpus("nothing to evaluate")
     pieces = []

@@ -280,7 +280,7 @@ def test_criterion_6_metrics_match_brute_force():
     for seed in range(50):
         score = random_score(seed, n_notes=8 + seed % 7)
         bundle = random_bundle(build_graph(score), seed + 500)
-        ours = evaluate_bundle(bundle, score)
+        ours = evaluate_bundle(bundle, score, 0.5)
         acc, voice_f1, chord_f1 = brute_metrics(bundle, score)
         same = (all(ours.accuracy_counts[h] == acc[h]
                     for h in ACCURACY_HEADS)

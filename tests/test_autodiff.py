@@ -135,10 +135,10 @@ def test_sub_mul_affine():
     b = Value(np.array([[0.5, 4.0]]))
     np.testing.assert_array_equal(ad.sub(a, b).data, [[1.5, -5.0]])
     np.testing.assert_array_equal(ad.mul(a, b).data, [[1.0, -4.0]])
-    np.testing.assert_array_equal(ad.affine(a, 3.0, 1.0).data, [[7.0, -2.0]])
+    np.testing.assert_array_equal(ad.affine(a, 3.0).data, [[6.0, -3.0]])
     check_grads(lambda: weighted_sum(ad.sub(a, b), 2), [a, b])
     check_grads(lambda: weighted_sum(ad.mul(a, b), 3), [a, b])
-    check_grads(lambda: weighted_sum(ad.affine(a, 3.0, 1.0), 4), [a])
+    check_grads(lambda: weighted_sum(ad.affine(a, 3.0), 4), [a])
 
 
 # --- structural primitives ---
@@ -212,30 +212,6 @@ def test_pair_hidden_shape_checks():
         ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W[:-1])
 
 
-def test_row_gather_forward_and_grad():
-    x = Value(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    idx = np.array([2, 0, 2, 1])
-    out = ad.row_gather(x, idx)
-    np.testing.assert_array_equal(out.data, x.data[idx])
-    # Duplicate rows must accumulate in the gradient.
-    ad.reset_tape()
-    loss = ad.sum_all(ad.row_gather(x, idx))
-    ad.backward(loss)
-    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-    ad.reset_tape()
-    check_grads(lambda: weighted_sum(ad.row_gather(x, idx), 7), [x])
-
-
-def test_scatter_sum_forward_and_grad():
-    x = Value(np.array([[1.0], [2.0], [4.0], [8.0]]))
-    idx = np.array([0, 2, 0, 2])
-    out = ad.scatter_sum(x, idx, 3)
-    np.testing.assert_array_equal(out.data, [[5.0], [0.0], [10.0]])
-    check_grads(lambda: weighted_sum(ad.scatter_sum(x, idx, 3), 8), [x])
-    with pytest.raises(ShapeMismatch):
-        ad.scatter_sum(x, np.array([0, 1]), 3)
-
-
 def test_take_per_row():
     x = Value(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
     out = ad.take_per_row(x, np.array([2, 0]))
@@ -248,36 +224,101 @@ def test_take_per_row():
 
 def test_segment_sums_match_add_at():
     # [DERIVED: np.add.at oracle] duplicate indices accumulate, rows no index
-    # names stay zero, and out_rows may exceed the largest index.
-    x = Value(Rng(20).normal(5, 2).reshape(5, 2))
+    # names stay zero, and rows may exceed the largest index; with ``take``
+    # item i is values[take[i]], with ``scale`` it is multiplied by scale[i].
+    values = Rng(20).normal(5, 2).reshape(5, 2)
     idx = np.array([3, 0, 3, 1, 3])
     expected = np.zeros((6, 2))
-    np.add.at(expected, idx, x.data)
-    np.testing.assert_array_equal(ad.scatter_sum(x, idx, 6).data, expected)
-    check_grads(lambda: weighted_sum(ad.scatter_sum(x, idx, 6), 21), [x])
-    ad.reset_tape()
-    x.grad = None
-    loss = weighted_sum(ad.row_gather(x, idx), 22)
-    ad.backward(loss)
-    weights = Rng(22).normal(5, 2).reshape(5, 2)    # as weighted_sum draws
-    expected = np.zeros((5, 2))
-    np.add.at(expected, idx, weights)
-    np.testing.assert_allclose(x.grad, expected, atol=1e-15)
-    ad.reset_tape()
+    np.add.at(expected, idx, values)
+    np.testing.assert_array_equal(ad._segment_sum(values, idx, 6), expected)
+    take = np.array([4, 4, 0, 2, 1])
+    scale = np.array([0.5, 2.0, -1.0, 3.0, 0.25])
+    expected = np.zeros((6, 2))
+    np.add.at(expected, idx, values[take])
+    np.testing.assert_allclose(ad._segment_sum(values, idx, 6, take),
+                               expected, atol=1e-15)
+    expected = np.zeros((6, 2))
+    np.add.at(expected, idx, values[take] * scale[:, None])
+    np.testing.assert_allclose(ad._segment_sum(values, idx, 6, take, scale),
+                               expected, atol=1e-15)
+    np.testing.assert_array_equal(values, Rng(20).normal(5, 2).reshape(5, 2))
 
 
 def test_segment_sums_empty_index():
-    # A piece with no chord candidates gathers and scatters zero rows.
-    x = Value(np.ones((3, 2)))
+    # A piece with no edges or no chord candidates sums zero rows.
+    values = np.ones((3, 2))
     empty = np.array([], dtype=np.int64)
+    np.testing.assert_array_equal(ad._segment_sum(values, empty, 4),
+                                  np.zeros((4, 2)))
+    np.testing.assert_array_equal(ad._segment_sum(values, empty, 4, empty),
+                                  np.zeros((4, 2)))
+
+
+# Five notes, three relations; relation 1 has no edges, and the edge 2 -> 0
+# in relation 0 appears twice.
+CONV_SRC = np.array([1, 2, 2, 4, 0, 3, 4])
+CONV_DST = np.array([0, 0, 0, 0, 3, 1, 1])
+CONV_REL = np.array([0, 0, 0, 2, 2, 2, 0])
+
+
+def _conv_inputs(seed):
+    rng = Rng(seed)
+    h = Value(rng.normal(5, 3).reshape(5, 3))
+    weights = [Value(rng.normal(3, 2).reshape(3, 2)) for _ in range(4)]
+    return h, weights
+
+
+def _add_at_conv(h, weights, scale):
+    """[DERIVED: np.add.at oracle] the convolution, one relation at a time."""
+    out = h @ weights[0]
+    for r in range(len(weights) - 1):
+        mask = CONV_REL == r
+        agg = np.zeros((h.shape[0], weights[0].shape[1]))
+        np.add.at(agg, CONV_DST[mask], (h[CONV_SRC[mask]] @ weights[r + 1])
+                  * scale[mask, None])
+        out += agg
+    return out
+
+
+@pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+def test_relational_conv_matches_add_at(mean):
+    h, weights = _conv_inputs(31)
+    key = CONV_DST * 3 + CONV_REL
+    scale = 1.0 / np.bincount(key)[key] if mean else None
     ad.reset_tape()
-    gathered = ad.row_gather(x, empty)
-    assert gathered.shape == (0, 2)
-    scattered = ad.scatter_sum(gathered, empty, 4)
-    np.testing.assert_array_equal(scattered.data, np.zeros((4, 2)))
-    ad.backward(ad.add(ad.sum_all(scattered), ad.sum_all(x)))
-    np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+    out = ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL, scale)
+    assert ad.tape_size() == 1
+    expected = _add_at_conv(h.data, [w.data for w in weights],
+                            np.ones(len(CONV_SRC)) if scale is None else scale)
+    np.testing.assert_allclose(out.data, expected, atol=1e-14)
     ad.reset_tape()
+    with ad.no_grad():
+        ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL, scale)
+    assert ad.tape_size() == 0
+    check_grads(lambda: weighted_sum(
+        ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL, scale),
+        32), [h, *weights])
+
+
+def test_relational_conv_without_edges_is_the_self_term():
+    h, weights = _conv_inputs(33)
+    empty = np.array([], dtype=np.int64)
+    out = ad.relational_conv(h, weights, empty, empty, empty)
+    np.testing.assert_array_equal(out.data, h.data @ weights[0].data)
+    check_grads(lambda: weighted_sum(
+        ad.relational_conv(h, weights, empty, empty, empty), 34), [h, *weights])
+
+
+def test_relational_conv_shape_checks():
+    h, weights = _conv_inputs(35)
+    with pytest.raises(ShapeMismatch):
+        ad.relational_conv(h, [*weights, Value(np.ones((2, 2)))],
+                           CONV_SRC, CONV_DST, CONV_REL)
+    with pytest.raises(ShapeMismatch):
+        ad.relational_conv(h, weights, CONV_SRC, CONV_DST[:-1], CONV_REL)
+    with pytest.raises(ShapeMismatch):
+        ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL,
+                           np.ones(3))
 
 
 # --- nonlinearities ---
@@ -295,10 +336,8 @@ def test_sigmoid_tanh_softplus_log():
         ad.softplus(x).data, np.log1p(np.exp(-np.abs(x.data)))
         + np.maximum(x.data, 0.0), atol=1e-15)
     pos = Value(np.array([[0.5, 1.0, 3.0]]))
-    np.testing.assert_allclose(ad.log(pos).data, np.log(pos.data), atol=1e-15)
     for v in (x, pos):
         check_grads(lambda v=v: weighted_sum(ad.softplus(v), 13), [v])
-    check_grads(lambda: weighted_sum(ad.log(pos), 14), [pos])
 
 
 def test_sigmoid_and_softplus_extremes_stay_finite():

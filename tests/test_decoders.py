@@ -39,9 +39,6 @@ def test_init_names_and_shapes():
         assert params[f"dec.{head}.W2"].shape == (8, HEAD_WIDTHS[head])
         assert params[f"dec.{head}.b2"].shape == (1, HEAD_WIDTHS[head])
     assert len(params) == 4 * len(NODE_HEADS + PAIR_HEADS)
-    custom = init_decoder_params(8, Rng(0), head_hidden=5)
-    assert custom["dec.staff.W1"].shape == (8, 5)
-    assert custom["dec.staff.W2"].shape == (5, 2)
 
 
 def test_zero_output_layers():

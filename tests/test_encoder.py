@@ -7,14 +7,13 @@ tape-based implementation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from notesetter import autodiff as ad
-from notesetter.encoder import RelationMismatch, encode, init_encoder_params
+from notesetter.encoder import encode, init_encoder_params
 from notesetter.graph import RELATIONS, build_graph
 from notesetter.model import ModelConfig
 from notesetter.notes import make_score
@@ -109,21 +108,11 @@ def test_dropout_draws_differ_in_training():
     np.testing.assert_array_equal(t1.data, t1_again.data)
 
 
-def test_relation_mismatch():
-    graph = small_graph()
-    broken = dataclasses.replace(
-        graph, edges={k: v for k, v in graph.edges.items() if k != "silence"})
-    config = ModelConfig(hidden_size=4, num_layers=1, dropout=0.0)
-    params = init_encoder_params(config, Rng(0))
-    with pytest.raises(RelationMismatch):
-        encode(broken, params, config, Rng(0), train=False)
-
-
 def _numpy_conv(graph, hidden, params, pre, aggregation):
     n = graph.node_count
     mixed = hidden @ params[f"{pre}.conv.W0"].data
     for rel in RELATIONS:
-        src, dst = graph.edges[rel]
+        src, dst = graph.edges(rel)
         if len(src) == 0:
             continue
         agg = np.zeros_like(hidden)
@@ -226,15 +215,14 @@ def test_multi_layer_random_scores_finite():
 
 
 def test_gru_tape_size_independent_of_piece_length():
-    # The fused sweep is one tape node per layer, so the tape no longer
-    # grows with the note count (given every relation has edges).
+    # The convolution and the sweep are one tape node each per layer, so
+    # the tape does not grow with the note count.
     config = ModelConfig(hidden_size=4, num_layers=2, dropout=0.25)
     params = init_encoder_params(config, Rng(0))
     sizes = []
     for n_notes, n_bars in ((20, 4), (80, 16)):
         graph = build_graph(random_score(0, n_notes=n_notes, n_bars=n_bars))
         assert graph.node_count == n_notes
-        assert all(len(graph.edges[rel][0]) for rel in RELATIONS)
         ad.reset_tape()
         encode(graph, params, config, Rng(0), train=True)
         sizes.append(ad.tape_size())

@@ -11,6 +11,7 @@ is [DERIVED] from the frozen relation rules:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -48,13 +49,13 @@ def hand_score(labels=None):
 
 
 def edge_set(graph, relation):
-    src, dst = graph.edges[relation]
+    src, dst = graph.edges(relation)
     return set(zip(src.tolist(), dst.tolist()))
 
 
 def edge_list(graph, relation):
     """A relation's edges as (src, dst) tuples, in the order stored."""
-    src, dst = graph.edges[relation]
+    src, dst = graph.edges(relation)
     assert src.dtype == dst.dtype == np.int64
     return list(zip(src.tolist(), dst.tolist()))
 
@@ -123,6 +124,22 @@ def test_two_simultaneous_notes():
     assert edge_set(graph, "onset_inv") == {(1, 0)}
     assert pair_set(candidate_pairs(score)) == set()
     assert chord_candidate_pairs(graph).tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(dst=np.array([0, 1, 7])), "outside"),
+    (dict(src=np.array([0, -1, 2])), "outside"),
+    (dict(rel=np.array([0, 8, 3])), "relation index"),
+    (dict(dst=np.array([1, 2, 2])), "self-loop at note 2"),
+    (dict(rel=np.array([0, 1])), "differ in length"),
+], ids=["dst-range", "src-range", "rel-range", "self-loop", "length"])
+def test_validate_rejects_malformed_edge_lists(change, message):
+    good = dict(src=np.array([0, 1, 2]), dst=np.array([1, 2, 3]),
+                rel=np.array([0, 1, 3]))
+    graph = dataclasses.replace(build_graph(hand_score()), **good)
+    graph.validate()
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(graph, **change).validate()
 
 
 def test_empty_score_raises():

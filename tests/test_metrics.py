@@ -85,7 +85,7 @@ def test_voice_pair_sets_lift_and_threshold():
     labels = full_labels(3, voice_edges={(1, 2)}, chord_edges={(0, 1)})
     bundle = manual_bundle(
         3, voice=[((0, 2), 0.9), ((0, 1), 0.95), ((1, 2), 0.2)])
-    pred, gold = voice_pair_sets(bundle, labels, 3)
+    pred, gold = voice_pair_sets(bundle, labels, 3, 0.5)
     # (0,1) is inside one unit -> dropped; (1,2) below threshold -> dropped.
     assert pred == {(0, 2)}
     assert gold == {(0, 2)}
@@ -94,16 +94,16 @@ def test_voice_pair_sets_lift_and_threshold():
 def test_voice_pair_sets_honors_threshold_argument():
     labels = full_labels(2, voice_edges={(0, 1)})
     bundle = manual_bundle(2, voice=[((0, 1), 0.4)])
-    pred_default, _ = voice_pair_sets(bundle, labels, 2)
+    pred_half, _ = voice_pair_sets(bundle, labels, 2, threshold=0.5)
     pred_low, _ = voice_pair_sets(bundle, labels, 2, threshold=0.3)
-    assert pred_default == set()
+    assert pred_half == set()
     assert pred_low == {(0, 1)}
 
 
 def test_chord_pair_sets_sorts_pairs():
     labels = full_labels(3, chord_edges={(0, 1)})
     bundle = manual_bundle(3, chord=[((1, 0), 0.8), ((2, 1), 0.1)])
-    pred, gold = chord_pair_sets(bundle, labels)
+    pred, gold = chord_pair_sets(bundle, labels, 0.5)
     assert pred == {(0, 1)}
     assert gold == {(0, 1)}
 
@@ -134,7 +134,7 @@ def test_counts_f1_zero_hits_nonempty():
 
 def test_evaluate_bundle_perfect_on_fixture(fixture_a):
     score = fixture_a.score
-    metrics = evaluate_bundle(perfect_bundle(score), score)
+    metrics = evaluate_bundle(perfect_bundle(score), score, 0.5)
     for head in ACCURACY_HEADS:
         assert metrics.accuracy(head) == 1.0, head
     assert metrics.voice_f1 == 1.0
@@ -148,10 +148,10 @@ def test_evaluate_bundle_staff_uses_probability():
     labels = full_labels(2)
     score = labelled_score(2, labels)
     bundle = manual_bundle(2, staff_probs=[0.9, 0.5])
-    metrics = evaluate_bundle(bundle, score)
+    metrics = evaluate_bundle(bundle, score, 0.5)
     assert metrics.accuracy_counts["staff"] == (0, 2)
     bundle2 = manual_bundle(2, staff_probs=[0.4, 0.49])
-    assert evaluate_bundle(bundle2, score).accuracy_counts["staff"] == (2, 2)
+    assert evaluate_bundle(bundle2, score, 0.5).accuracy_counts["staff"] == (2, 2)
 
 
 def test_evaluate_bundle_joint_duration():
@@ -165,7 +165,7 @@ def test_evaluate_bundle_joint_duration():
         classes={"note_type": [3, 3, 3], "dots": [0, 0, 0],
                  "tuplet": [0, 0, 0]},
         staff_probs=[0.1, 0.1, 0.1])
-    metrics = evaluate_bundle(bundle, score)
+    metrics = evaluate_bundle(bundle, score, 0.5)
     assert metrics.accuracy_counts["note_type"] == (2, 3)
     assert metrics.accuracy_counts["dots"] == (2, 3)
     assert metrics.accuracy_counts["tuplet"] == (3, 3)
@@ -178,7 +178,7 @@ def test_evaluate_bundle_key_offset():
     score = labelled_score(2, labels)
     bundle = manual_bundle(2, classes={"key": [6, 7]},
                            staff_probs=[0.1, 0.1])
-    assert evaluate_bundle(bundle, score).accuracy_counts["key"] == (1, 2)
+    assert evaluate_bundle(bundle, score, 0.5).accuracy_counts["key"] == (1, 2)
 
 
 def test_evaluate_bundle_tuplet_class_mapping():
@@ -186,7 +186,7 @@ def test_evaluate_bundle_tuplet_class_mapping():
     score = labelled_score(3, labels)
     bundle = manual_bundle(3, classes={"tuplet": [0, 1, 2]},
                            staff_probs=[0.1] * 3)
-    assert evaluate_bundle(bundle, score).accuracy_counts["tuplet"] == (3, 3)
+    assert evaluate_bundle(bundle, score, 0.5).accuracy_counts["tuplet"] == (3, 3)
 
 
 def test_evaluate_bundle_voice_counts():
@@ -194,7 +194,7 @@ def test_evaluate_bundle_voice_counts():
     score = labelled_score(4, labels)
     bundle = manual_bundle(
         4, voice=[((0, 1), 0.9), ((2, 3), 0.8)], staff_probs=[0.1] * 4)
-    metrics = evaluate_bundle(bundle, score)
+    metrics = evaluate_bundle(bundle, score, 0.5)
     assert metrics.voice_counts == (1, 2, 2)
     # [DERIVED] p = r = 1/2 -> f1 = 1/2.
     assert metrics.voice_f1 == pytest.approx(0.5)
@@ -204,14 +204,14 @@ def test_evaluate_bundle_length_mismatch():
     labels = full_labels(3)
     score = labelled_score(3, labels)
     with pytest.raises(LengthMismatch):
-        evaluate_bundle(manual_bundle(2), score)
+        evaluate_bundle(manual_bundle(2), score, 0.5)
 
 
 def test_evaluate_bundle_requires_labels():
     score = make_score(divisions=2, time_signatures=[(0, 4, 4)],
                        note_specs=[(0, 2, 60)])
     with pytest.raises(ValueError, match="labels"):
-        evaluate_bundle(manual_bundle(1), score)
+        evaluate_bundle(manual_bundle(1), score, 0.5)
 
 
 # --- brute-force oracle comparison on random scores ---
@@ -303,7 +303,7 @@ def test_evaluate_bundle_matches_brute_force(seed):
     score = random_score(seed, n_notes=10 + seed % 5)
     graph = build_graph(score)
     bundle = random_bundle(graph, seed + 1000)
-    metrics = evaluate_bundle(bundle, score)
+    metrics = evaluate_bundle(bundle, score, 0.5)
     acc, voice_f1, chord_f1 = brute_metrics(bundle, score)
     for head in ACCURACY_HEADS:
         assert metrics.accuracy_counts[head] == acc[head], head

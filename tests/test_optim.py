@@ -29,49 +29,34 @@ def test_adam_single_step_closed_form():
 def test_adam_decoupled_weight_decay():
     # [DERIVED] decoupled: update += wd*p, so p' = base - lr*wd*p.
     p = Value(1.0)
-    opt = Adam({"p": p}, lr=0.1, weight_decay=0.01, decoupled=True)
+    opt = Adam({"p": p}, lr=0.1, weight_decay=0.01)
     p.grad = np.array([[0.5]])
     opt.step()
     expected = 1.0 - 0.1 * (0.5 / (0.5 + 1e-8)) - 0.1 * 0.01 * 1.0
     assert p.data[0, 0] == pytest.approx(expected, abs=1e-15)
 
 
-def test_adam_coupled_weight_decay():
-    # [DERIVED] coupled: g' = 0.5 + 0.01*1 = 0.51 enters m and v.
-    p = Value(1.0)
-    opt = Adam({"p": p}, lr=0.1, weight_decay=0.01, decoupled=False)
-    p.grad = np.array([[0.5]])
-    opt.step()
-    expected = 1.0 - 0.1 * (0.51 / (0.51 + 1e-8))
-    assert p.data[0, 0] == pytest.approx(expected, abs=1e-15)
-
-
-def _reference_adam(p0, grads, lr, b1, b2, eps, wd, decoupled):
+def _reference_adam(p0, grads, lr, b1, b2, eps, wd):
     """Independent scalar Adam reimplementation for multi-step oracles."""
     p, m, v = float(p0), 0.0, 0.0
     for t, g in enumerate(grads, start=1):
-        if wd and not decoupled:
-            g = g + wd * p
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         update = (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
-        if wd and decoupled:
-            update += wd * p
+        update += wd * p
         p -= lr * update
     return p
 
 
-@pytest.mark.parametrize("decoupled", [True, False])
-def test_adam_multi_step_matches_reference(decoupled):
+def test_adam_multi_step_matches_reference():
     grads = [0.5, -1.25, 0.0, 3.0, 0.125]
     p = Value(2.0)
     opt = Adam({"p": p}, lr=0.05, beta1=0.8, beta2=0.95, eps=1e-8,
-               weight_decay=0.02, decoupled=decoupled)
+               weight_decay=0.02)
     for g in grads:
         p.grad = np.array([[g]])
         opt.step()
-    expected = _reference_adam(2.0, grads, 0.05, 0.8, 0.95, 1e-8, 0.02,
-                               decoupled)
+    expected = _reference_adam(2.0, grads, 0.05, 0.8, 0.95, 1e-8, 0.02)
     assert p.data[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -84,7 +69,7 @@ def test_adam_missing_grad_is_zero():
     opt.step()
     assert p.data[0, 0] == 4.0
     q = Value(4.0)
-    opt2 = Adam({"q": q}, lr=0.1, weight_decay=0.5, decoupled=True)
+    opt2 = Adam({"q": q}, lr=0.1, weight_decay=0.5)
     q.grad = None
     opt2.step()
     assert q.data[0, 0] == pytest.approx(4.0 - 0.1 * 0.5 * 4.0, abs=1e-15)

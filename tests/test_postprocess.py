@@ -128,11 +128,11 @@ def test_assign_voices_chains_above_threshold():
     # wins exactly when p > theta.
     pools = make_pools([((0,), 0, 2, 0), ((1,), 2, 2, 0)])
     streams = assign_voices(pools, pair_bundle(2, ((0, 1),), (0.51,)),
-                            threshold=0.5)
+                            threshold=0.5, pair_agg="max")
     assert [s.pool_indices for s in streams] == [[0, 1]]
 
     streams_lo = assign_voices(pools, pair_bundle(2, ((0, 1),), (0.49,)),
-                               threshold=0.5)
+                               threshold=0.5, pair_agg="max")
     assert sorted(s.pool_indices for s in streams_lo) == [[0], [1]]
 
 
@@ -146,7 +146,7 @@ def test_assign_voices_prefers_likelier_continuation():
     # -ln.8-ln.6 = 0.734 -> the solver must cross over.
     bundle = pair_bundle(4, ((0, 2), (0, 3), (1, 2), (1, 3)),
                          (0.9, 0.8, 0.6, 0.2))
-    streams = assign_voices(pools, bundle, threshold=0.1)
+    streams = assign_voices(pools, bundle, threshold=0.1, pair_agg="max")
     chains = sorted(s.pool_indices for s in streams)
     assert chains == [[0, 3], [1, 2]]
 
@@ -155,7 +155,7 @@ def test_assign_voices_respects_monophony():
     # A stream whose last pool is still sounding cannot take a new node.
     pools = make_pools([((0,), 0, 4, 0), ((1,), 2, 2, 0)])
     bundle = pair_bundle(2, ((0, 1),), (0.99,))
-    streams = assign_voices(pools, bundle, threshold=0.5)
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
     assert sorted(s.pool_indices for s in streams) == [[0], [1]]
 
 
@@ -163,7 +163,7 @@ def test_assign_voices_closed_stream_stays_closed():
     # Stream 0 takes a dummy at onset 2 (low p) and must not reopen at 4.
     pools = make_pools([((0,), 0, 2, 0), ((1,), 2, 2, 0), ((2,), 4, 2, 0)])
     bundle = pair_bundle(3, ((0, 1), (0, 2), (1, 2)), (0.01, 0.99, 0.01))
-    streams = assign_voices(pools, bundle, threshold=0.5)
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
     assert sorted(s.pool_indices for s in streams) == [[0], [1], [2]]
 
 
@@ -183,21 +183,21 @@ def test_assign_voices_pair_aggregation_modes():
 def test_assign_voices_unknown_pair_probability_is_floor():
     pools = make_pools([((0,), 0, 2, 0), ((1,), 2, 2, 0)])
     bundle = pair_bundle(2, (), ())
-    streams = assign_voices(pools, bundle, threshold=0.5)
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
     assert sorted(s.pool_indices for s in streams) == [[0], [1]]
 
 
 def test_assign_voices_staves_are_independent():
     pools = make_pools([((0,), 0, 2, 0), ((1,), 2, 2, 1)])
     bundle = pair_bundle(2, ((0, 1),), (0.99,))
-    streams = assign_voices(pools, bundle, threshold=0.5)
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
     assert sorted((s.staff, s.pool_indices) for s in streams) \
         == [(0, [0]), (1, [1])]
 
 
 def test_assign_voices_bad_pair_agg():
     with pytest.raises(ValueError):
-        assign_voices([], zero_bundle(1), pair_agg="median")
+        assign_voices([], zero_bundle(1), threshold=0.5, pair_agg="median")
 
 
 # --- voice numbering ---
