@@ -147,6 +147,8 @@ class PredictionBundle:
             logits = self.note_logits[head]
             if logits.shape != (n, HEAD_WIDTHS[head]):
                 raise ValueError(f"{head} logits shape {logits.shape}")
+            if not np.isfinite(logits).all():
+                raise ValueError(f"{head} logits are not all finite")
         for name, pairs, probs in (("voice", self.voice_pairs, self.voice_probs),
                                    ("chord", self.chord_pairs, self.chord_probs)):
             if len(pairs) != len(probs):

@@ -22,6 +22,7 @@ def hungarian(cost) -> list[int]:
         return []
     if not np.all(np.isfinite(a)):
         raise ValueError("hungarian needs finite costs")
+    a = a.tolist()  # Python floats: the loop below indexes them one by one
 
     # 1-indexed potentials; p[j] = row matched to column j (0 = none)
     u = [0.0] * (n + 1)
@@ -41,7 +42,7 @@ def hungarian(cost) -> list[int]:
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = a[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0

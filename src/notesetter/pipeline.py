@@ -3,19 +3,28 @@
 A prediction dump (``<name>.pred.jsonl``) is UTF-8 JSON lines, written by
 ``write_predictions`` and read by ``read_predictions`` and nothing else:
 
-* a ``meta`` record first: ``"format": 2``, the piece name, divisions, time
+* a ``meta`` record first: ``"format": 3``, the piece name, divisions, time
   signatures and the (onset, duration, midi) notes, so downstream steps need
   no other input;
-* one ``{"kind": "logits", "head": h, "rows": [[...], ...]}`` per node head,
-  in ``NODE_HEADS`` order, an (n_notes x width) matrix;
-* one ``{"kind": "pairs", "head": "voice"|"chord", "u": [...], "w": [...],
-  "p": [...]}`` per pair head: parallel arrays of note ids and probabilities,
+* one ``{"kind": "logits", "head": h, "rows": ...}`` per node head, in
+  ``NODE_HEADS`` order, an (n_notes x width) matrix;
+* one ``{"kind": "pairs", "head": "voice"|"chord", "u": ..., "w": ...,
+  "p": ...}`` per pair head: parallel arrays of note ids and probabilities,
   read back as an (m, 2) int64 pair array and an (m,) probability vector.
 
-Floats are written by ``repr``, so every value reads back bit-exactly. Blank
-lines and records of other kinds are skipped. A dump without ``"format": 2``
-(the older one-record-per-note layout) and every malformed dump are refused
-with ``MissingInput``.
+Each array value is one base64 string of the array's row-major bytes:
+little-endian float64 (``<f8``) for ``rows`` and ``p``, little-endian int64
+(``<i8``) for ``u`` and ``w``. The bytes are the values themselves, so every
+float reads back bit-exactly, signed zeros and subnormals included. To look
+at a logits record by hand::
+
+    rec = json.loads(line)
+    rows = np.frombuffer(base64.b64decode(rec["rows"]), dtype="<f8")
+    rows = rows.reshape(n_notes, -1)  # one row of logits per note
+
+Blank lines and records of other kinds are skipped. A dump of another format
+(format 2 wrote the arrays as JSON number lists, format 1 one record per
+note) and every malformed dump are refused with ``MissingInput``.
 
 The manifest records a seeded 80/20 train/test split that depends only on
 (seed, piece name), so re-ingesting a grown corpus never moves existing
@@ -24,6 +33,7 @@ pieces between splits.
 
 from __future__ import annotations
 
+import base64
 import json
 import zlib
 from pathlib import Path
@@ -33,14 +43,13 @@ import numpy as np
 
 from .decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS, PredictionBundle,
                        staff_probabilities)
-from .graph import as_pairs
 from .musicxml import export_musicxml, read_score_file
 from .notes import Score, make_score
 from .postprocess import DEFAULT_PAIR_AGG, DEFAULT_THRESHOLD, engrave
 from .model import ModelConfig, predict_bundle
 
 MANIFEST_VERSION = 1
-PREDICTION_FORMAT = 2
+PREDICTION_FORMAT = 3
 SCORE_SUFFIXES = (".musicxml", ".xml", ".mxl")
 
 
@@ -139,15 +148,35 @@ def prediction_lines(score: Score, bundle: PredictionBundle) -> list[str]:
     lines = [json.dumps(meta)]
     for head in NODE_HEADS:
         lines.append(json.dumps({"kind": "logits", "head": head,
-                                 "rows": bundle.note_logits[head].tolist()}))
+                                 "rows": _pack(bundle.note_logits[head],
+                                               "<f8")}))
     for head, pairs, probs in (
             ("voice", bundle.voice_pairs, bundle.voice_probs),
             ("chord", bundle.chord_pairs, bundle.chord_probs)):
         lines.append(json.dumps({"kind": "pairs", "head": head,
-                                 "u": pairs[:, 0].tolist(),
-                                 "w": pairs[:, 1].tolist(),
-                                 "p": probs.tolist()}))
+                                 "u": _pack(pairs[:, 0], "<i8"),
+                                 "w": _pack(pairs[:, 1], "<i8"),
+                                 "p": _pack(probs, "<f8")}))
     return lines
+
+
+def _pack(array, dtype: str) -> str:
+    """An array's row-major bytes as ``dtype``, in base64."""
+    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def _unpack(rec: dict, key: str, dtype: str) -> np.ndarray:
+    """The flat ``dtype`` array that ``_pack`` wrote as ``rec[key]``."""
+    try:
+        data = base64.b64decode(rec[key], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise MissingInput(f"{rec['head']} {key} is not a base64 string "
+                           f"({exc})") from None
+    if len(data) % 8:
+        raise MissingInput(f"{rec['head']} {key} holds {len(data)} bytes, "
+                           f"not a multiple of 8")
+    return np.frombuffer(data, dtype=dtype).copy()
 
 
 def write_predictions(path: Path, score: Score,
@@ -214,32 +243,37 @@ def _parse_dump(text: str,
 
     note_logits = {}
     for head in NODE_HEADS:
-        logits = np.array(record("logits", head)["rows"], dtype=np.float64)
-        if logits.shape != (n, HEAD_WIDTHS[head]):
-            raise MissingInput(f"{head} logits have shape {logits.shape}, "
-                               f"want {(n, HEAD_WIDTHS[head])} for {n} notes")
-        note_logits[head] = logits
+        width = HEAD_WIDTHS[head]
+        logits = _unpack(record("logits", head), "rows", "<f8")
+        if logits.size != n * width:
+            raise MissingInput(f"{head} logits hold {logits.size} values, "
+                               f"want {n * width} for {n} notes of "
+                               f"{width} classes")
+        note_logits[head] = logits.reshape(n, width)
 
     pairs, probs = {}, {}
     for head in PAIR_HEADS:
         rec = record("pairs", head)
-        u, w, p = rec["u"], rec["w"], rec["p"]
+        u, w = _unpack(rec, "u", "<i8"), _unpack(rec, "w", "<i8")
+        p = _unpack(rec, "p", "<f8")
         if not len(u) == len(w) == len(p):
             raise MissingInput(f"{head} pairs: u, w and p have lengths "
                                f"{len(u)}, {len(w)} and {len(p)}")
-        ends = np.array([u, w]).reshape(2, len(u))
-        if len(u) and (ends.dtype.kind != "i" or ends.min() < 0
-                       or ends.max() >= n):
+        ends = np.stack([u, w], axis=1)
+        if len(u) and (ends.min() < 0 or ends.max() >= n):
             raise MissingInput(f"{head} pairs: an index is not a note id "
                                f"in [0, {n})")
-        if (ends[0] == ends[1]).any():
+        if (u == w).any():
             raise MissingInput(f"{head} pairs: a pair joins a note to itself")
-        pairs[head] = as_pairs(np.ascontiguousarray(ends.T))
-        probs[head] = np.array(p, dtype=np.float64).reshape(len(p))
+        pairs[head] = ends
+        probs[head] = p
 
+    # non-finite logits are refused by validate(), without a warning here
+    with np.errstate(invalid="ignore"):
+        staff_probs = staff_probabilities(note_logits["staff"])
     bundle = PredictionBundle(
         note_logits=note_logits,
-        staff_probs=staff_probabilities(note_logits["staff"]),
+        staff_probs=staff_probs,
         voice_pairs=pairs["voice"], voice_probs=probs["voice"],
         chord_pairs=pairs["chord"], chord_probs=probs["chord"])
     bundle.validate()

@@ -1,5 +1,6 @@
 """Tests for the command line tool: workflows, exit codes, output contracts."""
 
+import base64
 import json
 import os
 import shutil
@@ -7,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import notesetter
 from notesetter.checkpoint import load_checkpoint
 from notesetter.cli import EXIT_CODES, main
 from notesetter.config import RunConfig, parse_config_text
+from notesetter.decoders import HEAD_WIDTHS
 from notesetter.musicxml import parse_musicxml, read_score_file, validate_subset
 from notesetter.pipeline import engrave_dump, load_manifest, write_predictions
 from notesetter.postprocess import perfect_bundle
@@ -252,6 +255,7 @@ def test_pair_agg_flag_reaches_config_and_engraving(tmp_path, capsys):
 
 
 def _edit_records(edit):
+    """Edit the dump's records as written: arrays are base64 strings."""
     def apply(lines):
         records = [json.loads(line) for line in lines]
         edit(records)
@@ -259,26 +263,79 @@ def _edit_records(edit):
     return apply
 
 
-# A fixture_a dump is meta, nine logits records, voice pairs, chord pairs.
-VOICE = 10
+DTYPES = {"rows": "<f8", "u": "<i8", "w": "<i8", "p": "<f8"}
+
+
+def _decode_arrays(records):
+    """Every base64 array as a JSON list, logits as one list per note."""
+    for rec in records[1:]:
+        for key, dtype in DTYPES.items():
+            if key in rec:
+                values = np.frombuffer(base64.b64decode(rec[key]), dtype)
+                if key == "rows":
+                    values = values.reshape(-1, HEAD_WIDTHS[rec["head"]])
+                rec[key] = values.tolist()
+
+
+def _edit_values(edit):
+    """Edit the dump's arrays as lists of numbers, then encode them again,
+    flattening the logit rows whatever their lengths."""
+    def apply(records):
+        _decode_arrays(records)
+        edit(records)
+        for rec in records[1:]:
+            for key, dtype in DTYPES.items():
+                if key in rec:
+                    values = rec[key]
+                    if key == "rows":
+                        values = [x for row in values for x in row]
+                    rec[key] = base64.b64encode(
+                        np.array(values, dtype=dtype).tobytes()).decode()
+    return _edit_records(apply)
+
+
+def _as_format_2(records):
+    """What format 2 wrote: the same records with JSON number lists."""
+    records[0]["format"] = 2
+    _decode_arrays(records)
+
+
+def _drop_last_byte(rec, key):
+    rec[key] = base64.b64encode(base64.b64decode(rec[key])[:-1]).decode()
+
+
+# A fixture_a dump is meta, nine logits records (staff, spelling, ...),
+# voice pairs, chord pairs.
+STAFF, SPELLING, VOICE = 1, 2, 10
 DUMP_DEFECTS = {
     "truncated": lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]],
     "old_format": _edit_records(lambda records: records[0].pop("format")),
+    "format_2": _edit_records(_as_format_2),
     "missing_head": _edit_records(lambda records: records.pop(3)),
     "duplicate_head": _edit_records(
         lambda records: records.append(records[3])),
-    "rows_ragged": _edit_records(
-        lambda records: records[1]["rows"][0].append(0.0)),
-    "rows_shape": _edit_records(
-        lambda records: [row.append(0.0) for row in records[1]["rows"]]),
-    "unequal_pair_arrays": _edit_records(
+    "not_base64": _edit_records(
+        lambda records: records[STAFF].__setitem__("rows", "AAAA!AAA")),
+    "bytes_not_multiple_of_8": _edit_records(
+        lambda records: _drop_last_byte(records[VOICE], "p")),
+    "rows_ragged": _edit_values(
+        lambda records: records[STAFF]["rows"][0].append(0.0)),
+    "rows_shape": _edit_values(
+        lambda records: [row.append(0.0) for row in records[STAFF]["rows"]]),
+    "logit_nan": _edit_values(
+        lambda records: records[SPELLING]["rows"][0].__setitem__(
+            0, float("nan"))),
+    "logit_inf": _edit_values(
+        lambda records: records[STAFF]["rows"][0].__setitem__(
+            1, float("inf"))),
+    "unequal_pair_arrays": _edit_values(
         lambda records: records[VOICE]["w"].pop()),
-    "pair_index_outside": _edit_records(
+    "pair_index_outside": _edit_values(
         lambda records: records[VOICE]["u"].__setitem__(0, 999)),
-    "pair_joins_note_to_itself": _edit_records(
+    "pair_joins_note_to_itself": _edit_values(
         lambda records: records[VOICE]["u"].__setitem__(
             0, records[VOICE]["w"][0])),
-    "probability_outside": _edit_records(
+    "probability_outside": _edit_values(
         lambda records: records[VOICE]["p"].__setitem__(0, 1.5)),
     # a note at onset 10**7 would need 625,000 bars of 4/4 at 4 divisions
     "too_many_bars": _edit_records(
@@ -292,7 +349,9 @@ def test_malformed_dump_exit_code(tmp_path, capsys, defect):
     dump = tmp_path / "fixture_a.pred.jsonl"
     write_predictions(dump, score, perfect_bundle(score))
     lines = dump.read_text().splitlines()
-    assert [json.loads(line).get("head") for line in lines][VOICE] == "voice"
+    heads = [json.loads(line).get("head") for line in lines]
+    assert [heads[i] for i in (STAFF, SPELLING, VOICE)] == [
+        "staff", "spelling", "voice"]
     dump.write_text("\n".join(DUMP_DEFECTS[defect](lines)) + "\n")
     code, out, err = run(capsys, "engrave", str(dump),
                          "--out-dir", str(tmp_path / "out"))

@@ -166,6 +166,12 @@ def test_bundle_argmax_and_validate_errors():
     bundle.voice_probs = np.array([0.5, 0.5])  # count mismatch
     with pytest.raises(ValueError):
         bundle.validate()
+    bundle.voice_probs = np.array([0.5])
+    bundle.validate()
+    for value in (np.nan, np.inf, -np.inf):
+        bundle.note_logits["clef"][1, 2] = value
+        with pytest.raises(ValueError, match="clef logits are not all finite"):
+            bundle.validate()
 
 
 def full_labels(n, voice_edges=(), chord_edges=(), **overrides):

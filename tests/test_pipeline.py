@@ -1,5 +1,6 @@
 """Tests for corpus ingest, manifests, and prediction dump round trips."""
 
+import base64
 import dataclasses
 import json
 import shutil
@@ -33,7 +34,7 @@ from notesetter.postprocess import engrave, perfect_bundle
 from notesetter.rng import Rng
 from notesetter.synth import random_bundle, random_score
 
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_path, parse_fixture
 
 
 # --- split rule ---
@@ -158,14 +159,19 @@ def dump_records(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def decode(text, dtype):
+    """A dump array independently of the reader: base64 of raw bytes."""
+    return np.frombuffer(base64.b64decode(text), dtype)
+
+
 def write_records(path, records, extra_lines=()):
     path.write_text("".join(json.dumps(r) + "\n" for r in records)
                     + "".join(line + "\n" for line in extra_lines))
 
 
 def assert_same_bundle(got, want):
-    """Every field equal bit for bit, with float64 arrays and (m, 2) int64
-    pair arrays."""
+    """Every field equal bit for bit (floats compared as int64 views), with
+    float64 arrays and (m, 2) int64 pair arrays."""
     for field in dataclasses.fields(PredictionBundle):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name == "note_logits":
@@ -179,7 +185,8 @@ def assert_same_bundle(got, want):
             pairs = [(a, b)]
         for x, y in pairs:
             assert x.dtype == np.float64 and x.shape == y.shape
-            assert x.tobytes() == np.asarray(y, dtype=np.float64).tobytes()
+            assert np.array_equal(x.view(np.int64), np.asarray(
+                y, dtype=np.float64).view(np.int64))
 
 
 def three_note_score():
@@ -222,7 +229,7 @@ def test_prediction_lines_meta_first():
     records = [json.loads(line) for line in prediction_lines(score, bundle)]
     meta = records[0]
     assert meta["kind"] == "meta"
-    assert meta["format"] == 2
+    assert meta["format"] == 3
     assert meta["name"] == score.name
     assert meta["divisions"] == score.divisions_per_quarter
     assert meta["notes"] == [[n.onset_div, n.duration_div, n.midi_pitch]
@@ -231,15 +238,19 @@ def test_prediction_lines_meta_first():
     assert [(r["kind"], r["head"]) for r in records[1:]] == (
         [("logits", h) for h in NODE_HEADS]
         + [("pairs", "voice"), ("pairs", "chord")])
+    # every array is the base64 of its row-major little-endian bytes
     for rec in records[1:1 + len(NODE_HEADS)]:
-        assert rec["rows"] == bundle.note_logits[rec["head"]].tolist()
-        assert len(rec["rows"]) == 6
+        logits = bundle.note_logits[rec["head"]]
+        assert rec["rows"] == base64.b64encode(
+            logits.astype("<f8").tobytes()).decode("ascii")
+        assert decode(rec["rows"], "<f8").size == 6 * HEAD_WIDTHS[rec["head"]]
     for rec, pairs, probs in ((records[-2], bundle.voice_pairs,
                                bundle.voice_probs),
                               (records[-1], bundle.chord_pairs,
                                bundle.chord_probs)):
-        assert [rec["u"], rec["w"]] == pairs.T.tolist()
-        assert rec["p"] == probs.tolist()
+        assert decode(rec["u"], "<i8").tolist() == pairs[:, 0].tolist()
+        assert decode(rec["w"], "<i8").tolist() == pairs[:, 1].tolist()
+        assert decode(rec["p"], "<f8").tolist() == probs.tolist()
 
 
 def test_predictions_round_trip(tmp_path):
@@ -325,8 +336,22 @@ def test_read_predictions_errors(tmp_path):
     short = tmp_path / "short.jsonl"
     meta = dict(records[0], notes=records[0]["notes"][:-1])
     write_records(short, [meta] + records[1:])  # meta disagrees with rows
-    with pytest.raises(MissingInput, match=r"shape \(5, 2\), want \(4, 2\)"):
+    with pytest.raises(MissingInput,
+                       match="staff logits hold 10 values, want 8 for 4 notes"):
         read_predictions(short)
+
+    # arrays that are not base64 of whole 8-byte values
+    bad_array = tmp_path / "bad_array.jsonl"
+    for rows, message in (
+            (records[1]["rows"][:-4] + "A===", "is not a base64 string"),
+            (records[1]["rows"].replace("A", "-"), "is not a base64 string"),
+            (base64.b64encode(base64.b64decode(records[1]["rows"])[:-3])
+             .decode("ascii"), "holds 77 bytes, not a multiple of 8"),
+            ([[0.0, 1.0]] * 5, "is not a base64 string")):
+        write_records(bad_array, [records[0], dict(records[1], rows=rows)]
+                      + records[2:])
+        with pytest.raises(MissingInput, match=f"staff rows {message}"):
+            read_predictions(bad_array)
 
     # a meta record that describes no score is refused, not looped over
     bad_meta = tmp_path / "bad_meta.jsonl"
@@ -339,7 +364,7 @@ def test_read_predictions_errors(tmp_path):
         with pytest.raises(MissingInput, match="malformed dump"):
             read_predictions(bad_meta)
 
-    # the one-record-per-note layout of older versions is refused
+    # the one-record-per-note layout of format 1 is refused
     old = tmp_path / "old.jsonl"
     old_meta = {k: v for k, v in records[0].items() if k != "format"}
     write_records(old, [old_meta] + [
@@ -348,6 +373,51 @@ def test_read_predictions_errors(tmp_path):
         for i in range(5)])
     with pytest.raises(MissingInput, match="older notesetter; re-run predict"):
         read_predictions(old)
+
+    # so are format 2's arrays of JSON numbers, even when otherwise whole
+    format_2 = [dict(records[0], format=2)] + [
+        {"kind": "logits", "head": h, "rows": bundle.note_logits[h].tolist()}
+        for h in NODE_HEADS] + [
+        {"kind": "pairs", "head": head, "u": pairs[:, 0].tolist(),
+         "w": pairs[:, 1].tolist(), "p": probs.tolist()}
+        for head, pairs, probs in (
+            ("voice", bundle.voice_pairs, bundle.voice_probs),
+            ("chord", bundle.chord_pairs, bundle.chord_probs))]
+    write_records(old, format_2)
+    with pytest.raises(MissingInput, match="dump format 2 is not 3: written "
+                                           "by an older notesetter"):
+        read_predictions(old)
+
+    # non-finite logits are refused, not engraved
+    for value in (np.nan, np.inf, -np.inf):
+        logits = bundle.note_logits["staff"].copy()
+        logits[2, 1] = value
+        rec = dict(records[1], rows=base64.b64encode(
+            logits.astype("<f8").tobytes()).decode("ascii"))
+        write_records(bad_array, records[:1] + [rec] + records[2:])
+        with pytest.raises(MissingInput, match="staff logits are not all "
+                                               "finite"):
+            read_predictions(bad_array)
+
+
+def test_round_trip_is_bit_exact(tmp_path):
+    path = tmp_path / "dump.pred.jsonl"
+    cases = []
+    for name in FIXTURE_NAMES:
+        score = parse_fixture(name).score
+        cases.append((score, perfect_bundle(score)))
+        cases += [(score, random_bundle(build_graph(score), seed))
+                  for seed in (1, 2, 3)]
+    score = random_score(7, n_notes=12)
+    cases.append((score, extreme_bundle(score)))
+    # 1e308 and the rest of the specials, in every column of one head
+    bundle = extreme_bundle(score)
+    specials = np.array((-0.0, 5e-324, 1e308, -1e308) + DIGITS_17)
+    bundle.note_logits["note_type"] = np.resize(specials, (12, 8))
+    cases.append((score, bundle))
+    for score, bundle in cases:
+        write_predictions(path, score, bundle)
+        assert_same_bundle(read_predictions(path)[1], bundle)
 
 
 def test_engrave_dump_matches_direct_engraving(tmp_path):
