@@ -7,11 +7,20 @@ backup/forward, and octave-shift directions. Anything else is rejected with
 a diagnostic naming the offending element.
 
 Canonical serialization (what :func:`export_musicxml` emits and the
-round-trip tests freeze): UTF-8, two-space indentation, elements in schema
+round-trip and golden-bytes tests freeze): UTF-8 with an XML declaration and
+the partwise DOCTYPE, two-space indentation, ``<tag />`` for empty elements,
+attributes in the order written, a trailing newline, elements in schema
 order, voices emitted in ascending number separated by <backup>, and a
 trailing timed pass per measure that walks backup/forward to emit mid-measure
 clef changes and octave-shift brackets at their exact tick. Pitches are
 sounding pitches; octave-shift brackets are notation only.
+
+The exporter writes this text directly as indented lines (one block per
+<note>) and joins them once; ElementTree is used only to parse and validate.
+Every text and attribute value it writes is an integer or a word from a fixed
+vocabulary (step names, note types, stem and clef signs), so nothing needs
+escaping. The text is byte for byte what ElementTree's ``indent`` and
+``tostring`` produce for the same elements.
 """
 
 from __future__ import annotations
@@ -490,14 +499,6 @@ def read_score_file(path) -> ParseResult:
 
 # --- export ---
 
-def _sub(parent: ET.Element, tag: str, text: Optional[str] = None,
-         **attrs: str) -> ET.Element:
-    elem = ET.SubElement(parent, tag, attrs)
-    if text is not None:
-        elem.text = text
-    return elem
-
-
 def _written_pitch(midi: int, spelling_cls: int) -> tuple[str, int, int, bool]:
     step_i, alter_i = spelling_parts(spelling_cls)
     coerced = spelling_pitch_class(spelling_cls) != midi % 12
@@ -596,144 +597,137 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
             eb = bar_at(bars, end - 1)  # the bar the region's last tick is in
             timed.setdefault(eb, []).append((end, 0, ("stop", staff, shift)))
 
-    root = ET.Element("score-partwise", {"version": "3.1"})
-    part_list = _sub(root, "part-list")
-    score_part = _sub(part_list, "score-part", id="P1")
-    _sub(score_part, "part-name", "Piano")
-    part = _sub(root, "part", id="P1")
+    out = ['<?xml version="1.0" encoding="UTF-8"?>', _DOCTYPE,
+           '<score-partwise version="3.1">', "  <part-list>",
+           '    <score-part id="P1">', "      <part-name>Piano</part-name>",
+           "    </score-part>", "  </part-list>", '  <part id="P1">']
 
     prev_key: Optional[int] = None
     for b in range(engraved.bar_count):
         bar_onset, bar_len = bars[b]
         bar_end = bar_onset + bar_len
-        measure = _sub(part, "measure", number=str(b + 1))
+        out.append(f'    <measure number="{b + 1}">')
 
         key_here = engraved.measure_keys[b]
         need_attrs = (b == 0 or key_here != prev_key or b in sig_by_bar
                       or any((b, s) in clef_at_bar_start for s in (0, 1)))
         if need_attrs:
-            attrs = _sub(measure, "attributes")
+            out.append("      <attributes>")
             if b == 0:
-                _sub(attrs, "divisions", str(divisions))
+                out.append(f"        <divisions>{divisions}</divisions>")
             if b == 0 or key_here != prev_key:
-                key = _sub(attrs, "key")
-                _sub(key, "fifths", str(key_here))
+                out += ["        <key>", f"          <fifths>{key_here}</fifths>",
+                        "        </key>"]
             if b in sig_by_bar:
-                time = _sub(attrs, "time")
-                _sub(time, "beats", str(sig_by_bar[b].numerator))
-                _sub(time, "beat-type", str(sig_by_bar[b].denominator))
+                out += ["        <time>",
+                        f"          <beats>{sig_by_bar[b].numerator}</beats>",
+                        f"          <beat-type>{sig_by_bar[b].denominator}"
+                        "</beat-type>", "        </time>"]
             if b == 0:
-                _sub(attrs, "staves", "2")
+                out.append("        <staves>2</staves>")
                 for staff in (0, 1):
                     regions = engraved.clef_regions.get(staff)
                     clef_idx = regions[0][1] if regions else (CLEF_G, CLEF_F)[staff]
-                    _emit_clef(attrs, staff, clef_idx)
+                    out.append(_clef(staff, clef_idx))
             else:
                 for staff in (0, 1):
                     if (b, staff) in clef_at_bar_start:
-                        _emit_clef(attrs, staff, clef_at_bar_start[(b, staff)])
+                        out.append(_clef(staff, clef_at_bar_start[(b, staff)]))
+            out.append("      </attributes>")
         prev_key = key_here
 
         cursor = bar_onset
         voices_here = sorted(events_by_bar.get(b, {}))
         for idx, voice in enumerate(voices_here):
             if idx > 0:
-                backup = _sub(measure, "backup")
-                _sub(backup, "duration", str(cursor - bar_onset))
+                out.append(_move("backup", cursor - bar_onset))
                 cursor = bar_onset
             for ev in sorted(events_by_bar[b][voice], key=lambda e: e.onset_div):
-                coerced += _emit_event(measure, ev, engraved, marks)
+                coerced += _emit_event(out, ev, engraved, marks)
                 cursor = ev.offset_div
         if not voices_here:
-            forward = _sub(measure, "forward")
-            _sub(forward, "duration", str(bar_len))
+            out.append(_move("forward", bar_len))
             cursor = bar_end
 
         for t, _, item in sorted(timed.get(b, [])):
             if t < cursor:
-                backup = _sub(measure, "backup")
-                _sub(backup, "duration", str(cursor - t))
+                out.append(_move("backup", cursor - t))
             elif t > cursor:
-                forward = _sub(measure, "forward")
-                _sub(forward, "duration", str(t - cursor))
+                out.append(_move("forward", t - cursor))
             cursor = t
             kind, staff, value = item
             if kind == "clef":
-                attrs = _sub(measure, "attributes")
-                _emit_clef(attrs, staff, value)
-            else:
-                direction = _sub(measure, "direction")
-                dtype = _sub(direction, "direction-type")
-                if kind == "stop":
-                    size = "15" if value == 3 else "8"
-                    _sub(dtype, "octave-shift", type="stop", size=size)
-                else:
-                    xml_type = "up" if value == 2 else "down"
-                    size = "15" if value == 3 else "8"
-                    _sub(dtype, "octave-shift", type=xml_type, size=size)
-                _sub(direction, "staff", str(staff + 1))
+                out += ["      <attributes>", _clef(staff, value),
+                        "      </attributes>"]
+                continue
+            xml_type = "stop" if kind == "stop" else "up" if value == 2 else "down"
+            size = "15" if value == 3 else "8"
+            out += ["      <direction>", "        <direction-type>",
+                    f'          <octave-shift type="{xml_type}" size="{size}" />',
+                    "        </direction-type>",
+                    f"        <staff>{staff + 1}</staff>", "      </direction>"]
         if timed.get(b) and cursor < bar_end:
-            forward = _sub(measure, "forward")
-            _sub(forward, "duration", str(bar_end - cursor))
+            out.append(_move("forward", bar_end - cursor))
+        out.append("    </measure>")
 
     if coerced:
         log.warning("export: coerced %d predicted spellings that contradicted "
                     "the sounding pitch class", coerced)
 
-    ET.indent(root, space="  ")
-    body = ET.tostring(root, encoding="unicode")
-    text = f'<?xml version="1.0" encoding="UTF-8"?>\n{_DOCTYPE}\n{body}\n'
-    return text.encode("utf-8")
+    out += ["  </part>", "</score-partwise>", ""]
+    return "\n".join(out).encode("utf-8")
 
 
-def _emit_clef(attrs: ET.Element, staff: int, clef_idx: int) -> None:
-    clef = _sub(attrs, "clef", number=str(staff + 1))
-    _sub(clef, "sign", ("G", "F", "C")[clef_idx])
-    _sub(clef, "line", _CLEF_LINES[clef_idx])
+def _clef(staff: int, clef_idx: int) -> str:
+    """A <clef> block at <attributes> child depth."""
+    return (f'        <clef number="{staff + 1}">\n'
+            f"          <sign>{'GFC'[clef_idx]}</sign>\n"
+            f"          <line>{_CLEF_LINES[clef_idx]}</line>\n"
+            "        </clef>")
 
 
-def _emit_event(measure: ET.Element, ev, engraved: EngravedScore,
+def _move(tag: str, duration: int) -> str:
+    """A <backup> or <forward> block."""
+    return (f"      <{tag}>\n        <duration>{duration}</duration>\n"
+            f"      </{tag}>")
+
+
+def _emit_event(out: list[str], ev, engraved: EngravedScore,
                 marks: dict) -> int:
-    coerced = 0
+    """Append one <note> block per chord member (one for a rest)."""
+    timing = (f"        <duration>{ev.duration_div}</duration>\n"
+              f"        <voice>{ev.voice}</voice>\n"
+              f"        <type>{NOTE_TYPE_NAMES[ev.note_type]}</type>\n"
+              + "        <dot />\n" * ev.dots)
+    staff = f"        <staff>{ev.staff + 1}</staff>\n"
     if ev.is_rest:
-        note = _sub(measure, "note")
-        _sub(note, "rest")
-        _sub(note, "duration", str(ev.duration_div))
-        _sub(note, "voice", str(ev.voice))
-        _sub(note, "type", NOTE_TYPE_NAMES[ev.note_type])
-        for _ in range(ev.dots):
-            _sub(note, "dot")
-        _sub(note, "staff", str(ev.staff + 1))
+        out.append(f"      <note>\n        <rest />\n{timing}{staff}      </note>")
         return 0
-    members = sorted(ev.note_ids, key=lambda i: engraved.notes[i].midi_pitch)
-    for pos, i in enumerate(members):
-        note = _sub(measure, "note")
-        if pos > 0:
-            _sub(note, "chord")
+    if ev.tuplet != 1:
+        actual, normal = TUPLET_RATIOS[ev.tuplet]
+        timing += ("        <time-modification>\n"
+                   f"          <actual-notes>{actual}</actual-notes>\n"
+                   f"          <normal-notes>{normal}</normal-notes>\n"
+                   "        </time-modification>\n")
+    tail = f"{timing}        <stem>{_STEM_TEXT[ev.stem]}</stem>\n{staff}"
+    notations = ""
+    if (ev.voice, ev.onset_div) in marks:
+        notations = ("        <notations>\n"
+                     + "".join(f'          <tuplet type="{kind}" />\n'
+                               for kind in marks[(ev.voice, ev.onset_div)])
+                     + "        </notations>\n")
+    coerced = 0
+    # the first member carries the tuplet notations, later ones the chord flag
+    opener, closer = "      <note>\n", notations + "      </note>"
+    for i in sorted(ev.note_ids, key=lambda i: engraved.notes[i].midi_pitch):
         step, alter, octave, was_coerced = _written_pitch(
             engraved.notes[i].midi_pitch, engraved.spelling[i])
         coerced += was_coerced
-        pitch = _sub(note, "pitch")
-        _sub(pitch, "step", step)
-        if alter != 0:
-            _sub(pitch, "alter", str(alter))
-        _sub(pitch, "octave", str(octave))
-        _sub(note, "duration", str(ev.duration_div))
-        _sub(note, "voice", str(ev.voice))
-        _sub(note, "type", NOTE_TYPE_NAMES[ev.note_type])
-        for _ in range(ev.dots):
-            _sub(note, "dot")
-        if ev.tuplet != 1:
-            actual, normal = TUPLET_RATIOS[ev.tuplet]
-            tmod = _sub(note, "time-modification")
-            _sub(tmod, "actual-notes", str(actual))
-            _sub(tmod, "normal-notes", str(normal))
-        _sub(note, "stem", _STEM_TEXT[ev.stem])
-        _sub(note, "staff", str(ev.staff + 1))
-        if pos == 0 and (ev.voice, ev.onset_div) in marks:
-            notations = _sub(note, "notations")
-            for kind in marks[(ev.voice, ev.onset_div)]:
-                _sub(notations, "tuplet", type=kind)
+        alter_line = f"          <alter>{alter}</alter>\n" if alter else ""
+        out.append(f"{opener}        <pitch>\n          <step>{step}</step>\n"
+                   f"{alter_line}          <octave>{octave}</octave>\n"
+                   f"        </pitch>\n{tail}{closer}")
+        opener, closer = "      <note>\n        <chord />\n", "      </note>"
     return coerced
 
 

@@ -8,6 +8,7 @@ running the parser.
 
 import dataclasses
 import gzip
+import hashlib
 
 import pytest
 
@@ -32,7 +33,10 @@ from notesetter.notes import (
     STEM_UP,
     make_score,
 )
-from notesetter.postprocess import engrave_from_labels
+from notesetter.config import ModelConfig
+from notesetter.model import graph_for
+from notesetter.postprocess import UnfillableGap, engrave, engrave_from_labels
+from notesetter.synth import random_bundle
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -626,3 +630,59 @@ def test_round_trip_fixpoint(name):
     # And the export of the re-parsed score is byte-identical.
     again = export_musicxml(engrave_from_labels(second))
     assert again == exported
+
+
+# --- golden bytes ---
+
+# One sha256 per fixture over the export of engrave_from_labels(score), then
+# the exports of engrave(random_bundle(graph, seed), score) for seeds 0-39,
+# where a refused bundle contributes its exception class name instead. The
+# digests were computed with the ElementTree serializer the text writer
+# replaced; hashing all five streams in sorted order gives 3baf746ae48911c5...
+GOLDEN_SHA256 = {
+    "fixture_a":
+        "bdc385758c678a5cc42f610e34e183d6daca7b7b7bf1209d502dd46573540b99",
+    "fixture_b":
+        "e7dc6602107dc3d10129052999ddc94d1de390be83b581508c64a5b7f1157f98",
+    "grace_clip":
+        "001278f696f19ee97fdba5e95350feb5004c183fdae4d7f0073a062eb519d058",
+    "single_whole":
+        "b2037969ec7a5c1fc109d7e91782ac1e0da287239c396ff5d48b68b4625cb9cd",
+    "triplet_octave":
+        "5ba9c75553a8e85453e2d26b5b730b8115d6fc95b921f26964ed7cbb8ef7da7e",
+}
+GOLDEN_SEEDS = range(40)
+REFUSALS = (TooManyVoices, UnrepresentableDuration, UnfillableGap)
+
+
+@pytest.fixture(scope="module")
+def golden_streams(parsed_fixtures):
+    """name -> (sha256 hex digest, exported documents) for every fixture."""
+    streams = {}
+    for name in FIXTURE_NAMES:
+        score = parsed_fixtures[name].score
+        digest = hashlib.sha256()
+        docs = [export_musicxml(engrave_from_labels(score))]
+        digest.update(docs[0])
+        graph = graph_for(score, ModelConfig())
+        for seed in GOLDEN_SEEDS:
+            try:
+                data = export_musicxml(engrave(random_bundle(graph, seed), score))
+                docs.append(data)
+            except REFUSALS as exc:
+                data = type(exc).__name__.encode()
+            digest.update(data)
+        streams[name] = (digest.hexdigest(), docs)
+    return streams
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_export_golden_bytes(golden_streams, name):
+    assert golden_streams[name][0] == GOLDEN_SHA256[name]
+
+
+def test_golden_documents_reach_every_writer_branch(golden_streams):
+    text = b"".join(doc for _, docs in golden_streams.values() for doc in docs)
+    for needle in (b"<backup>", b"<forward>", b'octave-shift type="stop"',
+                   b"<notations>", b"<dot />", b"<alter>", b"<chord />"):
+        assert needle in text, needle
