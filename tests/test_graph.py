@@ -12,6 +12,7 @@ is [DERIVED] from the frozen relation rules:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -23,6 +24,8 @@ from notesetter.graph import (EDGE_TYPES, RELATIONS, CandidateCoverage,
                               dump_graph_jsonl)
 from notesetter.notes import (LabelSet, TimeSignature, bar_table, make_score,
                               node_features)
+from notesetter.pipeline import prediction_lines
+from notesetter.postprocess import perfect_bundle
 from notesetter.synth import random_score
 
 # [DERIVED] hand score: divisions 2, 4/4 (bar = 8 divisions), 2 bars.
@@ -320,3 +323,37 @@ def test_dump_graph_jsonl():
         assert rebuilt.get(rel, set()) == expected
     total = sum(len(v) for v in HAND_EDGES.values())
     assert len(lines) == 2 * total  # forward + inverse
+
+
+# --- golden digests of what the graph and the dump meta line are built from ---
+
+# One sha256 per fixture over the dump_graph_jsonl text of build_graph(score),
+# the bytes of candidate_pairs(score, cross_bar) for cross_bar True then False,
+# and the meta line of prediction_lines(score, perfect_bundle(score)). Only
+# integer data and JSON text are hashed, so no float rounding can move them.
+GRAPH_GOLDEN_SHA256 = {
+    "fixture_a":
+        "e05cfe9b94b73be8c392ca894f72d54208f6bad0ecd3ae64d4def2fa3a22ab55",
+    "fixture_b":
+        "4369caa1265f70b495c382d0227c3019f874803273b00a3c28a841989179bbb0",
+    "grace_clip":
+        "b8f87fabbebe45aa1be4c56500fb1e288b35358b31adef86eeabed0e05bdbaad",
+    "single_whole":
+        "8964040349b750a1affca3f13ab46c36f4d1c0cc35fedef21cb653adbf15b22e",
+    "triplet_octave":
+        "fe8de64b08ca38fc27e541669df83cdd308f0623eb7ff8254b754128418a2188",
+}
+
+
+def graph_and_meta_digest(score) -> str:
+    digest = hashlib.sha256(dump_graph_jsonl(build_graph(score)).encode())
+    for cross in (True, False):
+        digest.update(candidate_pairs(score, cross_bar=cross).tobytes())
+    digest.update(prediction_lines(score, perfect_bundle(score))[0].encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_GOLDEN_SHA256))
+def test_graph_and_dump_meta_golden(parsed_fixtures, name):
+    score = parsed_fixtures[name].score
+    assert graph_and_meta_digest(score) == GRAPH_GOLDEN_SHA256[name]
