@@ -203,7 +203,8 @@ def cmd_predict(args) -> int:
         out_path = out_dir / f"{Path(path).stem}.pred.jsonl"
         write_predictions(out_path, score, bundle)
         print(f"{path} -> {out_path} "
-              f"({len(score.notes)} notes, {len(bundle.voice_pairs)} candidates)")
+              f"({len(score.onset)} notes, "
+              f"{len(bundle.voice_pairs)} candidates)")
     return 0
 
 

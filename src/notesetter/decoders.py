@@ -40,7 +40,7 @@ HEAD_WIDTHS = {
     "octave_shift": 4, "clef": 3, "note_type": 8, "dots": 4, "tuplet": 3,
 }
 # heads whose logits are averaged over chord members during postprocessing
-POOLED_HEADS = ("note_type", "dots", "tuplet", "stem", "key")
+POOLED_HEADS = ("note_type", "dots", "tuplet", "stem")
 
 
 class LabelOutOfRange(ValueError):

@@ -5,7 +5,7 @@ Each of the L blocks computes a heterogeneous GraphSAGE convolution
     h~_u = ReLU( W0 h_u + sum_r sum_{v in N_r(u)} W_r h_v )
 
 followed by dropout, then sweeps a GRU over the notes in id order, which
-is (onset, pitch) order (``Score.validate``), carrying the hidden state from
+is (onset, pitch) order (``make_score``), carrying the hidden state from
 each note to the next. Layer normalization is applied inside the GRU cell
 (on the candidate pre-activation) and between blocks. The block output — the
 GRU states, row u for note u — feeds the next block; the last block's output

@@ -14,7 +14,7 @@ The voice-candidate set contains ordered pairs (u, w) with
 ``offset(u) <= onset(w)`` in the same bar, plus — with the cross-bar
 extension on (default) — pairs where w sits on the downbeat of the next bar.
 
-Every relation is built as index runs. ``Score.validate`` keeps notes in
+Every relation is built as index runs. ``make_score`` keeps notes in
 (onset, pitch) order with ids 0..n-1, so for each u the partners of every
 relation form one contiguous run of ids ``[lo[u], hi[u])``, found by
 ``np.searchsorted`` over the onsets; ``_runs`` expands the runs into (u, w)
@@ -94,6 +94,23 @@ def as_pairs(pairs) -> np.ndarray:
     return arr
 
 
+def components(n: int, pairs: np.ndarray) -> np.ndarray:
+    """The smallest id in each of notes 0..n-1's connected component under
+    the (m, 2) edge array ``pairs``: labels are lowered across edges and
+    through one another until nothing changes."""
+    u, w = pairs[:, 0], pairs[:, 1]
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[u], label[w])
+        lowered = label.copy()
+        np.minimum.at(lowered, u, low)
+        np.minimum.at(lowered, w, low)
+        lowered = lowered[lowered]
+        if (lowered == label).all():
+            return label
+        label = lowered
+
+
 def pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     """One integer per pair, u * n + w; sorted pairs give sorted keys."""
     return pairs[:, 0] * n + pairs[:, 1]
@@ -119,9 +136,7 @@ def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _times(score: Score) -> tuple[np.ndarray, np.ndarray]:
     """Onset and offset of every note, as int64 arrays in id order."""
-    onsets = np.array([x.onset_div for x in score.notes], dtype=np.int64)
-    durations = np.array([x.duration_div for x in score.notes], dtype=np.int64)
-    return onsets, onsets + durations
+    return score.onset, score.onset + score.duration
 
 
 def relation_edges(score: Score) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -147,20 +162,19 @@ def candidate_pairs(score: Score, cross_bar: bool = True) -> np.ndarray:
     """The candidate set: ordered (u, w) pairs a voice edge may connect, as
     an (m, 2) int64 array in (u, w) order (runs: see the module docstring)."""
     onsets, offsets = _times(score)
-    bar_ends = np.array([x.bar_onset_div + x.bar_duration_div for x in score.notes],
-                        dtype=np.int64)
+    bar_ends = score.bars.sum(axis=1)[score.bar]
     lo = np.searchsorted(onsets, offsets, side="left")
     hi = np.searchsorted(onsets, bar_ends, side="right" if cross_bar else "left")
     return np.stack(_runs(lo, hi), axis=1)
 
 
 def build_graph(score: Score, cross_bar: bool = True) -> ScoreGraph:
-    if not score.notes:
+    if not len(score.onset):
         raise EmptyScore("cannot build a graph from a score with no notes")
     forward = list(relation_edges(score).values())
     counts = [len(src) for src, _ in forward]
     graph = ScoreGraph(
-        node_count=len(score.notes), features=node_features(score.notes),
+        node_count=len(score.onset), features=node_features(score),
         src=np.concatenate([src for src, _ in forward] + [dst for _, dst in forward]),
         dst=np.concatenate([dst for _, dst in forward] + [src for src, _ in forward]),
         rel=np.repeat(np.arange(len(RELATIONS), dtype=np.int64), counts + counts),

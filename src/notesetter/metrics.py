@@ -16,8 +16,8 @@ import json
 import numpy as np
 
 from .decoders import NODE_HEADS, labels_to_classes
+from .graph import as_pairs, components
 from .notes import LabelSet, Score
-from .postprocess import UnionFind
 
 
 class LengthMismatch(ValueError):
@@ -30,11 +30,7 @@ _JOINT_PARTS = ("note_type", "dots", "tuplet")
 
 def collapse_units(n: int, chord_edges) -> list[int]:
     """Map each note id to its ground-truth chord unit (root = smallest id)."""
-    dsu = UnionFind(n)
-    for u, w in chord_edges:
-        dsu.union(u, w)
-    smallest: dict[int, int] = {}
-    return [smallest.setdefault(dsu.find(i), i) for i in range(n)]
+    return components(n, as_pairs(list(chord_edges))).tolist()
 
 
 def _lift(pairs, unit_of) -> set:
@@ -101,7 +97,7 @@ def evaluate_bundle(bundle, score: Score, threshold: float) -> PieceMetrics:
     labels = score.labels
     if labels is None:
         raise ValueError(f"score {score.name!r} carries no labels")
-    n = len(score.notes)
+    n = len(score.onset)
     if bundle.note_count != n:
         raise LengthMismatch(
             f"bundle has {bundle.note_count} notes, score has {n}")

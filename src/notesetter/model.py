@@ -70,7 +70,7 @@ def loss_for_score(score: Score, graph: ScoreGraph, params: dict[str, Value],
     if score.labels is None:
         raise ValueError(f"score {score.name!r} carries no labels")
     preds = forward(graph, params, config, rng=rng, train=train)
-    return total_loss(preds, score.labels, len(score.notes))
+    return total_loss(preds, score.labels, len(score.onset))
 
 
 def predict_bundle(score: Score, params: dict[str, Value],

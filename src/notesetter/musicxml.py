@@ -35,9 +35,9 @@ from typing import Optional
 from .notes import (ALTER_VALUES, CLEF_F, CLEF_G, DEFAULT_SPELLING_BY_PC,
                     KEY_MAX_FIFTHS, KEY_MIN_FIFTHS, LabelSet, MAX_DOTS,
                     NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
-                    STEP_TO_PC, QuantizedNote, Score, TimeSignature,
-                    TUPLET_RATIOS, bar_at, bar_length_div, spelling_parts,
-                    spelling_of, spelling_pitch_class)
+                    STEP_TO_PC, Score, TimeSignature, TUPLET_RATIOS, bar_at,
+                    bar_length_div, make_score, spelling_parts, spelling_of,
+                    spelling_pitch_class)
 from .postprocess import EngravedScore
 
 log = logging.getLogger(__name__)
@@ -410,14 +410,6 @@ def _assemble(divisions, time_sigs, bars, key_by_bar, clef_events,
                    key=lambda i: (raw_notes[i].onset, raw_notes[i].midi,
                                   raw_notes[i].staff, raw_notes[i].voice))
     id_of = {id(raw_notes[k]): new for new, k in enumerate(order)}
-    notes = []
-    for new, k in enumerate(order):
-        raw = raw_notes[k]
-        bar_onset, bar_len = bars[raw.measure]
-        notes.append(QuantizedNote.make(
-            id=new, onset_div=raw.onset, duration_div=raw.duration,
-            midi_pitch=raw.midi, bar_index=raw.measure,
-            bar_onset_div=bar_onset, bar_duration_div=bar_len))
 
     def active_labels(events, default_by_staff):
         """Per-note label from (time, kind, value) events; stops sort first."""
@@ -475,10 +467,13 @@ def _assemble(divisions, time_sigs, bars, key_by_bar, clef_events,
 
     if not time_sigs:
         raise InconsistentTiming("document defines no time signature")
-    score = Score(divisions_per_quarter=divisions,
-                  time_signatures=tuple(time_sigs), notes=tuple(notes),
-                  labels=labels)
-    score.validate()
+    # already in canonical order, which make_score's stable sort keeps
+    score = make_score(divisions, time_sigs,
+                       [(r.onset, r.duration, r.midi) for r in by_new],
+                       labels=labels)
+    if score.bars.tolist() != [list(b) for b in bars[:score.num_bars]]:
+        raise InconsistentTiming(
+            "measure lengths disagree with the time signatures")
     return ParseResult(score=score, grace_dropped=grace_dropped,
                        clipped_notes=clipped, fifteen_mb_mapped=fifteen_mb,
                        warnings=tuple(warnings))
@@ -513,7 +508,7 @@ def _written_pitch(midi: int, spelling_cls: int) -> tuple[str, int, int, bool]:
 def _tuplet_marks(engraved: EngravedScore) -> dict[tuple[int, int], list[str]]:
     """(voice, onset) -> tuplet notations ("start"/"stop") for that event."""
     marks: dict[tuple[int, int], list[str]] = {}
-    divisions = engraved.divisions_per_quarter
+    divisions = engraved.score.divisions_per_quarter
     for voice, evs in engraved.voice_events().items():
         run = []
         k = 0
@@ -567,9 +562,11 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
                 f"event at {ev.onset_div}: type={ev.note_type} "
                 f"dots={ev.dots} tuplet={ev.tuplet}")
 
-    bars = engraved.bars()
-    divisions = engraved.divisions_per_quarter
-    sig_by_bar = {ts.bar_index: ts for ts in engraved.time_signatures}
+    score = engraved.score
+    bars = score.bars.tolist()
+    divisions = score.divisions_per_quarter
+    sig_by_bar = {ts.bar_index: ts for ts in score.time_signatures}
+    pitch = score.pitch.tolist()
     marks = _tuplet_marks(engraved)
     coerced = 0
 
@@ -603,7 +600,7 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
            "    </score-part>", "  </part-list>", '  <part id="P1">']
 
     prev_key: Optional[int] = None
-    for b in range(engraved.bar_count):
+    for b in range(len(bars)):
         bar_onset, bar_len = bars[b]
         bar_end = bar_onset + bar_len
         out.append(f'    <measure number="{b + 1}">')
@@ -643,7 +640,8 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
                 out.append(_move("backup", cursor - bar_onset))
                 cursor = bar_onset
             for ev in sorted(events_by_bar[b][voice], key=lambda e: e.onset_div):
-                coerced += _emit_event(out, ev, engraved, marks)
+                coerced += _emit_event(out, ev, pitch, engraved.spelling,
+                                       marks)
                 cursor = ev.offset_div
         if not voices_here:
             out.append(_move("forward", bar_len))
@@ -692,8 +690,8 @@ def _move(tag: str, duration: int) -> str:
             f"      </{tag}>")
 
 
-def _emit_event(out: list[str], ev, engraved: EngravedScore,
-                marks: dict) -> int:
+def _emit_event(out: list[str], ev, pitch: list[int],
+                spelling: tuple[int, ...], marks: dict) -> int:
     """Append one <note> block per chord member (one for a rest)."""
     timing = (f"        <duration>{ev.duration_div}</duration>\n"
               f"        <voice>{ev.voice}</voice>\n"
@@ -719,9 +717,8 @@ def _emit_event(out: list[str], ev, engraved: EngravedScore,
     coerced = 0
     # the first member carries the tuplet notations, later ones the chord flag
     opener, closer = "      <note>\n", notations + "      </note>"
-    for i in sorted(ev.note_ids, key=lambda i: engraved.notes[i].midi_pitch):
-        step, alter, octave, was_coerced = _written_pitch(
-            engraved.notes[i].midi_pitch, engraved.spelling[i])
+    for i in sorted(ev.note_ids, key=pitch.__getitem__):
+        step, alter, octave, was_coerced = _written_pitch(pitch[i], spelling[i])
         coerced += was_coerced
         alter_line = f"          <alter>{alter}</alter>\n" if alter else ""
         out.append(f"{opener}        <pitch>\n          <step>{step}</step>\n"

@@ -1,13 +1,18 @@
-"""Core score model: quantized notes, engraving label vocabularies, node features.
+"""Core score model: note columns, engraving label vocabularies, node features.
 
 All timing is integer "divisions" (ticks); ``divisions_per_quarter`` fixes the
-grid. Everything here is an immutable value object and safe to share across
-threads.
+grid. A ``Score`` holds each note fact once, as read-only int64 columns in
+(onset, pitch) order: ``onset``, ``duration`` and ``pitch``, with each note's
+``bar`` and the ``bars`` table derived once by ``make_score``, its one
+constructor. Pitch class, octave and bar onset and length are computed where
+they are used (``pitch % 12``, ``bars[bar]``). Everything here is an
+immutable value object and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -99,68 +104,42 @@ def symbolic_duration_div(type_index: int, dots: int, tuplet: int,
 
 @dataclass(frozen=True)
 class QuantizedNote:
-    """One sounding note on the integer division grid, with bar context."""
+    """One note of a score, read off its columns by the ``Score`` view."""
 
     id: int
     onset_div: int
     duration_div: int
     midi_pitch: int
-    pitch_class: int
-    octave: int
     bar_index: int
-    bar_onset_div: int
-    bar_duration_div: int
 
     @property
     def offset_div(self) -> int:
         return self.onset_div + self.duration_div
 
-    def validate(self) -> None:
-        if self.duration_div <= 0:
-            raise ValueError(f"note {self.id}: duration {self.duration_div} <= 0")
-        if not 0 <= self.midi_pitch <= 127:
-            raise ValueError(f"note {self.id}: midi pitch {self.midi_pitch}")
-        if self.pitch_class != self.midi_pitch % 12:
-            raise ValueError(f"note {self.id}: pitch class mismatch")
-        if not (self.bar_onset_div <= self.onset_div
-                < self.bar_onset_div + self.bar_duration_div):
-            raise ValueError(f"note {self.id}: onset outside its bar")
-
-    @staticmethod
-    def make(id: int, onset_div: int, duration_div: int, midi_pitch: int,
-             bar_index: int, bar_onset_div: int, bar_duration_div: int) -> "QuantizedNote":
-        note = QuantizedNote(
-            id=id, onset_div=onset_div, duration_div=duration_div,
-            midi_pitch=midi_pitch, pitch_class=midi_pitch % 12,
-            octave=midi_pitch // 12 - 1, bar_index=bar_index,
-            bar_onset_div=bar_onset_div, bar_duration_div=bar_duration_div)
-        note.validate()
-        return note
-
 
 N_FEATURES = 17
 
 
-def node_features(notes) -> np.ndarray:
+def node_features(score: Score) -> np.ndarray:
     """The (n, 17) input feature matrix, one row per note in order.
 
     Columns: pitch-class one-hot (12), octave, tanh(duration / bar length),
     onset fraction within the bar, downbeat flag, bar index. Each row
     depends only on its note, so an identical note gives a bit-identical row.
     """
-    n = len(notes)
-    cols = np.array([(x.pitch_class, x.octave, x.onset_div - x.bar_onset_div,
-                      x.bar_duration_div, x.bar_index) for x in notes],
-                    dtype=np.int64).reshape(n, 5)
-    pitch_class, octave, rel_onset, bar_length, bar_index = cols.T
+    n = len(score.pitch)
+    bar_onset, bar_length = score.bars[score.bar].T
+    rel_onset = score.onset - bar_onset
     features = np.zeros((n, N_FEATURES))
-    features[np.arange(n), pitch_class] = 1.0
-    features[:, 12] = octave
-    features[:, 13] = [math.tanh(x.duration_div / x.bar_duration_div)
-                       for x in notes]
+    features[np.arange(n), score.pitch % 12] = 1.0
+    features[:, 12] = score.pitch // 12 - 1
+    # math.tanh per value: np.tanh differs from it in the last bit on some
+    # ratios, which would change the features
+    features[:, 13] = [math.tanh(d / b) for d, b in
+                       zip(score.duration.tolist(), bar_length.tolist())]
     features[:, 14] = rel_onset / bar_length
     features[:, 15] = rel_onset == 0
-    features[:, 16] = bar_index
+    features[:, 16] = score.bar
     return features
 
 
@@ -212,43 +191,36 @@ class TimeSignature:
     denominator: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Score:
-    """A quantized piece: notes in canonical order plus optional labels."""
+    """A quantized piece: one read-only int64 column per note fact, in
+    (onset, pitch) order, plus optional labels. ``make_score`` builds it.
+
+    ``bar`` and ``bars`` are derived from the onsets and the time signatures:
+    the bar holding each onset, and the (onset, length) in divisions of bars
+    0 up to the bar of the last onset.
+    """
 
     divisions_per_quarter: int
     time_signatures: tuple[TimeSignature, ...]
-    notes: tuple[QuantizedNote, ...]
+    onset: np.ndarray          # (n,) onset in divisions, >= 0
+    duration: np.ndarray       # (n,) duration in divisions, > 0
+    pitch: np.ndarray          # (n,) MIDI pitch, 0..127
+    bar: np.ndarray            # (n,) index of the bar holding the onset
+    bars: np.ndarray           # (num_bars, 2) onset and length of each bar
     labels: Optional[LabelSet] = None
     name: str = ""
 
     @property
     def num_bars(self) -> int:
-        return max(n.bar_index for n in self.notes) + 1 if self.notes else 0
+        return len(self.bars)
 
-    def bar_table(self) -> list[tuple[int, int]]:
-        """(onset_div, duration_div) of every bar up to the last used one."""
-        return bar_table(self.divisions_per_quarter, self.time_signatures, self.num_bars)
-
-    def validate(self) -> None:
-        if self.divisions_per_quarter <= 0:
-            raise ValueError("divisions_per_quarter must be positive")
-        if not self.time_signatures or self.time_signatures[0].bar_index != 0:
-            raise ValueError("first time signature must sit at bar 0")
-        order = [(n.onset_div, n.midi_pitch) for n in self.notes]
-        if order != sorted(order):
-            raise ValueError("notes are not sorted by (onset, pitch)")
-        if [n.id for n in self.notes] != list(range(len(self.notes))):
-            raise ValueError("note ids must be 0..n-1 in canonical order")
-        bars = self.bar_table()
-        for note in self.notes:
-            note.validate()
-            onset, dur = bars[note.bar_index]
-            if (note.bar_onset_div, note.bar_duration_div) != (onset, dur):
-                raise ValueError(f"note {note.id}: bar fields disagree with "
-                                 f"time signatures at bar {note.bar_index}")
-        if self.labels is not None:
-            self.labels.validate(len(self.notes))
+    @functools.cached_property
+    def notes(self) -> tuple[QuantizedNote, ...]:
+        """The notes as objects, derived from the columns on first use."""
+        return tuple(itertools.starmap(QuantizedNote, zip(
+            itertools.count(), self.onset.tolist(), self.duration.tolist(),
+            self.pitch.tolist(), self.bar.tolist())))
 
 
 def bar_length_div(numerator: int, denominator: int, divisions: int) -> int:
@@ -296,35 +268,59 @@ def bar_at(bars: list[tuple[int, int]], div: int) -> int:
 MAX_BARS = 10_000
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def make_score(divisions: int, time_signatures, note_specs, labels=None,
                name: str = "") -> Score:
     """Build a canonical Score from (onset, duration, midi) triples.
 
-    Notes may arrive in any order; they are sorted and re-numbered. Bar
+    Notes may arrive in any order; they are sorted by (onset, pitch), equal
+    keys keeping their input order, and numbered 0..n-1 in that order. Bar
     context is derived from the time signatures. ``labels``, when given,
     must already be indexed by the canonical order.
     """
     sigs = tuple(TimeSignature(*t) if not isinstance(t, TimeSignature) else t
                  for t in time_signatures)
-    triples = sorted(note_specs, key=lambda t: (t[0], t[2]))
-    max_offset = max((on + dur for on, dur, _ in triples), default=0)
+    if divisions <= 0:
+        raise ValueError("divisions_per_quarter must be positive")
+    if not sigs or sigs[0].bar_index != 0:
+        raise ValueError("first time signature must sit at bar 0")
+    specs = np.array(list(note_specs), dtype=np.int64)
+    if specs.size == 0:
+        specs = specs.reshape(0, 3)
+    if specs.ndim != 2 or specs.shape[1] != 3:
+        raise ValueError("notes must be (onset, duration, midi) triples")
+    order = np.lexsort((specs[:, 2], specs[:, 0]))
+    onset, duration, pitch = _read_only(specs[order].T.copy())
+    for bad, what in ((onset < 0, "onset before bar 0"),
+                      (duration <= 0, "duration <= 0"),
+                      ((pitch < 0) | (pitch > 127), "midi pitch outside 0..127")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"note {i} (onset {onset[i]}, duration "
+                             f"{duration[i]}, midi {pitch[i]}): {what}")
+    # both are non-negative here, so their uint64 sum cannot overflow
+    offset = onset.view(np.uint64) + duration.view(np.uint64)
+    max_offset = int(offset.max(initial=0))
     # enough bars to cover the last offset, and never more than MAX_BARS
-    bars: list[tuple[int, int]] = []
-    for onset, length in _bars(divisions, sigs):
-        if len(bars) == MAX_BARS:
+    table: list[tuple[int, int]] = []
+    for bar_onset, length in _bars(divisions, sigs):
+        if len(table) == MAX_BARS:
             raise ValueError(f"the notes end at division {max_offset}, "
                              f"beyond the {MAX_BARS}-bar limit")
-        bars.append((onset, length))
-        if onset + length >= max_offset:
+        table.append((bar_onset, length))
+        if bar_onset + length >= max_offset:
             break
-    notes = []
-    for i, (onset, dur, midi) in enumerate(triples):
-        bar_i = bar_at(bars, onset)
-        notes.append(QuantizedNote.make(
-            id=i, onset_div=onset, duration_div=dur, midi_pitch=midi,
-            bar_index=bar_i, bar_onset_div=bars[bar_i][0],
-            bar_duration_div=bars[bar_i][1]))
-    score = Score(divisions_per_quarter=divisions, time_signatures=sigs,
-                  notes=tuple(notes), labels=labels, name=name)
-    score.validate()
-    return score
+    bars = np.array(table, dtype=np.int64)
+    bar = np.searchsorted(bars[:, 0], onset, side="right") - 1
+    # the bars end at the bar of the last onset
+    bars = bars[:bar[-1] + 1] if len(bar) else bars[:0]
+    if labels is not None:
+        labels.validate(len(onset))
+    return Score(divisions_per_quarter=divisions, time_signatures=sigs,
+                 onset=onset, duration=duration, pitch=pitch,
+                 bar=_read_only(bar), bars=_read_only(bars), labels=labels,
+                 name=name)

@@ -34,6 +34,7 @@ pieces between splits.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import zlib
 from pathlib import Path
@@ -90,7 +91,7 @@ def ingest_corpus(in_dir: Path, seed: int) -> dict:
             "name": name,
             "path": str(Path(path).resolve()),
             "split": split_of(seed, name),
-            "notes": len(result.score.notes),
+            "notes": len(result.score.onset),
             "bars": result.score.num_bars,
             "grace_dropped": result.grace_dropped,
             "clipped_notes": result.clipped_notes,
@@ -142,8 +143,8 @@ def prediction_lines(score: Score, bundle: PredictionBundle) -> list[str]:
         "divisions": score.divisions_per_quarter,
         "time_signatures": [[t.bar_index, t.numerator, t.denominator]
                             for t in score.time_signatures],
-        "notes": [[n.onset_div, n.duration_div, n.midi_pitch]
-                  for n in score.notes],
+        "notes": np.stack([score.onset, score.duration, score.pitch],
+                          axis=1).tolist(),
     }
     lines = [json.dumps(meta)]
     for head in NODE_HEADS:
@@ -220,11 +221,16 @@ def _parse_dump(text: str,
         raise MissingInput(f"dump format {meta.get('format')!r} is not "
                            f"{PREDICTION_FORMAT}: written by an older "
                            f"notesetter; re-run predict")
-    score = make_score(meta["divisions"],
-                       [tuple(t) for t in meta["time_signatures"]],
-                       [tuple(n) for n in meta["notes"]],
+    divisions, sigs, notes = (meta["divisions"], meta["time_signatures"],
+                              meta["notes"])
+    # JSON integers only: a float or a bool would be cast to int silently
+    values = itertools.chain((divisions,), *sigs, *notes)
+    if not set(map(type, values)) <= {int}:
+        raise TypeError("meta divisions, time signatures and notes must be "
+                        "integers")
+    score = make_score(divisions, [tuple(t) for t in sigs], notes,
                        name=meta.get("name", default_name))
-    n = len(score.notes)
+    n = len(score.onset)
 
     by_head: dict[tuple, dict] = {}
     for rec in records[1:]:

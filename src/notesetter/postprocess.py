@@ -2,8 +2,8 @@
 
 Four steps. (1) Chord pooling: accepted chord edges (probability at or above
 the threshold, equal duration, equal predicted staff) are closed under
-transitivity with a union-find; logits of the pooled heads (note type, dots,
-tuplet, stem, key) are averaged over members. (2) Voice assignment: per
+transitivity (connected components); logits of the pooled heads (note type,
+dots, tuplet, stem) are averaged over members. (2) Voice assignment: per
 staff, sweep onset groups left to right and match open voice ends against
 the new pooled nodes with the Hungarian algorithm on -log(probability)
 costs, padded square with dummy rows/columns priced at -log(threshold) — a
@@ -30,11 +30,11 @@ import numpy as np
 
 from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
                        labels_to_classes, staff_probabilities)
-from .graph import build_graph, chord_candidate_pairs, in_edges, pair_keys
+from .graph import (build_graph, chord_candidate_pairs, components, in_edges,
+                    pair_keys)
 from .hungarian import hungarian
-from .notes import (MAX_DOTS, NOTE_TYPE_NAMES, STEM_NONE, Score,
-                    TimeSignature, TUPLET_VALUES, KEY_MIN_FIFTHS,
-                    QuantizedNote, bar_at, bar_table,
+from .notes import (KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, N_KEY_CLASSES,
+                    NOTE_TYPE_NAMES, STEM_NONE, Score, TUPLET_VALUES, bar_at,
                     symbolic_duration_div)
 
 # defaults of the two engraving settings (pair acceptance, pooled voice pairs)
@@ -53,30 +53,6 @@ class UnfillableGap(RuntimeError):
         self.bar_index = bar_index
         self.start_div = start_div
         self.length_div = length_div
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,10 +97,7 @@ class EngravedEvent:
 class EngravedScore:
     """The fully decided notation of one piece, ready for serialization."""
 
-    divisions_per_quarter: int
-    time_signatures: tuple[TimeSignature, ...]
-    bar_count: int
-    notes: tuple[QuantizedNote, ...]
+    score: Score
     staff: tuple[int, ...]           # per note
     spelling: tuple[int, ...]        # per note
     octave_shift: tuple[int, ...]    # per note, region-canonical
@@ -134,10 +107,6 @@ class EngravedScore:
     clef_regions: dict               # staff -> ((start_div, clef_index), ...)
     octave_regions: dict             # staff -> ((start_div, end_div, shift), ...)
     voice_staff: dict                # voice number -> staff index
-
-    def bars(self) -> list[tuple[int, int]]:
-        return bar_table(self.divisions_per_quarter, self.time_signatures,
-                         self.bar_count)
 
     def voice_events(self) -> dict:
         by_voice: dict[int, list[EngravedEvent]] = collections.defaultdict(list)
@@ -150,9 +119,9 @@ class EngravedScore:
         seen: list[int] = []
         for ev in self.events:
             seen.extend(ev.note_ids)
-        if sorted(seen) != list(range(len(self.notes))):
+        if sorted(seen) != list(range(len(self.score.onset))):
             raise ValueError("events do not cover every note exactly once")
-        bars = self.bars()
+        bars = self.score.bars.tolist()
         for voice, evs in self.voice_events().items():
             totals: collections.Counter = collections.Counter()  # bar -> durations
             for ev in evs:
@@ -170,7 +139,7 @@ class EngravedScore:
                     raise ValueError(
                         f"voice {voice}, bar {b}: durations sum to {total}, "
                         f"bar length is {length}")
-        if len(self.measure_keys) != self.bar_count:
+        if len(self.measure_keys) != self.score.num_bars:
             raise ValueError("one key per measure required")
         for staff, regions in self.octave_regions.items():
             for start, end, shift in regions:
@@ -185,17 +154,13 @@ class EngravedScore:
 
 def pool_chords(bundle: PredictionBundle, score: Score,
                 threshold: float) -> list[PooledNode]:
-    notes = score.notes
-    n = len(notes)
+    n = len(score.onset)
     staff_pred = bundle.staff_probs >= 0.5
-    durations = np.array([x.duration_div for x in notes], dtype=np.int64)
     u, w = bundle.chord_pairs[:, 0], bundle.chord_pairs[:, 1]
     accept = ((bundle.chord_probs >= threshold)
-              & (durations[u] == durations[w]) & (staff_pred[u] == staff_pred[w]))
-    dsu = UnionFind(n)
-    for a, b in bundle.chord_pairs[accept].tolist():
-        dsu.union(a, b)
-    roots = np.array([dsu.find(i) for i in range(n)], dtype=np.int64)
+              & (score.duration[u] == score.duration[w])
+              & (staff_pred[u] == staff_pred[w]))
+    roots = components(n, bundle.chord_pairs[accept])
     # one run of ids per pool, each run in id order
     order = np.argsort(roots, kind="stable")
     starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
@@ -203,16 +168,19 @@ def pool_chords(bundle: PredictionBundle, score: Score,
     means = {head: np.add.reduceat(bundle.note_logits[head][order], starts,
                                    axis=0) / counts[:, None]
              for head in POOLED_HEADS}
-    pools = []
-    for k, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
-        ids = tuple(order[start:start + count].tolist())
-        first = notes[ids[0]]
-        pools.append(PooledNode(
-            ids=ids, onset_div=first.onset_div,
-            duration_div=first.duration_div, staff=int(staff_pred[ids[0]]),
-            pooled_logits={head: means[head][k] for head in POOLED_HEADS}))
-    pools.sort(key=lambda p: (p.onset_div, p.staff, p.ids[0]))
-    return pools
+    # the pools in (onset, staff, first id) order, built from plain ints
+    first = order[starts]
+    staff = staff_pred[first].astype(np.int64)
+    onset, duration = score.onset[first], score.duration[first]
+    ids, begins = order.tolist(), starts.tolist()
+    ends = (starts + counts).tolist()
+    pool_onset, pool_duration = onset.tolist(), duration.tolist()
+    pool_staff = staff.tolist()
+    return [PooledNode(
+        ids=tuple(ids[begins[k]:ends[k]]), onset_div=pool_onset[k],
+        duration_div=pool_duration[k], staff=pool_staff[k],
+        pooled_logits={head: means[head][k] for head in POOLED_HEADS})
+        for k in np.lexsort((first, staff, onset)).tolist()]
 
 
 # --- step 2: voice assignment ---
@@ -294,11 +262,11 @@ def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
 
 
 def number_voices(streams: list[VoiceStream], pools: list[PooledNode],
-                  notes) -> dict[int, VoiceStream]:
+                  pitch: np.ndarray) -> dict[int, VoiceStream]:
     """Assign MusicXML voice numbers: 1.. on the upper staff, 5.. on the lower.
 
     Within a staff, voices are ordered by first onset, then by descending
-    top pitch of the first chord (the melody gets the lowest number), with
+    top ``pitch`` of the first chord (the melody gets the lowest number), with
     note ids as the final tiebreak. Numbers may exceed the 4-per-staff
     serialization budget; the exporter enforces that bound. When the upper
     staff overflows its block, the lower staff starts after it so numbers
@@ -310,7 +278,7 @@ def number_voices(streams: list[VoiceStream], pools: list[PooledNode],
         staff_streams = [s for s in streams if s.staff == staff]
         staff_streams.sort(key=lambda s: (
             pools[s.pool_indices[0]].onset_div,
-            -max(notes[i].midi_pitch for i in pools[s.pool_indices[0]].ids),
+            -int(pitch[list(pools[s.pool_indices[0]].ids)].max()),
             pools[s.pool_indices[0]].ids))
         for k, stream in enumerate(staff_streams):
             numbered[base + k] = stream
@@ -376,20 +344,20 @@ def _majority(values: list[int], tie_break: Optional[int]) -> int:
     return tied[0]
 
 
-def _group_by_onset(note_ids: list[int], notes) -> list[list[int]]:
+def _group_by_onset(note_ids: list[int], onset: list[int]) -> list[list[int]]:
     groups: "collections.OrderedDict[int, list[int]]" = collections.OrderedDict()
     for i in note_ids:
-        groups.setdefault(notes[i].onset_div, []).append(i)
+        groups.setdefault(onset[i], []).append(i)
     return list(groups.values())
 
 
 def unpool_and_finalize(numbered: dict[int, VoiceStream],
                         pools: list[PooledNode], bundle: PredictionBundle,
                         score: Score) -> EngravedScore:
-    notes = score.notes
-    n = len(notes)
-    bars = score.bar_table()
-    bar_count = score.num_bars
+    n = len(score.onset)
+    onset = score.onset.tolist()
+    offset = (score.onset + score.duration).tolist()
+    bars = score.bars.tolist()
 
     staff = [0] * n
     for stream in numbered.values():
@@ -400,25 +368,18 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     spelling = bundle.argmax("spelling").tolist()
     shift_raw = bundle.argmax("octave_shift").tolist()
     clef_raw = bundle.argmax("clef").tolist()
-    key_raw = [c + KEY_MIN_FIFTHS for c in bundle.argmax("key").tolist()]
 
     # per-measure key: majority vote, ties toward the previous measure
+    votes = np.bincount(score.bar * N_KEY_CLASSES + bundle.argmax("key"),
+                        minlength=len(bars) * N_KEY_CLASSES)
     measure_keys = []
     previous = 0
-    votes_by_bar: dict[int, list[int]] = collections.defaultdict(list)
-    for i, note in enumerate(notes):
-        votes_by_bar[note.bar_index].append(key_raw[i])
-    for b in range(bar_count):
-        votes = votes_by_bar.get(b)
-        if votes:
-            counts = collections.Counter(votes)
-            top = max(counts.values())
-            tied = sorted(f for f, k in counts.items() if k == top)
-            if previous in tied:
-                chosen = previous
-            else:
-                chosen = min(tied, key=lambda f: (abs(f - previous), f))
-            previous = chosen
+    for counts in votes.reshape(len(bars), N_KEY_CLASSES):
+        top = counts.max()
+        if top:
+            tied = (np.flatnonzero(counts == top) + KEY_MIN_FIFTHS).tolist()
+            if previous not in tied:
+                previous = min(tied, key=lambda f: (abs(f - previous), f))
         measure_keys.append(previous)
 
     # clef: median filter per staff, then one value per onset group
@@ -432,12 +393,12 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
         by_note = dict(zip(ids, filtered))
         regions = []
         prev_value: Optional[int] = None
-        for group in _group_by_onset(ids, notes):
+        for group in _group_by_onset(ids, onset):
             value = _majority([by_note[i] for i in group], prev_value)
             for i in group:
                 clef[i] = value
             if value != prev_value:
-                regions.append((notes[group[0]].onset_div, value))
+                regions.append((onset[group[0]], value))
                 prev_value = value
         regions[0] = (0, regions[0][1])
         clef_regions[s] = tuple(regions)
@@ -449,7 +410,7 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
         ids = [i for i in range(n) if staff[i] == s]
         if not ids:
             continue
-        groups = _group_by_onset(ids, notes)
+        groups = _group_by_onset(ids, onset)
         values = [_majority([shift_raw[i] for i in group], None)
                   for group in groups]
         for group, value in zip(groups, values):
@@ -464,10 +425,10 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
             j = k
             while j + 1 < len(groups) and values[j + 1] == values[k]:
                 j += 1
-            start = notes[groups[k][0]].onset_div
-            end = max(notes[i].offset_div for g in groups[k:j + 1] for i in g)
+            start = onset[groups[k][0]]
+            end = max(offset[i] for g in groups[k:j + 1] for i in g)
             if j + 1 < len(groups):
-                end = min(end, notes[groups[j + 1][0]].onset_div)
+                end = min(end, onset[groups[j + 1][0]])
             regions.append((start, end, values[k]))
             k = j + 1
         if regions:
@@ -524,9 +485,7 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
 
     events.sort(key=lambda e: (e.voice, e.onset_div))
     engraved = EngravedScore(
-        divisions_per_quarter=score.divisions_per_quarter,
-        time_signatures=score.time_signatures, bar_count=bar_count,
-        notes=notes, staff=tuple(staff), spelling=tuple(spelling),
+        score=score, staff=tuple(staff), spelling=tuple(spelling),
         octave_shift=tuple(octave_shift), clef=tuple(clef),
         events=tuple(events), measure_keys=tuple(measure_keys),
         clef_regions=clef_regions, octave_regions=octave_regions,
@@ -541,7 +500,7 @@ def engrave(bundle: PredictionBundle, score: Score,
     """The full decode pipeline: pool chords, chain voices, unpool, fill."""
     pools = pool_chords(bundle, score, threshold)
     streams = assign_voices(pools, bundle, threshold, pair_agg)
-    numbered = number_voices(streams, pools, score.notes)
+    numbered = number_voices(streams, pools, score.pitch)
     return unpool_and_finalize(numbered, pools, bundle, score)
 
 
@@ -553,7 +512,7 @@ def perfect_bundle(score: Score) -> PredictionBundle:
     if score.labels is None:
         raise ValueError("perfect_bundle needs ground-truth labels")
     graph = build_graph(score)
-    n = len(score.notes)
+    n = len(score.onset)
     classes = labels_to_classes(score.labels, n)
     note_logits = {}
     for head in NODE_HEADS:
@@ -576,38 +535,33 @@ def engrave_from_labels(score: Score) -> EngravedScore:
     return engrave(perfect_bundle(score), score)
 
 
-def labels_of(engraved: EngravedScore):
+def labels_of(engraved: EngravedScore) -> LabelSet:
     """Read a LabelSet back off an engraved score (its implied ground truth)."""
-    from .notes import LabelSet
-    n = len(engraved.notes)
-    note_type = [0] * n
-    dots = [0] * n
-    tuplet = [1] * n
-    stem = [STEM_NONE] * n
-    key = [0] * n
-    voice_edges = set()
+    n = len(engraved.score.onset)
+    voice_chords = [[e for e in evs if not e.is_rest]
+                    for evs in engraved.voice_events().values()]
+    chords = list(itertools.chain.from_iterable(voice_chords))
+    members = np.fromiter(itertools.chain.from_iterable(
+        e.note_ids for e in chords), np.int64)
+    sizes = [len(e.note_ids) for e in chords]
+
+    def per_note(field: str, default: int) -> tuple[int, ...]:
+        values = np.full(n, default, dtype=np.int64)
+        values[members] = np.repeat([getattr(e, field) for e in chords], sizes)
+        return tuple(values.tolist())
+
     chord_edges = set()
-    for _, evs in engraved.voice_events().items():
-        chords = [e for e in evs if not e.is_rest]
-        for ev in chords:
-            for i in ev.note_ids:
-                note_type[i] = ev.note_type
-                dots[i] = ev.dots
-                tuplet[i] = ev.tuplet
-                stem[i] = ev.stem
-            for a in ev.note_ids:
-                for b in ev.note_ids:
-                    if a < b:
-                        chord_edges.add((a, b))
-        for prev, nxt in zip(chords, chords[1:]):
-            for u in prev.note_ids:
-                for w in nxt.note_ids:
-                    voice_edges.add((u, w))
-    for i, note in enumerate(engraved.notes):
-        key[i] = engraved.measure_keys[note.bar_index]
+    voice_edges = set()
+    for ev in chords:
+        chord_edges.update(itertools.combinations(sorted(ev.note_ids), 2))
+    for evs in voice_chords:
+        for prev, nxt in zip(evs, evs[1:]):
+            voice_edges.update(itertools.product(prev.note_ids, nxt.note_ids))
+    key = np.asarray(engraved.measure_keys, dtype=np.int64)[engraved.score.bar]
     return LabelSet(
         staff=engraved.staff, spelling=engraved.spelling,
-        key_fifths=tuple(key), stem=tuple(stem),
+        key_fifths=tuple(key.tolist()), stem=per_note("stem", STEM_NONE),
         octave_shift=engraved.octave_shift, clef=engraved.clef,
-        note_type=tuple(note_type), dots=tuple(dots), tuplet=tuple(tuplet),
+        note_type=per_note("note_type", 0), dots=per_note("dots", 0),
+        tuplet=per_note("tuplet", 1),
         voice_edges=frozenset(voice_edges), chord_edges=frozenset(chord_edges))

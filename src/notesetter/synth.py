@@ -7,6 +7,8 @@ vocabularies so losses and metrics see realistic shapes.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle,
@@ -38,17 +40,12 @@ def random_score(seed: int, n_notes: int = 12, numerator: int = 4,
         seen.add((onset, midi))
         triples.append((onset, duration, midi))
     score = make_score(4, ((0, numerator, 4),), triples, name=f"synth-{seed}")
-    labels = random_labels(score, rng)
-    score = Score(divisions_per_quarter=score.divisions_per_quarter,
-                  time_signatures=score.time_signatures, notes=score.notes,
-                  labels=labels, name=score.name)
-    score.validate()
-    return score
+    return dataclasses.replace(score, labels=random_labels(score, rng))
 
 
 def random_labels(score: Score, rng: Rng) -> LabelSet:
     """Uniformly random labels over the vocabularies, edges from candidates."""
-    n = len(score.notes)
+    n = len(score.onset)
 
     def draw(width: int) -> tuple[int, ...]:
         return tuple(int(v) for v in rng.integers(width, n))

@@ -337,6 +337,13 @@ DUMP_DEFECTS = {
             0, records[VOICE]["w"][0])),
     "probability_outside": _edit_values(
         lambda records: records[VOICE]["p"].__setitem__(0, 1.5)),
+    # meta values that are not JSON integers
+    "divisions_float": _edit_records(
+        lambda records: records[0].__setitem__("divisions", 4.5)),
+    "duration_float": _edit_records(
+        lambda records: records[0]["notes"][0].__setitem__(1, 4.5)),
+    "pitch_bool": _edit_records(
+        lambda records: records[0]["notes"][0].__setitem__(2, True)),
     # a note at onset 10**7 would need 625,000 bars of 4/4 at 4 divisions
     "too_many_bars": _edit_records(
         lambda records: records[0]["notes"][-1].__setitem__(0, 10 ** 7)),

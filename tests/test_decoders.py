@@ -27,7 +27,7 @@ def test_head_vocabulary():
     assert HEAD_WIDTHS["spelling"] == 35
     assert HEAD_WIDTHS["key"] == 15
     assert HEAD_WIDTHS["voice"] == 1
-    assert set(POOLED_HEADS) == {"note_type", "dots", "tuplet", "stem", "key"}
+    assert set(POOLED_HEADS) == {"note_type", "dots", "tuplet", "stem"}
 
 
 def test_init_names_and_shapes():

@@ -20,8 +20,8 @@ import pytest
 
 from notesetter.graph import (EDGE_TYPES, RELATIONS, CandidateCoverage,
                               EmptyScore, build_graph, candidate_pairs,
-                              chord_candidate_pairs, coverage_report,
-                              dump_graph_jsonl)
+                              chord_candidate_pairs, components,
+                              coverage_report, dump_graph_jsonl)
 from notesetter.notes import (LabelSet, TimeSignature, bar_table, make_score,
                               node_features)
 from notesetter.pipeline import prediction_lines
@@ -102,10 +102,12 @@ def test_feature_matrix_matches_node_features():
     score = hand_score()
     graph = build_graph(score)
     assert graph.features.shape == (7, 17)
-    np.testing.assert_array_equal(graph.features, node_features(score.notes))
+    np.testing.assert_array_equal(graph.features, node_features(score))
     for note in score.notes:      # each row depends only on its own note
+        alone = make_score(2, [(0, 4, 4)], [(note.onset_div, note.duration_div,
+                                             note.midi_pitch)])
         np.testing.assert_array_equal(graph.features[note.id],
-                                      node_features([note])[0])
+                                      node_features(alone)[0])
 
 
 def test_single_note_score():
@@ -160,7 +162,7 @@ def brute_force_lambda(score, cross_bar):
             same_bar = (u.bar_index == w.bar_index
                         and u.offset_div <= w.onset_div)
             next_bar = (cross_bar and w.bar_index == u.bar_index + 1
-                        and w.onset_div == w.bar_onset_div
+                        and w.onset_div == score.bars[w.bar_index][0]
                         and u.offset_div <= w.onset_div)
             if same_bar or next_bar:
                 out.add((u.id, w.id))
@@ -176,7 +178,8 @@ def straight_scan_candidates(score, cross_bar):
                 if u.offset_div <= w.onset_div:
                     pairs.append((u.id, w.id))
             elif cross_bar and w.bar_index == u.bar_index + 1:
-                if w.onset_div == w.bar_onset_div and u.offset_div <= w.onset_div:
+                if (w.onset_div == score.bars[w.bar_index][0]
+                        and u.offset_div <= w.onset_div):
                     pairs.append((u.id, w.id))
     return sorted(pairs)
 
@@ -301,6 +304,36 @@ def test_coverage_report_full_and_shortfall():
     assert strict.missing == ((4, 5),)
     assert strict.fraction == 0.5
     assert "1/2" in str(strict) or "50" in str(strict) or "0.5" in str(strict)
+
+
+def smallest_reachable(n, pairs):
+    """The straight search components() replaces: the smallest id each
+    note reaches over the undirected edges."""
+    neighbours = {i: set() for i in range(n)}
+    for u, w in pairs:
+        neighbours[u].add(w)
+        neighbours[w].add(u)
+    out = []
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in neighbours[todo.pop()] - seen:
+                seen.add(j)
+                todo.append(j)
+        out.append(min(seen))
+    return out
+
+
+def test_components_match_straight_search():
+    rng = np.random.default_rng(0)
+    for n, m in ((1, 0), (5, 0), (6, 3), (20, 12), (40, 60), (60, 25)):
+        pairs = rng.integers(0, n, size=(m, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        got = components(n, pairs)
+        assert got.tolist() == smallest_reachable(n, pairs.tolist()), (n, m)
+    # a long path takes several rounds of lowering
+    path = np.array([[k, k + 1] for k in range(30)])[::-1]
+    assert components(31, path).tolist() == [0] * 31
 
 
 def test_chord_candidates_are_forward_onset_edges():

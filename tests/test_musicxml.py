@@ -335,6 +335,16 @@ def test_document_without_time_signature():
         parse_musicxml(doc("<attributes><divisions>2</divisions></attributes>"))
 
 
+def test_measure_lengths_must_follow_time_signatures():
+    # [DERIVED] three <time> in measure 1: the parser measures it by the
+    # last (2/4, 4 divisions), the signature table steps to the second (3/4)
+    times = ("<time><beats>3</beats><beat-type>4</beat-type></time>"
+             "<time><beats>2</beats><beat-type>4</beat-type></time>")
+    attrs = ATTRS.replace("</attributes>", times + "</attributes>")
+    with pytest.raises(InconsistentTiming, match="measure lengths disagree"):
+        parse_musicxml(doc(attrs + note() * 2, note() * 2))
+
+
 def test_key_without_fifths():
     data = doc(ATTRS.replace("<key><fifths>0</fifths></key>",
                              "<key><mode>major</mode></key>") + note())

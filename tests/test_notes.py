@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from notesetter.notes import (ALTER_VALUES, DEFAULT_SPELLING_BY_PC, MAX_DOTS,
-                              N_FEATURES, N_KEY_CLASSES, N_SPELLING,
+from notesetter.notes import (ALTER_VALUES, DEFAULT_SPELLING_BY_PC, MAX_BARS,
+                              MAX_DOTS, N_FEATURES, N_KEY_CLASSES, N_SPELLING,
                               NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
-                              STEP_TO_PC, TUPLET_VALUES, QuantizedNote, Score,
-                              TimeSignature, bar_at, bar_length_div, bar_table,
+                              STEP_TO_PC, TUPLET_VALUES, TimeSignature, bar_at, bar_length_div, bar_table,
                               key_class, key_fifths, node_features,
                               make_score, spelling_class, spelling_of,
                               spelling_parts, spelling_pitch_class,
@@ -111,29 +111,41 @@ def test_symbolic_duration_oracle():
     assert symbolic_duration_div(HALF, 1, 3, 6) == 12
 
 
-def test_quantized_note_make_oracle():
-    # [DERIVED] midi 60 -> pc 0, octave 4 (C4); midi 21 -> A0; midi 108 -> C8.
-    n = QuantizedNote.make(0, 0, 4, 60, 0, 0, 16)
-    assert (n.pitch_class, n.octave) == (0, 4)
-    assert n.offset_div == 4
-    assert QuantizedNote.make(0, 0, 1, 21, 0, 0, 16).octave == 0
-    assert QuantizedNote.make(0, 0, 1, 108, 0, 0, 16).octave == 8
+def test_pitch_class_and_octave_oracle():
+    # [DERIVED] midi 60 -> pc 0, octave 4 (C4); midi 21 -> A0 (pc 9);
+    # midi 108 -> C8. The features derive both from the pitch column.
+    score = make_score(4, [(0, 4, 4)], [(0, 4, 60), (4, 1, 21), (8, 1, 108)])
+    f = node_features(score)
+    assert f[:, :12].argmax(axis=1).tolist() == [0, 9, 0]
+    assert f[:, 12].tolist() == [4.0, 0.0, 8.0]
+    assert score.notes[0].offset_div == 4
 
 
 def test_quantized_note_validation():
-    with pytest.raises(ValueError):
-        QuantizedNote.make(0, 0, 0, 60, 0, 0, 16)  # zero duration
-    with pytest.raises(ValueError):
-        QuantizedNote.make(0, 0, 4, 128, 0, 0, 16)  # midi out of range
-    with pytest.raises(ValueError):
-        QuantizedNote.make(0, 16, 4, 60, 0, 0, 16)  # onset outside bar
+    for bad in ((0, 0, 60),       # zero duration
+                (0, 4, 128),      # midi out of range
+                (0, 4, -1),
+                (-4, 4, 60)):     # onset before bar 0
+        with pytest.raises(ValueError):
+            make_score(4, [(0, 4, 4)], [(0, 4, 62), bad])
+    with pytest.raises(ValueError, match="triples"):
+        make_score(4, [(0, 4, 4)], [(0, 4)])
+    with pytest.raises(ValueError, match="positive"):
+        make_score(0, [(0, 4, 4)], [(0, 4, 60)])
+    with pytest.raises(ValueError, match="bar 0"):
+        make_score(4, [(1, 4, 4)], [(0, 4, 60)])
+    # [DERIVED] 16 divisions per 4/4 bar: an offset of 16 * MAX_BARS fits,
+    # one division more does not
+    assert make_score(4, [(0, 4, 4)], [(16 * MAX_BARS - 1, 1, 60)]).num_bars \
+        == MAX_BARS
+    with pytest.raises(ValueError, match="bar limit"):
+        make_score(4, [(0, 4, 4)], [(16 * MAX_BARS - 1, 2, 60)])
 
 
 def test_node_features_quarter_in_44():
     # [DERIVED] quarter at the downbeat of a 4/4 bar, divisions 1:
     # norm_duration = tanh(1/4) ~= 0.2449, onset_fraction 0, downbeat 1.
-    note = QuantizedNote.make(0, 0, 1, 60, 0, 0, 4)
-    f = node_features([note])
+    f = node_features(make_score(1, [(0, 4, 4)], [(0, 1, 60)]))
     assert f.shape == (1, N_FEATURES) and N_FEATURES == 17
     assert f.dtype == np.float64
     row = tuple(f[0].tolist())
@@ -144,11 +156,9 @@ def test_node_features_quarter_in_44():
 
 def test_node_features_formula_duplicate():
     # [DERIVED: duplicate-formula oracle] straight-line reimplementation,
-    # one row per note in the order given.
+    # one row per note in canonical order; bars of 8 divisions (4/4 at 2).
     specs = [(3, 2, 67, 0, 0, 8), (9, 6, 41, 1, 8, 8), (14, 1, 99, 1, 8, 8)]
-    notes = [QuantizedNote.make(i, onset, dur, midi, bar_i, bar_on, bar_len)
-             for i, (onset, dur, midi, bar_i, bar_on, bar_len) in enumerate(specs)]
-    f = node_features(notes)
+    f = node_features(make_score(2, [(0, 4, 4)], [s[:3] for s in specs]))
     assert f.shape == (len(specs), 17)
     for row, (onset, dur, midi, bar_i, bar_on, bar_len) in zip(f, specs):
         assert row[midi % 12] == 1.0
@@ -158,7 +168,7 @@ def test_node_features_formula_duplicate():
         assert row[14] == pytest.approx((onset - bar_on) / bar_len, abs=1e-15)
         assert row[15] == (1.0 if onset == bar_on else 0.0)
         assert row[16] == float(bar_i)
-    assert node_features([]).shape == (0, 17)
+    assert node_features(make_score(2, [(0, 4, 4)], [])).shape == (0, 17)
 
 
 def test_bar_length_div():
@@ -200,38 +210,28 @@ def test_bar_at_matches_straight_scan():
         score = make_score(divisions, sigs, specs)
         assert [n.bar_index for n in score.notes] == list(range(10)) + [9]
         assert score.num_bars == 10
+        assert score.bars.tolist() == [list(bar) for bar in bars]
         for note in score.notes:
-            b = _bar_by_scan(bars, note.onset_div)
-            assert (note.bar_onset_div, note.bar_duration_div) == bars[b]
+            assert note.bar_index == _bar_by_scan(bars, note.onset_div)
 
 
 def test_make_score_sorts_and_numbers():
     score = make_score(2, [(0, 4, 4)],
                        [(8, 2, 60), (0, 4, 64), (0, 4, 60), (9, 1, 55)],
                        name="t")
-    score.validate()
     got = [(n.onset_div, n.duration_div, n.midi_pitch) for n in score.notes]
     assert got == [(0, 4, 60), (0, 4, 64), (8, 2, 60), (9, 1, 55)]
     assert [n.id for n in score.notes] == [0, 1, 2, 3]
     assert score.num_bars == 2
     assert score.notes[2].bar_index == 1
-    assert score.notes[2].bar_onset_div == 8
-
-
-def test_score_validate_rejects_unsorted():
-    n0 = QuantizedNote.make(0, 4, 2, 60, 0, 0, 8)
-    n1 = QuantizedNote.make(1, 0, 2, 60, 0, 0, 8)
-    score = Score(divisions_per_quarter=2,
-                  time_signatures=(TimeSignature(0, 4, 4),),
-                  notes=(n0, n1))
-    with pytest.raises(ValueError):
-        score.validate()
-
-
-def test_score_validate_rejects_bad_bar_fields():
-    bad = QuantizedNote.make(0, 0, 2, 60, 0, 0, 6)  # claims a 6-div bar
-    score = Score(divisions_per_quarter=2,
-                  time_signatures=(TimeSignature(0, 4, 4),),
-                  notes=(bad,))
-    with pytest.raises(ValueError):
-        score.validate()
+    assert score.bars.tolist() == [[0, 8], [8, 8]]
+    # the columns are read-only, and a renamed copy shares their values
+    renamed = dataclasses.replace(score, name="u")
+    assert renamed.name == "u"
+    for field in ("onset", "duration", "pitch", "bar", "bars"):
+        column = getattr(score, field)
+        assert column.dtype == np.int64
+        with pytest.raises(ValueError):
+            column[0] = 0
+        np.testing.assert_array_equal(getattr(renamed, field), column)
+    assert renamed.notes == score.notes

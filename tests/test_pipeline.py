@@ -354,12 +354,17 @@ def test_read_predictions_errors(tmp_path):
             read_predictions(bad_array)
 
     # a meta record that describes no score is refused, not looped over
+    # and so is one whose values are not JSON integers
     bad_meta = tmp_path / "bad_meta.jsonl"
+    (onset, duration, midi), *rest = records[0]["notes"]
     for fields in ({"time_signatures": [[0, 0, 4]]},
                    {"time_signatures": [[0, 4, 0]]},
                    {"time_signatures": []},
-                   {"notes": [[-4, 4, 60]] + records[0]["notes"][1:]},
-                   {"divisions": "4"}):
+                   {"notes": [[-4, 4, 60]] + rest},
+                   {"divisions": "4"},
+                   {"divisions": 4.5},
+                   {"notes": [[onset, duration + 0.5, midi]] + rest},
+                   {"notes": [[onset, duration, True]] + rest}):
         write_records(bad_meta, [dict(records[0], **fields)] + records[1:])
         with pytest.raises(MissingInput, match="malformed dump"):
             read_predictions(bad_meta)

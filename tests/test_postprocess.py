@@ -210,7 +210,7 @@ def test_number_voices_ordering_and_bases():
     streams = [VoiceStream(staff=0, pool_indices=[0]),
                VoiceStream(staff=0, pool_indices=[1, 3]),
                VoiceStream(staff=1, pool_indices=[2])]
-    numbered = number_voices(streams, pools, score.notes)
+    numbered = number_voices(streams, pools, score.pitch)
     # [DERIVED] upper voices share onset 0: top pitches 60 vs 72, so the
     # 72-stream gets voice 1; lower staff starts at max(5, 2+1) = 5.
     assert numbered[1].pool_indices == [1, 3]
@@ -226,7 +226,7 @@ def test_number_voices_upper_overflow_pushes_lower_base():
                        + [((5,), 0, 2, 1)])
     streams = [VoiceStream(staff=0, pool_indices=[i]) for i in range(5)] \
         + [VoiceStream(staff=1, pool_indices=[5])]
-    numbered = number_voices(streams, pools, score.notes)
+    numbered = number_voices(streams, pools, score.pitch)
     # [DERIVED] five upper voices 1..5; lower base max(5, 5+1) = 6.
     assert sorted(v for v, s in numbered.items() if s.staff == 0) \
         == [1, 2, 3, 4, 5]
@@ -405,7 +405,7 @@ def test_engrave_from_labels_round_trip():
     score = two_voice_score()
     engraved = engrave_from_labels(score)
     engraved.validate()
-    assert engraved.bar_count == 2
+    assert engraved.score.num_bars == 2
     # Upper voice is 1, lower is 5; every note covered exactly once.
     assert set(engraved.voice_staff.items()) == {(1, 0), (5, 1)}
     recovered = labels_of(engraved)
