@@ -691,6 +691,46 @@ def test_export_golden_bytes(golden_streams, name):
     assert golden_streams[name][0] == GOLDEN_SHA256[name]
 
 
+# One sha256 per fixture over the engrave() results themselves, for the same
+# bundles as above: the repr of every EngravedScore field but the score (all
+# Python ints, tuples and dicts), or a refusal's class name. The export digest
+# sees most random bundles on fixture_a and fixture_b only as TooManyVoices;
+# this one pins the staff, spelling, clef, octave, key and event decisions
+# behind them.
+ENGRAVE_GOLDEN_SHA256 = {
+    "fixture_a":
+        "72576e439e6c24ff0d4a2b0beddca15dd1ec9d7f30b3a764b2901b9377a8b340",
+    "fixture_b":
+        "c4d962ec4104228edd0785c054ca4e5d737f5875d81dfb9b6655d1b462265e45",
+    "grace_clip":
+        "aa475efb51273cadc55f53582341d433cd995693a83c3e1ec879b188a032c082",
+    "single_whole":
+        "e54eb94c50c4520ed268a9dfbe9b414fcea56c5fd01975e68c16ea2427809b0e",
+    "triplet_octave":
+        "3c4a7783b358555f4707ba3882d78d1e2820cc74f0cac79ba13ecb8827c7c62b",
+}
+
+
+def engraved_fields(engraved) -> bytes:
+    return repr([getattr(engraved, f.name)
+                 for f in dataclasses.fields(engraved)
+                 if f.name != "score"]).encode()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_engrave_golden(parsed_fixtures, name):
+    score = parsed_fixtures[name].score
+    digest = hashlib.sha256(engraved_fields(engrave_from_labels(score)))
+    graph = graph_for(score, ModelConfig())
+    for seed in GOLDEN_SEEDS:
+        try:
+            data = engraved_fields(engrave(random_bundle(graph, seed), score))
+        except REFUSALS as exc:
+            data = type(exc).__name__.encode()
+        digest.update(data)
+    assert digest.hexdigest() == ENGRAVE_GOLDEN_SHA256[name]
+
+
 def test_golden_documents_reach_every_writer_branch(golden_streams):
     text = b"".join(doc for _, docs in golden_streams.values() for doc in docs)
     for needle in (b"<backup>", b"<forward>", b'octave-shift type="stop"',
