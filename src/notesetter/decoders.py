@@ -39,7 +39,7 @@ HEAD_WIDTHS = {
     "staff": 2, "spelling": N_SPELLING, "key": N_KEY_CLASSES, "stem": 3,
     "octave_shift": 4, "clef": 3, "note_type": 8, "dots": 4, "tuplet": 3,
 }
-# heads whose logits are averaged over chord members during postprocessing
+# heads decided once per chord during postprocessing, from the members' mean
 POOLED_HEADS = ("note_type", "dots", "tuplet", "stem")
 
 
@@ -135,8 +135,9 @@ class PredictionBundle:
     def note_count(self) -> int:
         return self.note_logits["staff"].shape[0]
 
-    def staff_of(self, note_id: int) -> int:
-        return int(self.staff_probs[note_id] >= 0.5)
+    def staff(self) -> np.ndarray:
+        """The predicted staff of every note: 1 (lower) where P >= 0.5."""
+        return (self.staff_probs >= 0.5).astype(np.int64)
 
     def argmax(self, head: str) -> np.ndarray:
         return self.note_logits[head].argmax(axis=1)

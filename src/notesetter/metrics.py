@@ -104,18 +104,14 @@ def evaluate_bundle(bundle, score: Score, threshold: float) -> PieceMetrics:
 
     classes = labels_to_classes(labels, n)
     counts: dict[str, tuple[int, int]] = {}
-    joint_ok = [True] * n
+    joint_ok = np.ones(n, dtype=bool)
     for head in NODE_HEADS:
-        if head == "staff":
-            pred = [bundle.staff_of(i) for i in range(n)]
-        else:
-            pred = bundle.argmax(head).tolist()
-        gold = classes[head].tolist()
-        counts[head] = (sum(p == g for p, g in zip(pred, gold)), n)
+        pred = bundle.staff() if head == "staff" else bundle.argmax(head)
+        ok = pred == classes[head]
+        counts[head] = (int(ok.sum()), n)
         if head in _JOINT_PARTS:
-            joint_ok = [ok and p == g
-                        for ok, p, g in zip(joint_ok, pred, gold)]
-    counts["joint_duration"] = (sum(joint_ok), n)
+            joint_ok &= ok
+    counts["joint_duration"] = (int(joint_ok.sum()), n)
 
     pred_v, gold_v = voice_pair_sets(bundle, labels, n, threshold)
     pred_c, gold_c = chord_pair_sets(bundle, labels, threshold)

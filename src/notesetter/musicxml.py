@@ -468,9 +468,12 @@ def _assemble(divisions, time_sigs, bars, key_by_bar, clef_events,
     if not time_sigs:
         raise InconsistentTiming("document defines no time signature")
     # already in canonical order, which make_score's stable sort keeps
-    score = make_score(divisions, time_sigs,
-                       [(r.onset, r.duration, r.midi) for r in by_new],
-                       labels=labels)
+    try:
+        score = make_score(divisions, time_sigs,
+                           [(r.onset, r.duration, r.midi) for r in by_new],
+                           labels=labels)
+    except ValueError as exc:
+        raise MalformedXml(str(exc)) from exc
     if score.bars.tolist() != [list(b) for b in bars[:score.num_bars]]:
         raise InconsistentTiming(
             "measure lengths disagree with the time signatures")

@@ -273,6 +273,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _int64(values, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{what} do not fit in 64-bit integers") from exc
+
+
 def make_score(divisions: int, time_signatures, note_specs, labels=None,
                name: str = "") -> Score:
     """Build a canonical Score from (onset, duration, midi) triples.
@@ -288,7 +295,7 @@ def make_score(divisions: int, time_signatures, note_specs, labels=None,
         raise ValueError("divisions_per_quarter must be positive")
     if not sigs or sigs[0].bar_index != 0:
         raise ValueError("first time signature must sit at bar 0")
-    specs = np.array(list(note_specs), dtype=np.int64)
+    specs = _int64(list(note_specs), "note values")
     if specs.size == 0:
         specs = specs.reshape(0, 3)
     if specs.ndim != 2 or specs.shape[1] != 3:
@@ -305,6 +312,9 @@ def make_score(divisions: int, time_signatures, note_specs, labels=None,
     # both are non-negative here, so their uint64 sum cannot overflow
     offset = onset.view(np.uint64) + duration.view(np.uint64)
     max_offset = int(offset.max(initial=0))
+    if max_offset > np.iinfo(np.int64).max:
+        raise ValueError(f"the notes end at division {max_offset}, beyond "
+                         f"64-bit integers")
     # enough bars to cover the last offset, and never more than MAX_BARS
     table: list[tuple[int, int]] = []
     for bar_onset, length in _bars(divisions, sigs):
@@ -314,7 +324,7 @@ def make_score(divisions: int, time_signatures, note_specs, labels=None,
         table.append((bar_onset, length))
         if bar_onset + length >= max_offset:
             break
-    bars = np.array(table, dtype=np.int64)
+    bars = _int64(table, "bar onsets and lengths")
     bar = np.searchsorted(bars[:, 0], onset, side="right") - 1
     # the bars end at the bar of the last onset
     bars = bars[:bar[-1] + 1] if len(bar) else bars[:0]

@@ -2,20 +2,24 @@
 
 Four steps. (1) Chord pooling: accepted chord edges (probability at or above
 the threshold, equal duration, equal predicted staff) are closed under
-transitivity (connected components); logits of the pooled heads (note type,
-dots, tuplet, stem) are averaged over members. (2) Voice assignment: per
-staff, sweep onset groups left to right and match open voice ends against
-the new pooled nodes with the Hungarian algorithm on -log(probability)
-costs, padded square with dummy rows/columns priced at -log(threshold) — a
-dummy column ends a voice, a dummy row starts one, and the pricing makes a
-real match win exactly when p >= threshold. (3) Unpooling: members inherit
-their pool's voice; keys are smoothed to one per measure (majority vote,
-ties toward the previous measure), clef sequences are median-filtered
-(window 3) and split into maximal runs, octave-shift labels become maximal
-bracket runs. (4) Rest infilling: every gap in every active bar of every
-voice is filled greedily, largest symbol first, never letting a rest start
-off its own-length grid within the bar (so decompositions split at beat
-boundaries).
+transitivity (connected components); each pooled head (note type, dots,
+tuplet, stem) is decided once per pool, as the argmax of its members' mean
+logits. (2) Voice assignment: per staff, sweep onset groups left to right
+and match open voice ends against the new pooled nodes with the Hungarian
+algorithm on -log(probability) costs, padded square with dummy rows/columns
+priced at -log(threshold) — a dummy column ends a voice, a dummy row starts
+one, and the pricing makes a real match win exactly when p >= threshold.
+(3) Unpooling: members inherit their pool's voice and keep their own
+predicted staff, which a pool's members share. Keys are smoothed to one per
+measure (majority vote, ties toward the previous measure). Per staff, clefs
+and octave shifts are voted once per onset group. Clefs are median-filtered
+first (window 3, ends replicated); a clef tie keeps the previous group's
+clef when it is among the tied, and otherwise takes the smallest. An octave
+tie takes the smallest shift. Maximal runs of one value become clef regions
+and, for non-zero shifts, octave brackets. (4) Rest infilling: every gap in
+every active bar of every voice is filled greedily, largest symbol first,
+never letting a rest start off its own-length grid within the bar (so
+decompositions split at beat boundaries).
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ class PooledNode:
     onset_div: int
     duration_div: int
     staff: int
-    pooled_logits: dict
+    note_type: int
+    dots: int
+    tuplet: int          # ratio value in {1, 3, 5}
+    stem: int
 
     @property
     def offset_div(self) -> int:
@@ -155,7 +162,7 @@ class EngravedScore:
 def pool_chords(bundle: PredictionBundle, score: Score,
                 threshold: float) -> list[PooledNode]:
     n = len(score.onset)
-    staff_pred = bundle.staff_probs >= 0.5
+    staff_pred = bundle.staff()
     u, w = bundle.chord_pairs[:, 0], bundle.chord_pairs[:, 1]
     accept = ((bundle.chord_probs >= threshold)
               & (score.duration[u] == score.duration[w])
@@ -165,22 +172,22 @@ def pool_chords(bundle: PredictionBundle, score: Score,
     order = np.argsort(roots, kind="stable")
     starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
     counts = np.diff(starts, append=n)
-    means = {head: np.add.reduceat(bundle.note_logits[head][order], starts,
-                                   axis=0) / counts[:, None]
-             for head in POOLED_HEADS}
+    # each pooled head decided once: the argmax of its members' mean logits
+    decided = {head: (np.add.reduceat(bundle.note_logits[head][order], starts,
+                                      axis=0) / counts[:, None]).argmax(axis=1)
+               for head in POOLED_HEADS}
+    decided["tuplet"] = np.asarray(TUPLET_VALUES)[decided["tuplet"]]
     # the pools in (onset, staff, first id) order, built from plain ints
     first = order[starts]
-    staff = staff_pred[first].astype(np.int64)
-    onset, duration = score.onset[first], score.duration[first]
+    staff, onset = staff_pred[first], score.onset[first]
     ids, begins = order.tolist(), starts.tolist()
     ends = (starts + counts).tolist()
-    pool_onset, pool_duration = onset.tolist(), duration.tolist()
-    pool_staff = staff.tolist()
-    return [PooledNode(
-        ids=tuple(ids[begins[k]:ends[k]]), onset_div=pool_onset[k],
-        duration_div=pool_duration[k], staff=pool_staff[k],
-        pooled_logits={head: means[head][k] for head in POOLED_HEADS})
-        for k in np.lexsort((first, staff, onset)).tolist()]
+    columns = {field: c.tolist() for field, c in dict(
+        onset_div=onset, duration_div=score.duration[first], staff=staff,
+        **decided).items()}
+    return [PooledNode(ids=tuple(ids[begins[k]:ends[k]]),
+                       **{field: c[k] for field, c in columns.items()})
+            for k in np.lexsort((first, staff, onset)).tolist()]
 
 
 # --- step 2: voice assignment ---
@@ -325,56 +332,28 @@ def decompose_gap(start_div: int, length_div: int, bar_onset_div: int,
 
 # --- step 3 + 4: unpooling, smoothing, infilling ---
 
-def _median3(seq: list[int]) -> list[int]:
-    if len(seq) <= 2:
-        return list(seq)
-    out = []
-    for i in range(len(seq)):
-        window = sorted((seq[max(0, i - 1)], seq[i], seq[min(len(seq) - 1, i + 1)]))
-        out.append(window[1])
-    return out
-
-
-def _majority(values: list[int], tie_break: Optional[int]) -> int:
-    counts = collections.Counter(values)
-    top = max(counts.values())
-    tied = sorted(c for c, k in counts.items() if k == top)
-    if tie_break is not None and tie_break in tied:
-        return tie_break
-    return tied[0]
-
-
-def _group_by_onset(note_ids: list[int], onset: list[int]) -> list[list[int]]:
-    groups: "collections.OrderedDict[int, list[int]]" = collections.OrderedDict()
-    for i in note_ids:
-        groups.setdefault(onset[i], []).append(i)
-    return list(groups.values())
+def _group_votes(values: np.ndarray, group: np.ndarray, n_groups: int,
+                 width: int) -> np.ndarray:
+    """(groups x classes) vote counts: how many of each group's members
+    (``group`` gives each member's group) hold each class in ``values``."""
+    return np.bincount(group * width + values, minlength=n_groups * width
+                       ).reshape(n_groups, width)
 
 
 def unpool_and_finalize(numbered: dict[int, VoiceStream],
                         pools: list[PooledNode], bundle: PredictionBundle,
                         score: Score) -> EngravedScore:
-    n = len(score.onset)
-    onset = score.onset.tolist()
-    offset = (score.onset + score.duration).tolist()
     bars = score.bars.tolist()
-
-    staff = [0] * n
-    for stream in numbered.values():
-        for pi in stream.pool_indices:
-            for i in pools[pi].ids:
-                staff[i] = pools[pi].staff
-
-    spelling = bundle.argmax("spelling").tolist()
-    shift_raw = bundle.argmax("octave_shift").tolist()
-    clef_raw = bundle.argmax("clef").tolist()
+    # a pool's notes share their predicted staff, so each note keeps its own
+    staff = bundle.staff()
+    clef_raw = bundle.argmax("clef")
+    shift_raw = bundle.argmax("octave_shift")
 
     # per-measure key: majority vote, ties toward the previous measure
-    votes = np.bincount(score.bar * N_KEY_CLASSES + bundle.argmax("key"),
-                        minlength=len(bars) * N_KEY_CLASSES)
     measure_keys = []
     previous = 0
-    for counts in votes.reshape(len(bars), N_KEY_CLASSES):
+    for counts in _group_votes(bundle.argmax("key"), score.bar, len(bars),
+                               N_KEY_CLASSES):
         top = counts.max()
         if top:
             tied = (np.flatnonzero(counts == top) + KEY_MIN_FIFTHS).tolist()
@@ -382,57 +361,52 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
                 previous = min(tied, key=lambda f: (abs(f - previous), f))
         measure_keys.append(previous)
 
-    # clef: median filter per staff, then one value per onset group
-    clef = [0] * n
+    # clefs and octave shifts: one value per onset group of each staff
+    clef = np.zeros_like(staff)
+    octave_shift = np.zeros_like(staff)
     clef_regions: dict[int, tuple] = {}
-    for s in (0, 1):
-        ids = [i for i in range(n) if staff[i] == s]
-        if not ids:
-            continue
-        filtered = _median3([clef_raw[i] for i in ids])
-        by_note = dict(zip(ids, filtered))
-        regions = []
-        prev_value: Optional[int] = None
-        for group in _group_by_onset(ids, onset):
-            value = _majority([by_note[i] for i in group], prev_value)
-            for i in group:
-                clef[i] = value
-            if value != prev_value:
-                regions.append((onset[group[0]], value))
-                prev_value = value
-        regions[0] = (0, regions[0][1])
-        clef_regions[s] = tuple(regions)
-
-    # octave brackets: canonical per onset group, then maximal non-none runs
-    octave_shift = [0] * n
     octave_regions: dict[int, tuple] = {}
     for s in (0, 1):
-        ids = [i for i in range(n) if staff[i] == s]
-        if not ids:
+        ids = np.flatnonzero(staff == s)
+        if not len(ids):
             continue
-        groups = _group_by_onset(ids, onset)
-        values = [_majority([shift_raw[i] for i in group], None)
-                  for group in groups]
-        for group, value in zip(groups, values):
-            for i in group:
-                octave_shift[i] = value
-        regions = []
-        k = 0
-        while k < len(groups):
-            if values[k] == 0:
-                k += 1
-                continue
-            j = k
-            while j + 1 < len(groups) and values[j + 1] == values[k]:
-                j += 1
-            start = onset[groups[k][0]]
-            end = max(offset[i] for g in groups[k:j + 1] for i in g)
-            if j + 1 < len(groups):
-                end = min(end, onset[groups[j + 1][0]])
-            regions.append((start, end, values[k]))
-            k = j + 1
-        if regions:
-            octave_regions[s] = tuple(regions)
+        # the ids are in onset order, so each onset group is a run
+        onset = score.onset[ids]
+        is_first = np.diff(onset, prepend=-1) > 0
+        first = np.flatnonzero(is_first)
+        group = np.cumsum(is_first) - 1
+        group_onset = onset[first]
+
+        # clef: median-3 filter, then the group majority; a tie keeps the
+        # previous group's clef when it is among the tied, else the smallest
+        padded = np.pad(clef_raw[ids], 1, mode="edge")
+        filtered = np.sort([padded[:-2], padded[1:-1], padded[2:]], axis=0)[1]
+        votes = _group_votes(filtered, group, len(first), HEAD_WIDTHS["clef"])
+        value = votes.argmax(axis=1)
+        tied = votes == votes.max(axis=1, keepdims=True)
+        for g in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
+            if g and tied[g, value[g - 1]]:
+                value[g] = value[g - 1]
+        clef[ids] = value[group]
+        runs = np.flatnonzero(np.diff(value, prepend=-1))
+        starts = group_onset[runs]
+        starts[0] = 0
+        clef_regions[s] = tuple(zip(starts.tolist(), value[runs].tolist()))
+
+        # octave shift: the group majority, ties to the smallest shift; a
+        # bracket is a maximal run of one non-zero shift, ending at its notes'
+        # last offset but no later than the next group's onset
+        value = _group_votes(shift_raw[ids], group, len(first),
+                             HEAD_WIDTHS["octave_shift"]).argmax(axis=1)
+        octave_shift[ids] = value[group]
+        runs = np.flatnonzero(np.diff(value, prepend=-1))
+        ends = np.maximum.reduceat(onset + score.duration[ids], first[runs])
+        ends[:-1] = np.minimum(ends[:-1], group_onset[runs[1:]])
+        shifted = value[runs] != 0
+        if shifted.any():
+            octave_regions[s] = tuple(zip(group_onset[runs][shifted].tolist(),
+                                          ends[shifted].tolist(),
+                                          value[runs][shifted].tolist()))
 
     # events per voice + rest infilling over each voice's active bars
     vocabulary = _rest_vocabulary(score.divisions_per_quarter)
@@ -440,22 +414,15 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     voice_staff: dict[int, int] = {}
     for voice, stream in numbered.items():
         voice_staff[voice] = stream.staff
-        chord_events = []
-        for pi in stream.pool_indices:
-            pool = pools[pi]
-            note_type = int(np.argmax(pool.pooled_logits["note_type"]))
-            dots = int(np.argmax(pool.pooled_logits["dots"]))
-            tuplet = TUPLET_VALUES[int(np.argmax(pool.pooled_logits["tuplet"]))]
-            stem = int(np.argmax(pool.pooled_logits["stem"]))
-            chord_events.append(EngravedEvent(
-                voice=voice, staff=stream.staff, onset_div=pool.onset_div,
-                duration_div=pool.duration_div, note_ids=pool.ids,
-                note_type=note_type, dots=dots, tuplet=tuplet, stem=stem))
-        chord_events.sort(key=lambda e: e.onset_div)
-        first_bar = bar_at(bars, chord_events[0].onset_div)
-        last_bar = bar_at(bars, chord_events[-1].onset_div)
+        pending = sorted((EngravedEvent(
+            voice=voice, staff=stream.staff, onset_div=p.onset_div,
+            duration_div=p.duration_div, note_ids=p.ids, note_type=p.note_type,
+            dots=p.dots, tuplet=p.tuplet, stem=p.stem)
+            for p in (pools[pi] for pi in stream.pool_indices)),
+            key=lambda e: e.onset_div)
+        first_bar = bar_at(bars, pending[0].onset_div)
+        last_bar = bar_at(bars, pending[-1].onset_div)
         cursor = bars[first_bar][0]
-        pending = list(chord_events)
         for b in range(first_bar, last_bar + 1):
             bar_onset, bar_len = bars[b]
             bar_end = bar_onset + bar_len
@@ -485,8 +452,9 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
 
     events.sort(key=lambda e: (e.voice, e.onset_div))
     engraved = EngravedScore(
-        score=score, staff=tuple(staff), spelling=tuple(spelling),
-        octave_shift=tuple(octave_shift), clef=tuple(clef),
+        score=score, staff=tuple(staff.tolist()),
+        spelling=tuple(bundle.argmax("spelling").tolist()),
+        octave_shift=tuple(octave_shift.tolist()), clef=tuple(clef.tolist()),
         events=tuple(events), measure_keys=tuple(measure_keys),
         clef_regions=clef_regions, octave_regions=octave_regions,
         voice_staff=voice_staff)

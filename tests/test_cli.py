@@ -155,6 +155,24 @@ def test_malformed_xml_exit_code(tmp_path, capsys):
     assert err.startswith("ERROR MalformedXml: ")
 
 
+def test_int64_overflow_xml_exit_code(tmp_path, capsys):
+    # one quarter note at 2**62 divisions per quarter: a 4/4 bar is 2**64
+    big = tmp_path / "big.musicxml"
+    big.write_text(
+        '<score-partwise version="3.1"><part-list><score-part id="P1">'
+        "<part-name>Piano</part-name></score-part></part-list>"
+        '<part id="P1"><measure number="1"><attributes>'
+        f"<divisions>{2**62}</divisions><key><fifths>0</fifths></key>"
+        "<time><beats>4</beats><beat-type>4</beat-type></time></attributes>"
+        "<note><pitch><step>C</step><octave>4</octave></pitch>"
+        f"<duration>{2**62}</duration><voice>1</voice><type>quarter</type>"
+        "</note></measure></part></score-partwise>")
+    code, _, err = run(capsys, "graph-dump", str(big))
+    assert code == 5
+    assert err.startswith("ERROR MalformedXml: ")
+    assert "64-bit" in err
+
+
 def test_checkpoint_shape_mismatch_exit_code(tmp_path, capsys):
     work = tmp_path / "run"
     assert run(capsys, "ingest", "--in-dir", str(FIXTURE_DIR),

@@ -149,9 +149,12 @@ def test_bundle_probabilities_oracle():
                                [1 / (1 + math.exp(-0.5))], atol=1e-12)
     np.testing.assert_allclose(bundle.chord_probs,
                                [1 / (1 + math.exp(2.0))], atol=1e-12)
-    assert bundle.staff_of(0) == 1
-    assert bundle.staff_of(1) == 0
+    assert bundle.staff().dtype == np.int64
+    np.testing.assert_array_equal(bundle.staff(), [1, 0])
     bundle.validate()
+    # [DERIVED] the rule is P(lower) >= 0.5, so exactly 0.5 is the lower staff
+    bundle.staff_probs = np.array([0.5, np.nextafter(0.5, 0.0)])
+    np.testing.assert_array_equal(bundle.staff(), [1, 0])
 
 
 def test_bundle_argmax_and_validate_errors():

@@ -316,6 +316,19 @@ def test_nonpositive_divisions():
         parse_musicxml(data)
 
 
+@pytest.mark.parametrize("divisions,durations", [
+    (2**62, (2,)),                   # a 4/4 bar is 2**64 divisions long
+    (2**60, (2**62, 2**62)),         # two whole notes end at 2**63
+], ids=["bar_length", "offset"])
+def test_values_beyond_int64(divisions, durations):
+    attrs = ATTRS.replace("<divisions>2</divisions>",
+                          f"<divisions>{divisions}</divisions>")
+    measures = [note(dur=d, ntype="whole") for d in durations]
+    measures[0] = attrs + measures[0]
+    with pytest.raises(MalformedXml, match="64-bit"):
+        parse_musicxml(doc(*measures))
+
+
 def test_divisions_change_mid_piece():
     second = ATTRS.replace("<divisions>2</divisions>",
                            "<divisions>4</divisions>")

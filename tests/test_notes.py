@@ -140,6 +140,13 @@ def test_quantized_note_validation():
         == MAX_BARS
     with pytest.raises(ValueError, match="bar limit"):
         make_score(4, [(0, 4, 4)], [(16 * MAX_BARS - 1, 2, 60)])
+    # values beyond int64 are refused as ValueError, not OverflowError:
+    # a note value, a bar length (4 * 2**62 divisions per 4/4 bar) and an
+    # offset of 2**63 (onset 2**62 plus duration 2**62)
+    for divisions, triple in ((4, (0, 2**63, 60)), (2**62, (0, 1, 60)),
+                              (2**60, (2**62, 2**62, 60))):
+        with pytest.raises(ValueError, match="64-bit"):
+            make_score(divisions, [(0, 4, 4)], [triple])
 
 
 def test_node_features_quarter_in_44():

@@ -94,27 +94,35 @@ def test_pool_chords_requires_same_predicted_staff():
     assert sorted(p.ids for p in pools) == [(0,), (1,), (2,), (3,)]
 
 
-def test_pool_chords_averages_pooled_logits():
+def test_pool_chords_decides_pooled_heads_from_the_mean():
     score = chord_score()
     bundle = zero_bundle(4, chord_pairs=((0, 1),), chord_probs=(0.9,))
-    bundle.note_logits["note_type"][0] = np.arange(8)
-    bundle.note_logits["note_type"][1] = np.arange(8) * 3.0
+    # member 0 alone would pick class 1, member 1 alone class 2
+    bundle.note_logits["note_type"][0] = [0.0, 5.0, 0.0, 4.0, 0, 0, 0, 0]
+    bundle.note_logits["note_type"][1] = [0.0, 0.0, 5.0, 4.0, 0, 0, 0, 0]
+    # tuplet class 1 is the ratio 3; stem class 2 wins for note 3 alone
+    bundle.note_logits["tuplet"][0] = [0.0, 3.0, 0.0]
+    bundle.note_logits["tuplet"][1] = [0.0, 1.0, 1.5]
+    bundle.note_logits["stem"][3] = [0.0, 1.0, 2.0]
     pools = pool_chords(bundle, score, threshold=0.5)
     pool = next(p for p in pools if p.ids == (0, 1))
-    # [DERIVED] pooled logit = mean of member logits -> 2x arange.
-    np.testing.assert_allclose(pool.pooled_logits["note_type"],
-                               np.arange(8) * 2.0, atol=1e-15)
+    # [DERIVED] mean note_type row (0, 2.5, 2.5, 4, 0, ...) -> class 3, which
+    # neither member picks; mean tuplet row (0, 2, 0.75) -> class 1 -> 3.
+    assert (pool.note_type, pool.dots, pool.tuplet, pool.stem) == (3, 0, 3, 0)
     single = next(p for p in pools if p.ids == (3,))
-    np.testing.assert_array_equal(single.pooled_logits["dots"],
-                                  np.zeros(4))
+    assert (single.note_type, single.dots, single.tuplet, single.stem) == (
+        0, 0, 1, 2)
+    assert all(type(v) is int for p in pools
+               for v in (p.note_type, p.dots, p.tuplet, p.stem))
 
 
 # --- voice assignment ---
 
 def make_pools(specs):
-    """specs: (ids, onset, duration, staff)"""
+    """specs: (ids, onset, duration, staff); every pool a plain quarter."""
     return [PooledNode(ids=tuple(ids), onset_div=onset, duration_div=dur,
-                       staff=staff, pooled_logits={})
+                       staff=staff, note_type=QUARTER, dots=0, tuplet=1,
+                       stem=STEM_NONE)
             for ids, onset, dur, staff in specs]
 
 
@@ -334,6 +342,11 @@ def test_clef_median_filter_kills_spikes():
     assert engraved.clef == (0, 0, 0, 0, 0)
     assert engraved.clef_regions[0] == ((0, 0),)
 
+    # [DERIVED] with the ends replicated, a two-note staff passes unfiltered.
+    engraved = engrave_with(melody_score(2), clef=[0, 2])
+    assert engraved.clef == (0, 2)
+    assert engraved.clef_regions[0] == ((0, 0), (2, 2))
+
 
 def test_clef_change_creates_region_at_group_onset():
     score = melody_score(5)
@@ -352,6 +365,25 @@ def test_clef_chord_group_majority():
     assert engraved.clef == (0, 0, 0, 0, 0)
     assert engraved.clef_regions[0] == ((0, 0),)
 
+    # A tie in the first group has no previous clef: the smallest wins.
+    triples = [(0, 2, 55), (0, 2, 67), (2, 2, 60), (4, 2, 60)]
+    score = make_score(2, [(0, 4, 4)], triples, labels=full_labels(4))
+    engraved = engrave_with(score, clef=[2, 1, 1, 1])
+    # [DERIVED] median-3 keeps (2, 1, 1, 1); onset-0 group votes {2,1} tie
+    # -> 1.
+    assert engraved.clef == (1, 1, 1, 1)
+    assert engraved.clef_regions[0] == ((0, 1),)
+
+    # A tie without the previous clef among the tied: the smallest wins.
+    triples = [(0, 2, 60), (2, 2, 60), (4, 2, 55), (4, 2, 67), (6, 2, 60),
+               (8, 2, 60)]
+    score = make_score(2, [(0, 4, 4)], triples, labels=full_labels(6))
+    engraved = engrave_with(score, clef=[0, 0, 1, 2, 2, 2])
+    # [DERIVED] median-3 keeps (0, 0, 1, 2, 2, 2); onset-4 group votes {1,2}
+    # tie, previous 0 not tied -> 1; then 2 from onset 6.
+    assert engraved.clef == (0, 0, 1, 1, 2, 2)
+    assert engraved.clef_regions[0] == ((0, 0), (4, 1), (6, 2))
+
 
 def test_octave_region_extents():
     score = melody_score(4)
@@ -360,6 +392,14 @@ def test_octave_region_extents():
     # natural end 6, next group onset 6 -> (2, 6, 1).
     assert engraved.octave_regions[0] == ((2, 6, 1),)
     assert engraved.octave_shift == (0, 1, 1, 0)
+
+    triples = [(0, 2, 60), (0, 2, 64), (2, 2, 62)]
+    score = make_score(2, [(0, 4, 4)], triples, labels=full_labels(3))
+    engraved = engrave_with(score, octave_shift=[2, 1, 0])
+    # [DERIVED] onset-0 group votes {2,1} tie -> smallest shift 1; the
+    # bracket ends at the group's offset 2, the next group's onset.
+    assert engraved.octave_shift == (1, 1, 0)
+    assert engraved.octave_regions[0] == ((0, 2, 1),)
 
 
 def test_octave_region_not_extended_over_silence():
