@@ -11,6 +11,7 @@ evaluation (finite differences, inference) cheap.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -168,14 +169,11 @@ def affine(x: Value, scale: float) -> Value:
     return _node(out_data, (x,), bwd)
 
 
-def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int,
-                 take: Optional[np.ndarray] = None,
-                 scale: Optional[np.ndarray] = None) -> np.ndarray:
-    """(rows x cols) matrix whose row k sums the items i with idx[i] == k.
+def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """(rows x cols) matrix whose row k sums the rows i of ``values`` with
+    idx[i] == k; the indices must lie in [0, rows).
 
-    Item i is row i of ``values``, or row take[i] when ``take`` is given,
-    times scale[i] when ``scale`` is given. The indices must lie in [0, rows).
-    A stable sort groups equal indices (keeping their order), the items are
+    A stable sort groups equal indices (keeping their order), the rows are
     gathered once in that order, and ``np.add.reduceat`` sums each group.
     """
     out = np.zeros((rows, values.shape[1]))
@@ -184,52 +182,119 @@ def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int,
     perm = np.argsort(idx, kind="stable")
     sorted_idx = idx[perm]
     starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
-    items = values[perm if take is None else take[perm]]
-    if scale is not None:
-        items *= scale[perm, None]
-    out[sorted_idx[starts]] = np.add.reduceat(items, starts, axis=0)
+    out[sorted_idx[starts]] = np.add.reduceat(values[perm], starts, axis=0)
     return out
 
 
-def relational_conv(h: Value, weights: Sequence[Value], src, dst, rel,
-                    scale: Optional[np.ndarray] = None) -> Value:
-    """The relation-typed graph convolution over an edge list, as one tape node.
+def _rank_steps(idx: np.ndarray, take: np.ndarray) -> tuple:
+    """Pairs (rows, items) that together add item take[e] into row idx[e].
 
-    ``weights`` holds W0 and one (d x H) matrix per relation; edge e runs from
-    src[e] to dst[e] in relation rel[e]. Row v of the output is
+    Pair k holds the k-th occurrence of each row, in the order of ``idx``, so
+    no pair names a row twice and an indexed ``out[rows] += values[items]``
+    is exact; applied in order, the pairs add each row's items in the order
+    given. The first pair names every row that occurs, in increasing order
+    (and is empty when ``idx`` is).
+    """
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    rank = np.arange(len(idx)) - np.repeat(starts, np.diff(starts, append=len(idx)))
+    by_rank = np.argsort(rank, kind="stable")
+    cuts = np.cumsum(np.bincount(rank))[:-1]
+    return tuple(zip(np.split(sorted_idx[by_rank], cuts),
+                     np.split(take[order][by_rank], cuts)))
 
-        h[v] @ W0 + sum over edges e into v of scale[e] * h[src[e]] @ W_{rel[e] + 1}
 
-    (scale 1 when none is given). One GEMM gives ``h @ [W0 | W_1 | ...]``;
-    viewed as (n(R+1) x H), its row u(R+1) + k is h[u] @ W_k, so each edge
-    gathers one row and one segment sum over ``dst`` adds them up. Backward
-    runs the same steps transposed: a segment sum of g[dst] onto the
-    gathered rows, then two GEMMs.
+class ConvPlan:
+    """An edge list grouped once for :func:`relational_conv`.
+
+    Edge e runs from src[e] to dst[e] in relation rel[e] < ``relations``. Slot
+    (r, v) holds the edges of relation r into note v; only occupied slots
+    exist, ordered by (relation, destination), so each relation's slots are
+    one block, the range ``blocks[r]`` of slot indices, with distinct
+    destinations ``slot_dst``; ``size`` counts each slot's edges. ``gather``
+    sums the sources into the slots and ``scatter`` sends slot gradients back
+    to the sources, which may feed many slots (see :func:`_rank_steps`).
+    """
+
+    __slots__ = ("nodes", "slot_dst", "blocks", "size", "gather", "scatter")
+
+    def __init__(self, src, dst, rel, nodes: int, relations: int):
+        src, dst, rel = (np.asarray(a, dtype=np.int64) for a in (src, dst, rel))
+        if not src.shape == dst.shape == rel.shape or src.ndim != 1:
+            raise ShapeMismatch("ConvPlan edges", ("E",),
+                                (src.shape, dst.shape, rel.shape))
+        if src.size and (min(src.min(), dst.min(), rel.min()) < 0
+                         or max(src.max(), dst.max()) >= nodes
+                         or rel.max() >= relations):
+            raise ValueError(f"an edge lies outside {nodes} notes and "
+                             f"{relations} relations")
+        keys, slot = np.unique(rel * nodes + dst, return_inverse=True)
+        self.nodes = nodes
+        self.slot_dst = keys % nodes
+        bounds = np.searchsorted(keys // nodes, np.arange(relations + 1)).tolist()
+        self.blocks = tuple(zip(bounds[:-1], bounds[1:]))
+        self.size = np.bincount(slot, minlength=len(keys))
+        self.gather = _rank_steps(slot, src)
+        self.scatter = _rank_steps(src, slot)
+
+
+def relational_conv(h: Value, weights: Sequence[Value], plan: ConvPlan,
+                    mean: bool = False) -> Value:
+    """The relation-typed graph convolution over a planned edge list, as one
+    tape node.
+
+    ``weights`` holds W0 and one (d x H) matrix per relation of ``plan``. Row v
+    of the output is
+
+        h[v] @ W0 + sum over relations r of S_r[v] @ W_{r + 1}
+
+    where S_r[v] sums h[u] over the edges u -> v of relation r, divided by
+    their count when ``mean`` is set (the R-GCN sum). Aggregate, then
+    transform: the sources are summed into each occupied slot (r, v), each
+    relation's block of slot sums is multiplied by its weight and added into
+    its destinations, and one GEMM gives the self term. Backward runs the
+    same steps transposed.
     """
     weights = tuple(weights)
     n, d = h.shape
-    k = len(weights)
     hid = weights[0].shape[1]
     for w in weights:
         if w.shape != (d, hid):
             raise ShapeMismatch("relational_conv W", (d, hid), w.shape)
-    src, dst, rel = (np.asarray(a, dtype=np.int64) for a in (src, dst, rel))
-    shapes = {a.shape for a in (src, dst, rel, *([] if scale is None else [scale]))}
-    if len(shapes) != 1 or src.ndim != 1:
-        raise ShapeMismatch("relational_conv edges", ("E",), shapes)
-    side = np.concatenate([w.data for w in weights], axis=1)    # d x kH
-    proj = h.data @ side
-    rows = src * k + rel + 1            # row of h[src] @ W_{rel + 1} in the view
-    out_data = _segment_sum(proj.reshape(n * k, hid), dst, n, rows, scale)
-    out_data += proj[:, :hid]
+    if (n, len(weights)) != (plan.nodes, len(plan.blocks) + 1):
+        raise ShapeMismatch("relational_conv plan",
+                            (plan.nodes, len(plan.blocks) + 1), (n, len(weights)))
+
+    def slot_sums():
+        sums = h.data[plan.gather[0][1]]    # the first pair fills every slot
+        for rows, items in plan.gather[1:]:
+            sums[rows] += h.data[items]
+        if mean:
+            sums /= plan.size[:, None]
+        return sums
+
+    sums = slot_sums()
+    out_data = h.data @ weights[0].data
+    for (a, b), w in zip(plan.blocks, weights[1:]):
+        out_data[plan.slot_dst[a:b]] += sums[a:b] @ w.data
 
     def bwd(g):
-        d_proj = _segment_sum(g, rows, n * k, dst, scale).reshape(n, k * hid)
-        d_proj[:, :hid] += g
-        _accum(h, d_proj @ side.T)
-        d_side = h.data.T @ d_proj
-        for i, w in enumerate(weights):
-            _accum(w, d_side[:, i * hid:(i + 1) * hid])
+        # recomputed rather than held on the tape: holding them raised the
+        # peak RSS of bench training runs (hidden 64) by up to 4 MB
+        sums = slot_sums()
+        g_slots = g[plan.slot_dst]
+        d_sums = np.empty_like(sums)
+        _accum(weights[0], h.data.T @ g)
+        for (a, b), w in zip(plan.blocks, weights[1:]):
+            _accum(w, sums[a:b].T @ g_slots[a:b])
+            d_sums[a:b] = g_slots[a:b] @ w.data.T
+        if mean:
+            d_sums /= plan.size[:, None]
+        d_h = g @ weights[0].data.T
+        for rows, items in plan.scatter:
+            d_h[rows] += d_sums[items]
+        _accum(h, d_h)
     return _node(out_data, (h, *weights), bwd)
 
 
@@ -343,11 +408,6 @@ def layer_norm(x: Value, gamma: Value, beta: Value) -> Value:
     return _node(out_data, (x, gamma, beta), bwd)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # np.clip(x, -500, 500) by two ufuncs, which cost less per call
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
-
-
 def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
               bias: Sequence[Value], ln_g: Value, ln_b: Value) -> Value:
     """A GRU run over the rows of ``seq`` (in time order), as one tape node.
@@ -382,6 +442,10 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
     proj = seq.data @ wx_all + np.concatenate([b.data for b in bias], axis=1)
     whzr = np.concatenate([wh[0].data, wh[1].data], axis=1)         # H x 2H
     whc = wh[2].data
+    # sigmoid(x) = 0.5 tanh(x / 2) + 0.5; the halving is folded into the z|r
+    # columns once, exactly, since it scales by a power of two
+    proj[:, :2 * hid] *= 0.5
+    half_whzr = 0.5 * whzr
     gain, shift = ln_g.data[0], ln_b.data[0]
     keep = _GRAD_ENABLED
     out = np.empty((n, hid))
@@ -392,11 +456,13 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
         sd_all = np.empty(n)
     h = np.zeros(hid)
     for t in range(n):
-        zr = _sigmoid(proj[t, :2 * hid] + h @ whzr)
+        zr = np.tanh(proj[t, :2 * hid] + h @ half_whzr)
+        zr *= 0.5
+        zr += 0.5
         z, r = zr[:hid], zr[hid:]
         pre = proj[t, 2 * hid:] + (r * h) @ whc
         centered = pre - np.add.reduce(pre) / hid      # the mean, cheaper per call
-        sd = np.sqrt(centered @ centered / hid + LN_EPS)
+        sd = math.sqrt(float(centered @ centered) / hid + LN_EPS)
         norm = centered / sd
         c = np.tanh(norm * gain + shift)
         h = (1.0 - z) * c + z * h

@@ -12,10 +12,13 @@ GRU states, row u for note u — feeds the next block; the last block's output
 is the embedding matrix.
 
 The convolution is one tape node, ``autodiff.relational_conv``, over the
-graph's single edge list (``src``, ``dst``, ``rel``): one GEMM projects every
-note by W0 and all eight W_r, and one segment sum adds the projected sources
-into each destination. With ``aggregation="mean"`` each edge is scaled by one
-over its destination's in-degree within the edge's relation.
+graph's single edge list (``src``, ``dst``, ``rel``), grouped once per graph
+into ``ScoreGraph.conv_plan``. It aggregates, then transforms: the sources
+are summed into each occupied (relation, destination) slot, each relation's
+slot sums are multiplied by its W_r and added into their destinations, and
+one GEMM gives the self term W0 h_u. With ``aggregation="mean"`` each slot
+sum is divided by its edge count, the destination's in-degree within the
+relation.
 
 Each sweep is one fused tape node, ``autodiff.gru_sweep``: a plain NumPy
 loop forward and backpropagation through time written by hand backward, so
@@ -87,12 +90,7 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
            rng: Rng, train: bool) -> Value:
     """Embed every note; (node_count x hidden_size)."""
     config.validate()
-    scale = None
-    if config.aggregation == "mean":
-        # 1 / in-degree of each edge's destination within its relation
-        key = graph.dst * len(RELATIONS) + graph.rel
-        scale = 1.0 / np.bincount(key, minlength=graph.node_count * len(RELATIONS))[key]
-
+    mean = config.aggregation == "mean"
     features = Value(graph.features)
     hidden = ad.add(ad.matmul(features, params["enc.proj.W"]), params["enc.proj.b"])
     initial = hidden
@@ -101,8 +99,7 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
         pre = f"enc.l{layer}"
         weights = [params[f"{pre}.conv.W0"]]
         weights += [params[f"{pre}.conv.W.{rel}"] for rel in RELATIONS]
-        mixed = ad.relational_conv(hidden, weights, graph.src, graph.dst,
-                                   graph.rel, scale)
+        mixed = ad.relational_conv(hidden, weights, graph.conv_plan, mean)
         conv = ad.dropout(ad.relu(mixed), config.dropout, rng, train)
         if config.use_gru:
             source = initial if config.gru_on_initial_features else conv

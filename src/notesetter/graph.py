@@ -33,10 +33,12 @@ arrays in (u, w) order. With ``on``/``off`` the onset and offset arrays:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 
+from .autodiff import ConvPlan
 from .notes import Score, node_features
 
 EDGE_TYPES = ("onset", "during", "follow", "silence")
@@ -62,6 +64,12 @@ class ScoreGraph:
     dst: np.ndarray                       # (E,) int64 destination note ids
     rel: np.ndarray                       # (E,) int64 index into RELATIONS
     candidate_pairs: np.ndarray           # (m, 2) int64 voice candidates, by (u, w)
+
+    @functools.cached_property
+    def conv_plan(self) -> ConvPlan:
+        """The edge list grouped for the encoder's convolutions, built on
+        first use and kept with the graph (training reuses it every epoch)."""
+        return ConvPlan(self.src, self.dst, self.rel, self.node_count, len(RELATIONS))
 
     def edges(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
         """One relation's (src, dst) arrays, in the order stored."""

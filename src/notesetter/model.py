@@ -35,6 +35,8 @@ class ModelConfig:
         return not self.strict_same_bar_candidates
 
     def validate(self) -> None:
+        if self.hidden_size < 1:
+            raise ValueError("hidden_size must be >= 1")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:

@@ -551,7 +551,6 @@ def _mark_run(run, divisions, marks) -> None:
 
 
 def export_musicxml(engraved: EngravedScore) -> bytes:
-    engraved.validate()
     for voice, staff in engraved.voice_staff.items():
         low, high = (1, 4) if staff == 0 else (5, 8)
         if not low <= voice <= high:

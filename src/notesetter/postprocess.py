@@ -115,6 +115,9 @@ class EngravedScore:
     octave_regions: dict             # staff -> ((start_div, end_div, shift), ...)
     voice_staff: dict                # voice number -> staff index
 
+    def __post_init__(self) -> None:
+        self.validate()     # every instance, ``dataclasses.replace`` copies too
+
     def voice_events(self) -> dict:
         by_voice: dict[int, list[EngravedEvent]] = collections.defaultdict(list)
         for ev in self.events:
@@ -451,15 +454,13 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
             raise ValueError(f"voice {voice}: events outside its bar span")
 
     events.sort(key=lambda e: (e.voice, e.onset_div))
-    engraved = EngravedScore(
+    return EngravedScore(
         score=score, staff=tuple(staff.tolist()),
         spelling=tuple(bundle.argmax("spelling").tolist()),
         octave_shift=tuple(octave_shift.tolist()), clef=tuple(clef.tolist()),
         events=tuple(events), measure_keys=tuple(measure_keys),
         clef_regions=clef_regions, octave_regions=octave_regions,
         voice_staff=voice_staff)
-    engraved.validate()
-    return engraved
 
 
 def engrave(bundle: PredictionBundle, score: Score,

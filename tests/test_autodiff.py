@@ -14,9 +14,11 @@ import pytest
 
 from notesetter import autodiff as ad
 from notesetter.autodiff import ShapeMismatch, Value
+from notesetter.graph import RELATIONS, build_graph
 from notesetter.rng import Rng
+from notesetter.synth import random_score
 
-from conftest import numpy_gru
+from conftest import FIXTURE_NAMES, numpy_gru, parse_fixture
 
 
 def central_diff(loss_fn, param: Value, eps: float = 1e-6) -> np.ndarray:
@@ -224,23 +226,12 @@ def test_take_per_row():
 
 def test_segment_sums_match_add_at():
     # [DERIVED: np.add.at oracle] duplicate indices accumulate, rows no index
-    # names stay zero, and rows may exceed the largest index; with ``take``
-    # item i is values[take[i]], with ``scale`` it is multiplied by scale[i].
+    # names stay zero, and rows may exceed the largest index.
     values = Rng(20).normal(5, 2).reshape(5, 2)
     idx = np.array([3, 0, 3, 1, 3])
     expected = np.zeros((6, 2))
     np.add.at(expected, idx, values)
     np.testing.assert_array_equal(ad._segment_sum(values, idx, 6), expected)
-    take = np.array([4, 4, 0, 2, 1])
-    scale = np.array([0.5, 2.0, -1.0, 3.0, 0.25])
-    expected = np.zeros((6, 2))
-    np.add.at(expected, idx, values[take])
-    np.testing.assert_allclose(ad._segment_sum(values, idx, 6, take),
-                               expected, atol=1e-15)
-    expected = np.zeros((6, 2))
-    np.add.at(expected, idx, values[take] * scale[:, None])
-    np.testing.assert_allclose(ad._segment_sum(values, idx, 6, take, scale),
-                               expected, atol=1e-15)
     np.testing.assert_array_equal(values, Rng(20).normal(5, 2).reshape(5, 2))
 
 
@@ -250,8 +241,6 @@ def test_segment_sums_empty_index():
     empty = np.array([], dtype=np.int64)
     np.testing.assert_array_equal(ad._segment_sum(values, empty, 4),
                                   np.zeros((4, 2)))
-    np.testing.assert_array_equal(ad._segment_sum(values, empty, 4, empty),
-                                  np.zeros((4, 2)))
 
 
 # Five notes, three relations; relation 1 has no edges, and the edge 2 -> 0
@@ -259,25 +248,33 @@ def test_segment_sums_empty_index():
 CONV_SRC = np.array([1, 2, 2, 4, 0, 3, 4])
 CONV_DST = np.array([0, 0, 0, 0, 3, 1, 1])
 CONV_REL = np.array([0, 0, 0, 2, 2, 2, 0])
+CONV_PLAN = ad.ConvPlan(CONV_SRC, CONV_DST, CONV_REL, 5, 3)
 
 
-def _conv_inputs(seed):
+def _conv_inputs(seed, n=5, d=3, hid=2, relations=3):
     rng = Rng(seed)
-    h = Value(rng.normal(5, 3).reshape(5, 3))
-    weights = [Value(rng.normal(3, 2).reshape(3, 2)) for _ in range(4)]
+    h = Value(rng.normal(n, d).reshape(n, d))
+    weights = [Value(rng.normal(d, hid).reshape(d, hid))
+               for _ in range(relations + 1)]
     return h, weights
 
 
-def _add_at_conv(h, weights, scale):
+def _add_at_conv(h, weights, scale, src=CONV_SRC, dst=CONV_DST, rel=CONV_REL):
     """[DERIVED: np.add.at oracle] the convolution, one relation at a time."""
     out = h @ weights[0]
     for r in range(len(weights) - 1):
-        mask = CONV_REL == r
+        mask = rel == r
         agg = np.zeros((h.shape[0], weights[0].shape[1]))
-        np.add.at(agg, CONV_DST[mask], (h[CONV_SRC[mask]] @ weights[r + 1])
+        np.add.at(agg, dst[mask], (h[src[mask]] @ weights[r + 1])
                   * scale[mask, None])
         out += agg
     return out
+
+
+def _mean_scale(dst, rel, relations):
+    """1 / in-degree of each edge's destination within its relation."""
+    key = dst * relations + rel
+    return 1.0 / np.bincount(key)[key]
 
 
 @pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
@@ -286,39 +283,87 @@ def test_relational_conv_matches_add_at(mean):
     key = CONV_DST * 3 + CONV_REL
     scale = 1.0 / np.bincount(key)[key] if mean else None
     ad.reset_tape()
-    out = ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL, scale)
+    out = ad.relational_conv(h, weights, CONV_PLAN, mean)
     assert ad.tape_size() == 1
     expected = _add_at_conv(h.data, [w.data for w in weights],
                             np.ones(len(CONV_SRC)) if scale is None else scale)
     np.testing.assert_allclose(out.data, expected, atol=1e-14)
     ad.reset_tape()
     with ad.no_grad():
-        ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL, scale)
+        ad.relational_conv(h, weights, CONV_PLAN, mean)
     assert ad.tape_size() == 0
     check_grads(lambda: weighted_sum(
-        ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL, scale),
+        ad.relational_conv(h, weights, CONV_PLAN, mean),
         32), [h, *weights])
+
+
+def _real_graphs():
+    graphs = [build_graph(parse_fixture(name).score) for name in FIXTURE_NAMES]
+    return graphs + [build_graph(random_score(5, n_notes=160, n_bars=2))]
+
+
+@pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+def test_relational_conv_matches_add_at_on_real_graphs(mean):
+    # Every fixture and one dense random piece (many overlapping notes).
+    for i, graph in enumerate(_real_graphs()):
+        relations = len(RELATIONS)
+        h, weights = _conv_inputs(40 + i, n=graph.node_count, d=6, hid=5,
+                                  relations=relations)
+        scale = (_mean_scale(graph.dst, graph.rel, relations) if mean
+                 else np.ones(len(graph.src)))
+        with ad.no_grad():
+            out = ad.relational_conv(h, weights, graph.conv_plan, mean)
+        expected = _add_at_conv(h.data, [w.data for w in weights], scale,
+                                graph.src, graph.dst, graph.rel)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+def test_relational_conv_gradients_with_shared_sources(mean):
+    # Six notes, three relations: notes 4 and 5 have no in-edges, relation 1
+    # is empty, note 0 feeds notes 1, 2 and 3 in relation 0, and note 3
+    # feeds note 0 in relations 0 and 2.
+    src = np.array([0, 0, 0, 1, 2, 3, 3, 4])
+    dst = np.array([1, 2, 3, 2, 1, 0, 0, 2])
+    rel = np.array([0, 0, 0, 2, 2, 0, 2, 0])
+    plan = ad.ConvPlan(src, dst, rel, 6, 3)
+    assert plan.blocks[1][0] == plan.blocks[1][1]
+    h, weights = _conv_inputs(50, n=6)
+    scale = _mean_scale(dst, rel, 3) if mean else np.ones(len(src))
+    out = ad.relational_conv(h, weights, plan, mean)
+    np.testing.assert_allclose(
+        out.data, _add_at_conv(h.data, [w.data for w in weights], scale,
+                               src, dst, rel), rtol=0, atol=1e-14)
+    check_grads(lambda: weighted_sum(ad.relational_conv(h, weights, plan, mean),
+                                     51), [h, *weights])
 
 
 def test_relational_conv_without_edges_is_the_self_term():
     h, weights = _conv_inputs(33)
     empty = np.array([], dtype=np.int64)
-    out = ad.relational_conv(h, weights, empty, empty, empty)
+    plan = ad.ConvPlan(empty, empty, empty, 5, 3)
+    out = ad.relational_conv(h, weights, plan)
     np.testing.assert_array_equal(out.data, h.data @ weights[0].data)
     check_grads(lambda: weighted_sum(
-        ad.relational_conv(h, weights, empty, empty, empty), 34), [h, *weights])
+        ad.relational_conv(h, weights, plan), 34), [h, *weights])
 
 
 def test_relational_conv_shape_checks():
     h, weights = _conv_inputs(35)
     with pytest.raises(ShapeMismatch):
         ad.relational_conv(h, [*weights, Value(np.ones((2, 2)))],
-                           CONV_SRC, CONV_DST, CONV_REL)
+                           CONV_PLAN)
     with pytest.raises(ShapeMismatch):
-        ad.relational_conv(h, weights, CONV_SRC, CONV_DST[:-1], CONV_REL)
+        ad.relational_conv(h, weights[:-1], CONV_PLAN)
     with pytest.raises(ShapeMismatch):
-        ad.relational_conv(h, weights, CONV_SRC, CONV_DST, CONV_REL,
-                           np.ones(3))
+        ad.relational_conv(h, weights, ad.ConvPlan(CONV_SRC, CONV_DST,
+                                                   CONV_REL, 6, 3))
+    with pytest.raises(ShapeMismatch):
+        ad.ConvPlan(CONV_SRC, CONV_DST[:-1], CONV_REL, 5, 3)
+    with pytest.raises(ValueError, match="outside"):
+        ad.ConvPlan(CONV_SRC, CONV_DST, CONV_REL, 4, 3)
+    with pytest.raises(ValueError, match="outside"):
+        ad.ConvPlan(CONV_SRC, CONV_DST, CONV_REL, 5, 2)
 
 
 # --- nonlinearities ---
@@ -430,7 +475,7 @@ def test_gru_sweep_is_one_tape_node():
 
 
 def test_gru_sweep_extremes_stay_finite():
-    # Inputs of +-1e3 drive the gate logits past the +-500 sigmoid clip.
+    # Inputs of +-1e3 saturate every gate.
     seq, wx, wh, bias, ln_g, ln_b = _gru_inputs(4, 3, seed=34)
     seq.data[...] = np.where(seq.data > 0, 1e3, -1e3)
     every = [seq, *wx, *wh, *bias, ln_g, ln_b]
@@ -454,6 +499,28 @@ def test_gru_sweep_extremes_stay_finite():
     assert h.data[0, 0] == 0.0
     assert h.data[0, 1] == pytest.approx(c[1], abs=1e-200)
     ad.reset_tape()
+
+
+def test_gru_sweep_saturated_gates_are_exact():
+    # z pre-activations of +-1e3 give z = 1 or 0 exactly: a unit with z = 1
+    # keeps its state bit for bit, and a unit with z = 0 takes the candidate
+    # c, which (with Whc = 0) depends only on the row, so it equals the state
+    # of a sweep over that row alone. Inputs 0-1 feed c, inputs 2-3 feed z.
+    zero = Value(np.zeros((2, 2)))
+    wxz = Value(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    wxc = Value(np.array([[0.7, -0.4], [0.2, 0.9], [0.0, 0.0], [0.0, 0.0]]))
+    wx = [wxz, Value(np.zeros((4, 2))), wxc]
+    row = Value(np.zeros((1, 2)))
+    ln = (Value(np.array([[1.1, 0.9]])), Value(np.array([[0.05, -0.1]])))
+    seq = Value(np.array([[0.5, -1.0, 0.0, 0.0], [-0.3, 0.8, 1e3, -1e3]]))
+    with ad.no_grad():
+        out = ad.gru_sweep(seq, wx, [zero] * 3, [row] * 3, *ln).data
+        alone = ad.gru_sweep(Value(seq.data[1:]), wx, [zero] * 3, [row] * 3,
+                             *ln).data
+    assert out[0, 0] != 0.0 and out[0, 1] != 0.0    # z = 0.5 exactly at row 0
+    assert out[1, 0] == out[0, 0]                    # z = 1: state kept
+    assert alone[0, 0] == 0.0                        # z = 1 keeps the zero state
+    assert out[1, 1] == alone[0, 1] != out[0, 1]     # z = 0: state is c
 
 
 def test_gru_sweep_shape_checks():

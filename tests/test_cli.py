@@ -122,6 +122,15 @@ def test_missing_out_dir_is_bad_config(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_nonpositive_hidden_size_is_bad_config(tmp_path, capsys, size):
+    code, _, err = run(capsys, "train", "--manifest",
+                       str(tmp_path / "manifest.json"), "--out-dir",
+                       str(tmp_path), "--hidden-size", size)
+    assert code == 2
+    assert err == "ERROR BadConfig: hidden_size must be >= 1\n"
+
+
 def test_missing_input_dir_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--in-dir",
                        str(tmp_path / "nothing"), "--out-dir",

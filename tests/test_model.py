@@ -46,6 +46,7 @@ def test_cross_bar_property():
 @pytest.mark.parametrize("bad", [
     dict(num_layers=-1), dict(dropout=-0.1), dict(aggregation=""),
     dict(num_layers=0), dict(dropout=1.0), dict(aggregation="max"),
+    dict(hidden_size=0), dict(hidden_size=-3),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -476,11 +476,9 @@ def test_engrave_inserts_rests_for_late_voice_entry():
 
 def test_validate_catches_missing_note():
     engraved = engrave_from_labels(two_voice_score())
-    broken = dataclasses.replace(
-        engraved, events=tuple(e for e in engraved.events
-                               if 9 not in e.note_ids))
     with pytest.raises(ValueError):
-        broken.validate()
+        dataclasses.replace(engraved, events=tuple(
+            e for e in engraved.events if 9 not in e.note_ids))
 
 
 def test_validate_catches_bar_sum_violation():
@@ -491,10 +489,9 @@ def test_validate_catches_bar_sum_violation():
             return ev
         return dataclasses.replace(ev, duration_div=ev.duration_div + 1)
 
-    broken = dataclasses.replace(
-        engraved, events=tuple(stretch(e) for e in engraved.events))
     with pytest.raises(ValueError):
-        broken.validate()
+        dataclasses.replace(
+            engraved, events=tuple(stretch(e) for e in engraved.events))
 
 
 def test_validate_catches_short_bar_inside_a_voice():
@@ -511,39 +508,34 @@ def test_validate_catches_short_bar_inside_a_voice():
     assert [e.note_ids for e in middle] == [(1,)]
     voice = middle[0].voice
 
-    shortened = dataclasses.replace(engraved, events=tuple(
-        dataclasses.replace(e, duration_div=7) if e is middle[0] else e
-        for e in engraved.events))
     with pytest.raises(ValueError, match=fr"voice {voice}, bar 1: durations "
                                          r"sum to 7, bar length is 8"):
-        shortened.validate()
+        dataclasses.replace(engraved, events=tuple(
+            dataclasses.replace(e, duration_div=7) if e is middle[0] else e
+            for e in engraved.events))
 
-    moved = dataclasses.replace(engraved, events=tuple(
-        dataclasses.replace(e, voice=voice + 1) if e is middle[0] else e
-        for e in engraved.events))
     with pytest.raises(ValueError, match=fr"voice {voice}, bar 1: durations "
                                          r"sum to 0, bar length is 8"):
-        moved.validate()
+        dataclasses.replace(engraved, events=tuple(
+            dataclasses.replace(e, voice=voice + 1) if e is middle[0] else e
+            for e in engraved.events))
 
 
 def test_validate_catches_octave_region_errors():
     engraved = engrave_from_labels(two_voice_score())
     with pytest.raises(ValueError):
-        dataclasses.replace(engraved,
-                            octave_regions={0: ((0, 4, 0),)}).validate()
+        dataclasses.replace(engraved, octave_regions={0: ((0, 4, 0),)})
+    with pytest.raises(ValueError):
+        dataclasses.replace(engraved, octave_regions={0: ((4, 4, 1),)})
     with pytest.raises(ValueError):
         dataclasses.replace(engraved,
-                            octave_regions={0: ((4, 4, 1),)}).validate()
-    with pytest.raises(ValueError):
-        dataclasses.replace(
-            engraved,
-            octave_regions={0: ((0, 4, 1), (2, 6, 1))}).validate()
+                            octave_regions={0: ((0, 4, 1), (2, 6, 1))})
 
 
 def test_validate_catches_wrong_measure_key_count():
     engraved = engrave_from_labels(two_voice_score())
     with pytest.raises(ValueError):
-        dataclasses.replace(engraved, measure_keys=(0,)).validate()
+        dataclasses.replace(engraved, measure_keys=(0,))
 
 
 def test_perfect_bundle_structure():
