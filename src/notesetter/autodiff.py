@@ -1,11 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 A dynamically recorded tape of 2-D ``Value`` nodes supplies exactly the
-primitives the encoder and decoder heads need. The tape is a module-level
-list (one computation at a time, single-threaded); call :func:`reset_tape`
-between independent computations and :func:`backward` on a scalar loss.
-Inside :func:`no_grad` nothing is recorded, which makes repeated forward
-evaluation (finite differences, inference) cheap.
+nodes the encoder and decoder heads need, one per layer or head loss
+(:func:`linear`, :func:`cross_entropy`, :func:`bce_with_logits`, the fused
+encoder kernels); :func:`add` sums equal shapes. :func:`mul` and
+:func:`sum_all` are the tests' smallest scalar probes of a gradient. The
+tape is a module-level list (one computation at a time, single-threaded);
+call :func:`reset_tape` between independent computations and
+:func:`backward` on a scalar loss. Inside :func:`no_grad` nothing is
+recorded, which makes repeated forward evaluation (finite differences,
+inference) cheap.
 """
 
 from __future__ import annotations
@@ -112,41 +116,30 @@ def backward(loss: Value) -> None:
             node._backward(node.grad)
 
 
-# --- primitives ---
+# --- tape nodes ---
 
-def matmul(a: Value, b: Value) -> Value:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch("matmul", f"({a.shape[0]},k)x(k,{b.shape[1]})",
-                            f"{a.shape}x{b.shape}")
-    out_data = a.data @ b.data
+def linear(x: Value, w: Value, b: Value) -> Value:
+    """The fully connected layer ``x @ w + b`` (``b`` one row), as one node."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeMismatch("linear", ((x.shape[1], "k"), (1, "k")),
+                            (w.shape, b.shape))
+    out_data = x.data @ w.data + b.data
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-    return _node(out_data, (a, b), bwd)
+        _accum(b, g.sum(axis=0, keepdims=True))
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+    return _node(out_data, (x, w, b), bwd)
 
 
 def add(a: Value, b: Value) -> Value:
-    """Elementwise sum; ``b`` may be a single row broadcast over a's rows."""
-    row_bias = b.shape == (1, a.shape[1]) and a.shape[0] != 1
-    if not row_bias and a.shape != b.shape:
+    if a.shape != b.shape:
         raise ShapeMismatch("add", a.shape, b.shape)
     out_data = a.data + b.data
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, g.sum(axis=0, keepdims=True) if row_bias else g)
-    return _node(out_data, (a, b), bwd)
-
-
-def sub(a: Value, b: Value) -> Value:
-    if a.shape != b.shape:
-        raise ShapeMismatch("sub", a.shape, b.shape)
-    out_data = a.data - b.data
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
+        _accum(b, g)
     return _node(out_data, (a, b), bwd)
 
 
@@ -159,14 +152,6 @@ def mul(a: Value, b: Value) -> Value:
         _accum(a, g * b.data)
         _accum(b, g * a.data)
     return _node(out_data, (a, b), bwd)
-
-
-def affine(x: Value, scale: float) -> Value:
-    out_data = scale * x.data
-
-    def bwd(g):
-        _accum(x, scale * g)
-    return _node(out_data, (x,), bwd)
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
@@ -334,45 +319,11 @@ def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
     return _node(out_data, (emb, w1, b1), bwd)
 
 
-def take_per_row(x: Value, cols) -> Value:
-    """Pick one entry per row: out[i, 0] = x[i, cols[i]]."""
-    idx = np.asarray(cols, dtype=np.int64)
-    if idx.shape[0] != x.shape[0]:
-        raise ShapeMismatch("take_per_row", (x.shape[0],), idx.shape)
-    rows = np.arange(x.shape[0])
-    out_data = x.data[rows, idx].reshape(-1, 1)
-
-    def bwd(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[rows, idx] += g[:, 0]    # one (row, col) pair per row
-    return _node(out_data, (x,), bwd)
-
-
 def relu(x: Value) -> Value:
     out_data = np.maximum(x.data, 0.0)
 
     def bwd(g):
         _accum(x, g * (x.data > 0.0))
-    return _node(out_data, (x,), bwd)
-
-
-def softplus(x: Value) -> Value:
-    """log(1 + e^x), evaluated stably for large |x|."""
-    out_data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-
-    def bwd(g):
-        _accum(x, g / (1.0 + np.exp(-np.clip(x.data, -500, 500))))
-    return _node(out_data, (x,), bwd)
-
-
-def log_softmax_rows(x: Value) -> Value:
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = shifted - lse
-
-    def bwd(g):
-        _accum(x, g - np.exp(out_data) * g.sum(axis=1, keepdims=True))
     return _node(out_data, (x,), bwd)
 
 
@@ -529,9 +480,42 @@ def sum_all(x: Value) -> Value:
     return _node(out_data, (x,), bwd)
 
 
-def mean_all(x: Value) -> Value:
-    out_data = np.array([[x.data.mean()]])
+def cross_entropy(logits: Value, classes) -> Value:
+    """Mean over rows of -log softmax(logits[i])[classes[i]], as one node.
 
-    def bwd(g):
-        _accum(x, np.full_like(x.data, g[0, 0] / x.data.size))
-    return _node(out_data, (x,), bwd)
+    Rows are shifted by their maximum first, so large logits stay finite.
+    """
+    cls = np.asarray(classes, dtype=np.int64)
+    n = logits.shape[0]
+    if cls.shape != (n,):
+        raise ShapeMismatch("cross_entropy classes", (n,), cls.shape)
+    rows = np.arange(n)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out_data = -1.0 * logp[rows, cls].mean()
+
+    def bwd(g):    # (onehot - softmax) * v
+        v = (-1.0 * g[0, 0]) / n
+        onehot = np.zeros_like(logp)
+        onehot[rows, cls] = v
+        _accum(logits, onehot - np.exp(logp) * v)
+    return _node(out_data, (logits,), bwd)
+
+
+def bce_with_logits(logits: Value, targets) -> Value:
+    """Mean of softplus(x) - x*y (binary cross-entropy of sigmoid(x)) over
+    logits x and same-shaped targets y, as one node; softplus is stable for
+    large |x|."""
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != logits.shape:
+        raise ShapeMismatch("bce_with_logits targets", logits.shape, y.shape)
+    x = logits.data
+    softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out_data = (softplus - x * y).mean()
+
+    def bwd(g):    # (sigmoid(x) - y) * g / size
+        each = np.full_like(x, g[0, 0] / x.size)
+        d = (-each) * y
+        d += each / (1.0 + np.exp(-np.clip(x, -500, 500)))
+        _accum(logits, d)
+    return _node(out_data, (logits,), bwd)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -251,6 +252,11 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _run_config(args)
+    if args.notes < 1 or args.entries < 1:
+        raise BadConfig("gradcheck needs --notes and --entries of at least 1")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise BadConfig(f"--tolerance {args.tolerance} must be finite and "
+                        "positive")
     model_config = config.model_config()
     score = random_score(seed=config.seed, n_notes=args.notes)
     graph = graph_for(score, model_config)

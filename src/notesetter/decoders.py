@@ -11,9 +11,11 @@ piece is gathered per pair (``autodiff.pair_hidden``). The parameters keep
 the concatenated shapes (W1 is 2H x hidden), so checkpoints are unchanged.
 Pairs are (m, 2) int64 arrays of note ids, ordered by (u, w).
 
-The training objective is the plain (unweighted) sum of all head losses:
-categorical cross-entropy averaged over notes for each node head, binary
-cross-entropy averaged over pairs for the pair heads.
+Each linear layer is one tape node (``autodiff.linear``).
+
+The training objective is the plain (unweighted) sum of all head losses, one
+tape node each: categorical cross-entropy averaged over notes for each node
+head, binary cross-entropy averaged over pairs for the pair heads.
 """
 
 from __future__ import annotations
@@ -70,13 +72,12 @@ def zero_output_layers(params: dict[str, Value]) -> None:
 
 
 def _output_layer(hidden: Value, params: dict[str, Value], head: str) -> Value:
-    return ad.add(ad.matmul(hidden, params[f"dec.{head}.W2"]),
-                  params[f"dec.{head}.b2"])
+    return ad.linear(hidden, params[f"dec.{head}.W2"], params[f"dec.{head}.b2"])
 
 
 def _head_forward(x: Value, params: dict[str, Value], head: str) -> Value:
-    hidden = ad.relu(ad.add(ad.matmul(x, params[f"dec.{head}.W1"]),
-                            params[f"dec.{head}.b1"]))
+    hidden = ad.relu(ad.linear(x, params[f"dec.{head}.W1"],
+                               params[f"dec.{head}.b1"]))
     return _output_layer(hidden, params, head)
 
 
@@ -225,22 +226,18 @@ def total_loss(preds: Predictions, labels: LabelSet, n: int) -> LossResult:
         total = term if total is None else ad.add(total, term)
 
     for head in NODE_HEADS:
-        logp = ad.log_softmax_rows(preds.note_logits[head])
-        picked = ad.take_per_row(logp, classes[head])
-        accumulate(ad.affine(ad.mean_all(picked), -1.0), head)
-
-    def bce(logits: Value, targets: np.ndarray) -> Value:
-        y = Value(targets.reshape(-1, 1))
-        return ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, y)))
+        accumulate(ad.cross_entropy(preds.note_logits[head], classes[head]), head)
 
     excluded = len(labels.voice_edges)
     if preds.voice_logits is not None:
         y = in_edges(preds.voice_pairs, labels.voice_edges, n)
         excluded -= int(y.sum())
-        accumulate(bce(preds.voice_logits, y.astype(np.float64)), "voice")
+        accumulate(ad.bce_with_logits(preds.voice_logits, y.reshape(-1, 1)),
+                   "voice")
     if preds.chord_logits is not None:
         y = in_edges(preds.chord_pairs, labels.chord_edges, n)
-        accumulate(bce(preds.chord_logits, y.astype(np.float64)), "chord")
+        accumulate(ad.bce_with_logits(preds.chord_logits, y.reshape(-1, 1)),
+                   "chord")
 
     if not np.isfinite(total.item()):
         from .optim import NonFiniteLoss

@@ -92,7 +92,7 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
     config.validate()
     mean = config.aggregation == "mean"
     features = Value(graph.features)
-    hidden = ad.add(ad.matmul(features, params["enc.proj.W"]), params["enc.proj.b"])
+    hidden = ad.linear(features, params["enc.proj.W"], params["enc.proj.b"])
     initial = hidden
 
     for layer in range(1, config.num_layers + 1):

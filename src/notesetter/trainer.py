@@ -47,6 +47,15 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr {self.lr} must be finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay {self.weight_decay} must be "
+                             "finite and non-negative")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0.0):
+            raise ValueError(f"clip_norm {self.clip_norm} must be none or "
+                             "finite and positive")
 
 
 def is_validation_name(name: str, fraction: float) -> bool:

@@ -104,43 +104,52 @@ def test_backward_accumulates_through_reuse():
     assert float(x.grad[0, 0]) == pytest.approx(7.0, abs=1e-12)
 
 
-# --- arithmetic primitives ---
+# --- linear layer and arithmetic ---
 
-def test_matmul_forward_and_grad():
-    a = Value(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    b = Value(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]]))
-    prod = ad.matmul(a, b)
-    np.testing.assert_array_equal(prod.data, a.data @ b.data)
-    check_grads(lambda: weighted_sum(ad.matmul(a, b), seed=1), [a, b])
+def test_linear_forward_and_grad():
+    x = Value(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    w = Value(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]]))
+    b = Value(np.array([[0.5, -1.0, 0.25]]))
+    out = ad.linear(x, w, b)
+    np.testing.assert_array_equal(out.data, x.data @ w.data + b.data)
+    check_grads(lambda: weighted_sum(ad.linear(x, w, b), seed=1), [x, w, b])
+    # one row: the bias gradient is the row's own gradient
+    row = Value(np.array([[0.3, -0.7]]))
+    check_grads(lambda: weighted_sum(ad.linear(row, w, b), seed=2), [row, w, b])
     with pytest.raises(ShapeMismatch):
-        ad.matmul(a, Value(np.ones((3, 3))))
-
-
-def test_add_broadcast_bias_row():
-    # (3,2) + (1,2) broadcasts; the bias grad must sum over rows. [DERIVED]
-    x = Value(np.arange(6, dtype=float).reshape(3, 2))
-    bias = Value(np.array([[10.0, 20.0]]))
-    out = ad.add(x, bias)
-    np.testing.assert_array_equal(out.data, x.data + bias.data)
+        ad.linear(x, Value(np.ones((3, 3))), b)
+    with pytest.raises(ShapeMismatch):
+        ad.linear(x, w, Value(np.ones((3, 3))))
     ad.reset_tape()
-    loss = ad.sum_all(ad.add(x, bias))
+
+
+def test_linear_bias_grad_sums_over_rows():
+    # (3,2) @ (2,2) + (1,2): the bias grad sums over rows. [DERIVED]
+    x = Value(np.arange(6, dtype=float).reshape(3, 2))
+    w = Value(np.eye(2))
+    bias = Value(np.array([[10.0, 20.0]]))
+    ad.reset_tape()
+    loss = ad.sum_all(ad.linear(x, w, bias))
+    assert ad.tape_size() == 2
     ad.backward(loss)
     np.testing.assert_array_equal(bias.grad, [[3.0, 3.0]])
     np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+    np.testing.assert_array_equal(w.grad, [[6.0, 6.0], [9.0, 9.0]])
     ad.reset_tape()
-    with pytest.raises(ShapeMismatch):
-        ad.add(x, Value(np.ones((2, 2))))
 
 
-def test_sub_mul_affine():
+def test_add_and_mul():
     a = Value(np.array([[2.0, -1.0]]))
     b = Value(np.array([[0.5, 4.0]]))
-    np.testing.assert_array_equal(ad.sub(a, b).data, [[1.5, -5.0]])
+    np.testing.assert_array_equal(ad.add(a, b).data, [[2.5, 3.0]])
     np.testing.assert_array_equal(ad.mul(a, b).data, [[1.0, -4.0]])
-    np.testing.assert_array_equal(ad.affine(a, 3.0).data, [[6.0, -3.0]])
-    check_grads(lambda: weighted_sum(ad.sub(a, b), 2), [a, b])
+    check_grads(lambda: weighted_sum(ad.add(a, b), 2), [a, b])
     check_grads(lambda: weighted_sum(ad.mul(a, b), 3), [a, b])
-    check_grads(lambda: weighted_sum(ad.affine(a, 3.0), 4), [a])
+    # a bias row is not broadcast: that is linear's job
+    with pytest.raises(ShapeMismatch):
+        ad.add(Value(np.ones((2, 2))), a)
+    with pytest.raises(ShapeMismatch):
+        ad.mul(Value(np.ones((2, 2))), a)
 
 
 # --- structural primitives ---
@@ -212,16 +221,6 @@ def test_pair_hidden_shape_checks():
         ad.pair_hidden(emb, w1, Value(b1.data[:, :5]), PAIR_U, PAIR_W)
     with pytest.raises(ShapeMismatch):
         ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W[:-1])
-
-
-def test_take_per_row():
-    x = Value(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-    out = ad.take_per_row(x, np.array([2, 0]))
-    np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
-    check_grads(lambda: weighted_sum(ad.take_per_row(x, np.array([2, 0])), 9),
-                [x])
-    with pytest.raises(ShapeMismatch):
-        ad.take_per_row(x, np.array([0]))
 
 
 def test_segment_sums_match_add_at():
@@ -375,38 +374,78 @@ def test_relu():
     check_grads(lambda: weighted_sum(ad.relu(y), 10), [y])
 
 
-def test_sigmoid_tanh_softplus_log():
-    x = Value(np.array([[0.0, 1.0, -2.0]]))
-    np.testing.assert_allclose(
-        ad.softplus(x).data, np.log1p(np.exp(-np.abs(x.data)))
-        + np.maximum(x.data, 0.0), atol=1e-15)
-    pos = Value(np.array([[0.5, 1.0, 3.0]]))
+# --- losses ---
+
+def test_bce_with_logits_matches_softplus_oracle():
+    x = Value(np.array([[0.0], [1.0], [-2.0]]))
+    y = np.array([[1.0], [0.0], [1.0]])
+    softplus = np.log1p(np.exp(-np.abs(x.data))) + np.maximum(x.data, 0.0)
+    np.testing.assert_allclose(ad.bce_with_logits(x, y).item(),
+                               (softplus - x.data * y).mean(),
+                               rtol=0, atol=1e-15)
+    # [DERIVED] zero logits: ln 2 whatever the targets
+    assert ad.bce_with_logits(Value(np.zeros((2, 1))), [[0.0], [1.0]]).item() \
+        == pytest.approx(math.log(2), abs=1e-15)
+    pos = Value(np.array([[0.5], [1.0], [3.0]]))
     for v in (x, pos):
-        check_grads(lambda v=v: weighted_sum(ad.softplus(v), 13), [v])
+        check_grads(lambda v=v: ad.bce_with_logits(v, y), [v])
+    wide = Value(np.array([[0.4, -1.1], [2.0, 0.3]]))
+    check_grads(lambda: ad.bce_with_logits(wide, np.array([[1.0, 0.0],
+                                                           [0.0, 1.0]])), [wide])
+    with pytest.raises(ShapeMismatch):
+        ad.bce_with_logits(x, y[:2])
+    with pytest.raises(ShapeMismatch):
+        ad.bce_with_logits(x, y[:, 0])
+    ad.reset_tape()
 
 
 def test_sigmoid_and_softplus_extremes_stay_finite():
-    big = Value(np.array([[1000.0, -1000.0]]))
-    sp = ad.softplus(big)
-    assert sp.data[0, 0] == 1000.0  # softplus(x) -> x for large x
-    assert sp.data[0, 1] == 0.0
-    assert np.all(np.isfinite(sp.data))
+    # Per entry the loss is softplus(x) - x*y: x and 0 exactly at x = +-1000.
+    for x, y, loss in ((1000.0, 0.0, 1000.0), (-1000.0, 0.0, 0.0),
+                       (1000.0, 1.0, 0.0), (-1000.0, 1.0, 1000.0)):
+        logit = Value(np.array([[x]]))
+        ad.reset_tape()
+        out = ad.bce_with_logits(logit, [[y]])
+        assert out.item() == loss
+        ad.backward(out)
+        # the gradient is sigmoid(x) - y, finite at the clipped extremes
+        assert np.isfinite(logit.grad).all()
+        assert logit.grad[0, 0] == pytest.approx((x > 0) - y, abs=1e-200)
+    ad.reset_tape()
 
 
 def test_softmax_and_log_softmax():
+    # cross_entropy is the mean of -log softmax at each row's class.
     x = Value(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-    lsm = ad.log_softmax_rows(x)
+    classes = np.array([2, 0])
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     oracle = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    np.testing.assert_allclose(lsm.data, oracle, atol=1e-12)
-    # [DERIVED] zero logits -> uniform, log(1/3).
-    np.testing.assert_allclose(lsm.data[1], [-math.log(3)] * 3, atol=1e-15)
-    # Stability: huge logits must not overflow.
-    hot = ad.log_softmax_rows(Value(np.array([[1000.0, 0.0]])))
-    assert np.all(np.isfinite(hot.data))
-    np.testing.assert_allclose(hot.data, [[0.0, -1000.0]], atol=1e-12)
+    ad.reset_tape()
+    loss = ad.cross_entropy(x, classes)
+    assert ad.tape_size() == 1
+    np.testing.assert_allclose(loss.item(), -oracle[[0, 1], classes].mean(),
+                               rtol=0, atol=1e-12)
+    # the gradient is (softmax - onehot) / rows, picked entries included
+    ad.backward(loss)
+    onehot = np.eye(3)[classes]
+    np.testing.assert_allclose(x.grad, (np.exp(oracle) - onehot) / 2,
+                               rtol=0, atol=1e-15)
+    ad.reset_tape()
+    # [DERIVED] zero logits -> uniform: ln K for any class.
+    for k in (0, 2):
+        assert ad.cross_entropy(Value(np.zeros((1, 3))), [k]).item() \
+            == pytest.approx(math.log(3), abs=1e-15)
+    # Stability: huge logits must not overflow, and stay exact.
+    hot = Value(np.array([[1000.0, -1000.0]]))
+    assert ad.cross_entropy(hot, [0]).item() == 0.0
+    assert ad.cross_entropy(hot, [1]).item() == 2000.0
     y = Value(np.array([[0.3, -1.2, 0.8], [2.0, 2.0, -3.0]]))
-    check_grads(lambda: weighted_sum(ad.log_softmax_rows(y), 16), [y])
+    check_grads(lambda: ad.cross_entropy(y, np.array([1, 2])), [y])
+    single = Value(np.array([[0.5, -0.25]]))
+    check_grads(lambda: ad.cross_entropy(single, [1]), [single])
+    with pytest.raises(ShapeMismatch):
+        ad.cross_entropy(x, np.array([0]))
+    ad.reset_tape()
 
 
 def test_layer_norm_forward_oracle_and_grad():
@@ -558,14 +597,13 @@ def test_dropout_eval_and_p_zero_are_identity():
         ad.dropout(x, 0.0, Rng(0), train=True).data, x.data)
 
 
-def test_sum_all_and_mean_all():
+def test_sum_all():
     x = Value(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert ad.sum_all(x).item() == 10.0
-    assert ad.mean_all(x).item() == 2.5
     ad.reset_tape()
-    loss = ad.mean_all(x)
+    loss = ad.sum_all(x)
+    assert loss.item() == 10.0
     ad.backward(loss)
-    np.testing.assert_array_equal(x.grad, np.full((2, 2), 0.25))
+    np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
     ad.reset_tape()
 
 
@@ -581,11 +619,8 @@ def test_composite_mlp_gradient():
     be = Value(np.zeros((1, 5)))
 
     def loss_fn():
-        h = ad.relu(ad.add(ad.matmul(x, w1), b1))
+        h = ad.relu(ad.linear(x, w1, b1))
         h = ad.layer_norm(h, g, be)
-        logits = ad.add(ad.matmul(h, w2), b2)
-        picked = ad.take_per_row(ad.log_softmax_rows(logits),
-                                 np.array([0, 1, 1, 0]))
-        return ad.affine(ad.mean_all(picked), -1.0)
+        return ad.cross_entropy(ad.linear(h, w2, b2), np.array([0, 1, 1, 0]))
 
     check_grads(loss_fn, [x, w1, b1, w2, b2, g, be], rtol=1e-5, atol=1e-6)

@@ -147,6 +147,20 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "ERROR BadConfig" in err
 
 
+def test_config_file_negative_clip_norm_is_bad_config(tmp_path, capsys):
+    # A negative clip norm would flip every gradient; the run is refused
+    # before anything is read or written.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("clip_norm = -1\n")
+    code, out, err = run(capsys, "train", "--manifest",
+                         str(tmp_path / "manifest.json"), "--out-dir",
+                         str(tmp_path / "out"), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == ("ERROR BadConfig: clip_norm -1.0 must be none or finite "
+                   "and positive\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_corrupt_checkpoint_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX not a checkpoint")
@@ -236,6 +250,22 @@ def test_gradcheck_fail_exit_code(capsys):
                        *TINY, "--tolerance", "1e-30")
     assert code == 1
     assert "FAIL: max relative error" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ("--notes", "0"),
+    ("--entries", "0"),
+    ("--entries", "-1"),
+    ("--tolerance", "nan"),
+    ("--tolerance", "0"),
+    ("--tolerance=-1e-4",),
+    ("--tolerance", "inf"),
+])
+def test_gradcheck_bad_flags_are_bad_config(capsys, flags):
+    code, out, err = run(capsys, "gradcheck", *TINY, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR BadConfig: ")
+    assert err.count("\n") == 1
 
 
 def test_graph_dump_stdout_is_pure_jsonl(capsys):

@@ -167,6 +167,16 @@ def test_load_unknown_override():
     {"threshold": 0.0},
     {"threshold": 1.0},
     {"pair_agg": "median"},
+    {"lr": float("nan")},
+    {"lr": -0.1},
+    {"lr": 0.0},
+    {"lr": float("inf")},
+    {"weight_decay": -1.0},
+    {"weight_decay": float("nan")},
+    {"clip_norm": -1.0},
+    {"clip_norm": 0.0},
+    {"clip_norm": float("inf")},
+    {"clip_norm": float("nan")},
 ])
 def test_load_rejects_invalid_values(overrides):
     with pytest.raises(BadConfig):

@@ -71,12 +71,11 @@ def test_pair_head_first_layer_is_one_tape_node():
         assert len(readers) == 1, head
         hidden = readers[0]
         assert hidden._parents[0] is emb
-        # the output layer's matmul reads the hidden layer directly
+        # the output layer reads the hidden layer directly
         assert [node for node in tape if node._parents[:1] == (hidden,)][0] \
             ._parents[1] is params[f"dec.{head}.W2"]
-    # node heads: matmul, add, relu, matmul, add; pair heads: one node, then
-    # the output matmul and add
-    assert len(tape) == 5 * len(NODE_HEADS) + 3 * len(PAIR_HEADS)
+    # node heads: linear, relu, linear; pair heads: one node, then linear
+    assert len(tape) == 3 * len(NODE_HEADS) + 2 * len(PAIR_HEADS)
     ad.reset_tape()
 
 

@@ -26,6 +26,8 @@ from notesetter.model import (
 from notesetter.rng import Rng
 from notesetter.synth import random_score
 
+from conftest import parse_fixture
+
 CONFIG = ModelConfig(hidden_size=8, num_layers=2, dropout=0.0)
 
 
@@ -147,6 +149,27 @@ def test_loss_backward_reaches_all_used_params():
     for name, p in params.items():
         assert p.grad is not None, name
         assert np.all(np.isfinite(p.grad)), name
+    reset_tape()
+
+
+@pytest.mark.parametrize("name,nodes", [
+    ("fixture_a", 68), ("fixture_b", 68), ("triplet_octave", 68),
+    ("grace_clip", 64), ("single_whole", 60)])
+def test_training_step_tape_length(name, nodes):
+    # [DERIVED] a training step at the default three layers records the
+    # projection and five nodes per layer (convolution, ReLU, dropout, GRU
+    # sweep, layer norm), three per node head (linear, ReLU, linear), two per
+    # pair head with pairs (pair_hidden, linear), one loss node per head and
+    # one add per head after the first. grace_clip has no chord pair and
+    # single_whole has no pair at all.
+    heads = {"grace_clip": 10, "single_whole": 9}.get(name, 11)
+    assert nodes == 16 + 3 * 9 + 2 * (heads - 9) + heads + heads - 1
+    score = parse_fixture(name).score
+    config = ModelConfig(hidden_size=8)
+    reset_tape()
+    loss_for_score(score, graph_for(score, config),
+                   init_params(config, Rng(0)), config, rng=Rng(1), train=True)
+    assert tape_size() == nodes
     reset_tape()
 
 
