@@ -414,6 +414,25 @@ def test_sigmoid_and_softplus_extremes_stay_finite():
     ad.reset_tape()
 
 
+def test_take_per_row():
+    # cross_entropy picks each row's own class: with one row at a time the
+    # loss is -log softmax at that row's class, and rows never mix.
+    x = Value(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    classes = np.array([2, 0])
+    logp = x.data - np.log(np.exp(x.data).sum(axis=1, keepdims=True))
+    for i in range(2):
+        row = Value(x.data[i:i + 1].copy())
+        assert ad.cross_entropy(row, classes[i:i + 1]).item() \
+            == pytest.approx(-logp[i, classes[i]], abs=1e-12)
+    assert ad.cross_entropy(x, classes).item() \
+        == pytest.approx(-(logp[0, 2] + logp[1, 0]) / 2, abs=1e-12)
+    ad.reset_tape()
+    check_grads(lambda: ad.cross_entropy(x, np.array([2, 0])), [x])
+    with pytest.raises(ShapeMismatch):
+        ad.cross_entropy(x, np.array([0]))
+    ad.reset_tape()
+
+
 def test_softmax_and_log_softmax():
     # cross_entropy is the mean of -log softmax at each row's class.
     x = Value(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
