@@ -5,10 +5,16 @@ the threshold, equal duration, equal predicted staff) are closed under
 transitivity (connected components); each pooled head (note type, dots,
 tuplet, stem) is decided once per pool, as the argmax of its members' mean
 logits. (2) Voice assignment: per staff, sweep onset groups left to right
-and match open voice ends against the new pooled nodes with the Hungarian
-algorithm on -log(probability) costs, padded square with dummy rows/columns
-priced at -log(threshold) — a dummy column ends a voice, a dummy row starts
-one, and the pricing makes a real match win exactly when p >= threshold.
+and match open voice ends against the new pooled nodes: the minimum-cost
+assignment on -log(probability) costs, padded square with dummy rows/columns
+priced at d = -log(threshold) — a dummy column ends a voice, a dummy row
+starts one, and the pricing makes a real match win exactly when
+p >= threshold. With r voice ends and c nodes, any padded assignment costs
+(r + c) * d plus the sum of (cost - d) over its real matches. So when the
+pairs cheaper than d form a matching (no voice end with two, no node claimed
+twice) and no pair costs exactly d, they alone are the unique optimum and
+are taken directly. Only the other groups, the conflicts, run the Hungarian
+algorithm (Kuhn 1955).
 (3) Unpooling: members inherit their pool's voice and keep their own
 predicted staff, which a pool's members share. Keys are smoothed to one per
 measure (majority vote, ties toward the previous measure). Per staff, clefs
@@ -201,12 +207,12 @@ class VoiceStream:
     pool_indices: list[int]
 
 
-def _pool_pair_probabilities(pools: list[PooledNode],
-                             bundle: PredictionBundle, pair_agg: str) -> dict:
-    """P(pool b follows pool a) by key ``a * len(pools) + b``: the max or
-    mean over the voice probabilities of their member pairs, taken in (u, w)
-    order, clamped to [floor, 1 - floor]. Pools with no candidate pair
-    between them have no key."""
+def _pool_pair_probabilities(pools: list[PooledNode], bundle: PredictionBundle,
+                             pair_agg: str) -> tuple[np.ndarray, np.ndarray]:
+    """P(pool b follows pool a) as ascending keys ``a * len(pools) + b`` and
+    their probabilities: the max or mean over the voice probabilities of
+    their member pairs, taken in (u, w) order, clamped to [floor,
+    1 - floor]. Pools with no candidate pair between them have no key."""
     n_pools = len(pools)
     pool_of = np.full(bundle.note_count, -1, dtype=np.int64)
     pool_of[np.fromiter(itertools.chain.from_iterable(p.ids for p in pools),
@@ -217,7 +223,7 @@ def _pool_pair_probabilities(pools: list[PooledNode],
     inside = (pu >= 0) & (pw >= 0)
     keys = (pu * n_pools + pw)[inside]
     if not len(keys):
-        return {}
+        return keys, np.zeros(0)
     order = np.lexsort((pair_keys(pairs, bundle.note_count)[inside], keys))
     keys = keys[order]
     probs = bundle.voice_probs[inside][order]
@@ -226,8 +232,21 @@ def _pool_pair_probabilities(pools: list[PooledNode],
         agg = np.maximum.reduceat(probs, starts)
     else:
         agg = np.add.reduceat(probs, starts) / np.diff(starts, append=len(keys))
-    agg = np.minimum(np.maximum(agg, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
-    return dict(zip(keys[starts].tolist(), agg.tolist()))
+    return keys[starts], np.minimum(np.maximum(agg, _PROB_FLOOR),
+                                    1.0 - _PROB_FLOOR)
+
+
+def _conflict_assignment(lasts: list[int], group: list[int], pair_prob: dict,
+                         n_pools: int, dummy_cost: float) -> list:
+    """The exact assignment of one onset group: the Hungarian algorithm on
+    -log(probability) costs between the eligible streams' last pools and the
+    group's pools, padded square with dummies priced at ``dummy_cost``.
+    Returns, per stream, the pool it continues to, or None when it ends."""
+    r, c = len(lasts), len(group)
+    cost = np.full((r + c, r + c), dummy_cost)
+    cost[:r, :c] = [[-math.log(pair_prob.get(a * n_pools + b, _PROB_FLOOR))
+                     for b in group] for a in lasts]
+    return [group[j] if j < c else None for j in hungarian(cost)[:r]]
 
 
 def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
@@ -235,36 +254,61 @@ def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
     """Chain pooled nodes into monophonic per-staff voice streams."""
     if pair_agg not in ("max", "mean"):
         raise ValueError(f"unknown pair aggregation {pair_agg!r}")
-    pair_prob = _pool_pair_probabilities(pools, bundle, pair_agg)
+    if not (math.isfinite(threshold) and 0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must be finite and in (0, 1), "
+                         f"got {threshold!r}")
+    keys, probs = _pool_pair_probabilities(pools, bundle, pair_agg)
     n_pools = len(pools)
-    dummy_cost = -math.log(min(max(threshold, _PROB_FLOOR), 1.0 - _PROB_FLOOR))
+    theta = min(max(threshold, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
+    dummy_cost = -math.log(theta)
+    # The pairs that beat the dummy, decided once per piece. Below
+    # theta * (1 - 1e-9) a pair costs more than the dummy by far more than
+    # rounding, so its log is not taken. A cost equal to the dummy's is a
+    # tie, which only the solver may break.
+    wins: dict[int, list[int]] = {}
+    ties: set[int] = set()
+    near = probs >= theta * (1.0 - 1e-9)
+    for key, p in zip(keys[near].tolist(), probs[near].tolist()):
+        cost = -math.log(p)
+        if cost < dummy_cost:
+            wins.setdefault(key // n_pools, []).append(key % n_pools)
+        elif cost == dummy_cost:
+            ties.add(key)
+    pair_prob = None      # every key's probability, built on the first conflict
+    place = [(p.staff, p.onset_div) for p in pools]
+    offset = [p.offset_div for p in pools]
     streams: list[VoiceStream] = []
 
     for staff in (0, 1):
-        pool_ids = [i for i, p in enumerate(pools) if p.staff == staff]
-        groups: "collections.OrderedDict[int, list[int]]" = collections.OrderedDict()
-        for i in pool_ids:
-            groups.setdefault(pools[i].onset_div, []).append(i)
+        groups: dict[int, list[int]] = {}
+        for i, p in enumerate(pools):
+            if p.staff == staff:
+                groups.setdefault(p.onset_div, []).append(i)
         open_streams: list[VoiceStream] = []
         for onset, group in groups.items():
             eligible = [s for s in open_streams
-                        if pools[s.pool_indices[-1]].offset_div <= onset]
-            r, c = len(eligible), len(group)
-            cost = np.full((r + c, r + c), dummy_cost)
-            if r:
-                cost[:r, :c] = [
-                    [-math.log(pair_prob.get(s.pool_indices[-1] * n_pools + pi,
-                                             _PROB_FLOOR)) for pi in group]
-                    for s in eligible]
-            col_of_row = hungarian(cost)
-            row_of_col = {j: i for i, j in enumerate(col_of_row)}
-            for i, stream in enumerate(eligible):
-                if col_of_row[i] < c:
-                    stream.pool_indices.append(group[col_of_row[i]])
-                else:
+                        if offset[s.pool_indices[-1]] <= onset]
+            lasts = [s.pool_indices[-1] for s in eligible]
+            won = [[b for b in wins.get(a, ()) if place[b] == (staff, onset)]
+                   for a in lasts]
+            follow = [w[0] if w else None for w in won]
+            taken = {b for b in follow if b is not None}
+            # a stream with two wins or a pool won twice leaves taken short
+            if (len(taken) < sum(map(len, won))
+                    or ties and any(a * n_pools + b in ties
+                                    for a in lasts for b in group)):
+                if pair_prob is None:
+                    pair_prob = dict(zip(keys.tolist(), probs.tolist()))
+                follow = _conflict_assignment(lasts, group, pair_prob,
+                                              n_pools, dummy_cost)
+                taken = {b for b in follow if b is not None}
+            for stream, nxt in zip(eligible, follow):
+                if nxt is None:
                     open_streams.remove(stream)  # matched a dummy: voice ends
-            for j, pi in enumerate(group):
-                if row_of_col[j] >= r:           # dummy row: new voice starts
+                else:
+                    stream.pool_indices.append(nxt)
+            for pi in group:
+                if pi not in taken:              # dummy row: new voice starts
                     stream = VoiceStream(staff=staff, pool_indices=[pi])
                     streams.append(stream)
                     open_streams.append(stream)

@@ -8,19 +8,25 @@ comments ([DERIVED]).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from conftest import FIXTURE_NAMES
+from notesetter import postprocess
 from notesetter.decoders import HEAD_WIDTHS, NODE_HEADS, PredictionBundle
 from notesetter.graph import build_graph
+from notesetter.hungarian import hungarian
 from notesetter.notes import (NOTE_TYPE_NAMES, STEM_NONE, LabelSet,
                               make_score)
 from notesetter.postprocess import (EngravedEvent, PooledNode, UnfillableGap,
                                     VoiceStream, assign_voices, decompose_gap,
                                     engrave, engrave_from_labels, labels_of,
                                     number_voices, perfect_bundle,
-                                    pool_chords, _rest_vocabulary)
+                                    pool_chords, _pool_pair_probabilities,
+                                    _rest_vocabulary)
+from notesetter.synth import random_bundle
 
 QUARTER = NOTE_TYPE_NAMES.index("quarter")
 HALF = NOTE_TYPE_NAMES.index("half")
@@ -133,7 +139,8 @@ def pair_bundle(n, pairs, probs):
 def test_assign_voices_chains_above_threshold():
     # [DERIVED] theta = 0.5; matching (stream, node) costs
     # -log p - log theta versus the double-dummy -2 log theta, so the chain
-    # wins exactly when p > theta.
+    # wins when p > theta; p == theta is a tie that the solver breaks toward
+    # the chain (test_assign_voices_tie_with_dummy_stays_chained).
     pools = make_pools([((0,), 0, 2, 0), ((1,), 2, 2, 0)])
     streams = assign_voices(pools, pair_bundle(2, ((0, 1),), (0.51,)),
                             threshold=0.5, pair_agg="max")
@@ -206,6 +213,133 @@ def test_assign_voices_staves_are_independent():
 def test_assign_voices_bad_pair_agg():
     with pytest.raises(ValueError):
         assign_voices([], zero_bundle(1), threshold=0.5, pair_agg="median")
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, 1.0, 1.5,
+                                       math.inf])
+def test_assign_voices_bad_threshold(threshold, fixture_a):
+    with pytest.raises(ValueError, match="threshold"):
+        assign_voices([], zero_bundle(1), threshold=threshold, pair_agg="max")
+    score = fixture_a.score
+    with pytest.raises(ValueError, match="threshold"):
+        engrave(random_bundle(build_graph(score), 1), score,
+                threshold=threshold)
+
+
+def reference_assign_voices(pools, bundle, threshold, pair_agg):
+    """Oracle: every onset group solved by the Hungarian algorithm on the
+    padded (r + c) square matrix of -log(probability) costs, dummies priced
+    at -log(threshold), whether or not the group has a choice."""
+    keys, probs = _pool_pair_probabilities(pools, bundle, pair_agg)
+    pair_prob = dict(zip(keys.tolist(), probs.tolist()))
+    n_pools = len(pools)
+    dummy_cost = -math.log(min(max(threshold, 1e-12), 1.0 - 1e-12))
+    streams = []
+    for staff in (0, 1):
+        groups = {}
+        for i, p in enumerate(pools):
+            if p.staff == staff:
+                groups.setdefault(p.onset_div, []).append(i)
+        open_streams = []
+        for onset, group in groups.items():
+            eligible = [s for s in open_streams
+                        if pools[s.pool_indices[-1]].offset_div <= onset]
+            r, c = len(eligible), len(group)
+            cost = np.full((r + c, r + c), dummy_cost)
+            if r:
+                cost[:r, :c] = [
+                    [-math.log(pair_prob.get(s.pool_indices[-1] * n_pools + pi,
+                                             1e-12)) for pi in group]
+                    for s in eligible]
+            col_of_row = hungarian(cost)
+            row_of_col = {j: i for i, j in enumerate(col_of_row)}
+            for i, stream in enumerate(eligible):
+                if col_of_row[i] < c:
+                    stream.pool_indices.append(group[col_of_row[i]])
+                else:
+                    open_streams.remove(stream)
+            for j, pi in enumerate(group):
+                if row_of_col[j] >= r:
+                    stream = VoiceStream(staff=staff, pool_indices=[pi])
+                    streams.append(stream)
+                    open_streams.append(stream)
+    return streams
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_assign_voices_matches_padded_hungarian(name, parsed_fixtures):
+    # Forced groups are decided without the solver; the streams must be the
+    # ones the padded assignment of every group gives.
+    score = parsed_fixtures[name].score
+    graph = build_graph(score)
+    for seed in range(40):
+        bundle = random_bundle(graph, seed)
+        for threshold in (0.3, 0.5, 0.7):
+            pools = pool_chords(bundle, score, threshold)
+            for pair_agg in ("max", "mean"):
+                got = assign_voices(pools, bundle, threshold, pair_agg)
+                want = reference_assign_voices(pools, bundle, threshold,
+                                               pair_agg)
+                assert [(s.staff, s.pool_indices) for s in got] \
+                    == [(s.staff, s.pool_indices) for s in want], \
+                    (seed, threshold, pair_agg)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The sizes of the matrices voice assignment hands to the solver."""
+    calls = []
+
+    def counted(cost):
+        calls.append(len(cost))
+        return hungarian(cost)
+
+    monkeypatch.setattr(postprocess, "hungarian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, chains, calls", [
+    (0.5, [[0, 1]], [2]),
+    (math.nextafter(0.5, 1.0), [[0, 1]], []),
+    (math.nextafter(0.5, 0.0), [[0], [1]], [])])
+def test_assign_voices_tie_with_dummy_stays_chained(p, chains, calls,
+                                                    solver_calls):
+    # [DERIVED] p == theta prices the match exactly as the dummies, a tie
+    # left to the solver: hungarian([[d, d], [d, d]]) returns [0, 1], so the
+    # chain holds. One ulp either side of theta is decided without it.
+    pools = make_pools([((0,), 0, 2, 0), ((1,), 2, 2, 0)])
+    streams = assign_voices(pools, pair_bundle(2, ((0, 1),), (p,)),
+                            threshold=0.5, pair_agg="max")
+    assert [s.pool_indices for s in streams] == chains
+    assert solver_calls == calls
+
+
+def test_assign_voices_two_winners_for_one_stream_call_solver(solver_calls):
+    pools = make_pools([((0,), 0, 2, 0), ((1,), 2, 2, 0), ((2,), 2, 2, 0)])
+    bundle = pair_bundle(3, ((0, 1), (0, 2)), (0.8, 0.9))
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
+    assert [s.pool_indices for s in streams] == [[0, 2], [1]]
+    assert solver_calls == [3]
+
+
+def test_assign_voices_one_pool_won_twice_calls_solver(solver_calls):
+    pools = make_pools([((0,), 0, 2, 0), ((1,), 0, 2, 0), ((2,), 2, 2, 0)])
+    bundle = pair_bundle(3, ((0, 2), (1, 2)), (0.6, 0.9))
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
+    assert [s.pool_indices for s in streams] == [[0], [1, 2]]
+    assert solver_calls == [3]
+
+
+def test_assign_voices_forced_groups_skip_solver(solver_calls):
+    # Each stream has one winner, each pool one claimant; the losing pairs
+    # are below theta, so the crossing pairing is forced.
+    pools = make_pools([((0,), 0, 2, 0), ((1,), 0, 2, 0),
+                        ((2,), 2, 2, 0), ((3,), 2, 2, 0), ((4,), 4, 2, 0)])
+    bundle = pair_bundle(5, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 4)),
+                         (0.2, 0.7, 0.9, 0.3, 0.1))
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
+    assert [s.pool_indices for s in streams] == [[0, 3], [1, 2], [4]]
+    assert solver_calls == []
 
 
 # --- voice numbering ---
