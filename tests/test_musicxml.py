@@ -749,3 +749,45 @@ def test_golden_documents_reach_every_writer_branch(golden_streams):
     for needle in (b"<backup>", b"<forward>", b'octave-shift type="stop"',
                    b"<notations>", b"<dot />", b"<alter>", b"<chord />"):
         assert needle in text, needle
+
+
+# One sha256 per fixture over what the reader makes of the fixture itself,
+# of its engrave_from_labels export and of every exported random bundle
+# above: the repr of the score columns, bars, time signatures and labels
+# (edge sets sorted) and of every other ParseResult field (counters and
+# warnings). It pins the reader's output independently of how it is built.
+PARSE_GOLDEN_SHA256 = {
+    "fixture_a":
+        "347f4d6ceb2758f64ffed674a917dd0f95f90884d4dd37c4aa54b23e4b4096ed",
+    "fixture_b":
+        "fcebbe996aba218fa02a7fe990988f824d75fec0593c3184482b1c248eeaeb5c",
+    "grace_clip":
+        "9435e55dfa1a8db34911c421607accb1c0888fdf3419916db6f03e1ebbc39f63",
+    "single_whole":
+        "8a6daef32eac4de8e6d392023c489c8a609110bd82218eff158c74e9407423c3",
+    "triplet_octave":
+        "dc56605047c1c4d6475a0dfc70317f5917317f61024bec72740cf7753f54381c",
+}
+
+
+def parse_fields(result) -> bytes:
+    score, labels = result.score, result.score.labels
+    return repr([
+        score.divisions_per_quarter, score.time_signatures,
+        [getattr(score, c).tolist()
+         for c in ("onset", "duration", "pitch", "bar", "bars")],
+        [sorted(v) if isinstance(v, frozenset) else v
+         for v in (getattr(labels, f.name)
+                   for f in dataclasses.fields(labels))],
+        [getattr(result, f.name) for f in dataclasses.fields(result)
+         if f.name != "score"],
+    ]).encode()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_parse_golden(golden_streams, name):
+    docs = [fixture_path(name).read_bytes(), *golden_streams[name][1]]
+    digest = hashlib.sha256()
+    for data in docs:
+        digest.update(parse_fields(parse_musicxml(data)))
+    assert digest.hexdigest() == PARSE_GOLDEN_SHA256[name]
