@@ -3,13 +3,13 @@
 A dynamically recorded tape of 2-D ``Value`` nodes supplies exactly the
 nodes the encoder and decoder heads need, one per layer or head loss
 (:func:`linear`, :func:`cross_entropy`, :func:`bce_with_logits`, the fused
-encoder kernels); :func:`add` sums equal shapes. :func:`mul` and
-:func:`sum_all` are the tests' smallest scalar probes of a gradient. The
-tape is a module-level list (one computation at a time, single-threaded);
-call :func:`reset_tape` between independent computations and
-:func:`backward` on a scalar loss. Inside :func:`no_grad` nothing is
-recorded, which makes repeated forward evaluation (finite differences,
-inference) cheap.
+encoder kernels); :func:`add` sums equal shapes. The tests' smallest
+scalar gradient probes, ``mul`` and ``sum_all``, live in
+``tests/conftest.py``. The tape is a module-level list (one computation at
+a time, single-threaded); call :func:`reset_tape` between independent
+computations and :func:`backward` on a scalar loss. Inside
+:func:`no_grad` nothing is recorded, which makes repeated forward
+evaluation (finite differences, inference) cheap.
 """
 
 from __future__ import annotations
@@ -140,17 +140,6 @@ def add(a: Value, b: Value) -> Value:
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
-    return _node(out_data, (a, b), bwd)
-
-
-def mul(a: Value, b: Value) -> Value:
-    if a.shape != b.shape:
-        raise ShapeMismatch("mul", a.shape, b.shape)
-    out_data = a.data * b.data
-
-    def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
     return _node(out_data, (a, b), bwd)
 
 
@@ -470,14 +459,6 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
         _accum(ln_g, (d_y * norm_all).sum(axis=0, keepdims=True))
         _accum(ln_b, d_y.sum(axis=0, keepdims=True))
     return Value(out, (seq, *wx, *wh, *bias, ln_g, ln_b), bwd)
-
-
-def sum_all(x: Value) -> Value:
-    out_data = np.array([[x.data.sum()]])
-
-    def bwd(g):
-        _accum(x, np.full_like(x.data, g[0, 0]))
-    return _node(out_data, (x,), bwd)
 
 
 def cross_entropy(logits: Value, classes) -> Value:

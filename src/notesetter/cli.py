@@ -14,6 +14,7 @@ environment variable (e.g. ``info`` or ``debug``) to see engraving logs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -23,7 +24,7 @@ from pathlib import Path
 from .autodiff import reset_tape
 from .checkpoint import (BadCheckpoint, ChecksumMismatch, load_checkpoint,
                          restore_params)
-from .config import BadConfig, config_hash, load_run_config
+from .config import BadConfig, RunConfig, config_hash, load_run_config
 from .graph import coverage_report, dump_graph_jsonl
 from .model import graph_for, init_params, loss_for_score
 from .musicxml import (InconsistentTiming, MalformedXml, TooManyVoices,
@@ -60,29 +61,23 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="key=value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--hidden-size", type=int, default=None)
-    parser.add_argument("--layers", type=int, default=None)
+    parser.add_argument("--layers", dest="num_layers", type=int,
+                        default=None)
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--lr", type=float, default=None)
     parser.add_argument("--weight-decay", type=float, default=None)
     parser.add_argument("--threshold", type=float, default=None)
-    parser.add_argument("--strict-same-bar-candidates", dest="strict",
+    parser.add_argument("--strict-same-bar-candidates",
                         action="store_const", const=True, default=None,
                         help="restrict voice candidates to the same bar")
     parser.add_argument("--out-dir", type=Path, default=None)
 
 
 def _run_config(args):
-    overrides = {
-        "seed": args.seed,
-        "hidden_size": args.hidden_size,
-        "num_layers": args.layers,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "weight_decay": args.weight_decay,
-        "threshold": args.threshold,
-        "strict_same_bar_candidates": args.strict,
-        "pair_agg": getattr(args, "pair_agg", None),
-    }
+    """The run's settings: every flag whose dest is a ``RunConfig`` field
+    overrides the config file."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
     return load_run_config(args.config, overrides)
 
 

@@ -6,6 +6,16 @@ duration, voice, type, dots, stem, staff, chord flag, time-modification),
 backup/forward, and octave-shift directions. Anything else is rejected with
 a diagnostic naming the offending element.
 
+The reader walks the measures once and appends one int row per note
+(onset, duration, midi, staff, voice, spelling, stem, type, dots, tuplet,
+measure); a chord unit is a list of row indices. ``_assemble`` numbers the
+notes with one sort by (onset, midi, staff, voice), reads each note's clef
+and octave-shift label off its staff's sorted events with one binary search,
+and hands the columns to ``make_score``. :func:`validate_subset` is the
+reader plus what it does not check: the schema order of <attributes> and
+<note> children, exactly one of pitch and rest, and the type and stem words
+of the rests and grace notes the reader skips.
+
 Canonical serialization (what :func:`export_musicxml` emits and the
 round-trip and golden-bytes tests freeze): UTF-8 with an XML declaration and
 the partwise DOCTYPE, two-space indentation, ``<tag />`` for empty elements,
@@ -27,17 +37,21 @@ from __future__ import annotations
 
 import dataclasses
 import gzip
+import itertools
 import logging
 import xml.etree.ElementTree as ET
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .notes import (ALTER_VALUES, CLEF_F, CLEF_G, DEFAULT_SPELLING_BY_PC,
                     KEY_MAX_FIFTHS, KEY_MIN_FIFTHS, LabelSet, MAX_DOTS,
                     NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
-                    STEP_TO_PC, Score, TimeSignature, TUPLET_RATIOS, bar_at,
-                    bar_length_div, make_score, spelling_parts, spelling_of,
-                    spelling_pitch_class)
+                    STEP_TO_PC, Score, TimeSignature, TUPLET_RATIOS, _int64,
+                    bar_at, bar_length_div, make_score, spelling_parts,
+                    spelling_of, spelling_pitch_class)
 from .postprocess import EngravedScore
 
 log = logging.getLogger(__name__)
@@ -68,6 +82,9 @@ _CLEF_LINES = {0: "2", 1: "4", 2: "3"}
 _STEM_TEXT = {0: "up", 1: "down", 2: "none"}
 _TEXT_STEM = {v: k for k, v in _STEM_TEXT.items()}
 _TYPE_INDEX = {name: i for i, name in enumerate(NOTE_TYPE_NAMES)}
+# the <note> children of the subset, in schema order
+_NOTE_ORDER = ("grace", "chord", "pitch", "rest", "duration", "voice", "type",
+               "dot", "time-modification", "stem", "staff", "notations")
 
 _DOCTYPE = ('<!DOCTYPE score-partwise PUBLIC '
             '"-//Recordare//DTD MusicXML 3.1 Partwise//EN" '
@@ -99,19 +116,14 @@ def _child(elem: ET.Element, tag: str) -> Optional[ET.Element]:
     return found[0] if found else None
 
 
-@dataclasses.dataclass
-class _RawNote:
-    onset: int
-    duration: int
-    midi: int
-    spelling: int
-    staff: int
-    voice: int
-    stem: int
-    note_type: int
-    dots: int
-    tuplet: int
-    measure: int
+def _staff(elem: ET.Element, what: str) -> int:
+    """0-based staff of a <note> or <direction>; <staff> defaults to 1."""
+    staff_elem = _child(elem, "staff")
+    staff = (_int_text(staff_elem, "staff") if staff_elem is not None
+             else 1) - 1
+    if staff not in (0, 1):
+        raise UnsupportedElement(f"{what} must be 1 or 2")
+    return staff
 
 
 def parse_musicxml(data: bytes) -> ParseResult:
@@ -137,34 +149,32 @@ def parse_musicxml(data: bytes) -> ParseResult:
     divisions: Optional[int] = None
     time_sigs: list[TimeSignature] = []
     cur_sig: Optional[TimeSignature] = None
-    key_by_bar: dict[int, int] = {}
+    bar_len: Optional[int] = None
+    keys: list[int] = []  # key fifths of each measure
     cur_key = 0
     bars: list[tuple[int, int]] = []
-    clef_events: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
-    shift_events: dict[int, list[tuple[int, int, int]]] = {0: [], 1: []}
-    raw_notes: list[_RawNote] = []
-    units: dict[int, list[tuple[int, list[_RawNote]]]] = {}
+    # (time, kind, value) per staff; kind 0 is an octave-shift stop
+    clef_events: tuple[list, list] = ([], [])
+    shift_events: tuple[list, list] = ([], [])
+    rows: list[tuple[int, ...]] = []  # one (onset, ..., measure) row per note
+    units: dict[int, list[tuple[int, list[int]]]] = {}  # voice -> (onset, rows)
     grace_dropped = clipped = fifteen_mb = 0
     warnings: list[str] = []
+
+    def measure_end() -> int:
+        if bar_len is None:
+            raise InconsistentTiming(
+                f"measure {m_index + 1}: note before any time signature")
+        return measure_onset + bar_len
 
     measure_onset = 0
     for m_index, measure in enumerate(parts[0]):
         if measure.tag != "measure":
             raise UnsupportedElement(f"<{measure.tag}> under <part>")
         cursor = measure_onset
-        bar_len: Optional[int] = None
-        last_unit: Optional[list[_RawNote]] = None
+        last_unit: Optional[list[int]] = None
         last_unit_dur = 0
 
-        def measure_len() -> int:
-            if bar_len is None:
-                raise InconsistentTiming(
-                    f"measure {m_index + 1}: note before any time signature")
-            return bar_len
-
-        if cur_sig is not None and divisions is not None:
-            bar_len = bar_length_div(cur_sig.numerator, cur_sig.denominator,
-                                     divisions)
         for elem in measure:
             if elem.tag == "attributes":
                 for attr in elem:
@@ -194,7 +204,6 @@ def parse_musicxml(data: bytes) -> ParseResult:
                                                 _int_text(beats, "beats"),
                                                 _int_text(beat_type, "beat-type"))
                         time_sigs.append(cur_sig)
-                        bar_len = None
                     elif attr.tag == "staves":
                         if _int_text(attr, "staves") not in (1, 2):
                             raise UnsupportedElement("staves must be 1 or 2")
@@ -207,10 +216,11 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             raise UnsupportedElement(
                                 f"clef sign {getattr(sign, 'text', None)!r}")
                         clef_events[staff].append(
-                            (cursor, _CLEF_SIGNS[(sign.text or "").strip()]))
+                            (cursor, 1, _CLEF_SIGNS[(sign.text or "").strip()]))
                     else:
                         raise UnsupportedElement(f"<{attr.tag}> under <attributes>")
-                if divisions is not None and cur_sig is not None and bar_len is None:
+                # divisions and the time signature change only in here
+                if divisions is not None and cur_sig is not None:
                     bar_len = bar_length_div(cur_sig.numerator,
                                              cur_sig.denominator, divisions)
             elif elem.tag == "note":
@@ -227,7 +237,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     raise InconsistentTiming("note duration must be positive")
                 is_chord = _child(elem, "chord") is not None
                 rest = _child(elem, "rest") is not None
-                end = measure_onset + measure_len()
+                end = measure_end()
                 if rest:
                     if is_chord:
                         raise UnsupportedElement("<chord> on a rest")
@@ -267,11 +277,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     raise UnsupportedElement(f"{dots} dots exceed the vocabulary")
                 voice_elem = _child(elem, "voice")
                 voice = _int_text(voice_elem, "voice") if voice_elem is not None else 1
-                staff_elem = _child(elem, "staff")
-                staff = (_int_text(staff_elem, "staff") if staff_elem is not None
-                         else 1) - 1
-                if staff not in (0, 1):
-                    raise UnsupportedElement("staff must be 1 or 2")
+                staff = _staff(elem, "staff")
                 stem_elem = _child(elem, "stem")
                 stem_text = ((stem_elem.text or "").strip()
                              if stem_elem is not None else "none")
@@ -291,16 +297,13 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         raise UnsupportedElement(f"tuplet ratio {ratio}")
                     tuplet = matches[0]
                 for extra in elem:
-                    if extra.tag not in ("grace", "chord", "pitch", "rest",
-                                         "duration", "voice", "type", "dot",
-                                         "time-modification", "stem", "staff",
-                                         "notations"):
+                    if extra.tag not in _NOTE_ORDER:
                         raise UnsupportedElement(f"<{extra.tag}> under <note>")
 
                 if is_chord:
                     if last_unit is None:
                         raise InconsistentTiming("<chord> with no preceding note")
-                    onset = last_unit[0].onset
+                    onset = rows[last_unit[0]][0]
                     if duration != last_unit_dur:
                         raise InconsistentTiming(
                             "chord members with different durations")
@@ -316,19 +319,15 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if onset + duration > end:
                     clipped_duration = end - onset
                     clipped += 1
-                raw = _RawNote(onset=onset, duration=clipped_duration,
-                               midi=midi, spelling=spelling_of(step, alter),
-                               staff=staff, voice=voice,
-                               stem=_TEXT_STEM[stem_text],
-                               note_type=_TYPE_INDEX[type_text], dots=dots,
-                               tuplet=tuplet, measure=m_index)
                 if is_chord:
-                    last_unit.append(raw)
+                    last_unit.append(len(rows))
                 else:
-                    last_unit = [raw]
+                    last_unit = [len(rows)]
                     last_unit_dur = duration
                     units.setdefault(voice, []).append((onset, last_unit))
-                raw_notes.append(raw)
+                rows.append((onset, clipped_duration, midi, staff, voice,
+                             spelling_of(step, alter), _TEXT_STEM[stem_text],
+                             _TYPE_INDEX[type_text], dots, tuplet, m_index))
             elif elem.tag == "backup":
                 dur = _child(elem, "duration")
                 if dur is None:
@@ -343,7 +342,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if dur is None:
                     raise MalformedXml("<forward> without duration")
                 cursor += _int_text(dur, "forward duration")
-                if cursor > measure_onset + measure_len():
+                if cursor > measure_end():
                     raise InconsistentTiming(
                         f"measure {m_index + 1}: forward past measure end")
                 last_unit = None
@@ -355,11 +354,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if shift_elem is None or len(dtype) != 1:
                     raise UnsupportedElement(
                         "only octave-shift directions are supported")
-                staff_elem = _child(elem, "staff")
-                staff = (_int_text(staff_elem, "staff") if staff_elem is not None
-                         else 1) - 1
-                if staff not in (0, 1):
-                    raise UnsupportedElement("direction staff must be 1 or 2")
+                staff = _staff(elem, "direction staff")
                 kind = shift_elem.get("type")
                 size = shift_elem.get("size", "8")
                 if kind == "stop":
@@ -379,19 +374,18 @@ def parse_musicxml(data: bytes) -> ParseResult:
             else:
                 raise UnsupportedElement(f"<{elem.tag}> under <measure>")
 
-        if divisions is None or cur_sig is None:
+        if bar_len is None:
             raise InconsistentTiming(
                 "first measure must define divisions and time signature")
-        if bar_len is None:
-            bar_len = bar_length_div(cur_sig.numerator, cur_sig.denominator,
-                                     divisions)
-        key_by_bar[m_index] = cur_key
+        keys.append(cur_key)
         bars.append((measure_onset, bar_len))
         measure_onset += bar_len
 
-    return _assemble(divisions, time_sigs, bars, key_by_bar, clef_events,
-                     shift_events, raw_notes, units, grace_dropped, clipped,
-                     fifteen_mb, warnings)
+    score = _assemble(divisions, time_sigs, bars, keys, clef_events,
+                      shift_events, rows, units)
+    return ParseResult(score=score, grace_dropped=grace_dropped,
+                       clipped_notes=clipped, fifteen_mb_mapped=fifteen_mb,
+                       warnings=tuple(warnings))
 
 
 def _check_part_list(part_list: ET.Element) -> None:
@@ -403,83 +397,70 @@ def _check_part_list(part_list: ET.Element) -> None:
                 raise UnsupportedElement(f"<{sub.tag}> under <score-part>")
 
 
-def _assemble(divisions, time_sigs, bars, key_by_bar, clef_events,
-              shift_events, raw_notes, units, grace_dropped, clipped,
-              fifteen_mb, warnings) -> ParseResult:
-    order = sorted(range(len(raw_notes)),
-                   key=lambda i: (raw_notes[i].onset, raw_notes[i].midi,
-                                  raw_notes[i].staff, raw_notes[i].voice))
-    id_of = {id(raw_notes[k]): new for new, k in enumerate(order)}
-
-    def active_labels(events, default_by_staff):
-        """Per-note label from (time, kind, value) events; stops sort first."""
-        labels = [0] * len(raw_notes)
-        for staff in (0, 1):
-            timeline = sorted(events[staff], key=lambda e: (e[0], e[1]))
-            staff_notes = sorted(
-                (k for k in range(len(raw_notes)) if raw_notes[k].staff == staff),
-                key=lambda k: raw_notes[k].onset)
-            active = default_by_staff[staff]
-            at = 0
-            for k in staff_notes:
-                while at < len(timeline) and timeline[at][0] <= raw_notes[k].onset:
-                    active = timeline[at][2]
-                    at += 1
-                labels[id_of[id(raw_notes[k])]] = active
-        return labels
-
-    clef_labels = active_labels(
-        {s: [(t, 1, c) for t, c in clef_events[s]] for s in (0, 1)},
-        {0: CLEF_G, 1: CLEF_F})
-    shift_labels = active_labels(shift_events, {0: 0, 1: 0})
-
-    voice_edges = set()
-    chord_edges = set()
+def _assemble(divisions, time_sigs, bars, keys, clef_events, shift_events,
+              rows, units) -> Score:
+    """The Score of the parsed rows, numbered in (onset, midi, staff, voice)
+    order, with its labels."""
     for voice, unit_list in units.items():
-        unit_list = sorted(unit_list, key=lambda u: u[0])
+        unit_list.sort(key=itemgetter(0))
         for (onset_a, _), (onset_b, _) in zip(unit_list, unit_list[1:]):
             if onset_a == onset_b:
                 raise InconsistentTiming(
                     f"voice {voice}: two simultaneous chord units")
-        for _, unit in unit_list:
-            ids = sorted(id_of[id(r)] for r in unit)
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    chord_edges.add((ids[a], ids[b]))
-        for (_, unit_a), (_, unit_b) in zip(unit_list, unit_list[1:]):
-            for ra in unit_a:
-                for rb in unit_b:
-                    voice_edges.add((id_of[id(ra)], id_of[id(rb)]))
-
-    by_new = [raw_notes[k] for k in order]
-    labels = LabelSet(
-        staff=tuple(r.staff for r in by_new),
-        spelling=tuple(r.spelling for r in by_new),
-        key_fifths=tuple(key_by_bar[r.measure] for r in by_new),
-        stem=tuple(r.stem for r in by_new),
-        octave_shift=tuple(shift_labels),
-        clef=tuple(clef_labels),
-        note_type=tuple(r.note_type for r in by_new),
-        dots=tuple(r.dots for r in by_new),
-        tuplet=tuple(r.tuplet for r in by_new),
-        voice_edges=frozenset(voice_edges),
-        chord_edges=frozenset(chord_edges))
-
     if not time_sigs:
         raise InconsistentTiming("document defines no time signature")
+
+    try:
+        cols = _int64(rows, "note values").reshape(-1, 11)
+    except ValueError as exc:
+        raise MalformedXml(str(exc)) from exc
+    order = np.lexsort(cols[:, [4, 3, 2, 0]].T)  # onset, midi, staff, voice
+    cols = cols[order]
+    rank = np.argsort(order).tolist()  # each row's note id
+    voice_edges = set()
+    chord_edges = set()
+    for unit_list in units.values():
+        for _, unit in unit_list:
+            chord_edges.update(itertools.combinations(
+                sorted(rank[r] for r in unit), 2))
+        for (_, unit_a), (_, unit_b) in zip(unit_list, unit_list[1:]):
+            voice_edges.update((rank[a], rank[b])
+                               for a in unit_a for b in unit_b)
+
+    (_, _, _, staff, _, spelling, stem, note_type, dots, tuplet,
+     measure) = cols.T.tolist()
+    labels = LabelSet(
+        staff=tuple(staff), spelling=tuple(spelling),
+        key_fifths=tuple(keys[m] for m in measure), stem=tuple(stem),
+        octave_shift=_active(shift_events, cols, (0, 0)),
+        clef=_active(clef_events, cols, (CLEF_G, CLEF_F)),
+        note_type=tuple(note_type), dots=tuple(dots), tuplet=tuple(tuplet),
+        voice_edges=frozenset(voice_edges),
+        chord_edges=frozenset(chord_edges))
     # already in canonical order, which make_score's stable sort keeps
     try:
-        score = make_score(divisions, time_sigs,
-                           [(r.onset, r.duration, r.midi) for r in by_new],
-                           labels=labels)
+        score = make_score(divisions, time_sigs, cols[:, :3], labels=labels)
     except ValueError as exc:
         raise MalformedXml(str(exc)) from exc
     if score.bars.tolist() != [list(b) for b in bars[:score.num_bars]]:
         raise InconsistentTiming(
             "measure lengths disagree with the time signatures")
-    return ParseResult(score=score, grace_dropped=grace_dropped,
-                       clipped_notes=clipped, fifteen_mb_mapped=fifteen_mb,
-                       warnings=tuple(warnings))
+    return score
+
+
+def _active(events, cols, defaults) -> tuple[int, ...]:
+    """Each note's value of the last of its staff's (time, kind, value)
+    events at or before its onset, or the staff's default. Events sort by
+    (time, kind), so at one time an octave-shift stop yields to a start."""
+    onset, staff = cols[:, 0], cols[:, 3]
+    labels = np.empty_like(onset)
+    for s, default in enumerate(defaults):
+        timeline = sorted(events[s], key=itemgetter(0, 1))
+        values = np.array([default] + [v for _, _, v in timeline])
+        on_staff = staff == s
+        labels[on_staff] = values[np.searchsorted(
+            [t for t, _, _ in timeline], onset[on_staff], side="right")]
+    return tuple(labels.tolist())
 
 
 def read_score_file(path) -> ParseResult:
@@ -732,79 +713,38 @@ def _emit_event(out: list[str], ev, pitch: list[int],
 
 # --- subset validation ---
 
-_NOTE_ORDER = ("grace", "chord", "pitch", "rest", "duration", "voice", "type",
-               "dot", "time-modification", "stem", "staff", "notations")
+_ATTRIBUTES_ORDER = ("divisions", "key", "time", "staves", "clef")
 
 
 def validate_subset(data: bytes) -> None:
-    """Structural check of the emitted subset; raises on any deviation."""
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from exc
-    if root.tag != "score-partwise":
-        raise UnsupportedElement(f"root <{root.tag}>")
-    seen_parts = 0
-    for child in root:
-        if child.tag == "part-list":
-            _check_part_list(child)
-        elif child.tag == "part":
-            seen_parts += 1
-            for measure in child:
-                if measure.tag != "measure":
-                    raise UnsupportedElement(f"<{measure.tag}> under <part>")
-                _validate_measure(measure)
-        else:
-            raise UnsupportedElement(f"<{child.tag}> under <score-partwise>")
-    if seen_parts != 1:
-        raise UnsupportedElement(f"{seen_parts} parts (need exactly 1)")
+    """The reader's checks plus the schema order of <attributes> and <note>
+    children; raises on any deviation."""
+    parse_musicxml(data)
+    root = ET.fromstring(data)
+    for attributes in root.iterfind("part/measure/attributes"):
+        _check_order(attributes, _ATTRIBUTES_ORDER)
+    # the reader skips the contents of grace notes and rests
+    for elem in root.iterfind("part/measure/note"):
+        _check_order(elem, _NOTE_ORDER)
+        if (elem.find("pitch") is None) == (elem.find("rest") is None):
+            raise UnsupportedElement("note needs exactly one of pitch/rest")
+        type_elem = _child(elem, "type")
+        if type_elem is not None and (
+                type_elem.text or "").strip() not in _TYPE_INDEX:
+            raise UnsupportedElement(f"note type {type_elem.text!r}")
+        stem = _child(elem, "stem")
+        if stem is not None and (stem.text or "").strip() not in _TEXT_STEM:
+            raise UnsupportedElement(f"stem {stem.text!r}")
 
 
-def _validate_measure(measure: ET.Element) -> None:
-    for elem in measure:
-        if elem.tag == "attributes":
-            last = -1
-            order = ("divisions", "key", "time", "staves", "clef")
-            for attr in elem:
-                if attr.tag not in order:
-                    raise UnsupportedElement(f"<{attr.tag}> under <attributes>")
-                pos = order.index(attr.tag)
-                if pos < last:
-                    raise UnsupportedElement("attributes children out of order")
-                last = max(last, pos)
-                if attr.tag == "clef":
-                    sign = _child(attr, "sign")
-                    if sign is None or (sign.text or "").strip() not in _CLEF_SIGNS:
-                        raise UnsupportedElement("bad clef sign")
-        elif elem.tag == "note":
-            last = -1
-            has_pitch = has_rest = False
-            for sub in elem:
-                if sub.tag not in _NOTE_ORDER:
-                    raise UnsupportedElement(f"<{sub.tag}> under <note>")
-                pos = _NOTE_ORDER.index(sub.tag)
-                if pos < last and sub.tag != "dot":
-                    raise UnsupportedElement("note children out of order")
-                last = max(last, pos)
-                has_pitch |= sub.tag == "pitch"
-                has_rest |= sub.tag == "rest"
-            if has_pitch == has_rest:
-                raise UnsupportedElement("note needs exactly one of pitch/rest")
-            type_elem = _child(elem, "type")
-            if type_elem is not None and (
-                    type_elem.text or "").strip() not in _TYPE_INDEX:
-                raise UnsupportedElement(f"note type {type_elem.text!r}")
-            stem = _child(elem, "stem")
-            if stem is not None and (stem.text or "").strip() not in _TEXT_STEM:
-                raise UnsupportedElement(f"stem {stem.text!r}")
-        elif elem.tag in ("backup", "forward"):
-            if _child(elem, "duration") is None:
-                raise UnsupportedElement(f"<{elem.tag}> without duration")
-        elif elem.tag == "direction":
-            dtype = _child(elem, "direction-type")
-            if dtype is None or len(dtype) != 1 or dtype[0].tag != "octave-shift":
-                raise UnsupportedElement("unsupported direction")
-            if dtype[0].get("type") not in ("up", "down", "stop"):
-                raise UnsupportedElement("bad octave-shift type")
-        else:
-            raise UnsupportedElement(f"<{elem.tag}> under <measure>")
+def _check_order(elem: ET.Element, order: tuple[str, ...]) -> None:
+    """The children's tags come in the sequence of ``order``, each possibly
+    repeated; a <dot> may also follow later tags."""
+    last = -1
+    for sub in elem:
+        if sub.tag not in order:
+            raise UnsupportedElement(f"<{sub.tag}> under <{elem.tag}>")
+        pos = order.index(sub.tag)
+        if pos < last and sub.tag != "dot":
+            raise UnsupportedElement(f"{elem.tag} children out of order")
+        last = max(last, pos)

@@ -192,7 +192,7 @@ def read_predictions(path: Path) -> tuple[Score, PredictionBundle]:
     if not path.is_file():
         raise MissingInput(f"prediction dump {path} does not exist")
     try:
-        return _parse_dump(path.read_text(encoding="utf-8"), path.stem)
+        return _parse_dump(path.read_bytes(), path.stem)
     except MissingInput as exc:
         raise MissingInput(f"{path}: {exc}") from None
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
@@ -200,15 +200,15 @@ def read_predictions(path: Path) -> tuple[Score, PredictionBundle]:
                            f"{type(exc).__name__}: {exc}") from exc
 
 
-def _parse_dump(text: str,
+def _parse_dump(data: bytes,
                 default_name: str) -> tuple[Score, PredictionBundle]:
     records = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(data.splitlines(), 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MissingInput(
                 f"line {number} is not valid JSON ({exc})") from None
         if not isinstance(rec, dict):

@@ -1,5 +1,6 @@
 """Shared fixtures: paths to the hand-written MusicXML corpus and parsed scores,
-and the straight-line NumPy oracles for layer norm and the GRU sweep.
+the straight-line NumPy oracles for layer norm and the GRU sweep, and the
+two smallest tape nodes the gradient tests probe with (``mul``, ``sum_all``).
 
 The five files under tests/fixtures/ are hand-authored and hand-verified;
 tests that need ground truth about them carry [DERIVED] tables worked out
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from notesetter import autodiff as ad
+from notesetter.autodiff import ShapeMismatch, Value
 from notesetter.musicxml import read_score_file
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -90,3 +93,21 @@ def numpy_gru(seq, wx, wh, bias, ln_g, ln_b):
         state = (1.0 - z) * c + z * state
         rows.append(state[0])
     return np.array(rows)
+
+
+def mul(a: Value, b: Value) -> Value:
+    """Elementwise product of equal shapes, as one tape node."""
+    if a.shape != b.shape:
+        raise ShapeMismatch("mul", a.shape, b.shape)
+
+    def bwd(g):
+        ad._accum(a, g * b.data)
+        ad._accum(b, g * a.data)
+    return ad._node(a.data * b.data, (a, b), bwd)
+
+
+def sum_all(x: Value) -> Value:
+    """The (1 x 1) sum of every entry, as one tape node."""
+    def bwd(g):
+        ad._accum(x, np.full_like(x.data, g[0, 0]))
+    return ad._node(np.array([[x.data.sum()]]), (x,), bwd)

@@ -18,7 +18,8 @@ from notesetter.graph import RELATIONS, build_graph
 from notesetter.rng import Rng
 from notesetter.synth import random_score
 
-from conftest import FIXTURE_NAMES, numpy_gru, parse_fixture
+from conftest import (FIXTURE_NAMES, mul, numpy_gru, parse_fixture,
+                      sum_all)
 
 
 def central_diff(loss_fn, param: Value, eps: float = 1e-6) -> np.ndarray:
@@ -55,7 +56,7 @@ def check_grads(loss_fn, params: list[Value], rtol: float = 1e-6,
 def weighted_sum(x: Value, seed: int = 0) -> Value:
     """Reduce x to a scalar with fixed random weights (probes every entry)."""
     w = Value(Rng(seed).normal(*x.shape).reshape(x.shape))
-    return ad.sum_all(ad.mul(x, w))
+    return sum_all(mul(x, w))
 
 
 # --- Value basics ---
@@ -98,7 +99,7 @@ def test_backward_accumulates_through_reuse():
     # loss = x*x + x  =>  dloss/dx = 2x + 1; at x=3 -> 7. [DERIVED]
     ad.reset_tape()
     x = Value(3.0)
-    loss = ad.add(ad.mul(x, x), x)
+    loss = ad.add(mul(x, x), x)
     ad.backward(loss)
     assert loss.item() == 12.0
     assert float(x.grad[0, 0]) == pytest.approx(7.0, abs=1e-12)
@@ -129,7 +130,7 @@ def test_linear_bias_grad_sums_over_rows():
     w = Value(np.eye(2))
     bias = Value(np.array([[10.0, 20.0]]))
     ad.reset_tape()
-    loss = ad.sum_all(ad.linear(x, w, bias))
+    loss = sum_all(ad.linear(x, w, bias))
     assert ad.tape_size() == 2
     ad.backward(loss)
     np.testing.assert_array_equal(bias.grad, [[3.0, 3.0]])
@@ -142,14 +143,14 @@ def test_add_and_mul():
     a = Value(np.array([[2.0, -1.0]]))
     b = Value(np.array([[0.5, 4.0]]))
     np.testing.assert_array_equal(ad.add(a, b).data, [[2.5, 3.0]])
-    np.testing.assert_array_equal(ad.mul(a, b).data, [[1.0, -4.0]])
+    np.testing.assert_array_equal(mul(a, b).data, [[1.0, -4.0]])
     check_grads(lambda: weighted_sum(ad.add(a, b), 2), [a, b])
-    check_grads(lambda: weighted_sum(ad.mul(a, b), 3), [a, b])
+    check_grads(lambda: weighted_sum(mul(a, b), 3), [a, b])
     # a bias row is not broadcast: that is linear's job
     with pytest.raises(ShapeMismatch):
         ad.add(Value(np.ones((2, 2))), a)
     with pytest.raises(ShapeMismatch):
-        ad.mul(Value(np.ones((2, 2))), a)
+        mul(Value(np.ones((2, 2))), a)
 
 
 # --- structural primitives ---
@@ -203,8 +204,8 @@ def test_pair_hidden_empty_pair_set_gradients():
         weighted_sum(ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS), 44),
         weighted_sum(emb, 45)), [emb, w1, b1])
     ad.reset_tape()
-    loss = ad.add(ad.sum_all(ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS)),
-                  ad.sum_all(emb))
+    loss = ad.add(sum_all(ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS)),
+                  sum_all(emb))
     w1.grad = b1.grad = emb.grad = None
     ad.backward(loss)
     np.testing.assert_array_equal(w1.grad, np.zeros_like(w1.data))
@@ -602,7 +603,7 @@ def test_dropout_train_matches_uniform_mask_oracle():
     # Gradient flows only through kept entries, scaled.
     ad.reset_tape()
     x2 = Value(np.ones((3, 4)))
-    loss = ad.sum_all(ad.dropout(x2, p, Rng(seed), train=True))
+    loss = sum_all(ad.dropout(x2, p, Rng(seed), train=True))
     ad.backward(loss)
     np.testing.assert_allclose(x2.grad, expected, atol=1e-15)
     ad.reset_tape()
@@ -619,7 +620,7 @@ def test_dropout_eval_and_p_zero_are_identity():
 def test_sum_all():
     x = Value(np.array([[1.0, 2.0], [3.0, 4.0]]))
     ad.reset_tape()
-    loss = ad.sum_all(x)
+    loss = sum_all(x)
     assert loss.item() == 10.0
     ad.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones((2, 2)))

@@ -13,6 +13,8 @@ from notesetter.optim import (Adam, GradCheckReport, NonFiniteLoss,
                               clip_grad_norm, grad_check)
 from notesetter.rng import Rng
 
+from conftest import mul, sum_all
+
 
 def test_adam_single_step_closed_form():
     # [DERIVED] p=1, g=0.5, lr=0.1, no decay:
@@ -126,7 +128,7 @@ def test_grad_check_quadratic_exact():
 
     def loss_fn():
         ad.reset_tape()
-        return ad.sum_all(ad.mul(w, w))
+        return sum_all(mul(w, w))
 
     report = grad_check(loss_fn, {"w": w}, eps=1e-5)
     assert isinstance(report, GradCheckReport)
@@ -147,8 +149,8 @@ def test_grad_check_detects_wrong_gradient():
     def loss_fn():
         ad.reset_tape()
         with ad.no_grad():
-            broken = ad.mul(u, u)
-        return ad.add(ad.mul(w, w), broken)
+            broken = mul(u, u)
+        return ad.add(mul(w, w), broken)
 
     report = grad_check(loss_fn, {"u": u, "w": w}, eps=1e-5)
     assert not report.passed(1e-4)
@@ -163,7 +165,7 @@ def test_grad_check_entry_sampling_requires_rng():
 
     def loss_fn():
         ad.reset_tape()
-        return ad.sum_all(ad.mul(w, w))
+        return sum_all(mul(w, w))
 
     with pytest.raises(ValueError):
         grad_check(loss_fn, {"w": w}, entries_per_param=3)
@@ -176,7 +178,7 @@ def test_grad_check_nonfinite_loss_raises():
 
     def loss_fn():
         ad.reset_tape()
-        return ad.sum_all(w)
+        return sum_all(w)
 
     with pytest.raises(NonFiniteLoss):
         grad_check(loss_fn, {"w": w})

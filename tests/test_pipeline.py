@@ -318,6 +318,16 @@ def test_dump_head_records_errors_and_unknown_kinds(tmp_path):
     assert_same_bundle(read_predictions(extra)[1], bundle)
 
 
+def test_read_predictions_refuses_invalid_utf8(tmp_path):
+    score = random_score(4, n_notes=5)
+    path = tmp_path / "dump.jsonl"
+    write_predictions(path, score, random_bundle(build_graph(score), 5))
+    meta, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(meta + b'\n{"kind": "\xff"}\n' + rest)
+    with pytest.raises(MissingInput, match="line 2 is not valid JSON"):
+        read_predictions(path)
+
+
 def test_read_predictions_errors(tmp_path):
     with pytest.raises(MissingInput, match="does not exist"):
         read_predictions(tmp_path / "none.jsonl")
