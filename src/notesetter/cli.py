@@ -7,17 +7,14 @@ manifest, ``train`` fits a model, ``predict`` dumps per-piece predictions,
 
 Failures from known error categories print exactly one line to stderr,
 ``ERROR <Category>: <message>``, and exit with a category-specific status so
-batch drivers can triage without scraping tracebacks. Set the ``ENGRAVE_LOG``
-environment variable (e.g. ``info`` or ``debug``) to see engraving logs.
+batch drivers can triage without scraping tracebacks.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -34,7 +31,7 @@ from .optim import NonFiniteLoss, grad_check
 from .pipeline import (MissingInput, engrave_dump, ingest_corpus, load_corpus,
                        load_manifest, predict_file, write_manifest,
                        write_predictions)
-from .postprocess import UnfillableGap
+from .postprocess import PAIR_AGGS, UnfillableGap
 from .rng import Rng
 from .synth import random_score
 from .trainer import DivergedLoss, EmptyCorpus, evaluate_corpus, train
@@ -89,6 +86,16 @@ def _need_out_dir(args) -> Path:
     return out
 
 
+def _refuse_shared_outputs(inputs, names: list[str]) -> None:
+    """Refuse two inputs whose output file ``names`` are the same."""
+    first: dict[str, Path] = {}
+    for path, name in zip(inputs, names):
+        if name in first:
+            raise MissingInput(f"inputs {first[name]} and {path} would both "
+                               f"write {name}; input stems must be unique")
+        first[name] = path
+
+
 def _echo_config(config, out_dir: Path) -> None:
     text = config.to_text() + f"# config_hash = {config_hash(config)}\n"
     (out_dir / "config.effective").write_text(text, encoding="utf-8")
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("engrave", help="turn prediction dumps into MusicXML")
     p.add_argument("inputs", nargs="+", type=Path)
-    p.add_argument("--pair-agg", choices=("max", "mean"), default=None)
+    p.add_argument("--pair-agg", choices=PAIR_AGGS, default=None)
     _add_common_flags(p)
     p.set_defaults(func=cmd_engrave)
 
@@ -189,14 +196,16 @@ def _load_params(args, config):
 
 def cmd_predict(args) -> int:
     config = _run_config(args)
+    names = [f"{Path(path).stem}.pred.jsonl" for path in args.inputs]
+    _refuse_shared_outputs(args.inputs, names)
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
     params, model_config = _load_params(args, config)
-    for path in args.inputs:
+    for path, name in zip(args.inputs, names):
         if not Path(path).is_file():
             raise MissingInput(f"input {path} does not exist")
         score, bundle = predict_file(path, params, model_config)
-        out_path = out_dir / f"{Path(path).stem}.pred.jsonl"
+        out_path = out_dir / name
         write_predictions(out_path, score, bundle)
         print(f"{path} -> {out_path} "
               f"({len(score.onset)} notes, "
@@ -205,21 +214,16 @@ def cmd_predict(args) -> int:
 
 
 def cmd_engrave(args) -> int:
-    level = os.environ.get("ENGRAVE_LOG")
-    if level:
-        logging.basicConfig(
-            level=getattr(logging, level.upper(), logging.INFO),
-            format="%(levelname)s %(name)s: %(message)s")
     config = _run_config(args)
+    names = [f"{Path(path).stem.removesuffix('.pred')}.musicxml"
+             for path in args.inputs]
+    _refuse_shared_outputs(args.inputs, names)
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
-    for path in args.inputs:
+    for path, name in zip(args.inputs, names):
         data = engrave_dump(path, threshold=config.threshold,
                             pair_agg=config.pair_agg)
-        name = Path(path).stem
-        if name.endswith(".pred"):
-            name = name[:-len(".pred")]
-        out_path = out_dir / f"{name}.musicxml"
+        out_path = out_dir / name
         out_path.write_bytes(data)
         print(f"{path} -> {out_path}")
     return 0

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from .model import ModelConfig
-from .postprocess import DEFAULT_PAIR_AGG, DEFAULT_THRESHOLD
+from .postprocess import (DEFAULT_PAIR_AGG, DEFAULT_THRESHOLD,
+                          check_engraving_settings)
 from .trainer import TrainConfig
 
 
@@ -41,10 +42,7 @@ class RunConfig(ModelConfig, TrainConfig):
     def validate(self) -> None:
         ModelConfig.validate(self)
         TrainConfig.validate(self)
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold {self.threshold} outside (0, 1)")
-        if self.pair_agg not in ("max", "mean"):
-            raise ValueError(f"pair_agg {self.pair_agg!r}")
+        check_engraving_settings(self.threshold, self.pair_agg)
 
     def to_text(self) -> str:
         """Effective configuration as a sorted, re-parseable key=value file."""

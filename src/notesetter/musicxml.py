@@ -23,7 +23,9 @@ attributes in the order written, a trailing newline, elements in schema
 order, voices emitted in ascending number separated by <backup>, and a
 trailing timed pass per measure that walks backup/forward to emit mid-measure
 clef changes and octave-shift brackets at their exact tick. Pitches are
-sounding pitches; octave-shift brackets are notation only.
+sounding pitches; octave-shift brackets are notation only. Each note is
+written with the spelling the engraved score gives it, which
+``EngravedScore`` guarantees sounds the note's pitch class.
 
 The exporter writes this text directly as indented lines (one block per
 <note>) and joins them once; ElementTree is used only to parse and validate.
@@ -38,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import itertools
-import logging
 import xml.etree.ElementTree as ET
 from operator import itemgetter
 from pathlib import Path
@@ -46,15 +47,12 @@ from typing import Optional
 
 import numpy as np
 
-from .notes import (ALTER_VALUES, CLEF_F, CLEF_G, DEFAULT_SPELLING_BY_PC,
-                    KEY_MAX_FIFTHS, KEY_MIN_FIFTHS, LabelSet, MAX_DOTS,
-                    NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
-                    STEP_TO_PC, Score, TimeSignature, TUPLET_RATIOS, _int64,
-                    bar_at, bar_length_div, make_score, spelling_parts,
-                    spelling_of, spelling_pitch_class)
+from .notes import (ALTER_VALUES, CLEF_F, CLEF_G, KEY_MAX_FIFTHS,
+                    KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, NOTE_TYPE_NAMES,
+                    NOTE_TYPE_QUARTERS, STEP_NAMES, STEP_TO_PC, Score,
+                    TimeSignature, TUPLET_RATIOS, _int64, bar_at,
+                    bar_length_div, make_score, spelling_of, spelling_parts)
 from .postprocess import EngravedScore
-
-log = logging.getLogger(__name__)
 
 
 class MalformedXml(ValueError):
@@ -203,12 +201,20 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         cur_sig = TimeSignature(m_index,
                                                 _int_text(beats, "beats"),
                                                 _int_text(beat_type, "beat-type"))
+                        if cur_sig.numerator <= 0 or cur_sig.denominator <= 0:
+                            raise InconsistentTiming(
+                                f"measure {m_index + 1}: time signature "
+                                f"{cur_sig.numerator}/{cur_sig.denominator} "
+                                "is not positive")
                         time_sigs.append(cur_sig)
                     elif attr.tag == "staves":
                         if _int_text(attr, "staves") not in (1, 2):
                             raise UnsupportedElement("staves must be 1 or 2")
                     elif attr.tag == "clef":
-                        staff = int(attr.get("number", "1")) - 1
+                        try:
+                            staff = int(attr.get("number", "1")) - 1
+                        except ValueError:
+                            staff = None
                         if staff not in (0, 1):
                             raise UnsupportedElement("clef number must be 1 or 2")
                         sign = _child(attr, "sign")
@@ -221,8 +227,12 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         raise UnsupportedElement(f"<{attr.tag}> under <attributes>")
                 # divisions and the time signature change only in here
                 if divisions is not None and cur_sig is not None:
-                    bar_len = bar_length_div(cur_sig.numerator,
-                                             cur_sig.denominator, divisions)
+                    try:
+                        bar_len = bar_length_div(cur_sig.numerator,
+                                                 cur_sig.denominator, divisions)
+                    except ValueError as exc:
+                        raise InconsistentTiming(
+                            f"measure {m_index + 1}: {exc}") from exc
             elif elem.tag == "note":
                 is_grace = _child(elem, "grace") is not None
                 if is_grace:
@@ -478,17 +488,6 @@ def read_score_file(path) -> ParseResult:
 
 # --- export ---
 
-def _written_pitch(midi: int, spelling_cls: int) -> tuple[str, int, int, bool]:
-    step_i, alter_i = spelling_parts(spelling_cls)
-    coerced = spelling_pitch_class(spelling_cls) != midi % 12
-    if coerced:
-        step, alter = DEFAULT_SPELLING_BY_PC[midi % 12]
-    else:
-        step, alter = STEP_NAMES[step_i], ALTER_VALUES[alter_i]
-    octave = (midi - STEP_TO_PC[step] - alter) // 12 - 1
-    return step, alter, octave, coerced
-
-
 def _tuplet_marks(engraved: EngravedScore) -> dict[tuple[int, int], list[str]]:
     """(voice, onset) -> tuplet notations ("start"/"stop") for that event."""
     marks: dict[tuple[int, int], list[str]] = {}
@@ -551,7 +550,6 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
     sig_by_bar = {ts.bar_index: ts for ts in score.time_signatures}
     pitch = score.pitch.tolist()
     marks = _tuplet_marks(engraved)
-    coerced = 0
 
     events_by_bar: dict[int, dict[int, list]] = {}
     for ev in engraved.events:
@@ -623,8 +621,7 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
                 out.append(_move("backup", cursor - bar_onset))
                 cursor = bar_onset
             for ev in sorted(events_by_bar[b][voice], key=lambda e: e.onset_div):
-                coerced += _emit_event(out, ev, pitch, engraved.spelling,
-                                       marks)
+                _emit_event(out, ev, pitch, engraved.spelling, marks)
                 cursor = ev.offset_div
         if not voices_here:
             out.append(_move("forward", bar_len))
@@ -651,10 +648,6 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
             out.append(_move("forward", bar_end - cursor))
         out.append("    </measure>")
 
-    if coerced:
-        log.warning("export: coerced %d predicted spellings that contradicted "
-                    "the sounding pitch class", coerced)
-
     out += ["  </part>", "</score-partwise>", ""]
     return "\n".join(out).encode("utf-8")
 
@@ -674,7 +667,7 @@ def _move(tag: str, duration: int) -> str:
 
 
 def _emit_event(out: list[str], ev, pitch: list[int],
-                spelling: tuple[int, ...], marks: dict) -> int:
+                spelling: tuple[int, ...], marks: dict) -> None:
     """Append one <note> block per chord member (one for a rest)."""
     timing = (f"        <duration>{ev.duration_div}</duration>\n"
               f"        <voice>{ev.voice}</voice>\n"
@@ -683,7 +676,7 @@ def _emit_event(out: list[str], ev, pitch: list[int],
     staff = f"        <staff>{ev.staff + 1}</staff>\n"
     if ev.is_rest:
         out.append(f"      <note>\n        <rest />\n{timing}{staff}      </note>")
-        return 0
+        return
     if ev.tuplet != 1:
         actual, normal = TUPLET_RATIOS[ev.tuplet]
         timing += ("        <time-modification>\n"
@@ -697,18 +690,17 @@ def _emit_event(out: list[str], ev, pitch: list[int],
                      + "".join(f'          <tuplet type="{kind}" />\n'
                                for kind in marks[(ev.voice, ev.onset_div)])
                      + "        </notations>\n")
-    coerced = 0
     # the first member carries the tuplet notations, later ones the chord flag
     opener, closer = "      <note>\n", notations + "      </note>"
     for i in sorted(ev.note_ids, key=pitch.__getitem__):
-        step, alter, octave, was_coerced = _written_pitch(pitch[i], spelling[i])
-        coerced += was_coerced
+        step_i, alter_i = spelling_parts(spelling[i])
+        step, alter = STEP_NAMES[step_i], ALTER_VALUES[alter_i]
+        octave = (pitch[i] - STEP_TO_PC[step] - alter) // 12 - 1
         alter_line = f"          <alter>{alter}</alter>\n" if alter else ""
         out.append(f"{opener}        <pitch>\n          <step>{step}</step>\n"
                    f"{alter_line}          <octave>{octave}</octave>\n"
                    f"        </pitch>\n{tail}{closer}")
         opener, closer = "      <note>\n        <chord />\n", "      </note>"
-    return coerced
 
 
 # --- subset validation ---

@@ -16,7 +16,10 @@ twice) and no pair costs exactly d, they alone are the unique optimum and
 are taken directly. Only the other groups, the conflicts, run the Hungarian
 algorithm (Kuhn 1955).
 (3) Unpooling: members inherit their pool's voice and keep their own
-predicted staff, which a pool's members share. Keys are smoothed to one per
+predicted staff, which a pool's members share. Each note's written spelling
+is its predicted class when that class sounds the note's pitch class, and
+otherwise the pitch class's default spelling, so the exporter writes what it
+is given and never moves a note by an octave. Keys are smoothed to one per
 measure (majority vote, ties toward the previous measure). Per staff, clefs
 and octave shifts are voted once per onset group. Clefs are median-filtered
 first (window 3, ends replicated); a clef tie keeps the previous group's
@@ -43,15 +46,32 @@ from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
 from .graph import (build_graph, chord_candidate_pairs, components, in_edges,
                     pair_keys)
 from .hungarian import hungarian
-from .notes import (KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, N_KEY_CLASSES,
-                    NOTE_TYPE_NAMES, STEM_NONE, Score, TUPLET_VALUES, bar_at,
-                    symbolic_duration_div)
+from .notes import (DEFAULT_SPELLING_BY_PC, KEY_MIN_FIFTHS, MAX_DOTS,
+                    N_KEY_CLASSES, N_SPELLING, NOTE_TYPE_NAMES, STEM_NONE,
+                    Score, TUPLET_VALUES, bar_at, spelling_of,
+                    spelling_pitch_class, symbolic_duration_div)
 
 # defaults of the two engraving settings (pair acceptance, pooled voice pairs)
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_PAIR_AGG = "max"
+PAIR_AGGS = ("max", "mean")
 
 _PROB_FLOOR = 1e-12
+# the pitch class each spelling class sounds, and each pitch class's default
+_SPELLING_PC = np.array([spelling_pitch_class(c) for c in range(N_SPELLING)])
+_DEFAULT_SPELLING = np.array([spelling_of(*DEFAULT_SPELLING_BY_PC[pc])
+                              for pc in range(12)])
+
+
+def check_engraving_settings(threshold: float, pair_agg: str) -> None:
+    """Refuse a pair threshold outside (0, 1) or an unknown pair
+    aggregation with ValueError."""
+    if not 0.0 < threshold < 1.0:   # false for NaN too
+        raise ValueError(f"threshold must be finite and in (0, 1), "
+                         f"got {threshold!r}")
+    if pair_agg not in PAIR_AGGS:
+        raise ValueError(f"pair_agg must be one of {PAIR_AGGS}, "
+                         f"got {pair_agg!r}")
 
 
 class UnfillableGap(RuntimeError):
@@ -157,6 +177,18 @@ class EngravedScore:
                         f"bar length is {length}")
         if len(self.measure_keys) != self.score.num_bars:
             raise ValueError("one key per measure required")
+        # the exporter writes each spelling as given: another pitch class's
+        # would write another pitch
+        spelling = np.asarray(self.spelling, dtype=np.int64)
+        pitch_class = self.score.pitch % 12
+        if (spelling.shape != pitch_class.shape
+                or ((spelling < 0) | (spelling >= N_SPELLING)).any()):
+            raise ValueError("one spelling class per note required")
+        wrong = np.flatnonzero(_SPELLING_PC[spelling] != pitch_class)
+        if len(wrong):
+            i = wrong[0]
+            raise ValueError(f"note {i}: spelling {spelling[i]} does not "
+                             f"sound pitch class {pitch_class[i]}")
         for staff, regions in self.octave_regions.items():
             for start, end, shift in regions:
                 if not (0 < shift < 4) or end <= start:
@@ -252,11 +284,7 @@ def _conflict_assignment(lasts: list[int], group: list[int], pair_prob: dict,
 def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
                   threshold: float, pair_agg: str) -> list[VoiceStream]:
     """Chain pooled nodes into monophonic per-staff voice streams."""
-    if pair_agg not in ("max", "mean"):
-        raise ValueError(f"unknown pair aggregation {pair_agg!r}")
-    if not (math.isfinite(threshold) and 0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be finite and in (0, 1), "
-                         f"got {threshold!r}")
+    check_engraving_settings(threshold, pair_agg)
     keys, probs = _pool_pair_probabilities(pools, bundle, pair_agg)
     n_pools = len(pools)
     theta = min(max(threshold, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
@@ -497,10 +525,16 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
         if pending:
             raise ValueError(f"voice {voice}: events outside its bar span")
 
+    # the written spelling: the predicted class if it sounds the pitch
+    pitch_class = score.pitch % 12
+    spelling = bundle.argmax("spelling")
+    spelling = np.where(_SPELLING_PC[spelling] == pitch_class, spelling,
+                        _DEFAULT_SPELLING[pitch_class])
+
     events.sort(key=lambda e: (e.voice, e.onset_div))
     return EngravedScore(
         score=score, staff=tuple(staff.tolist()),
-        spelling=tuple(bundle.argmax("spelling").tolist()),
+        spelling=tuple(spelling.tolist()),
         octave_shift=tuple(octave_shift.tolist()), clef=tuple(clef.tolist()),
         events=tuple(events), measure_keys=tuple(measure_keys),
         clef_regions=clef_regions, octave_regions=octave_regions,
@@ -547,34 +581,3 @@ def perfect_bundle(score: Score) -> PredictionBundle:
 def engrave_from_labels(score: Score) -> EngravedScore:
     return engrave(perfect_bundle(score), score)
 
-
-def labels_of(engraved: EngravedScore) -> LabelSet:
-    """Read a LabelSet back off an engraved score (its implied ground truth)."""
-    n = len(engraved.score.onset)
-    voice_chords = [[e for e in evs if not e.is_rest]
-                    for evs in engraved.voice_events().values()]
-    chords = list(itertools.chain.from_iterable(voice_chords))
-    members = np.fromiter(itertools.chain.from_iterable(
-        e.note_ids for e in chords), np.int64)
-    sizes = [len(e.note_ids) for e in chords]
-
-    def per_note(field: str, default: int) -> tuple[int, ...]:
-        values = np.full(n, default, dtype=np.int64)
-        values[members] = np.repeat([getattr(e, field) for e in chords], sizes)
-        return tuple(values.tolist())
-
-    chord_edges = set()
-    voice_edges = set()
-    for ev in chords:
-        chord_edges.update(itertools.combinations(sorted(ev.note_ids), 2))
-    for evs in voice_chords:
-        for prev, nxt in zip(evs, evs[1:]):
-            voice_edges.update(itertools.product(prev.note_ids, nxt.note_ids))
-    key = np.asarray(engraved.measure_keys, dtype=np.int64)[engraved.score.bar]
-    return LabelSet(
-        staff=engraved.staff, spelling=engraved.spelling,
-        key_fifths=tuple(key.tolist()), stem=per_note("stem", STEM_NONE),
-        octave_shift=engraved.octave_shift, clef=engraved.clef,
-        note_type=per_note("note_type", 0), dots=per_note("dots", 0),
-        tuplet=per_note("tuplet", 1),
-        voice_edges=frozenset(voice_edges), chord_edges=frozenset(chord_edges))

@@ -17,6 +17,7 @@ from notesetter.cli import EXIT_CODES, main
 from notesetter.config import RunConfig, parse_config_text
 from notesetter.decoders import HEAD_WIDTHS
 from notesetter.musicxml import parse_musicxml, read_score_file, validate_subset
+from notesetter.notes import DEFAULT_SPELLING_BY_PC, spelling_of
 from notesetter.pipeline import engrave_dump, load_manifest, write_predictions
 from notesetter.postprocess import perfect_bundle
 
@@ -196,6 +197,63 @@ def test_int64_overflow_xml_exit_code(tmp_path, capsys):
     assert "64-bit" in err
 
 
+@pytest.mark.parametrize("divisions,time,clef,category", [
+    (2, "4/0", "1", "InconsistentTiming"),
+    (1, "4/3", "1", "InconsistentTiming"),
+    (2, "4/4", "up", "UnsupportedElement"),
+])
+def test_reader_refusal_exit_code(tmp_path, capsys, divisions, time, clef,
+                                  category):
+    beats, beat_type = time.split("/")
+    bad = tmp_path / "bad.musicxml"
+    bad.write_text(
+        '<score-partwise version="3.1"><part-list><score-part id="P1">'
+        "<part-name>Piano</part-name></score-part></part-list>"
+        '<part id="P1"><measure number="1"><attributes>'
+        f"<divisions>{divisions}</divisions><key><fifths>0</fifths></key>"
+        f"<time><beats>{beats}</beats><beat-type>{beat_type}</beat-type>"
+        f'</time><clef number="{clef}"><sign>G</sign><line>2</line></clef>'
+        "</attributes><note><pitch><step>C</step><octave>4</octave></pitch>"
+        "<duration>1</duration><voice>1</voice><type>quarter</type>"
+        "</note></measure></part></score-partwise>")
+    code, out, err = run(capsys, "graph-dump", str(bad))
+    assert code == 5 and out == ""
+    assert err.startswith(f"ERROR {category}: ")
+    assert err.count("\n") == 1
+
+
+def test_predict_refuses_inputs_sharing_an_output(tmp_path, capsys):
+    # both would write x.pred.jsonl; refused before the checkpoint is read
+    inputs = [tmp_path / "a" / "x.musicxml", tmp_path / "b" / "x.xml"]
+    for path in inputs:
+        path.parent.mkdir()
+        shutil.copy(fixture_path("single_whole"), path)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "predict", "--checkpoint",
+                         str(tmp_path / "none.ckpt"), *map(str, inputs),
+                         "--out-dir", str(out_dir), *TINY)
+    assert code == 3 and out == ""
+    assert err == (f"ERROR MissingInput: inputs {inputs[0]} and {inputs[1]} "
+                   "would both write x.pred.jsonl; input stems must be "
+                   "unique\n")
+    assert not out_dir.exists()
+
+
+def test_engrave_refuses_inputs_sharing_an_output(tmp_path, capsys):
+    score = read_score_file(fixture_path("single_whole")).score
+    inputs = [tmp_path / "a" / "x.pred.jsonl", tmp_path / "b" / "x.jsonl"]
+    for path in inputs:
+        path.parent.mkdir()
+        write_predictions(path, score, perfect_bundle(score))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "engrave", *map(str, inputs),
+                         "--out-dir", str(out_dir))
+    assert code == 3 and out == ""
+    assert err.startswith("ERROR MissingInput: ")
+    assert "would both write x.musicxml" in err
+    assert not out_dir.exists()
+
+
 def test_checkpoint_shape_mismatch_exit_code(tmp_path, capsys):
     work = tmp_path / "run"
     assert run(capsys, "ingest", "--in-dir", str(FIXTURE_DIR),
@@ -309,6 +367,33 @@ def test_pair_agg_flag_reaches_config_and_engraving(tmp_path, capsys):
     assert "pair_agg = mean" in text.splitlines()
     assert (out_dir / "fixture_a.musicxml").read_bytes() == \
         engrave_dump(dump, pair_agg="mean")
+
+
+def test_engrave_writes_default_spelling_silently(tmp_path):
+    # every spelling logit picks a class of the next pitch class up, so
+    # each note is written in its own pitch class's default spelling; run
+    # as a process, so that any log record would reach its stderr
+    score = read_score_file(fixture_path("fixture_a")).score
+    pitch_class = (score.pitch % 12).tolist()
+    bundle = perfect_bundle(score)
+    logits = np.zeros_like(bundle.note_logits["spelling"])
+    for i, pc in enumerate(pitch_class):
+        logits[i, spelling_of(*DEFAULT_SPELLING_BY_PC[(pc + 1) % 12])] = 20.0
+    bundle.note_logits["spelling"] = logits
+    dump = tmp_path / "fixture_a.pred.jsonl"
+    write_predictions(dump, score, bundle)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(notesetter.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "notesetter.cli", "engrave", str(dump),
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert result.returncode == 0 and result.stderr == ""
+    written = read_score_file(tmp_path / "out" / "fixture_a.musicxml")
+    assert written.score.labels.spelling == tuple(
+        spelling_of(*DEFAULT_SPELLING_BY_PC[pc]) for pc in pitch_class)
 
 
 def _edit_records(edit):

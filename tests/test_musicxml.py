@@ -358,6 +358,27 @@ def test_measure_lengths_must_follow_time_signatures():
         parse_musicxml(doc(attrs + note() * 2, note() * 2))
 
 
+def test_zero_beat_type():
+    attrs = ATTRS.replace("<beat-type>4<", "<beat-type>0<")
+    with pytest.raises(InconsistentTiming, match="4/0 is not positive"):
+        parse_musicxml(doc(attrs + note()))
+
+
+def test_time_signature_not_whole_divisions():
+    # [DERIVED] 4/3 at 1 division per quarter is 16/3 divisions
+    attrs = ATTRS.replace("<divisions>2<", "<divisions>1<").replace(
+        "<beat-type>4<", "<beat-type>3<")
+    with pytest.raises(InconsistentTiming, match="4/3 is not representable"):
+        parse_musicxml(doc(attrs + note(dur=1)))
+
+
+def test_clef_number_not_an_integer():
+    attrs = ATTRS.replace("</attributes>", '<clef number="up"><sign>G</sign>'
+                          "<line>2</line></clef></attributes>")
+    with pytest.raises(UnsupportedElement, match="clef number"):
+        parse_musicxml(doc(attrs + note()))
+
+
 def test_key_without_fifths():
     data = doc(ATTRS.replace("<key><fifths>0</fifths></key>",
                              "<key><mode>major</mode></key>") + note())
@@ -553,12 +574,13 @@ def test_export_unrepresentable_duration():
 
 def test_export_coerces_impossible_spelling():
     # midi 60 labelled as D natural (spelling 17) cannot be written; the
-    # exporter falls back to the default spelling for pitch class 0.
+    # engraving falls back to the default spelling for pitch class 0.
     score = _labelled_score(
         [(0, 8, 60)], staff=[0], note_type=[1], spelling=[17],
         voice_edges=set())
-    data = export_musicxml(engrave_from_labels(score))
-    reparsed = parse_musicxml(data)
+    engraved = engrave_from_labels(score)
+    assert engraved.spelling == (12,)  # C natural
+    reparsed = parse_musicxml(export_musicxml(engraved))
     assert reparsed.score.labels.spelling == (12,)  # C natural
     assert reparsed.score.notes[0].midi_pitch == 60
 
@@ -680,28 +702,40 @@ REFUSALS = (TooManyVoices, UnrepresentableDuration, UnfillableGap)
 
 @pytest.fixture(scope="module")
 def golden_streams(parsed_fixtures):
-    """name -> (sha256 hex digest, exported documents) for every fixture."""
+    """name -> (sha256 hex digest, exported documents, the engraved spelling
+    of each document) for every fixture."""
     streams = {}
     for name in FIXTURE_NAMES:
         score = parsed_fixtures[name].score
         digest = hashlib.sha256()
-        docs = [export_musicxml(engrave_from_labels(score))]
+        engraved = engrave_from_labels(score)
+        docs = [export_musicxml(engraved)]
+        spellings = [engraved.spelling]
         digest.update(docs[0])
         graph = graph_for(score, ModelConfig())
         for seed in GOLDEN_SEEDS:
             try:
-                data = export_musicxml(engrave(random_bundle(graph, seed), score))
+                engraved = engrave(random_bundle(graph, seed), score)
+                data = export_musicxml(engraved)
                 docs.append(data)
+                spellings.append(engraved.spelling)
             except REFUSALS as exc:
                 data = type(exc).__name__.encode()
             digest.update(data)
-        streams[name] = (digest.hexdigest(), docs)
+        streams[name] = (digest.hexdigest(), docs, spellings)
     return streams
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_export_golden_bytes(golden_streams, name):
     assert golden_streams[name][0] == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_export_writes_engraved_spelling(golden_streams, name):
+    _, docs, spellings = golden_streams[name]
+    for data, spelling in zip(docs, spellings):
+        assert parse_musicxml(data).score.labels.spelling == spelling
 
 
 # One sha256 per fixture over the engrave() results themselves, for the same
@@ -712,15 +746,15 @@ def test_export_golden_bytes(golden_streams, name):
 # behind them.
 ENGRAVE_GOLDEN_SHA256 = {
     "fixture_a":
-        "72576e439e6c24ff0d4a2b0beddca15dd1ec9d7f30b3a764b2901b9377a8b340",
+        "9efe1593c8d797731c585c1a469335e3e2f99df3d404d1b8a10a8b8dfcd3a1f8",
     "fixture_b":
-        "c4d962ec4104228edd0785c054ca4e5d737f5875d81dfb9b6655d1b462265e45",
+        "6976f9e6dd4798c4947fa037ffe9005a05b9de216106b8b824829173d1bb4970",
     "grace_clip":
-        "aa475efb51273cadc55f53582341d433cd995693a83c3e1ec879b188a032c082",
+        "92ade8dad13e90f57bf9c5d919f1a7157b261a9da7e44d7a6d7ed66104a4aa94",
     "single_whole":
-        "e54eb94c50c4520ed268a9dfbe9b414fcea56c5fd01975e68c16ea2427809b0e",
+        "f1c963f584d1ca47a38d3e44e8e991284b664610f49787a7ea0e20a17c74df61",
     "triplet_octave":
-        "3c4a7783b358555f4707ba3882d78d1e2820cc74f0cac79ba13ecb8827c7c62b",
+        "fde749b110c73b598e417a54c236c10738eee6d8337010818b8d35e6230565ed",
 }
 
 
@@ -745,7 +779,8 @@ def test_engrave_golden(parsed_fixtures, name):
 
 
 def test_golden_documents_reach_every_writer_branch(golden_streams):
-    text = b"".join(doc for _, docs in golden_streams.values() for doc in docs)
+    text = b"".join(doc for _, docs, _ in golden_streams.values()
+                    for doc in docs)
     for needle in (b"<backup>", b"<forward>", b'octave-shift type="stop"',
                    b"<notations>", b"<dot />", b"<alter>", b"<chord />"):
         assert needle in text, needle

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import FIXTURE_NAMES
 from notesetter import postprocess
+from notesetter.musicxml import export_musicxml, parse_musicxml
 from notesetter.decoders import HEAD_WIDTHS, NODE_HEADS, PredictionBundle
 from notesetter.graph import build_graph
 from notesetter.hungarian import hungarian
@@ -22,7 +23,7 @@ from notesetter.notes import (NOTE_TYPE_NAMES, STEM_NONE, LabelSet,
                               make_score)
 from notesetter.postprocess import (EngravedEvent, PooledNode, UnfillableGap,
                                     VoiceStream, assign_voices, decompose_gap,
-                                    engrave, engrave_from_labels, labels_of,
+                                    engrave, engrave_from_labels,
                                     number_voices, perfect_bundle,
                                     pool_chords, _pool_pair_probabilities,
                                     _rest_vocabulary)
@@ -582,7 +583,7 @@ def test_engrave_from_labels_round_trip():
     assert engraved.score.num_bars == 2
     # Upper voice is 1, lower is 5; every note covered exactly once.
     assert set(engraved.voice_staff.items()) == {(1, 0), (5, 1)}
-    recovered = labels_of(engraved)
+    recovered = parse_musicxml(export_musicxml(engraved)).score.labels
     assert recovered.voice_edges == score.labels.voice_edges
     assert recovered.chord_edges == score.labels.chord_edges
     assert recovered.staff == score.labels.staff
@@ -670,6 +671,19 @@ def test_validate_catches_wrong_measure_key_count():
     engraved = engrave_from_labels(two_voice_score())
     with pytest.raises(ValueError):
         dataclasses.replace(engraved, measure_keys=(0,))
+
+
+def test_validate_catches_contradictory_spelling():
+    engraved = engrave_from_labels(two_voice_score())
+    # note 0 is midi 48, a C: D natural (class 17) would write a D
+    assert engraved.spelling[0] == 12
+    with pytest.raises(ValueError, match="note 0: spelling 17 does not "
+                                         "sound pitch class 0"):
+        dataclasses.replace(engraved,
+                            spelling=(17,) + engraved.spelling[1:])
+    for spelling in ((35,) + engraved.spelling[1:], engraved.spelling[1:]):
+        with pytest.raises(ValueError, match="one spelling class per note"):
+            dataclasses.replace(engraved, spelling=spelling)
 
 
 def test_perfect_bundle_structure():
