@@ -96,6 +96,13 @@ def _refuse_shared_outputs(inputs, names: list[str]) -> None:
         first[name] = path
 
 
+def _refuse_missing_inputs(inputs) -> None:
+    """Refuse the run before it writes anything if an input is missing."""
+    for path in inputs:
+        if not Path(path).is_file():
+            raise MissingInput(f"input {path} does not exist")
+
+
 def _echo_config(config, out_dir: Path) -> None:
     text = config.to_text() + f"# config_hash = {config_hash(config)}\n"
     (out_dir / "config.effective").write_text(text, encoding="utf-8")
@@ -196,14 +203,13 @@ def _load_params(args, config):
 
 def cmd_predict(args) -> int:
     config = _run_config(args)
-    names = [f"{Path(path).stem}.pred.jsonl" for path in args.inputs]
+    names = [f"{Path(path).stem}.pred" for path in args.inputs]
     _refuse_shared_outputs(args.inputs, names)
+    _refuse_missing_inputs(args.inputs)
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
     params, model_config = _load_params(args, config)
     for path, name in zip(args.inputs, names):
-        if not Path(path).is_file():
-            raise MissingInput(f"input {path} does not exist")
         score, bundle = predict_file(path, params, model_config)
         out_path = out_dir / name
         write_predictions(out_path, score, bundle)
@@ -218,6 +224,7 @@ def cmd_engrave(args) -> int:
     names = [f"{Path(path).stem.removesuffix('.pred')}.musicxml"
              for path in args.inputs]
     _refuse_shared_outputs(args.inputs, names)
+    _refuse_missing_inputs(args.inputs)
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
     for path, name in zip(args.inputs, names):

@@ -96,7 +96,7 @@ def as_pairs(pairs) -> np.ndarray:
     """Pairs of note ids as an (m, 2) int64 array (m may be 0)."""
     arr = np.asarray(pairs, dtype=np.int64)
     if arr.size == 0:
-        return arr.reshape(0, 2)
+        return np.zeros((0, 2), np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"pairs must be (m, 2), got shape {arr.shape}")
     return arr

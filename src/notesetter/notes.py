@@ -224,12 +224,12 @@ class Score:
 
 
 def bar_length_div(numerator: int, denominator: int, divisions: int) -> int:
-    length = Fraction(numerator * 4, denominator) * divisions
-    if length.denominator != 1:
+    length, rest = divmod(numerator * 4 * divisions, denominator)
+    if rest:
         raise ValueError(
             f"time signature {numerator}/{denominator} is not representable "
             f"at {divisions} divisions per quarter")
-    return int(length)
+    return length
 
 
 def _bars(divisions: int, time_signatures):

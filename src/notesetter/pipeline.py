@@ -1,30 +1,33 @@
 """Batch plumbing: corpus ingest with manifests, prediction dumps, engraving.
 
-A prediction dump (``<name>.pred.jsonl``) is UTF-8 JSON lines, written by
-``write_predictions`` and read by ``read_predictions`` and nothing else:
+A prediction dump (``<name>.pred``) is written by ``write_predictions`` and
+read by ``read_predictions`` and nothing else. Its first line is the meta
+record, compact JSON: ``"format": 4``, the piece name, divisions, time
+signatures, the (onset, duration, midi) notes and the pair counts
+``"pairs": {"voice": m_v, "chord": m_c}``, so downstream steps need no other
+input. After the line's ``\n`` come the row-major little-endian bytes of
+these arrays, back to back:
 
-* a ``meta`` record first: ``"format": 3``, the piece name, divisions, time
-  signatures and the (onset, duration, midi) notes, so downstream steps need
-  no other input;
-* one ``{"kind": "logits", "head": h, "rows": ...}`` per node head, in
-  ``NODE_HEADS`` order, an (n_notes x width) matrix;
-* one ``{"kind": "pairs", "head": "voice"|"chord", "u": ..., "w": ...,
-  "p": ...}`` per pair head: parallel arrays of note ids and probabilities,
-  read back as an (m, 2) int64 pair array and an (m,) probability vector.
+* per node head, in ``NODE_HEADS`` order, the (n_notes x width) logits as
+  ``<f8``;
+* for ``voice``, then ``chord``: the (m, 2) note-id pairs as ``<i8``, then
+  the (m,) probabilities as ``<f8``.
 
-Each array value is one base64 string of the array's row-major bytes:
-little-endian float64 (``<f8``) for ``rows`` and ``p``, little-endian int64
-(``<i8``) for ``u`` and ``w``. The bytes are the values themselves, so every
-float reads back bit-exactly, signed zeros and subnormals included. To look
-at a logits record by hand::
+The bytes are the values themselves, so every float reads back bit-exactly,
+signed zeros and subnormals included. Every size follows from the meta line,
+and a payload of any other length is refused. To look at an array by hand,
+here the spelling logits, which follow the (n_notes x 2) staff logits::
 
-    rec = json.loads(line)
-    rows = np.frombuffer(base64.b64decode(rec["rows"]), dtype="<f8")
-    rows = rows.reshape(n_notes, -1)  # one row of logits per note
+    with open(path, "rb") as fh:
+        meta = json.loads(fh.readline())
+        payload = fh.read()
+    n = len(meta["notes"])
+    spelling = np.frombuffer(payload, "<f8", count=n * 35, offset=8 * n * 2)
+    spelling = spelling.reshape(n, 35)  # one row of logits per note
 
-Blank lines and records of other kinds are skipped. A dump of another format
-(format 2 wrote the arrays as JSON number lists, format 1 one record per
-note) and every malformed dump are refused with ``MissingInput``.
+A dump of another format (format 3 held base64 arrays in JSON lines, format
+2 JSON number lists, format 1 one record per note) and every malformed dump
+are refused with ``MissingInput``.
 
 The manifest records a seeded 80/20 train/test split that depends only on
 (seed, piece name), so re-ingesting a grown corpus never moves existing
@@ -33,9 +36,9 @@ pieces between splits.
 
 from __future__ import annotations
 
-import base64
 import itertools
 import json
+import math
 import zlib
 from pathlib import Path
 from typing import Optional
@@ -50,7 +53,7 @@ from .postprocess import DEFAULT_PAIR_AGG, DEFAULT_THRESHOLD, engrave
 from .model import ModelConfig, predict_bundle
 
 MANIFEST_VERSION = 1
-PREDICTION_FORMAT = 3
+PREDICTION_FORMAT = 4
 SCORE_SUFFIXES = (".musicxml", ".xml", ".mxl")
 
 
@@ -134,8 +137,10 @@ def load_corpus(manifest: dict, split: Optional[str] = None) -> list[Score]:
 
 # --- prediction dumps ---
 
-def prediction_lines(score: Score, bundle: PredictionBundle) -> list[str]:
-    """The dump's records, one JSON text each: meta, logits, then pairs."""
+def prediction_dump(score: Score, bundle: PredictionBundle) -> bytes:
+    """The dump's bytes: the meta line, then every array's raw bytes."""
+    pairs = (("voice", bundle.voice_pairs, bundle.voice_probs),
+             ("chord", bundle.chord_pairs, bundle.chord_probs))
     meta = {
         "kind": "meta",
         "format": PREDICTION_FORMAT,
@@ -145,45 +150,20 @@ def prediction_lines(score: Score, bundle: PredictionBundle) -> list[str]:
                             for t in score.time_signatures],
         "notes": np.stack([score.onset, score.duration, score.pitch],
                           axis=1).tolist(),
+        "pairs": {head: len(ends) for head, ends, _ in pairs},
     }
-    lines = [json.dumps(meta)]
-    for head in NODE_HEADS:
-        lines.append(json.dumps({"kind": "logits", "head": head,
-                                 "rows": _pack(bundle.note_logits[head],
-                                               "<f8")}))
-    for head, pairs, probs in (
-            ("voice", bundle.voice_pairs, bundle.voice_probs),
-            ("chord", bundle.chord_pairs, bundle.chord_probs)):
-        lines.append(json.dumps({"kind": "pairs", "head": head,
-                                 "u": _pack(pairs[:, 0], "<i8"),
-                                 "w": _pack(pairs[:, 1], "<i8"),
-                                 "p": _pack(probs, "<f8")}))
-    return lines
-
-
-def _pack(array, dtype: str) -> str:
-    """An array's row-major bytes as ``dtype``, in base64."""
-    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
-    return base64.b64encode(data).decode("ascii")
-
-
-def _unpack(rec: dict, key: str, dtype: str) -> np.ndarray:
-    """The flat ``dtype`` array that ``_pack`` wrote as ``rec[key]``."""
-    try:
-        data = base64.b64decode(rec[key], validate=True)
-    except (TypeError, ValueError) as exc:
-        raise MissingInput(f"{rec['head']} {key} is not a base64 string "
-                           f"({exc})") from None
-    if len(data) % 8:
-        raise MissingInput(f"{rec['head']} {key} holds {len(data)} bytes, "
-                           f"not a multiple of 8")
-    return np.frombuffer(data, dtype=dtype).copy()
+    arrays = [np.ascontiguousarray(bundle.note_logits[head], "<f8")
+              for head in NODE_HEADS]
+    for _, ends, probs in pairs:
+        arrays += [np.ascontiguousarray(ends, "<i8"),
+                   np.ascontiguousarray(probs, "<f8")]
+    header = json.dumps(meta, separators=(",", ":")).encode("ascii")
+    return b"\n".join([header, b"".join(a.tobytes() for a in arrays)])
 
 
 def write_predictions(path: Path, score: Score,
                       bundle: PredictionBundle) -> None:
-    Path(path).write_text("\n".join(prediction_lines(score, bundle)) + "\n",
-                          encoding="utf-8")
+    Path(path).write_bytes(prediction_dump(score, bundle))
 
 
 def read_predictions(path: Path) -> tuple[Score, PredictionBundle]:
@@ -202,77 +182,60 @@ def read_predictions(path: Path) -> tuple[Score, PredictionBundle]:
 
 def _parse_dump(data: bytes,
                 default_name: str) -> tuple[Score, PredictionBundle]:
-    records = []
-    for number, line in enumerate(data.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise MissingInput(
-                f"line {number} is not valid JSON ({exc})") from None
-        if not isinstance(rec, dict):
-            raise MissingInput(f"line {number} is not a JSON object")
-        records.append(rec)
-    if not records or records[0].get("kind") != "meta":
-        raise MissingInput("first record must be the meta line")
-    meta = records[0]
+    end = data.find(b"\n")
+    if end < 0:
+        raise MissingInput("no newline after the meta line")
+    try:
+        meta = json.loads(data[:end])
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MissingInput(f"meta line is not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise MissingInput("meta line is not a JSON object")
     if meta.get("format") != PREDICTION_FORMAT:
         raise MissingInput(f"dump format {meta.get('format')!r} is not "
                            f"{PREDICTION_FORMAT}: written by an older "
                            f"notesetter; re-run predict")
     divisions, sigs, notes = (meta["divisions"], meta["time_signatures"],
                               meta["notes"])
+    counts = [meta["pairs"][head] for head in PAIR_HEADS]
     # JSON integers only: a float or a bool would be cast to int silently
-    values = itertools.chain((divisions,), *sigs, *notes)
+    values = itertools.chain((divisions,), counts, *sigs, *notes)
     if not set(map(type, values)) <= {int}:
-        raise TypeError("meta divisions, time signatures and notes must be "
-                        "integers")
+        raise TypeError("meta divisions, pair counts, time signatures and "
+                        "notes must be integers")
+    if min(counts) < 0:
+        raise MissingInput(f"pair counts {counts} must not be negative")
     score = make_score(divisions, [tuple(t) for t in sigs], notes,
                        name=meta.get("name", default_name))
     n = len(score.onset)
 
-    by_head: dict[tuple, dict] = {}
-    for rec in records[1:]:
-        key = (rec.get("kind"), rec.get("head"))
-        if key[0] not in ("logits", "pairs"):
-            continue
-        if key in by_head:
-            raise MissingInput(
-                f"duplicate {key[0]} record for head {key[1]!r}")
-        by_head[key] = rec
-
-    def record(kind: str, head: str) -> dict:
-        if (kind, head) not in by_head:
-            raise MissingInput(f"no {kind} record for head {head!r}")
-        return by_head[kind, head]
-
-    note_logits = {}
-    for head in NODE_HEADS:
-        width = HEAD_WIDTHS[head]
-        logits = _unpack(record("logits", head), "rows", "<f8")
-        if logits.size != n * width:
-            raise MissingInput(f"{head} logits hold {logits.size} values, "
-                               f"want {n * width} for {n} notes of "
-                               f"{width} classes")
-        note_logits[head] = logits.reshape(n, width)
+    # (dtype, shape) of every array, in payload order
+    layout = [("<f8", (n, HEAD_WIDTHS[head])) for head in NODE_HEADS]
+    for m in counts:
+        layout += [("<i8", (m, 2)), ("<f8", (m,))]
+    want = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(data) - end - 1 != want:
+        raise MissingInput(f"payload holds {len(data) - end - 1} bytes, want "
+                           f"{want} for {n} notes and {counts[0]} voice / "
+                           f"{counts[1]} chord pairs")
+    arrays, offset = [], end + 1
+    for dtype, shape in layout:
+        size = math.prod(shape)
+        arrays.append(np.frombuffer(data, dtype, size, offset)
+                      .reshape(shape).copy())
+        offset += 8 * size
+    arrays = iter(arrays)
+    note_logits = {head: next(arrays) for head in NODE_HEADS}
 
     pairs, probs = {}, {}
     for head in PAIR_HEADS:
-        rec = record("pairs", head)
-        u, w = _unpack(rec, "u", "<i8"), _unpack(rec, "w", "<i8")
-        p = _unpack(rec, "p", "<f8")
-        if not len(u) == len(w) == len(p):
-            raise MissingInput(f"{head} pairs: u, w and p have lengths "
-                               f"{len(u)}, {len(w)} and {len(p)}")
-        ends = np.stack([u, w], axis=1)
-        if len(u) and (ends.min() < 0 or ends.max() >= n):
+        ends, probs[head] = next(arrays), next(arrays)
+        if len(ends) and (ends.min() < 0 or ends.max() >= n):
             raise MissingInput(f"{head} pairs: an index is not a note id "
                                f"in [0, {n})")
-        if (u == w).any():
+        if (ends[:, 0] == ends[:, 1]).any():
             raise MissingInput(f"{head} pairs: a pair joins a note to itself")
         pairs[head] = ends
-        probs[head] = p
 
     # non-finite logits are refused by validate(), without a warning here
     with np.errstate(invalid="ignore"):

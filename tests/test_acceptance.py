@@ -39,6 +39,7 @@ from notesetter.notes import (CLEF_F, CLEF_G, DEFAULT_SPELLING_BY_PC,
                               LabelSet, STEM_DOWN, STEM_UP, make_score,
                               spelling_of)
 from notesetter.optim import grad_check
+from notesetter.pipeline import engrave_dump, write_predictions
 from notesetter.postprocess import engrave, engrave_from_labels
 from notesetter.rng import Rng
 from notesetter.synth import random_bundle, random_score
@@ -314,20 +315,27 @@ def test_criterion_7_bitwise_determinism(tmp_path):
         tensors, _meta = load_checkpoint(out_dir / "best.ckpt")
         params = init_params(model, Rng(schedule.seed))
         restore_params(params, tensors)
-        sheets = {}
+        dumps, sheets, from_dumps = {}, {}, {}
         for score in corpus:
             bundle = predict_bundle(score, params, model)
+            dump = out_dir / f"{score.name}.pred"
+            write_predictions(dump, score, bundle)
+            dumps[score.name] = dump.read_bytes()
             sheets[score.name] = export_musicxml(engrave(bundle, score))
-        return checkpoint, sheets
+            from_dumps[score.name] = engrave_dump(dump)
+        return checkpoint, dumps, sheets, from_dumps
 
-    ckpt_a, sheets_a = full_run(tmp_path / "run_a")
-    ckpt_b, sheets_b = full_run(tmp_path / "run_b")
-    ok = (ckpt_a == ckpt_b and sheets_a == sheets_b
+    ckpt_a, dumps_a, sheets_a, from_dumps_a = full_run(tmp_path / "run_a")
+    ckpt_b, dumps_b, sheets_b, from_dumps_b = full_run(tmp_path / "run_b")
+    ok = (ckpt_a == ckpt_b and dumps_a == dumps_b and sheets_a == sheets_b
+          and from_dumps_a == sheets_a and from_dumps_b == sheets_b
           and all(sheets_a.values()))
     conclude(ok, "criterion 7 (determinism)",
              f"two seed-42 train+predict runs: best.ckpt bit-identical "
-             f"({len(ckpt_a)} bytes) and engraved MusicXML byte-identical "
-             f"for both corpus pieces")
+             f"({len(ckpt_a)} bytes), prediction dumps bit-identical "
+             f"({sum(map(len, dumps_a.values()))} bytes) and engraved "
+             f"MusicXML byte-identical, in memory and from the dumps, for "
+             f"both corpus pieces")
 
 
 # --- criterion 8: candidate coverage ---

@@ -12,16 +12,18 @@ import numpy as np
 import pytest
 
 import notesetter
-from notesetter.checkpoint import load_checkpoint
+from notesetter.checkpoint import load_checkpoint, save_checkpoint
 from notesetter.cli import EXIT_CODES, main
 from notesetter.config import RunConfig, parse_config_text
-from notesetter.decoders import HEAD_WIDTHS
+from notesetter.model import init_params
 from notesetter.musicxml import parse_musicxml, read_score_file, validate_subset
 from notesetter.notes import DEFAULT_SPELLING_BY_PC, spelling_of
 from notesetter.pipeline import engrave_dump, load_manifest, write_predictions
 from notesetter.postprocess import perfect_bundle
+from notesetter.rng import Rng
 
 from conftest import FIXTURE_DIR, fixture_path
+from test_pipeline import dump_parts, join_parts, old_format_dump
 
 TINY = ["--hidden-size", "8", "--layers", "1"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -71,10 +73,10 @@ def test_full_workflow(tmp_path, capsys):
                          str(fixture_path("grace_clip")),
                          "--out-dir", str(work), *TINY)
     assert code == 0 and err == ""
-    dump = work / "grace_clip.pred.jsonl"
+    dump = work / "grace_clip.pred"
     assert dump.is_file()
-    first = json.loads(dump.read_text().splitlines()[0])
-    assert first["kind"] == "meta"
+    first = json.loads(dump.read_bytes().split(b"\n", 1)[0])
+    assert first["kind"] == "meta" and first["format"] == 4
 
     code, out, err = run(capsys, "engrave", str(dump),
                          "--out-dir", str(work))
@@ -223,7 +225,7 @@ def test_reader_refusal_exit_code(tmp_path, capsys, divisions, time, clef,
 
 
 def test_predict_refuses_inputs_sharing_an_output(tmp_path, capsys):
-    # both would write x.pred.jsonl; refused before the checkpoint is read
+    # both would write x.pred; refused before the checkpoint is read
     inputs = [tmp_path / "a" / "x.musicxml", tmp_path / "b" / "x.xml"]
     for path in inputs:
         path.parent.mkdir()
@@ -234,14 +236,14 @@ def test_predict_refuses_inputs_sharing_an_output(tmp_path, capsys):
                          "--out-dir", str(out_dir), *TINY)
     assert code == 3 and out == ""
     assert err == (f"ERROR MissingInput: inputs {inputs[0]} and {inputs[1]} "
-                   "would both write x.pred.jsonl; input stems must be "
+                   "would both write x.pred; input stems must be "
                    "unique\n")
     assert not out_dir.exists()
 
 
 def test_engrave_refuses_inputs_sharing_an_output(tmp_path, capsys):
     score = read_score_file(fixture_path("single_whole")).score
-    inputs = [tmp_path / "a" / "x.pred.jsonl", tmp_path / "b" / "x.jsonl"]
+    inputs = [tmp_path / "a" / "x.pred", tmp_path / "b" / "x.pred.jsonl"]
     for path in inputs:
         path.parent.mkdir()
         write_predictions(path, score, perfect_bundle(score))
@@ -251,6 +253,35 @@ def test_engrave_refuses_inputs_sharing_an_output(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err.startswith("ERROR MissingInput: ")
     assert "would both write x.musicxml" in err
+    assert not out_dir.exists()
+
+
+def test_predict_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
+    model = RunConfig(hidden_size=8, num_layers=1).model_config()
+    params = init_params(model, Rng(0))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, {name: p.data for name, p in params.items()},
+                    meta={"model": model.shape_dict()})
+    missing = tmp_path / "missing.musicxml"
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "predict", "--checkpoint", str(ckpt),
+                         str(fixture_path("single_whole")), str(missing),
+                         "--out-dir", str(out_dir), *TINY)
+    assert code == 3 and out == ""
+    assert err == f"ERROR MissingInput: input {missing} does not exist\n"
+    assert not out_dir.exists()
+
+
+def test_engrave_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
+    score = read_score_file(fixture_path("single_whole")).score
+    good = tmp_path / "good.pred"
+    write_predictions(good, score, perfect_bundle(score))
+    missing = tmp_path / "missing.pred"
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "engrave", str(good), str(missing),
+                         "--out-dir", str(out_dir))
+    assert code == 3 and out == ""
+    assert err == f"ERROR MissingInput: input {missing} does not exist\n"
     assert not out_dir.exists()
 
 
@@ -357,7 +388,7 @@ def test_strict_flag_reaches_config(tmp_path, capsys):
 
 def test_pair_agg_flag_reaches_config_and_engraving(tmp_path, capsys):
     score = read_score_file(fixture_path("fixture_a")).score
-    dump = tmp_path / "fixture_a.pred.jsonl"
+    dump = tmp_path / "fixture_a.pred"
     write_predictions(dump, score, perfect_bundle(score))
     out_dir = tmp_path / "out"
     code, _, err = run(capsys, "engrave", str(dump), "--pair-agg", "mean",
@@ -380,7 +411,7 @@ def test_engrave_writes_default_spelling_silently(tmp_path):
     for i, pc in enumerate(pitch_class):
         logits[i, spelling_of(*DEFAULT_SPELLING_BY_PC[(pc + 1) % 12])] = 20.0
     bundle.note_logits["spelling"] = logits
-    dump = tmp_path / "fixture_a.pred.jsonl"
+    dump = tmp_path / "fixture_a.pred"
     write_predictions(dump, score, bundle)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
@@ -396,112 +427,98 @@ def test_engrave_writes_default_spelling_silently(tmp_path):
         spelling_of(*DEFAULT_SPELLING_BY_PC[pc]) for pc in pitch_class)
 
 
-def _edit_records(edit):
-    """Edit the dump's records as written: arrays are base64 strings."""
-    def apply(lines):
-        records = [json.loads(line) for line in lines]
-        edit(records)
-        return [json.dumps(r) for r in records]
+def _edit_meta(edit):
+    """Edit the dump's meta record; the payload stays as written."""
+    def apply(data):
+        header, payload = data.split(b"\n", 1)
+        meta = json.loads(header)
+        edit(meta)
+        return json.dumps(meta).encode() + b"\n" + payload
     return apply
 
 
-DTYPES = {"rows": "<f8", "u": "<i8", "w": "<i8", "p": "<f8"}
+def _edit_arrays(edit):
+    """Edit the dump's arrays, split by name as its meta line sizes them."""
+    def apply(data):
+        meta, arrays = dump_parts(data)
+        edit(arrays)
+        return join_parts(meta, arrays)
+    return apply
 
 
-def _decode_arrays(records):
-    """Every base64 array as a JSON list, logits as one list per note."""
-    for rec in records[1:]:
-        for key, dtype in DTYPES.items():
-            if key in rec:
-                values = np.frombuffer(base64.b64decode(rec[key]), dtype)
-                if key == "rows":
-                    values = values.reshape(-1, HEAD_WIDTHS[rec["head"]])
-                rec[key] = values.tolist()
+def _payload_as_base64(data):
+    header, payload = data.split(b"\n", 1)
+    return header + b"\n" + base64.b64encode(payload)
 
 
-def _edit_values(edit):
-    """Edit the dump's arrays as lists of numbers, then encode them again,
-    flattening the logit rows whatever their lengths."""
-    def apply(records):
-        _decode_arrays(records)
-        edit(records)
-        for rec in records[1:]:
-            for key, dtype in DTYPES.items():
-                if key in rec:
-                    values = rec[key]
-                    if key == "rows":
-                        values = [x for row in values for x in row]
-                    rec[key] = base64.b64encode(
-                        np.array(values, dtype=dtype).tobytes()).decode()
-    return _edit_records(apply)
+def _as_old_format(version):
+    return lambda data: old_format_dump(*dump_parts(data), version)
 
 
-def _as_format_2(records):
-    """What format 2 wrote: the same records with JSON number lists."""
-    records[0]["format"] = 2
-    _decode_arrays(records)
+def _set(name, index, value):
+    return _edit_arrays(lambda arrays: arrays[name].__setitem__(index, value))
 
 
-def _drop_last_byte(rec, key):
-    rec[key] = base64.b64encode(base64.b64decode(rec[key])[:-1]).decode()
-
-
-# A fixture_a dump is meta, nine logits records (staff, spelling, ...),
-# voice pairs, chord pairs.
-STAFF, SPELLING, VOICE = 1, 2, 10
+# A dump is a meta line, then the arrays as raw bytes: nine logits matrices
+# (staff, spelling, key, ...), then voice pairs and probabilities, then chord
+# pairs and probabilities. Every defect keeps the rest of the dump whole.
 DUMP_DEFECTS = {
-    "truncated": lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]],
-    "old_format": _edit_records(lambda records: records[0].pop("format")),
-    "format_2": _edit_records(_as_format_2),
-    "missing_head": _edit_records(lambda records: records.pop(3)),
-    "duplicate_head": _edit_records(
-        lambda records: records.append(records[3])),
-    "not_base64": _edit_records(
-        lambda records: records[STAFF].__setitem__("rows", "AAAA!AAA")),
-    "bytes_not_multiple_of_8": _edit_records(
-        lambda records: _drop_last_byte(records[VOICE], "p")),
-    "rows_ragged": _edit_values(
-        lambda records: records[STAFF]["rows"][0].append(0.0)),
-    "rows_shape": _edit_values(
-        lambda records: [row.append(0.0) for row in records[STAFF]["rows"]]),
-    "logit_nan": _edit_values(
-        lambda records: records[SPELLING]["rows"][0].__setitem__(
-            0, float("nan"))),
-    "logit_inf": _edit_values(
-        lambda records: records[STAFF]["rows"][0].__setitem__(
-            1, float("inf"))),
-    "unequal_pair_arrays": _edit_values(
-        lambda records: records[VOICE]["w"].pop()),
-    "pair_index_outside": _edit_values(
-        lambda records: records[VOICE]["u"].__setitem__(0, 999)),
-    "pair_joins_note_to_itself": _edit_values(
-        lambda records: records[VOICE]["u"].__setitem__(
-            0, records[VOICE]["w"][0])),
-    "probability_outside": _edit_values(
-        lambda records: records[VOICE]["p"].__setitem__(0, 1.5)),
-    # meta values that are not JSON integers
-    "divisions_float": _edit_records(
-        lambda records: records[0].__setitem__("divisions", 4.5)),
-    "duration_float": _edit_records(
-        lambda records: records[0]["notes"][0].__setitem__(1, 4.5)),
-    "pitch_bool": _edit_records(
-        lambda records: records[0]["notes"][0].__setitem__(2, True)),
+    "truncated": lambda data: data[:len(data) // 2],
+    "payload_one_value_short": lambda data: data[:-8],
+    "trailing_bytes": lambda data: data + bytes(8),
+    "no_newline_after_meta": lambda data: data.split(b"\n", 1)[0],
+    "meta_not_json": lambda data: data[data.index(b"\n") // 2:],
+    "meta_not_object": lambda data: b"[4]" + data[data.index(b"\n"):],
+    "old_format": _edit_meta(lambda meta: meta.pop("format")),
+    "format_2": _as_old_format(2),
+    "format_3": _as_old_format(3),
+    "missing_head": _edit_arrays(lambda arrays: arrays.pop("key")),
+    "duplicate_head": _edit_arrays(
+        lambda arrays: arrays.__setitem__("again", arrays["key"])),
+    "not_base64": _payload_as_base64,
+    "bytes_not_multiple_of_8": _edit_arrays(
+        lambda arrays: arrays.__setitem__(
+            "voice_probs", arrays["voice_probs"].view(np.uint8)[:-1])),
+    "rows_ragged": _edit_arrays(
+        lambda arrays: arrays.__setitem__(
+            "staff", np.append(arrays["staff"], 0.0))),
+    "rows_shape": _edit_arrays(
+        lambda arrays: arrays.__setitem__(
+            "staff", np.pad(arrays["staff"], ((0, 0), (0, 1))))),
+    "logit_nan": _set("spelling", (0, 0), float("nan")),
+    "logit_inf": _set("staff", (0, 1), float("inf")),
+    "unequal_pair_arrays": _edit_arrays(
+        lambda arrays: arrays.__setitem__(
+            "voice_probs", arrays["voice_probs"][:-1])),
+    "pair_index_outside": _set("voice_pairs", (0, 0), 999),
+    "pair_joins_note_to_itself": _edit_arrays(
+        lambda arrays: arrays["voice_pairs"].__setitem__(
+            (0, 0), arrays["voice_pairs"][0, 1])),
+    "probability_outside": _set("voice_probs", 0, 1.5),
+    # meta values that are not JSON integers, or not counts
+    "divisions_float": _edit_meta(
+        lambda meta: meta.__setitem__("divisions", 4.5)),
+    "duration_float": _edit_meta(
+        lambda meta: meta["notes"][0].__setitem__(1, 4.5)),
+    "pitch_bool": _edit_meta(
+        lambda meta: meta["notes"][0].__setitem__(2, True)),
+    "pair_count_float": _edit_meta(
+        lambda meta: meta["pairs"].__setitem__(
+            "voice", float(meta["pairs"]["voice"]))),
+    "pair_count_negative": _edit_meta(
+        lambda meta: meta["pairs"].__setitem__("chord", -1)),
     # a note at onset 10**7 would need 625,000 bars of 4/4 at 4 divisions
-    "too_many_bars": _edit_records(
-        lambda records: records[0]["notes"][-1].__setitem__(0, 10 ** 7)),
+    "too_many_bars": _edit_meta(
+        lambda meta: meta["notes"][-1].__setitem__(0, 10 ** 7)),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(DUMP_DEFECTS))
 def test_malformed_dump_exit_code(tmp_path, capsys, defect):
     score = read_score_file(fixture_path("fixture_a")).score
-    dump = tmp_path / "fixture_a.pred.jsonl"
+    dump = tmp_path / "fixture_a.pred"
     write_predictions(dump, score, perfect_bundle(score))
-    lines = dump.read_text().splitlines()
-    heads = [json.loads(line).get("head") for line in lines]
-    assert [heads[i] for i in (STAFF, SPELLING, VOICE)] == [
-        "staff", "spelling", "voice"]
-    dump.write_text("\n".join(DUMP_DEFECTS[defect](lines)) + "\n")
+    dump.write_bytes(DUMP_DEFECTS[defect](dump.read_bytes()))
     code, out, err = run(capsys, "engrave", str(dump),
                          "--out-dir", str(tmp_path / "out"))
     assert code == 3

@@ -24,7 +24,7 @@ from notesetter.graph import (EDGE_TYPES, RELATIONS, CandidateCoverage,
                               coverage_report, dump_graph_jsonl)
 from notesetter.notes import (LabelSet, TimeSignature, bar_table, make_score,
                               node_features)
-from notesetter.pipeline import prediction_lines
+from notesetter.pipeline import prediction_dump
 from notesetter.postprocess import perfect_bundle
 from notesetter.synth import random_score
 
@@ -362,19 +362,19 @@ def test_dump_graph_jsonl():
 
 # One sha256 per fixture over the dump_graph_jsonl text of build_graph(score),
 # the bytes of candidate_pairs(score, cross_bar) for cross_bar True then False,
-# and the meta line of prediction_lines(score, perfect_bundle(score)). Only
+# and the meta line of prediction_dump(score, perfect_bundle(score)). Only
 # integer data and JSON text are hashed, so no float rounding can move them.
 GRAPH_GOLDEN_SHA256 = {
     "fixture_a":
-        "e05cfe9b94b73be8c392ca894f72d54208f6bad0ecd3ae64d4def2fa3a22ab55",
+        "a761f1bb5fbffdd7811eb535e330b8a8c226073a55f760b8abe833a5f1c0ce10",
     "fixture_b":
-        "4369caa1265f70b495c382d0227c3019f874803273b00a3c28a841989179bbb0",
+        "44ef9cf22d5abab99078f4b6df225620ced46735c41c9bbe321737d65348f10c",
     "grace_clip":
-        "b8f87fabbebe45aa1be4c56500fb1e288b35358b31adef86eeabed0e05bdbaad",
+        "919bbcadcd71d6091733ab299b1e1e3e9a7b6023409fdd2ff0a662a25d1ea514",
     "single_whole":
-        "8964040349b750a1affca3f13ab46c36f4d1c0cc35fedef21cb653adbf15b22e",
+        "cdb075865d537ac7ac9281098daf10fb727828c5d50aed31cfdbf4406195eb0a",
     "triplet_octave":
-        "fe8de64b08ca38fc27e541669df83cdd308f0623eb7ff8254b754128418a2188",
+        "03ec78a469979f335a7bb38f01c1f04ae3796dbfe195e47ff305c4dd0783fd04",
 }
 
 
@@ -382,7 +382,8 @@ def graph_and_meta_digest(score) -> str:
     digest = hashlib.sha256(dump_graph_jsonl(build_graph(score)).encode())
     for cross in (True, False):
         digest.update(candidate_pairs(score, cross_bar=cross).tobytes())
-    digest.update(prediction_lines(score, perfect_bundle(score))[0].encode())
+    digest.update(prediction_dump(score, perfect_bundle(score))
+                  .split(b"\n", 1)[0])
     return digest.hexdigest()
 
 

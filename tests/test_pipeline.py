@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from notesetter.autodiff import Value
+from notesetter.cli import EXIT_CODES
 from notesetter.decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle,
                                  Predictions, staff_probabilities)
 from notesetter.graph import build_graph
@@ -24,7 +25,7 @@ from notesetter.pipeline import (
     ingest_corpus,
     load_corpus,
     load_manifest,
-    prediction_lines,
+    prediction_dump,
     read_predictions,
     split_of,
     write_manifest,
@@ -155,18 +156,31 @@ def test_load_corpus_missing_file(tmp_path):
 # --- prediction dumps ---
 
 
-def dump_records(path):
-    return [json.loads(line) for line in path.read_text().splitlines()]
+def dump_parts(data):
+    """A dump's meta record and its arrays by name, split independently of
+    the reader: every size from the meta line and HEAD_WIDTHS."""
+    header, payload = data.split(b"\n", 1)
+    meta = json.loads(header)
+    n = len(meta["notes"])
+    layout = [(head, "<f8", (n, HEAD_WIDTHS[head])) for head in NODE_HEADS]
+    for head in ("voice", "chord"):
+        m = meta["pairs"][head]
+        layout += [(f"{head}_pairs", "<i8", (m, 2)),
+                   (f"{head}_probs", "<f8", (m,))]
+    arrays, offset = {}, 0
+    for name, dtype, shape in layout:
+        size = 8 * int(np.prod(shape))
+        arrays[name] = np.frombuffer(payload[offset:offset + size],
+                                     dtype).reshape(shape).copy()
+        offset += size
+    assert offset == len(payload)
+    return meta, arrays
 
 
-def decode(text, dtype):
-    """A dump array independently of the reader: base64 of raw bytes."""
-    return np.frombuffer(base64.b64decode(text), dtype)
-
-
-def write_records(path, records, extra_lines=()):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records)
-                    + "".join(line + "\n" for line in extra_lines))
+def join_parts(meta, arrays):
+    """The bytes of ``meta`` and the arrays, in their order, as they are."""
+    return (json.dumps(meta).encode() + b"\n"
+            + b"".join(a.tobytes() for a in arrays.values()))
 
 
 def assert_same_bundle(got, want):
@@ -223,39 +237,38 @@ def extreme_bundle(score):
         chord_pairs=(), chord_probs=np.zeros(0))
 
 
-def test_prediction_lines_meta_first():
+def test_prediction_dump_layout(tmp_path):
     score = random_score(0, n_notes=6)
     bundle = random_bundle(build_graph(score), 1)
-    records = [json.loads(line) for line in prediction_lines(score, bundle)]
-    meta = records[0]
-    assert meta["kind"] == "meta"
-    assert meta["format"] == 3
-    assert meta["name"] == score.name
-    assert meta["divisions"] == score.divisions_per_quarter
-    assert meta["notes"] == [[n.onset_div, n.duration_div, n.midi_pitch]
-                             for n in score.notes]
-    # one record per head: node heads in NODE_HEADS order, then the pairs
-    assert [(r["kind"], r["head"]) for r in records[1:]] == (
-        [("logits", h) for h in NODE_HEADS]
-        + [("pairs", "voice"), ("pairs", "chord")])
-    # every array is the base64 of its row-major little-endian bytes
-    for rec in records[1:1 + len(NODE_HEADS)]:
-        logits = bundle.note_logits[rec["head"]]
-        assert rec["rows"] == base64.b64encode(
-            logits.astype("<f8").tobytes()).decode("ascii")
-        assert decode(rec["rows"], "<f8").size == 6 * HEAD_WIDTHS[rec["head"]]
-    for rec, pairs, probs in ((records[-2], bundle.voice_pairs,
-                               bundle.voice_probs),
-                              (records[-1], bundle.chord_pairs,
-                               bundle.chord_probs)):
-        assert decode(rec["u"], "<i8").tolist() == pairs[:, 0].tolist()
-        assert decode(rec["w"], "<i8").tolist() == pairs[:, 1].tolist()
-        assert decode(rec["p"], "<f8").tolist() == probs.tolist()
+    data = prediction_dump(score, bundle)
+    header, payload = data.split(b"\n", 1)
+    meta = json.loads(header)
+    # one line of compact JSON: the meta record with the pair counts
+    assert header == json.dumps(meta, separators=(",", ":")).encode()
+    assert meta == {
+        "kind": "meta", "format": 4, "name": score.name,
+        "divisions": score.divisions_per_quarter,
+        "time_signatures": [[t.bar_index, t.numerator, t.denominator]
+                            for t in score.time_signatures],
+        "notes": [[n.onset_div, n.duration_div, n.midi_pitch]
+                  for n in score.notes],
+        "pairs": {"voice": len(bundle.voice_pairs),
+                  "chord": len(bundle.chord_pairs)}}
+    # then each array's row-major little-endian bytes, back to back
+    assert payload == b"".join(
+        [bundle.note_logits[h].astype("<f8").tobytes() for h in NODE_HEADS]
+        + [bundle.voice_pairs.astype("<i8").tobytes(),
+           bundle.voice_probs.astype("<f8").tobytes(),
+           bundle.chord_pairs.astype("<i8").tobytes(),
+           bundle.chord_probs.astype("<f8").tobytes()])
+    path = tmp_path / "x.pred"
+    write_predictions(path, score, bundle)
+    assert path.read_bytes() == data
 
 
 def test_predictions_round_trip(tmp_path):
     score = random_score(2, n_notes=9)
-    path = tmp_path / "preds.jsonl"
+    path = tmp_path / "preds.pred"
     for bundle in (random_bundle(build_graph(score), 3),
                    extreme_bundle(score)):
         write_predictions(path, score, bundle)
@@ -290,83 +303,108 @@ def test_bundle_json_round_trip(tmp_path):
                         chord_pairs=((0, 2),),
                         chord_logits=Value(np.array([[1.25]])))
     bundle = preds.bundle()
-    path = tmp_path / "hand.pred.jsonl"
+    path = tmp_path / "hand.pred"
     write_predictions(path, three_note_score(), bundle)
     assert_same_bundle(read_predictions(path)[1], bundle)
 
 
 def test_dump_head_records_errors_and_unknown_kinds(tmp_path):
     score = three_note_score()
-    path = tmp_path / "hand.pred.jsonl"
-    write_predictions(path, score, extreme_bundle(score))
-    records = dump_records(path)
-    bundle = read_predictions(path)[1]
-    bad = tmp_path / "bad.pred.jsonl"
-    for i, rec in enumerate(records[1:], 1):
-        write_records(bad, records[:i] + records[i + 1:])
-        with pytest.raises(MissingInput, match=f"no {rec['kind']} record "
-                                               f"for head '{rec['head']}'"):
-            read_predictions(bad)
-        write_records(bad, records + [rec])
-        with pytest.raises(MissingInput, match="duplicate"):
-            read_predictions(bad)
-    # blank lines and records of unknown kinds are skipped
-    extra = tmp_path / "extra.pred.jsonl"
-    write_records(extra, records[:1] + [{"kind": "note", "id": 0}]
-                  + records[1:] + [{"kind": "meta", "name": "x"}],
-                  extra_lines=("", "   "))
-    assert_same_bundle(read_predictions(extra)[1], bundle)
+    bundle = extreme_bundle(score)
+    meta, arrays = dump_parts(prediction_dump(score, bundle))
+    path = tmp_path / "hand.pred"
+    # an array dropped or written twice leaves a payload of the wrong length
+    for name in (name for name, a in arrays.items() if a.size):
+        for edit in ({k: v for k, v in arrays.items() if k != name},
+                     dict(arrays, twice=arrays[name])):
+            path.write_bytes(join_parts(meta, edit))
+            with pytest.raises(MissingInput, match="payload holds"):
+                read_predictions(path)
+    # meta keys of unknown kinds are ignored, and so is the record kind
+    extra = dict(meta, kind="note", comment="x", heads=["staff"])
+    path.write_bytes(join_parts(extra, arrays))
+    assert_same_bundle(read_predictions(path)[1], bundle)
 
 
 def test_read_predictions_refuses_invalid_utf8(tmp_path):
     score = random_score(4, n_notes=5)
-    path = tmp_path / "dump.jsonl"
+    path = tmp_path / "dump.pred"
     write_predictions(path, score, random_bundle(build_graph(score), 5))
-    meta, rest = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(meta + b'\n{"kind": "\xff"}\n' + rest)
-    with pytest.raises(MissingInput, match="line 2 is not valid JSON"):
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b'"name":"', b'"name":"\xff', 1))
+    with pytest.raises(MissingInput, match="meta line is not valid JSON"):
         read_predictions(path)
+
+
+def old_format_dump(meta, arrays, version):
+    """The dump of ``dump_parts``'s meta and arrays as notesetter wrote it
+    before format 4: JSON lines, each array a base64 string of its
+    little-endian bytes (format 3), a list of JSON numbers (format 2), or
+    one record per note and no format at all (format 1)."""
+    def array(values):
+        if version == 3:
+            return base64.b64encode(values.tobytes()).decode("ascii")
+        return values.tolist()
+    meta = {k: v for k, v in meta.items() if k != "pairs"}
+    meta["format"] = version
+    if version == 1:
+        del meta["format"]
+        records = [{"kind": "note", "id": i, "logits": {
+            h: arrays[h][i].tolist() for h in NODE_HEADS}}
+            for i in range(len(meta["notes"]))]
+    else:
+        records = [{"kind": "logits", "head": h, "rows": array(arrays[h])}
+                   for h in NODE_HEADS]
+        records += [{"kind": "pairs", "head": head,
+                     "u": array(arrays[f"{head}_pairs"][:, 0].copy()),
+                     "w": array(arrays[f"{head}_pairs"][:, 1].copy()),
+                     "p": array(arrays[f"{head}_probs"])}
+                    for head in ("voice", "chord")]
+    return "".join(json.dumps(r) + "\n" for r in [meta] + records).encode()
 
 
 def test_read_predictions_errors(tmp_path):
     with pytest.raises(MissingInput, match="does not exist"):
-        read_predictions(tmp_path / "none.jsonl")
+        read_predictions(tmp_path / "none.pred")
 
-    score = random_score(4, n_notes=5)
+    score = random_score(6, n_notes=5)  # 5 voice and 2 chord pairs
     bundle = random_bundle(build_graph(score), 5)
-    path = tmp_path / "good.jsonl"
-    write_predictions(path, score, bundle)
-    records = dump_records(path)
+    good = prediction_dump(score, bundle)
+    header, payload = good.split(b"\n", 1)
+    meta, arrays = dump_parts(good)
+    path = tmp_path / "bad.pred"
 
-    no_meta = tmp_path / "no_meta.jsonl"
-    write_records(no_meta, records[1:])
-    with pytest.raises(MissingInput, match="meta"):
-        read_predictions(no_meta)
+    def refused(data, message):
+        path.write_bytes(data)
+        with pytest.raises(MissingInput, match=message):
+            read_predictions(path)
 
-    short = tmp_path / "short.jsonl"
-    meta = dict(records[0], notes=records[0]["notes"][:-1])
-    write_records(short, [meta] + records[1:])  # meta disagrees with rows
-    with pytest.raises(MissingInput,
-                       match="staff logits hold 10 values, want 8 for 4 notes"):
-        read_predictions(short)
+    # the meta line: present, ended by a newline, a JSON object
+    refused(b"", "no newline after the meta line")
+    refused(header, "no newline after the meta line")
+    refused(header[:len(header) // 2] + b"\n" + payload,
+            "meta line is not valid JSON")
+    refused(b"[4]\n" + payload, "meta line is not a JSON object")
+    refused(b"\n" + good, "meta line is not valid JSON")
 
-    # arrays that are not base64 of whole 8-byte values
-    bad_array = tmp_path / "bad_array.jsonl"
-    for rows, message in (
-            (records[1]["rows"][:-4] + "A===", "is not a base64 string"),
-            (records[1]["rows"].replace("A", "-"), "is not a base64 string"),
-            (base64.b64encode(base64.b64decode(records[1]["rows"])[:-3])
-             .decode("ascii"), "holds 77 bytes, not a multiple of 8"),
-            ([[0.0, 1.0]] * 5, "is not a base64 string")):
-        write_records(bad_array, [records[0], dict(records[1], rows=rows)]
-                      + records[2:])
-        with pytest.raises(MissingInput, match=f"staff rows {message}"):
-            read_predictions(bad_array)
+    # a payload whose length disagrees with the meta line
+    size = len(payload)
+    for data in (good[:-8], good[:-1], good + b"\0", good + bytes(8),
+                 header + b"\n" + base64.b64encode(payload)):
+        refused(data, f"payload holds {len(data) - len(header) - 1} bytes, "
+                      f"want {size} for 5 notes")
+    short = dict(meta, notes=meta["notes"][:-1])  # meta disagrees with rows
+    row = 8 * sum(HEAD_WIDTHS[h] for h in NODE_HEADS)
+    refused(join_parts(short, arrays), f"payload holds {size} bytes, want "
+                                       f"{size - row} for 4 notes")
+    more = dict(meta, pairs=dict(meta["pairs"], voice=meta["pairs"]["voice"]
+                                 + 1))
+    refused(join_parts(more, arrays), f"want {size + 24} for 5 notes and "
+                                      f"{more['pairs']['voice']} voice")
 
     # a meta record that describes no score is refused, not looped over
     # and so is one whose values are not JSON integers
-    bad_meta = tmp_path / "bad_meta.jsonl"
-    (onset, duration, midi), *rest = records[0]["notes"]
+    (onset, duration, midi), *rest = meta["notes"]
     for fields in ({"time_signatures": [[0, 0, 4]]},
                    {"time_signatures": [[0, 4, 0]]},
                    {"time_signatures": []},
@@ -374,49 +412,40 @@ def test_read_predictions_errors(tmp_path):
                    {"divisions": "4"},
                    {"divisions": 4.5},
                    {"notes": [[onset, duration + 0.5, midi]] + rest},
-                   {"notes": [[onset, duration, True]] + rest}):
-        write_records(bad_meta, [dict(records[0], **fields)] + records[1:])
-        with pytest.raises(MissingInput, match="malformed dump"):
-            read_predictions(bad_meta)
+                   {"notes": [[onset, duration, True]] + rest},
+                   {"pairs": {"voice": 12.0, "chord": 0}},
+                   {"pairs": {"voice": 12, "chord": False}},
+                   {"pairs": {"voice": 12}},
+                   {"pairs": [12, 0]}):
+        refused(join_parts(dict(meta, **fields), arrays), "malformed dump")
+    for counts in ({"voice": -1, "chord": 0}, {"voice": 12, "chord": -3}):
+        refused(join_parts(dict(meta, pairs=counts), arrays),
+                "must not be negative")
 
-    # the one-record-per-note layout of format 1 is refused
-    old = tmp_path / "old.jsonl"
-    old_meta = {k: v for k, v in records[0].items() if k != "format"}
-    write_records(old, [old_meta] + [
-        {"kind": "note", "id": i,
-         "logits": {h: bundle.note_logits[h][i].tolist() for h in NODE_HEADS}}
-        for i in range(5)])
-    with pytest.raises(MissingInput, match="older notesetter; re-run predict"):
-        read_predictions(old)
+    # every older format is refused, even when otherwise whole
+    for version, shown in ((1, "None"), (2, "2"), (3, "3")):
+        refused(old_format_dump(meta, arrays, version),
+                f"dump format {shown} is not 4: written by an older "
+                f"notesetter; re-run predict")
 
-    # so are format 2's arrays of JSON numbers, even when otherwise whole
-    format_2 = [dict(records[0], format=2)] + [
-        {"kind": "logits", "head": h, "rows": bundle.note_logits[h].tolist()}
-        for h in NODE_HEADS] + [
-        {"kind": "pairs", "head": head, "u": pairs[:, 0].tolist(),
-         "w": pairs[:, 1].tolist(), "p": probs.tolist()}
-        for head, pairs, probs in (
-            ("voice", bundle.voice_pairs, bundle.voice_probs),
-            ("chord", bundle.chord_pairs, bundle.chord_probs))]
-    write_records(old, format_2)
-    with pytest.raises(MissingInput, match="dump format 2 is not 3: written "
-                                           "by an older notesetter"):
-        read_predictions(old)
-
-    # non-finite logits are refused, not engraved
-    for value in (np.nan, np.inf, -np.inf):
-        logits = bundle.note_logits["staff"].copy()
-        logits[2, 1] = value
-        rec = dict(records[1], rows=base64.b64encode(
-            logits.astype("<f8").tobytes()).decode("ascii"))
-        write_records(bad_array, records[:1] + [rec] + records[2:])
-        with pytest.raises(MissingInput, match="staff logits are not all "
-                                               "finite"):
-            read_predictions(bad_array)
+    # values the reader refuses after decoding them
+    pairs = arrays["voice_pairs"]
+    for name, index, value, message in (
+            ("staff", (2, 1), np.nan, "staff logits are not all finite"),
+            ("staff", (0, 0), np.inf, "staff logits are not all finite"),
+            ("tuplet", (4, 2), -np.inf, "tuplet logits are not all finite"),
+            ("voice_probs", 0, 1.5, "voice probabilities outside"),
+            ("voice_probs", 1, 0.0, "voice probabilities outside"),
+            ("voice_pairs", (0, 0), 5, "voice pairs: an index is not a note"),
+            ("voice_pairs", (1, 1), -1, "voice pairs: an index is not a note"),
+            ("voice_pairs", (0, 0), pairs[0, 1], "joins a note to itself")):
+        edited = arrays[name].copy()
+        edited[index] = value
+        refused(join_parts(meta, dict(arrays, **{name: edited})), message)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
-    path = tmp_path / "dump.pred.jsonl"
+    path = tmp_path / "dump.pred"
     cases = []
     for name in FIXTURE_NAMES:
         score = parse_fixture(name).score
@@ -435,10 +464,45 @@ def test_round_trip_is_bit_exact(tmp_path):
         assert_same_bundle(read_predictions(path)[1], bundle)
 
 
+REFUSALS = tuple(c for c in EXIT_CODES if EXIT_CODES[c] == 6)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_dump_round_trip_and_engraving_on_fixtures(tmp_path, name):
+    score = parse_fixture(name).score
+    graph = build_graph(score)
+    path = tmp_path / f"{name}.pred"
+    bundles = [perfect_bundle(score)] + [random_bundle(graph, seed)
+                                         for seed in range(40)]
+    for k, bundle in enumerate(bundles):
+        # signed zeros and subnormals of both signs in every head
+        for j, head in enumerate(NODE_HEADS):
+            flat = bundle.note_logits[head].reshape(-1)
+            flat[(k + j) % flat.size] = (-0.0, 5e-324, -5e-324)[(k + j) % 3]
+        bundle.staff_probs = staff_probabilities(bundle.note_logits["staff"])
+        write_predictions(path, score, bundle)
+        score_back, back = read_predictions(path)
+        assert_same_bundle(back, bundle)
+        assert score_back.notes == score.notes
+        # every array read from the payload (staff_probs is derived)
+        for array in (*back.note_logits.values(),
+                      back.voice_pairs, back.voice_probs,
+                      back.chord_pairs, back.chord_probs):
+            assert array.flags.writeable and array.flags.owndata
+            assert array.flags.aligned and array.flags.c_contiguous
+        try:
+            want = export_musicxml(engrave(bundle, score))
+        except REFUSALS as exc:
+            with pytest.raises(type(exc)):
+                engrave_dump(path)
+        else:
+            assert engrave_dump(path) == want
+
+
 def test_engrave_dump_matches_direct_engraving(tmp_path):
     result_score = random_score(6, n_notes=8)
     bundle = perfect_bundle(result_score)
-    path = tmp_path / "dump.jsonl"
+    path = tmp_path / "dump.pred"
     write_predictions(path, result_score, bundle)
     data = engrave_dump(path)
     direct = engrave(bundle, result_score)
