@@ -4,8 +4,10 @@ import base64
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,21 @@ def test_corrupt_checkpoint_exit_code(tmp_path, capsys):
                        "--manifest", str(tmp_path / "m.json"), *TINY)
     assert code == 4
     assert err.startswith("ERROR BadCheckpoint: ")
+
+
+def test_malformed_checkpoint_header_exit_code(tmp_path, capsys):
+    # valid magic, version and CRC, but a negative shape in the header
+    payload = np.zeros(3).tobytes()
+    header = json.dumps({"crc32": zlib.crc32(payload), "meta": {},
+                         "tensors": [{"name": "w", "shape": [-1, 2]}]})
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"NSET" + struct.pack("<II", 1, len(header))
+                    + header.encode() + payload)
+    code, out, err = run(capsys, "eval", "--checkpoint", str(bad),
+                         "--manifest", str(tmp_path / "m.json"), *TINY)
+    assert code == 4 and out == ""
+    assert err.startswith("ERROR BadCheckpoint: ") and "[-1, 2]" in err
+    assert err.count("\n") == 1
 
 
 def test_malformed_xml_exit_code(tmp_path, capsys):
