@@ -488,26 +488,25 @@ def read_score_file(path) -> ParseResult:
 
 # --- export ---
 
-def _tuplet_marks(engraved: EngravedScore) -> dict[tuple[int, int], list[str]]:
-    """(voice, onset) -> tuplet notations ("start"/"stop") for that event."""
+def _tuplet_marks(events, divisions: int) -> dict[tuple[int, int], list[str]]:
+    """(voice, onset) -> tuplet notations ("start"/"stop") for that event.
+    ``events`` come in (voice, onset) order. A run of tuplet chords of one
+    ratio ends at its voice's end or at any other event, and that event
+    starts no run."""
     marks: dict[tuple[int, int], list[str]] = {}
-    divisions = engraved.score.divisions_per_quarter
-    for voice, evs in engraved.voice_events().items():
-        run = []
-        k = 0
-        while k <= len(evs):
-            ev = evs[k] if k < len(evs) else None
-            if ev is not None and not ev.is_rest and ev.tuplet != 1 and (
-                    not run or run[-1].tuplet == ev.tuplet):
-                run.append(ev)
-                k += 1
-                continue
-            if run:
-                _mark_run(run, divisions, marks)
-                run = []
-            if ev is None:
-                break
-            k += 1
+    run = []
+    for ev in events:
+        if run and ev.voice != run[-1].voice:
+            _mark_run(run, divisions, marks)
+            run = []
+        if not ev.is_rest and ev.tuplet != 1 and (
+                not run or run[-1].tuplet == ev.tuplet):
+            run.append(ev)
+        elif run:
+            _mark_run(run, divisions, marks)
+            run = []
+    if run:
+        _mark_run(run, divisions, marks)
     return marks
 
 
@@ -549,11 +548,12 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
     divisions = score.divisions_per_quarter
     sig_by_bar = {ts.bar_index: ts for ts in score.time_signatures}
     pitch = score.pitch.tolist()
-    marks = _tuplet_marks(engraved)
+    events, columns = engraved.timeline()
+    marks = _tuplet_marks(events, divisions)
 
+    # bar -> voice -> events, voices ascending and each in onset order
     events_by_bar: dict[int, dict[int, list]] = {}
-    for ev in engraved.events:
-        b = bar_at(bars, ev.onset_div)
+    for ev, b in zip(events, columns[3].tolist()):
         events_by_bar.setdefault(b, {}).setdefault(ev.voice, []).append(ev)
 
     # timed items: (time, order, bar, builder); stops before clefs before starts
@@ -615,12 +615,12 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
         prev_key = key_here
 
         cursor = bar_onset
-        voices_here = sorted(events_by_bar.get(b, {}))
-        for idx, voice in enumerate(voices_here):
+        voices_here = events_by_bar.get(b, {})
+        for idx, voice_events in enumerate(voices_here.values()):
             if idx > 0:
                 out.append(_move("backup", cursor - bar_onset))
                 cursor = bar_onset
-            for ev in sorted(events_by_bar[b][voice], key=lambda e: e.onset_div):
+            for ev in voice_events:
                 _emit_event(out, ev, pitch, engraved.spelling, marks)
                 cursor = ev.offset_div
         if not voices_here:

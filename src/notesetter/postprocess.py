@@ -29,15 +29,20 @@ and, for non-zero shifts, octave brackets. (4) Rest infilling: every gap in
 every active bar of every voice is filled greedily, largest symbol first,
 never letting a rest start off its own-length grid within the bar (so
 decompositions split at beat boundaries).
+
+Pools and events are tuple rows (``NamedTuple``) built in bulk from column
+lists, and ``EngravedScore.validate`` checks the events as int64 columns in
+one (voice, onset) order, which the exporter shares.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
+import functools
 import itertools
 import math
-from typing import Optional
+import operator
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,8 +90,7 @@ class UnfillableGap(RuntimeError):
         self.length_div = length_div
 
 
-@dataclasses.dataclass(frozen=True)
-class PooledNode:
+class PooledNode(NamedTuple):
     """A chord (possibly a single note) treated as one unit."""
 
     ids: tuple[int, ...]
@@ -103,8 +107,7 @@ class PooledNode:
         return self.onset_div + self.duration_div
 
 
-@dataclasses.dataclass(frozen=True)
-class EngravedEvent:
+class EngravedEvent(NamedTuple):
     """One time slot of one voice: a chord (note_ids) or a rest (empty)."""
 
     voice: int
@@ -144,37 +147,31 @@ class EngravedScore:
     def __post_init__(self) -> None:
         self.validate()     # every instance, ``dataclasses.replace`` copies too
 
-    def voice_events(self) -> dict:
-        by_voice: dict[int, list[EngravedEvent]] = collections.defaultdict(list)
-        for ev in self.events:
-            by_voice[ev.voice].append(ev)
-        return {v: sorted(evs, key=lambda e: e.onset_div)
-                for v, evs in sorted(by_voice.items())}
+    def timeline(self) -> tuple[list[EngravedEvent], np.ndarray]:
+        """The events in (voice, onset) order, ties in stored order, and a
+        (4, events) int64 array of their voice, onset, duration and bar (-1
+        before bar 0) in that order."""
+        voice, _, onset, duration = (list(zip(*self.events))[:4]
+                                     or ((), (), (), ()))
+        columns = np.empty((4, len(self.events)), dtype=np.int64)
+        columns[:3] = voice, onset, duration
+        order = np.lexsort((columns[1], columns[0]))
+        columns = columns[:, order]
+        columns[3] = np.searchsorted(self.score.bars[:, 0], columns[1],
+                                     side="right") - 1
+        return list(map(self.events.__getitem__, order.tolist())), columns
 
     def validate(self) -> None:
-        seen: list[int] = []
-        for ev in self.events:
-            seen.extend(ev.note_ids)
-        if sorted(seen) != list(range(len(self.score.onset))):
+        """Raise ValueError on the first fault: a note not covered exactly
+        once, then the events' faults (``_first_event_fault``), then the
+        keys, spellings and octave regions."""
+        ids = np.fromiter(itertools.chain.from_iterable(
+            map(operator.attrgetter("note_ids"), self.events)), np.int64)
+        if not np.array_equal(np.sort(ids), np.arange(len(self.score.onset))):
             raise ValueError("events do not cover every note exactly once")
-        bars = self.score.bars.tolist()
-        for voice, evs in self.voice_events().items():
-            totals: collections.Counter = collections.Counter()  # bar -> durations
-            for ev in evs:
-                bar_i = bar_at(bars, ev.onset_div)
-                onset, length = bars[bar_i]
-                if ev.onset_div < onset or ev.offset_div > onset + length:
-                    raise ValueError(f"voice {voice}: event crosses a barline")
-                totals[bar_i] += ev.duration_div
-            for prev, nxt in zip(evs, evs[1:]):
-                if prev.offset_div > nxt.onset_div:
-                    raise ValueError(f"voice {voice}: overlapping events")
-            for b in range(min(totals), max(totals) + 1):
-                total, length = totals[b], bars[b][1]
-                if total != length:
-                    raise ValueError(
-                        f"voice {voice}, bar {b}: durations sum to {total}, "
-                        f"bar length is {length}")
+        fault = _first_event_fault(self.timeline()[1], self.score.bars)
+        if fault is not None:
+            raise ValueError(fault)
         if len(self.measure_keys) != self.score.num_bars:
             raise ValueError("one key per measure required")
         # the exporter writes each spelling as given: another pitch class's
@@ -196,6 +193,55 @@ class EngravedScore:
             for (s1, e1, _), (s2, _, _) in zip(regions, regions[1:]):
                 if s2 < e1:
                     raise ValueError(f"overlapping octave regions on staff {staff}")
+
+
+def _first_event_fault(columns: np.ndarray, bars: np.ndarray) -> Optional[str]:
+    """The refusal for the first fault in the timeline ``columns`` (voice,
+    onset, duration, bar) of a score with the bar table ``bars``, or None.
+
+    Voices are checked lowest first. Within a voice an onset before bar 0
+    comes first, then an event crossing a barline, then two overlapping
+    events, then the first bar, from the voice's first to its last, whose
+    durations do not sum to its length.
+    """
+    voice, onset, duration, bar = columns
+    if not len(voice):
+        return None
+    offset = onset + duration
+    new_voice = np.diff(voice, prepend=voice[0] - 1) != 0
+    rank = np.cumsum(new_voice)            # each event's voice, lowest first
+    faults = []                            # (voice rank, check, message)
+
+    early = np.flatnonzero(bar < 0)
+    if len(early):
+        i = early[0]
+        faults.append((rank[i], 0, f"division {onset[i]} before bar 0"))
+    bar = np.maximum(bar, 0)               # refused above when negative
+    crossing = np.flatnonzero(offset > bars[bar, 0] + bars[bar, 1])
+    if len(crossing):
+        i = crossing[0]
+        faults.append((rank[i], 1,
+                       f"voice {voice[i]}: event crosses a barline"))
+    overlap = np.flatnonzero((offset[:-1] > onset[1:]) & ~new_voice[1:])
+    if len(overlap):
+        i = overlap[0]
+        faults.append((rank[i], 2, f"voice {voice[i]}: overlapping events"))
+
+    # per (voice, bar) with events: the durations' sum, and whether bars with
+    # none follow before the voice's next bar with events
+    starts = np.flatnonzero(new_voice | (np.diff(bar, prepend=-1) != 0))
+    total = np.add.reduceat(duration, starts)
+    at = bar[starts]
+    short = total != bars[at, 1]
+    skips = np.append((at[1:] > at[:-1] + 1) & ~new_voice[starts[1:]], False)
+    bad = np.flatnonzero(short | skips)
+    if len(bad):
+        k = bad[0]
+        b, got = (at[k], total[k]) if short[k] else (at[k] + 1, 0)
+        faults.append((rank[starts[k]], 3,
+                       f"voice {voice[starts[k]]}, bar {b}: durations sum to "
+                       f"{got}, bar length is {bars[b, 1]}"))
+    return min(faults)[2] if faults else None
 
 
 # --- step 1: chord pooling ---
@@ -221,14 +267,14 @@ def pool_chords(bundle: PredictionBundle, score: Score,
     # the pools in (onset, staff, first id) order, built from plain ints
     first = order[starts]
     staff, onset = staff_pred[first], score.onset[first]
-    ids, begins = order.tolist(), starts.tolist()
-    ends = (starts + counts).tolist()
-    columns = {field: c.tolist() for field, c in dict(
-        onset_div=onset, duration_div=score.duration[first], staff=staff,
-        **decided).items()}
-    return [PooledNode(ids=tuple(ids[begins[k]:ends[k]]),
-                       **{field: c[k] for field, c in columns.items()})
-            for k in np.lexsort((first, staff, onset)).tolist()]
+    place = np.lexsort((first, staff, onset))
+    ids = order.tolist()
+    runs = zip(starts[place].tolist(), (starts + counts)[place].tolist())
+    return list(map(PooledNode._make, zip(
+        [tuple(ids[begin:end]) for begin, end in runs],
+        onset[place].tolist(), score.duration[first][place].tolist(),
+        staff[place].tolist(),
+        *(decided[head][place].tolist() for head in PooledNode._fields[4:]))))
 
 
 # --- step 2: voice assignment ---
@@ -289,36 +335,41 @@ def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
     n_pools = len(pools)
     theta = min(max(threshold, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
     dummy_cost = -math.log(theta)
-    # The pairs that beat the dummy, decided once per piece. Below
-    # theta * (1 - 1e-9) a pair costs more than the dummy by far more than
-    # rounding, so its log is not taken. A cost equal to the dummy's is a
-    # tie, which only the solver may break.
+    # each staff's onset groups, left to right, and each pool's group, named
+    # by its first pool
+    _, onset_of, duration_of, staff_of = list(zip(*pools))[:4] or ((),) * 4
+    offset = list(map(operator.add, onset_of, duration_of))
+    groups: tuple[dict[int, list[int]], ...] = ({}, {})
+    head: list[int] = []
+    for i, (staff, onset) in enumerate(zip(staff_of, onset_of)):
+        group = groups[staff].setdefault(onset, [])
+        group.append(i)
+        head.append(group[0])
+    # The pairs that beat the dummy, decided once per piece and keyed by
+    # stream end and group: a * n_pools + head[b]. Below theta * (1 - 1e-9)
+    # a pair costs more than the dummy by far more than rounding, so its log
+    # is not taken. A cost equal to the dummy's is a tie, which only the
+    # solver may break.
     wins: dict[int, list[int]] = {}
     ties: set[int] = set()
     near = probs >= theta * (1.0 - 1e-9)
     for key, p in zip(keys[near].tolist(), probs[near].tolist()):
         cost = -math.log(p)
         if cost < dummy_cost:
-            wins.setdefault(key // n_pools, []).append(key % n_pools)
+            a, b = divmod(key, n_pools)
+            wins.setdefault(a * n_pools + head[b], []).append(b)
         elif cost == dummy_cost:
             ties.add(key)
     pair_prob = None      # every key's probability, built on the first conflict
-    place = [(p.staff, p.onset_div) for p in pools]
-    offset = [p.offset_div for p in pools]
     streams: list[VoiceStream] = []
 
-    for staff in (0, 1):
-        groups: dict[int, list[int]] = {}
-        for i, p in enumerate(pools):
-            if p.staff == staff:
-                groups.setdefault(p.onset_div, []).append(i)
+    for staff, by_onset in enumerate(groups):
         open_streams: list[VoiceStream] = []
-        for onset, group in groups.items():
+        for onset, group in by_onset.items():
             eligible = [s for s in open_streams
                         if offset[s.pool_indices[-1]] <= onset]
             lasts = [s.pool_indices[-1] for s in eligible]
-            won = [[b for b in wins.get(a, ()) if place[b] == (staff, onset)]
-                   for a in lasts]
+            won = [wins.get(a * n_pools + group[0], ()) for a in lasts]
             follow = [w[0] if w else None for w in won]
             taken = {b for b in follow if b is not None}
             # a stream with two wins or a pool won twice leaves taken short
@@ -369,8 +420,10 @@ def number_voices(streams: list[VoiceStream], pools: list[PooledNode],
 
 # --- step 4 helper: rest infilling ---
 
-def _rest_vocabulary(divisions: int) -> list[tuple[int, int, int]]:
-    """(duration_div, type_index, dots) of every plain rest symbol, longest first."""
+@functools.lru_cache(maxsize=8)
+def _rest_vocabulary(divisions: int) -> tuple[tuple[int, int, int], ...]:
+    """(duration_div, type_index, dots) of every plain rest symbol, longest
+    first; computed once per ``divisions``."""
     out = []
     for type_index in range(len(NOTE_TYPE_NAMES)):
         for dots in range(MAX_DOTS + 1):
@@ -378,11 +431,12 @@ def _rest_vocabulary(divisions: int) -> list[tuple[int, int, int]]:
             if div is not None:
                 out.append((div, type_index, dots))
     out.sort(key=lambda t: -t[0])
-    return out
+    return tuple(out)
 
 
 def decompose_gap(start_div: int, length_div: int, bar_onset_div: int,
-                  vocabulary: list[tuple[int, int, int]]) -> Optional[list[tuple[int, int, int]]]:
+                  vocabulary: tuple[tuple[int, int, int], ...]
+                  ) -> Optional[list[tuple[int, int, int]]]:
     """Split a gap into (duration_div, type_index, dots) rests.
 
     Greedy largest-first; a rest may only start at an integer multiple of
@@ -403,6 +457,47 @@ def decompose_gap(start_div: int, length_div: int, bar_onset_div: int,
         else:
             return None
     return rests
+
+
+def _voice_events(voice: int, staff: int, rows: Iterable[PooledNode],
+                  bars: list, vocabulary: tuple[tuple[int, int, int], ...]
+                  ) -> list[EngravedEvent]:
+    """One voice's events: its pools ``rows`` in onset order, and the rests
+    that fill the gaps before, between and after them, split at barlines,
+    from the start of the first pool's bar to the end of the last one's."""
+    rows = sorted(rows, key=operator.itemgetter(1))   # by onset, ties kept
+    ids, onset, duration, _, *heads = zip(*rows)
+    notes = list(map(EngravedEvent._make, zip(
+        itertools.repeat(voice), itertools.repeat(staff), onset, duration,
+        ids, *heads)))
+    first_onset = bars[bar_at(bars, onset[0])][0]
+    last_onset, last_length = bars[bar_at(bars, onset[-1])]
+    span_end = last_onset + last_length
+    # the gap before pool k is [starts[k], ends[k]); the last, after them all
+    starts = [first_onset, *map(operator.add, onset, duration)]
+    ends = [*onset, span_end]
+    events: list[EngravedEvent] = []
+    done = 0
+    for k in itertools.compress(range(len(starts)),
+                                map(operator.lt, starts, ends)):
+        events += notes[done:k]
+        done = k
+        start, end = starts[k], min(ends[k], span_end)
+        b = bar_at(bars, start)
+        while start < end:
+            bar_onset, bar_length = bars[b]
+            stop = min(end, bar_onset + bar_length)
+            rests = decompose_gap(start, stop - start, bar_onset, vocabulary)
+            if rests is None:
+                raise UnfillableGap(voice, b, start, stop - start)
+            for div, type_index, dots in rests:
+                events.append(EngravedEvent(voice, staff, start, div, (),
+                                            type_index, dots, 1, STEM_NONE))
+                start += div
+            b += 1
+    if onset[-1] >= span_end:
+        raise ValueError(f"voice {voice}: events outside its bar span")
+    return events + notes[done:]
 
 
 # --- step 3 + 4: unpooling, smoothing, infilling ---
@@ -489,41 +584,9 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     voice_staff: dict[int, int] = {}
     for voice, stream in numbered.items():
         voice_staff[voice] = stream.staff
-        pending = sorted((EngravedEvent(
-            voice=voice, staff=stream.staff, onset_div=p.onset_div,
-            duration_div=p.duration_div, note_ids=p.ids, note_type=p.note_type,
-            dots=p.dots, tuplet=p.tuplet, stem=p.stem)
-            for p in (pools[pi] for pi in stream.pool_indices)),
-            key=lambda e: e.onset_div)
-        first_bar = bar_at(bars, pending[0].onset_div)
-        last_bar = bar_at(bars, pending[-1].onset_div)
-        cursor = bars[first_bar][0]
-        for b in range(first_bar, last_bar + 1):
-            bar_onset, bar_len = bars[b]
-            bar_end = bar_onset + bar_len
-            while True:
-                next_onset = (pending[0].onset_div
-                              if pending and pending[0].onset_div < bar_end
-                              else bar_end)
-                if cursor < next_onset:
-                    rests = decompose_gap(cursor, next_onset - cursor,
-                                          bar_onset, vocabulary)
-                    if rests is None:
-                        raise UnfillableGap(voice, b, cursor, next_onset - cursor)
-                    for div, type_index, dots in rests:
-                        events.append(EngravedEvent(
-                            voice=voice, staff=stream.staff, onset_div=cursor,
-                            duration_div=div, note_ids=(), note_type=type_index,
-                            dots=dots, tuplet=1, stem=STEM_NONE))
-                        cursor += div
-                if pending and pending[0].onset_div < bar_end:
-                    ev = pending.pop(0)
-                    events.append(ev)
-                    cursor = ev.offset_div
-                else:
-                    break
-        if pending:
-            raise ValueError(f"voice {voice}: events outside its bar span")
+        events += _voice_events(voice, stream.staff,
+                                map(pools.__getitem__, stream.pool_indices),
+                                bars, vocabulary)
 
     # the written spelling: the predicted class if it sounds the pitch
     pitch_class = score.pitch % 12
@@ -531,7 +594,7 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     spelling = np.where(_SPELLING_PC[spelling] == pitch_class, spelling,
                         _DEFAULT_SPELLING[pitch_class])
 
-    events.sort(key=lambda e: (e.voice, e.onset_div))
+    events.sort(key=operator.itemgetter(0, 2))      # (voice, onset)
     return EngravedScore(
         score=score, staff=tuple(staff.tolist()),
         spelling=tuple(spelling.tolist()),

@@ -566,7 +566,7 @@ def test_export_unrepresentable_duration():
     engraved = engrave_from_labels(score)
     broken = dataclasses.replace(
         engraved,
-        events=tuple(dataclasses.replace(ev, dots=4)
+        events=tuple(ev._replace(dots=4)
                      for ev in engraved.events))
     with pytest.raises(UnrepresentableDuration):
         export_musicxml(broken)

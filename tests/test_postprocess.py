@@ -7,15 +7,18 @@ comments ([DERIVED]).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURE_NAMES
 from notesetter import postprocess
-from notesetter.musicxml import export_musicxml, parse_musicxml
+from notesetter.musicxml import (export_musicxml, parse_musicxml,
+                                 validate_subset)
 from notesetter.decoders import HEAD_WIDTHS, NODE_HEADS, PredictionBundle
 from notesetter.graph import build_graph
 from notesetter.hungarian import hungarian
@@ -380,6 +383,7 @@ def test_number_voices_upper_overflow_pushes_lower_base():
 
 def test_rest_vocabulary_at_divisions_4():
     vocab = _rest_vocabulary(4)
+    assert _rest_vocabulary(4) is vocab      # computed once per divisions
     assert all(isinstance(t, tuple) and len(t) == 3 for t in vocab)
     divs = [t[0] for t in vocab]
     assert divs == sorted(divs, reverse=True)
@@ -601,7 +605,7 @@ def test_engrave_inserts_rests_for_late_voice_entry():
     score = make_score(2, [(0, 4, 4)], triples, labels=labels)
     engraved = engrave_from_labels(score)
     lower_voice = [v for v, s in engraved.voice_staff.items() if s == 1][0]
-    evs = engraved.voice_events()[lower_voice]
+    evs = [e for e in engraved.timeline()[0] if e.voice == lower_voice]
     # [DERIVED] half rest at 0..4, then the half note at 4..8.
     assert [(e.onset_div, e.duration_div, e.is_rest) for e in evs] \
         == [(0, 4, True), (4, 4, False)]
@@ -609,24 +613,206 @@ def test_engrave_inserts_rests_for_late_voice_entry():
     assert evs[0].stem == STEM_NONE
 
 
+def test_event_and_pool_rows_print_their_fields():
+    engraved = engrave_from_labels(two_voice_score())
+    assert repr(engraved.events[0]) == (
+        "EngravedEvent(voice=1, staff=0, onset_div=0, duration_div=2, "
+        "note_ids=(1,), note_type=3, dots=0, tuplet=1, stem=0)")
+    assert repr(make_pools([((0, 2), 4, 2, 1)])[0]) == (
+        "PooledNode(ids=(0, 2), onset_div=4, duration_div=2, staff=1, "
+        f"note_type={QUARTER}, dots=0, tuplet=1, stem={STEM_NONE})")
+
+
+def test_timeline_and_export_ignore_stored_event_order():
+    engraved = engrave_from_labels(two_voice_score())
+    shuffled = dataclasses.replace(engraved, events=engraved.events[::-1])
+    events, columns = shuffled.timeline()
+    assert events == list(engraved.events)
+    # voice 1's quarters and half, then voice 5's halves and whole
+    np.testing.assert_array_equal(columns, [
+        [1, 1, 1, 1, 1, 1, 1, 5, 5, 5],
+        [0, 2, 4, 6, 8, 10, 12, 0, 4, 8],
+        [2, 2, 2, 2, 2, 2, 4, 4, 4, 8],
+        [0, 0, 0, 0, 1, 1, 1, 0, 0, 1]])
+    assert export_musicxml(shuffled) == export_musicxml(engraved)
+
+
+def test_long_single_voice_engraves_and_exports():
+    # 1,000 quarter notes, each followed by a quarter rest, in one chained
+    # voice: 2,000 events over 500 bars
+    n = 1000
+    triples = [(4 * k, 2, 60 + k % 12) for k in range(n)]
+    labels = full_labels(n, voice_edges={(k, k + 1) for k in range(n - 1)})
+    score = make_score(2, [(0, 4, 4)], triples, labels=labels)
+    engraved = engrave_from_labels(score)
+    engraved.validate()
+    assert list(engraved.voice_staff) == [1]
+    events = engraved.timeline()[0]
+    assert len(events) == 2 * n
+    assert [e.is_rest for e in events[:4]] == [False, True, False, True]
+    data = export_musicxml(engraved)
+    validate_subset(data)
+    reparsed = parse_musicxml(data).score
+    assert reparsed.num_bars == 500
+    assert [(note.onset_div, note.duration_div, note.midi_pitch)
+            for note in reparsed.notes] == triples
+
+
 def test_validate_catches_missing_note():
     engraved = engrave_from_labels(two_voice_score())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="events do not cover every note "
+                                         "exactly once"):
         dataclasses.replace(engraved, events=tuple(
             e for e in engraved.events if 9 not in e.note_ids))
+
+
+def with_edits(engraved, edits):
+    """A copy of ``engraved``, validated as it is made, whose event at each
+    (voice, onset_div) key of ``edits`` takes that value's field changes."""
+    return dataclasses.replace(engraved, events=tuple(
+        e._replace(**edits[e.voice, e.onset_div])
+        if (e.voice, e.onset_div) in edits else e
+        for e in engraved.events))
+
+
+# two_voice_score's events, bars of 8 divisions: voice 1 has quarters at 0, 2,
+# 4, 6, 8 and 10 and a half at 12; voice 5 halves at 0 and 4 and a whole at 8
+@pytest.mark.parametrize("edits, message", [
+    # 77 at 6 held to 9, over the barline at 8
+    ({(1, 6): dict(duration_div=3)}, "voice 1: event crosses a barline"),
+    ({(5, 4): dict(duration_div=5)}, "voice 5: event crosses a barline"),
+    # the half at 12 moved to 16, past the end of the last bar
+    ({(1, 12): dict(onset_div=16)}, "voice 1: event crosses a barline"),
+    ({(1, 0): dict(onset_div=-2)}, "division -2 before bar 0"),
+    # 72 at 0 held to 3, into 74 at 2
+    ({(1, 0): dict(duration_div=3)}, "voice 1: overlapping events"),
+    # note 2 (74 at 2) sounded again in the chord at 0
+    ({(1, 0): dict(note_ids=(1, 2))},
+     "events do not cover every note exactly once"),
+    # note 9 (76 at 12) written as a note 10 the score does not have
+    ({(1, 12): dict(note_ids=(10,))},
+     "events do not cover every note exactly once"),
+    ({(5, 8): dict(note_ids=(-1,))},
+     "events do not cover every note exactly once"),
+])
+def test_validate_refusals(edits, message):
+    engraved = engrave_from_labels(two_voice_score())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        with_edits(engraved, edits)
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the lowest voice first: a crossing in voice 5, a short bar in voice 1
+    ({(5, 4): dict(duration_div=5), (1, 12): dict(duration_div=3)},
+     "voice 1, bar 1: durations sum to 7, bar length is 8"),
+    # within a voice the barline first, though the overlap comes earlier
+    ({(1, 0): dict(duration_div=3), (1, 6): dict(duration_div=3)},
+     "voice 1: event crosses a barline"),
+    # then overlaps, though the short bar comes earlier
+    ({(1, 0): dict(duration_div=1), (1, 8): dict(duration_div=3)},
+     "voice 1: overlapping events"),
+    # then the bar sums, the first short bar of the voice
+    ({(1, 0): dict(duration_div=1), (1, 12): dict(duration_div=3)},
+     "voice 1, bar 0: durations sum to 7, bar length is 8"),
+    # an event before bar 0 before the crossings of its voice
+    ({(5, 0): dict(onset_div=-1), (5, 4): dict(duration_div=5)},
+     "division -1 before bar 0"),
+    # coverage before every voice
+    ({(1, 0): dict(note_ids=(1, 2)), (1, 6): dict(duration_div=3)},
+     "events do not cover every note exactly once"),
+])
+def test_validate_reports_the_first_fault(edits, message):
+    engraved = engrave_from_labels(two_voice_score())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        with_edits(engraved, edits)
+
+
+def reference_event_fault(score, events):
+    """The first fault of ``events`` as a loop over voices and events finds
+    it, the reference for validate's column checks: its message, or None."""
+    seen = sorted(i for ev in events for i in ev.note_ids)
+    if seen != list(range(len(score.onset))):
+        return "events do not cover every note exactly once"
+    bars = score.bars.tolist()
+    by_voice = {}
+    for ev in events:
+        by_voice.setdefault(ev.voice, []).append(ev)
+    for voice in sorted(by_voice):
+        evs = sorted(by_voice[voice], key=lambda e: e.onset_div)
+        totals = collections.Counter()
+        for ev in evs:
+            if ev.onset_div < bars[0][0]:
+                return f"division {ev.onset_div} before bar 0"
+            bar_i = max(b for b, (onset, _) in enumerate(bars)
+                        if onset <= ev.onset_div)
+            onset, length = bars[bar_i]
+            if ev.offset_div > onset + length:
+                return f"voice {voice}: event crosses a barline"
+            totals[bar_i] += ev.duration_div
+        for prev, nxt in zip(evs, evs[1:]):
+            if prev.offset_div > nxt.onset_div:
+                return f"voice {voice}: overlapping events"
+        for b in range(min(totals), max(totals) + 1):
+            if totals[b] != bars[b][1]:
+                return (f"voice {voice}, bar {b}: durations sum to "
+                        f"{totals[b]}, bar length is {bars[b][1]}")
+    return None
+
+
+def scrambled(events, rng, voices):
+    """``events`` with one to three of them moved, resized, given another
+    voice, given a note more or fewer, or dropped."""
+    events = list(events)
+    for k in rng.choice(len(events), size=rng.integers(1, 4)).tolist():
+        ev = events[k]
+        if ev is None:
+            continue
+        change = rng.choice(["drop", "fewer", "more", "voice", "voice",
+                             "onset_div", "onset_div", "duration_div",
+                             "duration_div"])
+        if change == "drop":
+            events[k] = None
+        elif change == "fewer":
+            events[k] = ev._replace(note_ids=ev.note_ids[:-1])
+        elif change == "more":
+            events[k] = ev._replace(
+                note_ids=ev.note_ids + (int(rng.integers(-1, 3)),))
+        elif change == "voice":
+            events[k] = ev._replace(voice=int(rng.choice(voices)))
+        else:
+            events[k] = ev._replace(
+                **{change: getattr(ev, change) + int(rng.integers(-3, 4))})
+    return tuple(ev for ev in events if ev is not None)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_validate_matches_the_reference_loop(parsed_fixtures, name):
+    engraved = engrave_from_labels(parsed_fixtures[name].score)
+    rng = np.random.default_rng(7)
+    voices = sorted(engraved.voice_staff) + [9]
+    for _ in range(200):
+        events = scrambled(engraved.events, rng, voices)
+        expected = reference_event_fault(engraved.score, events)
+        try:
+            dataclasses.replace(engraved, events=events)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 def test_validate_catches_bar_sum_violation():
     engraved = engrave_from_labels(two_voice_score())
 
-    def stretch(ev):
+    def shorten(ev):
         if ev.is_rest or ev.onset_div != 0 or ev.voice != 1:
             return ev
-        return dataclasses.replace(ev, duration_div=ev.duration_div + 1)
+        return ev._replace(duration_div=ev.duration_div - 1)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="voice 1, bar 0: durations sum to "
+                                         "7, bar length is 8"):
         dataclasses.replace(
-            engraved, events=tuple(stretch(e) for e in engraved.events))
+            engraved, events=tuple(shorten(e) for e in engraved.events))
 
 
 def test_validate_catches_short_bar_inside_a_voice():
@@ -646,13 +832,13 @@ def test_validate_catches_short_bar_inside_a_voice():
     with pytest.raises(ValueError, match=fr"voice {voice}, bar 1: durations "
                                          r"sum to 7, bar length is 8"):
         dataclasses.replace(engraved, events=tuple(
-            dataclasses.replace(e, duration_div=7) if e is middle[0] else e
+            e._replace(duration_div=7) if e is middle[0] else e
             for e in engraved.events))
 
     with pytest.raises(ValueError, match=fr"voice {voice}, bar 1: durations "
                                          r"sum to 0, bar length is 8"):
         dataclasses.replace(engraved, events=tuple(
-            dataclasses.replace(e, voice=voice + 1) if e is middle[0] else e
+            e._replace(voice=voice + 1) if e is middle[0] else e
             for e in engraved.events))
 
 
