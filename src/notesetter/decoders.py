@@ -119,7 +119,12 @@ class Predictions:
 
 @dataclasses.dataclass
 class PredictionBundle:
-    """Plain-array predictions: per-note logits and per-pair probabilities."""
+    """Plain-array predictions: per-note logits and per-pair probabilities.
+
+    The voice pairs are strictly ascending by (u, w), as the score graph
+    builds them; ``validate`` refuses any other order, since voice
+    assignment reads each pool pair's member pairs in that order.
+    """
 
     note_logits: dict[str, np.ndarray]
     staff_probs: np.ndarray              # P(lower staff) per note
@@ -157,6 +162,9 @@ class PredictionBundle:
                 raise ValueError(f"{name} pair/probability count mismatch")
             if len(probs) and not ((probs > 0.0) & (probs < 1.0)).all():
                 raise ValueError(f"{name} probabilities outside (0,1)")
+        u, w = self.voice_pairs[:, 0], self.voice_pairs[:, 1]
+        if not ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (w[1:] > w[:-1])).all():
+            raise ValueError("voice pairs are not strictly ascending by (u, w)")
 
 
 def decode_all(embeddings: Value, graph: ScoreGraph,

@@ -4,17 +4,21 @@ Four steps. (1) Chord pooling: accepted chord edges (probability at or above
 the threshold, equal duration, equal predicted staff) are closed under
 transitivity (connected components); each pooled head (note type, dots,
 tuplet, stem) is decided once per pool, as the argmax of its members' mean
-logits. (2) Voice assignment: per staff, sweep onset groups left to right
-and match open voice ends against the new pooled nodes: the minimum-cost
-assignment on -log(probability) costs, padded square with dummy rows/columns
-priced at d = -log(threshold) — a dummy column ends a voice, a dummy row
-starts one, and the pricing makes a real match win exactly when
-p >= threshold. With r voice ends and c nodes, any padded assignment costs
-(r + c) * d plus the sum of (cost - d) over its real matches. So when the
-pairs cheaper than d form a matching (no voice end with two, no node claimed
-twice) and no pair costs exactly d, they alone are the unique optimum and
-are taken directly. Only the other groups, the conflicts, run the Hungarian
-algorithm (Kuhn 1955).
+logits. (2) Voice assignment: per staff, each onset group matches its voice
+ends against its pooled nodes: the minimum-cost assignment on
+-log(probability) costs, padded square with dummy rows/columns priced at
+d = -log(threshold) — a dummy column ends a voice, a dummy row starts one,
+and the pricing makes a real match win exactly when p >= threshold. A
+stream whose last pool is a is decided once, at a's end group (the first
+group of its staff at or after a's offset), where it continues or ends; so
+a group's voice ends are the pools whose end group it is, whatever was
+decided before it, and the groups are independent: no sweep state is kept.
+With r voice ends and c nodes, any padded assignment costs (r + c) * d plus
+the sum of (cost - d) over its real matches. So when the pairs cheaper than
+d form a matching (no voice end with two, no node claimed twice) and no pair
+costs exactly d, they alone are the unique optimum and are linked directly.
+Only the other groups, the conflicts, run the Hungarian algorithm (Kuhn
+1955), with their voice ends in the order their streams began.
 (3) Unpooling: members inherit their pool's voice and keep their own
 predicted staff, which a pool's members share. Each note's written spelling
 is its predicted class when that class sounds the note's pitch class, and
@@ -48,8 +52,7 @@ import numpy as np
 
 from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
                        labels_to_classes, staff_probabilities)
-from .graph import (build_graph, chord_candidate_pairs, components, in_edges,
-                    pair_keys)
+from .graph import build_graph, chord_candidate_pairs, components, in_edges
 from .hungarian import hungarian
 from .notes import (DEFAULT_SPELLING_BY_PC, KEY_MIN_FIFTHS, MAX_DOTS,
                     N_KEY_CLASSES, N_SPELLING, NOTE_TYPE_NAMES, STEM_NONE,
@@ -286,23 +289,29 @@ class VoiceStream:
 
 
 def _pool_pair_probabilities(pools: list[PooledNode], bundle: PredictionBundle,
-                             pair_agg: str) -> tuple[np.ndarray, np.ndarray]:
+                             pair_agg: str, keep=None
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """P(pool b follows pool a) as ascending keys ``a * len(pools) + b`` and
     their probabilities: the max or mean over the voice probabilities of
     their member pairs, taken in (u, w) order, clamped to [floor,
-    1 - floor]. Pools with no candidate pair between them have no key."""
+    1 - floor]. Pools with no candidate pair between them have no key, and
+    with ``keep`` (a mask from the member pairs' pool arrays a and b) no
+    pair it drops. The bundle's voice pairs are ascending by (u, w), so one
+    stable sort by key keeps each key's member pairs in that order."""
     n_pools = len(pools)
+    ids = list(map(operator.itemgetter(0), pools))
     pool_of = np.full(bundle.note_count, -1, dtype=np.int64)
-    pool_of[np.fromiter(itertools.chain.from_iterable(p.ids for p in pools),
-                        np.int64)] = np.repeat(np.arange(n_pools),
-                                               [len(p.ids) for p in pools])
+    pool_of[np.fromiter(itertools.chain.from_iterable(ids), np.int64)] = \
+        np.repeat(np.arange(n_pools), list(map(len, ids)))
     pairs = bundle.voice_pairs
     pu, pw = pool_of[pairs[:, 0]], pool_of[pairs[:, 1]]
     inside = (pu >= 0) & (pw >= 0)
+    if keep is not None:
+        inside[inside] = keep(pu[inside], pw[inside])
     keys = (pu * n_pools + pw)[inside]
     if not len(keys):
         return keys, np.zeros(0)
-    order = np.lexsort((pair_keys(pairs, bundle.note_count)[inside], keys))
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     probs = bundle.voice_probs[inside][order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -329,69 +338,86 @@ def _conflict_assignment(lasts: list[int], group: list[int], pair_prob: dict,
 
 def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
                   threshold: float, pair_agg: str) -> list[VoiceStream]:
-    """Chain pooled nodes into monophonic per-staff voice streams."""
+    """Chain pooled nodes into monophonic per-staff voice streams, ordered
+    by (staff, first pool); ``pools`` come in onset order."""
     check_engraving_settings(threshold, pair_agg)
-    keys, probs = _pool_pair_probabilities(pools, bundle, pair_agg)
     n_pools = len(pools)
+    if not n_pools:
+        return []
     theta = min(max(threshold, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
     dummy_cost = -math.log(theta)
-    # each staff's onset groups, left to right, and each pool's group, named
-    # by its first pool
-    _, onset_of, duration_of, staff_of = list(zip(*pools))[:4] or ((),) * 4
-    offset = list(map(operator.add, onset_of, duration_of))
-    groups: tuple[dict[int, list[int]], ...] = ({}, {})
-    head: list[int] = []
-    for i, (staff, onset) in enumerate(zip(staff_of, onset_of)):
-        group = groups[staff].setdefault(onset, [])
-        group.append(i)
-        head.append(group[0])
-    # The pairs that beat the dummy, decided once per piece and keyed by
-    # stream end and group: a * n_pools + head[b]. Below theta * (1 - 1e-9)
-    # a pair costs more than the dummy by far more than rounding, so its log
-    # is not taken. A cost equal to the dummy's is a tie, which only the
-    # solver may break.
-    wins: dict[int, list[int]] = {}
-    ties: set[int] = set()
-    near = probs >= theta * (1.0 - 1e-9)
-    for key, p in zip(keys[near].tolist(), probs[near].tolist()):
-        cost = -math.log(p)
-        if cost < dummy_cost:
-            a, b = divmod(key, n_pools)
-            wins.setdefault(a * n_pools + head[b], []).append(b)
-        elif cost == dummy_cost:
-            ties.add(key)
-    pair_prob = None      # every key's probability, built on the first conflict
-    streams: list[VoiceStream] = []
+    # the onset groups in (staff, onset) order, each a run of ``by_group``
+    onset, duration, staff = map(np.array, list(zip(*pools))[1:4])
+    by_group = np.lexsort((onset, staff))
+    new = np.ones(n_pools, dtype=bool)
+    new[1:] = (np.diff(staff[by_group]) != 0) | (np.diff(onset[by_group]) != 0)
+    starts = np.flatnonzero(new)
+    group_of = np.empty(n_pools, dtype=np.int64)
+    group_of[by_group] = np.cumsum(new) - 1
+    group_onset, group_staff = onset[by_group[starts]], staff[by_group[starts]]
+    # a stream ending at pool a is decided at a's end group, the first group
+    # of its staff at or after a's offset: it continues there or ends
+    end_group = np.full(n_pools, -1)
+    for s in (0, 1):
+        low, high = np.searchsorted(group_staff, (s, s + 1))
+        mine = staff == s
+        g = low + np.searchsorted(group_onset[low:high],
+                                  (onset + duration)[mine])
+        end_group[mine] = np.where(g < high, g, -1)
+    # only a pair into its first pool's end group can ever be matched
+    keys, probs = _pool_pair_probabilities(
+        pools, bundle, pair_agg, keep=lambda a, b: group_of[b] == end_group[a])
 
-    for staff, by_onset in enumerate(groups):
-        open_streams: list[VoiceStream] = []
-        for onset, group in by_onset.items():
-            eligible = [s for s in open_streams
-                        if offset[s.pool_indices[-1]] <= onset]
-            lasts = [s.pool_indices[-1] for s in eligible]
-            won = [wins.get(a * n_pools + group[0], ()) for a in lasts]
-            follow = [w[0] if w else None for w in won]
-            taken = {b for b in follow if b is not None}
-            # a stream with two wins or a pool won twice leaves taken short
-            if (len(taken) < sum(map(len, won))
-                    or ties and any(a * n_pools + b in ties
-                                    for a in lasts for b in group)):
-                if pair_prob is None:
-                    pair_prob = dict(zip(keys.tolist(), probs.tolist()))
-                follow = _conflict_assignment(lasts, group, pair_prob,
-                                              n_pools, dummy_cost)
-                taken = {b for b in follow if b is not None}
-            for stream, nxt in zip(eligible, follow):
-                if nxt is None:
-                    open_streams.remove(stream)  # matched a dummy: voice ends
-                else:
-                    stream.pool_indices.append(nxt)
-            for pi in group:
-                if pi not in taken:              # dummy row: new voice starts
-                    stream = VoiceStream(staff=staff, pool_indices=[pi])
-                    streams.append(stream)
-                    open_streams.append(stream)
-    return streams
+    # The pairs that beat the dummy or tie it. Below theta * (1 - 1e-9) a
+    # pair costs more than the dummy by far more than rounding, and above
+    # theta * (1 + 1e-9) less, so only the pairs between take their log. A
+    # cost equal to the dummy's is a tie, which only the solver may break.
+    a, b = np.divmod(keys, n_pools)
+    near = probs >= theta * (1.0 - 1e-9)
+    win = near & (probs > theta * (1.0 + 1e-9))
+    tie = np.zeros_like(win)
+    for k in np.flatnonzero(near & ~win).tolist():
+        cost = -math.log(probs[k])
+        win[k], tie[k] = cost < dummy_cost, cost == dummy_cost
+    # Where no voice end has two winners, no pool is won twice and no pair
+    # ties, the winners alone are the optimum; the other groups conflict.
+    win_a, win_b = a[win], b[win]                    # win_a is ascending
+    conflict = np.zeros(len(starts), dtype=bool)
+    conflict[end_group[win_a[1:][win_a[1:] == win_a[:-1]]]] = True
+    conflict[group_of[win_b[np.bincount(win_b, minlength=n_pools)[win_b]
+                            > 1]]] = True
+    conflict[group_of[b[tie]]] = True
+    forced = ~conflict[group_of[win_b]]
+    pred = np.full(n_pools, -1)
+    pred[win_b[forced]] = win_a[forced]
+    # each pool's chain of forced links, named by its first pool
+    head = np.where(pred >= 0, pred, np.arange(n_pools))
+    while not np.array_equal(hop := head[head], head):
+        head = hop
+
+    # The conflicts, earlier groups first, so each voice end's stream is
+    # complete and the solver sees them in the order their streams began.
+    # ``first`` names each chain's stream by its first pool.
+    first = list(range(n_pools))
+    if conflict.any():
+        pair_prob = dict(zip(keys.tolist(), probs.tolist()))
+        head_of = head.tolist()
+        bounds = np.append(starts, n_pools).tolist()
+        for g in np.flatnonzero(conflict).tolist():
+            lasts = sorted(np.flatnonzero(end_group == g).tolist(),
+                           key=lambda end: first[head_of[end]])
+            group = by_group[bounds[g]:bounds[g + 1]].tolist()
+            for last, nxt in zip(lasts, _conflict_assignment(
+                    lasts, group, pair_prob, n_pools, dummy_cost)):
+                if nxt is not None:
+                    first[nxt] = first[head_of[last]]
+    root = np.array(first)[head]
+    order = np.lexsort((root, staff))           # chains keep onset order
+    cuts = np.flatnonzero(np.diff(root[order], prepend=-1)).tolist()
+    members = order.tolist()
+    return [VoiceStream(staff=s, pool_indices=members[i:j])
+            for s, i, j in zip(staff[order[cuts]].tolist(), cuts,
+                               cuts[1:] + [n_pools])]
 
 
 def number_voices(streams: list[VoiceStream], pools: list[PooledNode],

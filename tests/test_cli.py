@@ -512,6 +512,9 @@ DUMP_DEFECTS = {
         lambda arrays: arrays["voice_pairs"].__setitem__(
             (0, 0), arrays["voice_pairs"][0, 1])),
     "probability_outside": _set("voice_probs", 0, 1.5),
+    "voice_pairs_unsorted": _edit_arrays(
+        lambda arrays: arrays.__setitem__(
+            "voice_pairs", arrays["voice_pairs"][::-1])),
     # meta values that are not JSON integers, or not counts
     "divisions_float": _edit_meta(
         lambda meta: meta.__setitem__("divisions", 4.5)),

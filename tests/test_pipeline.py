@@ -442,6 +442,10 @@ def test_read_predictions_errors(tmp_path):
         edited = arrays[name].copy()
         edited[index] = value
         refused(join_parts(meta, dict(arrays, **{name: edited})), message)
+    # voice pairs out of (u, w) order, or one pair twice
+    for edited in (pairs[::-1], pairs[[0, 0, 1, 2, 3]]):
+        refused(join_parts(meta, dict(arrays, voice_pairs=edited)),
+                "voice pairs are not strictly ascending by")
 
 
 def test_round_trip_is_bit_exact(tmp_path):

@@ -30,7 +30,7 @@ from notesetter.postprocess import (EngravedEvent, PooledNode, UnfillableGap,
                                     number_voices, perfect_bundle,
                                     pool_chords, _pool_pair_probabilities,
                                     _rest_vocabulary)
-from notesetter.synth import random_bundle
+from notesetter.synth import random_bundle, random_score
 
 QUARTER = NOTE_TYPE_NAMES.index("quarter")
 HALF = NOTE_TYPE_NAMES.index("half")
@@ -332,6 +332,59 @@ def test_assign_voices_one_pool_won_twice_calls_solver(solver_calls):
     streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
     assert [s.pool_indices for s in streams] == [[0], [1, 2]]
     assert solver_calls == [3]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_assign_voices_matches_padded_hungarian_on_long_pieces(seed,
+                                                               solver_calls):
+    # a few hundred notes over 24 bars: long streams, and groups that wait
+    # several onsets for their voice ends, with conflicts among them
+    score = random_score(seed, n_notes=300, n_bars=24)
+    bundle = random_bundle(build_graph(score), seed)
+    for threshold in (0.3, 0.5, 0.7):
+        pools = pool_chords(bundle, score, threshold)
+        for pair_agg in ("max", "mean"):
+            solver_calls.clear()
+            got = assign_voices(pools, bundle, threshold, pair_agg)
+            assert solver_calls, (threshold, pair_agg)    # conflicts ran
+            want = reference_assign_voices(pools, bundle, threshold, pair_agg)
+            assert [(s.staff, s.pool_indices) for s in got] \
+                == [(s.staff, s.pool_indices) for s in want], \
+                (threshold, pair_agg)
+
+
+@pytest.mark.parametrize("p_first, chains", [
+    (0.01, [[0], [1], [3], [4]]),
+    (0.99, [[0, 3], [1], [4]])])
+def test_assign_voices_stream_is_decided_at_its_first_eligible_group(
+        p_first, chains, solver_calls):
+    # Pool 0 (onset 0, offset 2) is first eligible at onset 3: onset 1 is
+    # while it sounds and onset 2 is on the other staff. Without a winner
+    # there it ends, though pair (0, 4) at the next group is 0.99.
+    pools = make_pools([((0,), 0, 2, 0), ((1,), 1, 2, 0), ((2,), 2, 2, 1),
+                        ((3,), 3, 1, 0), ((4,), 4, 2, 0)])
+    bundle = pair_bundle(5, ((0, 2), (0, 3), (0, 4), (1, 3), (3, 4)),
+                         (0.99, p_first, 0.99, 0.01, 0.01))
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
+    assert [(s.staff, s.pool_indices) for s in streams] \
+        == [(0, chain) for chain in chains] + [(1, [2])]
+    assert solver_calls == []
+
+
+def test_assign_voices_solver_sees_voice_ends_in_stream_order(solver_calls):
+    # Streams [0, 3] and [1, 2] cross at onset 1, so at onset 2 the voice
+    # end of the older stream (pool 3) comes after the other's (pool 2) by
+    # index. Both want both new pools equally: the solver keeps its rows'
+    # order on a tie (it returns [0, 1, 2, 3] here), so the first stream to
+    # begin, not the lower voice end, takes pool 4.
+    pools = make_pools([((0,), 0, 1, 0), ((1,), 0, 1, 0), ((2,), 1, 1, 0),
+                        ((3,), 1, 1, 0), ((4,), 2, 1, 0), ((5,), 2, 1, 0)])
+    bundle = pair_bundle(6, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (2, 5),
+                             (3, 4), (3, 5)),
+                         (0.1, 0.9, 0.9, 0.1, 0.9, 0.9, 0.9, 0.9))
+    streams = assign_voices(pools, bundle, threshold=0.5, pair_agg="max")
+    assert [s.pool_indices for s in streams] == [[0, 3, 4], [1, 2, 5]]
+    assert solver_calls == [4]
 
 
 def test_assign_voices_forced_groups_skip_solver(solver_calls):
