@@ -38,8 +38,10 @@ escaping. The text is byte for byte what ElementTree's ``indent`` and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gzip
 import itertools
+import math
 import xml.etree.ElementTree as ET
 from operator import itemgetter
 from pathlib import Path
@@ -510,12 +512,21 @@ def _tuplet_marks(events, divisions: int) -> dict[tuple[int, int], list[str]]:
     return marks
 
 
+@functools.lru_cache(maxsize=64)
+def _bracket_span(note_type: int, tuplet: int, divisions: int) -> int:
+    """The divisions a bracket opened by a (note_type, tuplet) chord must
+    fill before it closes: ``normal`` notes of that type, rounded up, so an
+    int total reaches it exactly when it reaches the unrounded span."""
+    _, normal = TUPLET_RATIOS[tuplet]
+    return math.ceil(NOTE_TYPE_QUARTERS[note_type] * divisions * normal)
+
+
 def _mark_run(run, divisions, marks) -> None:
     """Split one same-ratio run into brackets closing at full group spans."""
     start = 0
     while start < len(run):
-        _, normal = TUPLET_RATIOS[run[start].tuplet]
-        span = NOTE_TYPE_QUARTERS[run[start].note_type] * divisions * normal
+        span = _bracket_span(run[start].note_type, run[start].tuplet,
+                             divisions)
         total = 0
         end = start
         while end < len(run):

@@ -152,8 +152,13 @@ class EngravedScore:
 
     def timeline(self) -> tuple[list[EngravedEvent], np.ndarray]:
         """The events in (voice, onset) order, ties in stored order, and a
-        (4, events) int64 array of their voice, onset, duration and bar (-1
-        before bar 0) in that order."""
+        read-only (4, events) int64 array of their voice, onset, duration
+        and bar (-1 before bar 0) in that order. Computed once per
+        instance: validation and export share it."""
+        return self._timeline
+
+    @functools.cached_property
+    def _timeline(self) -> tuple[list[EngravedEvent], np.ndarray]:
         voice, _, onset, duration = (list(zip(*self.events))[:4]
                                      or ((), (), (), ()))
         columns = np.empty((4, len(self.events)), dtype=np.int64)
@@ -162,6 +167,7 @@ class EngravedScore:
         columns = columns[:, order]
         columns[3] = np.searchsorted(self.score.bars[:, 0], columns[1],
                                      side="right") - 1
+        columns.flags.writeable = False
         return list(map(self.events.__getitem__, order.tolist())), columns
 
     def validate(self) -> None:
