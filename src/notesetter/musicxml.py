@@ -493,20 +493,17 @@ def read_score_file(path) -> ParseResult:
 def _tuplet_marks(events, divisions: int) -> dict[tuple[int, int], list[str]]:
     """(voice, onset) -> tuplet notations ("start"/"stop") for that event.
     ``events`` come in (voice, onset) order. A run of tuplet chords of one
-    ratio ends at its voice's end or at any other event, and that event
-    starts no run."""
+    ratio ends at its voice's end or at any other event; a tuplet chord of
+    another ratio starts the next run."""
     marks: dict[tuple[int, int], list[str]] = {}
     run = []
     for ev in events:
-        if run and ev.voice != run[-1].voice:
+        if run and (ev.voice != run[-1].voice or ev.is_rest
+                    or ev.tuplet != run[-1].tuplet):
             _mark_run(run, divisions, marks)
             run = []
-        if not ev.is_rest and ev.tuplet != 1 and (
-                not run or run[-1].tuplet == ev.tuplet):
+        if not ev.is_rest and ev.tuplet != 1:
             run.append(ev)
-        elif run:
-            _mark_run(run, divisions, marks)
-            run = []
     if run:
         _mark_run(run, divisions, marks)
     return marks

@@ -9,7 +9,9 @@ running the parser.
 import dataclasses
 import gzip
 import hashlib
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from notesetter.musicxml import (
@@ -528,7 +530,7 @@ def test_unsupported_direction_content():
 
 
 def _labelled_score(note_specs, *, staff, note_type, spelling, voice_edges,
-                    dots=None, divisions=2):
+                    dots=None, tuplet=None, divisions=2):
     n = len(note_specs)
     labels = LabelSet(
         staff=tuple(staff),
@@ -539,7 +541,7 @@ def _labelled_score(note_specs, *, staff, note_type, spelling, voice_edges,
         clef=tuple(CLEF_G if s == 0 else CLEF_F for s in staff),
         note_type=tuple(note_type),
         dots=tuple(dots) if dots is not None else (0,) * n,
-        tuplet=(1,) * n,
+        tuplet=tuple(tuplet) if tuplet is not None else (1,) * n,
         voice_edges=frozenset(voice_edges),
         chord_edges=frozenset(),
     )
@@ -583,6 +585,28 @@ def test_export_coerces_impossible_spelling():
     reparsed = parse_musicxml(export_musicxml(engraved))
     assert reparsed.score.labels.spelling == (12,)  # C natural
     assert reparsed.score.notes[0].midi_pitch == 60
+
+
+def test_export_brackets_a_tuplet_group_after_another_ratio():
+    # [DERIVED] at 30 divisions a triplet eighth lasts 10 and a quintuplet
+    # sixteenth 6, so three of one and five of the other each fill a
+    # quarter, one bracket each; the quintuplet's starts on its first note.
+    durations = [10] * 3 + [6] * 5 + [60]
+    onsets = np.cumsum([0] + durations[:-1]).tolist()
+    n = len(durations)
+    score = _labelled_score(
+        [(t, d, 60) for t, d in zip(onsets, durations)],
+        staff=[0] * n, note_type=[4] * 3 + [5] * 5 + [2], spelling=[12] * n,
+        tuplet=[3] * 3 + [5] * 5 + [1],
+        voice_edges={(k, k + 1) for k in range(n - 1)}, divisions=30)
+    data = export_musicxml(engrave_from_labels(score))
+    validate_subset(data)
+    marks = [[t.get("type") for t in note.iter("tuplet")]
+             for note in ET.fromstring(data).iter("note")]
+    assert marks == [["start"], [], ["stop"],
+                     ["start"], [], [], [], ["stop"], []]
+    assert parse_musicxml(data).score.labels.tuplet == tuple(
+        [3] * 3 + [5] * 5 + [1])
 
 
 def test_export_declares_divisions_and_validates():
@@ -683,18 +707,22 @@ def test_round_trip_fixpoint(name):
 # the exports of engrave(random_bundle(graph, seed), score) for seeds 0-39,
 # where a refused bundle contributes its exception class name instead. The
 # digests were computed with the ElementTree serializer the text writer
-# replaced; hashing all five streams in sorted order gives 3baf746ae48911c5...
+# replaced; hashing all five streams in sorted order gave 3baf746ae48911c5...
+# A tuplet chord right after a run of another ratio now starts its own
+# bracket. That added <tuplet> start/stop marks to 5 grace_clip and 1
+# triplet_octave documents and changed nothing else; the five streams now
+# hash to 7c6522ec83e8fdf6...
 GOLDEN_SHA256 = {
     "fixture_a":
         "bdc385758c678a5cc42f610e34e183d6daca7b7b7bf1209d502dd46573540b99",
     "fixture_b":
         "e7dc6602107dc3d10129052999ddc94d1de390be83b581508c64a5b7f1157f98",
     "grace_clip":
-        "001278f696f19ee97fdba5e95350feb5004c183fdae4d7f0073a062eb519d058",
+        "53f8827d4f7750fcea7acf2053888d3c5284a4a88b67758580e45a4bcc143151",
     "single_whole":
         "b2037969ec7a5c1fc109d7e91782ac1e0da287239c396ff5d48b68b4625cb9cd",
     "triplet_octave":
-        "5ba9c75553a8e85453e2d26b5b730b8115d6fc95b921f26964ed7cbb8ef7da7e",
+        "83dbc7f7f0564bcdf41961563b5d8496313061ca7fdd5d024ac306bc8a745bdf",
 }
 GOLDEN_SEEDS = range(40)
 REFUSALS = (TooManyVoices, UnrepresentableDuration, UnfillableGap)
