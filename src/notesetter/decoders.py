@@ -149,6 +149,10 @@ class PredictionBundle:
         return self.note_logits[head].argmax(axis=1)
 
     def validate(self) -> None:
+        """Raise ValueError on the first fault: a logits matrix of the wrong
+        shape or with a non-finite value, pairs and probabilities of unequal
+        count, a probability outside (0, 1), a pair id that is not a note
+        id, a pair of a note with itself, or voice pairs out of order."""
         n = self.note_count
         for head in NODE_HEADS:
             logits = self.note_logits[head]
@@ -162,6 +166,11 @@ class PredictionBundle:
                 raise ValueError(f"{name} pair/probability count mismatch")
             if len(probs) and not ((probs > 0.0) & (probs < 1.0)).all():
                 raise ValueError(f"{name} probabilities outside (0,1)")
+            if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+                raise ValueError(f"{name} pairs: an index is not a note id "
+                                 f"in [0, {n})")
+            if (pairs[:, 0] == pairs[:, 1]).any():
+                raise ValueError(f"{name} pairs: a pair joins a note to itself")
         u, w = self.voice_pairs[:, 0], self.voice_pairs[:, 1]
         if not ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (w[1:] > w[:-1])).all():
             raise ValueError("voice pairs are not strictly ascending by (u, w)")

@@ -11,8 +11,11 @@ The reader walks the measures once and appends one int row per note
 measure); a chord unit is a list of row indices. ``_assemble`` numbers the
 notes with one sort by (onset, midi, staff, voice), reads each note's clef
 and octave-shift label off its staff's sorted events with one binary search,
-and hands the columns to ``make_score``. :func:`validate_subset` is the
-reader plus what it does not check: the schema order of <attributes> and
+and hands the columns to ``make_score``. Each element's children are read
+into a map by tag in one pass (``_children``); a repeated child is refused
+when its tag is looked up, so refusals come in the order the reader asks
+for the children. :func:`validate_subset` is the reader plus what it does
+not check: the schema order of <attributes> and
 <note> children, exactly one of pitch and rest, and the type and stem words
 of the rests and grace notes the reader skips.
 
@@ -33,6 +36,14 @@ Every text and attribute value it writes is an integer or a word from a fixed
 vocabulary (step names, note types, stem and clef signs), so nothing needs
 escaping. The text is byte for byte what ElementTree's ``indent`` and
 ``tostring`` produce for the same elements.
+
+Within one call the exporter writes each distinct fragment once and then
+looks it up: the <pitch> block of each (spelling class, MIDI pitch), and
+the rest of each note's block (or a rest's whole block) for each (duration,
+voice, type, dots, tuplet, stem, staff, rest or not). A fragment's text is a
+function of its key alone, and the engraved rows hold ints, which print by
+value, so a lookup gives the bytes a fresh build would. The memos belong to
+the call, so nothing carries over from one export to the next.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ import functools
 import gzip
 import itertools
 import math
+import operator
 import xml.etree.ElementTree as ET
 from operator import itemgetter
 from pathlib import Path
@@ -82,6 +94,9 @@ _CLEF_LINES = {0: "2", 1: "4", 2: "3"}
 _STEM_TEXT = {0: "up", 1: "down", 2: "none"}
 _TEXT_STEM = {v: k for k, v in _STEM_TEXT.items()}
 _TYPE_INDEX = {name: i for i, name in enumerate(NOTE_TYPE_NAMES)}
+# every (note type, dots, tuplet) the exporter can write
+_DURATION_SYMBOLS = frozenset(itertools.product(
+    range(len(NOTE_TYPE_NAMES)), range(MAX_DOTS + 1), TUPLET_RATIOS))
 # the <note> children of the subset, in schema order
 _NOTE_ORDER = ("grace", "chord", "pitch", "rest", "duration", "voice", "type",
                "dot", "time-modification", "stem", "staff", "notations")
@@ -109,16 +124,32 @@ def _int_text(elem: ET.Element, context: str) -> int:
         raise MalformedXml(f"{context}: non-integer text {elem.text!r}") from exc
 
 
-def _child(elem: ET.Element, tag: str) -> Optional[ET.Element]:
-    found = elem.findall(tag)
-    if len(found) > 1:
-        raise UnsupportedElement(f"repeated <{tag}> inside <{elem.tag}>")
-    return found[0] if found else None
+def _children(elem: ET.Element) -> dict:
+    """``elem``'s children by tag, from one pass over them. A tag that
+    occurs more than once maps to its refusal, which ``_child`` raises."""
+    kids = {sub.tag: sub for sub in elem}
+    if len(kids) < len(elem):
+        seen = set()
+        for sub in elem:
+            if sub.tag in seen:
+                kids[sub.tag] = f"repeated <{sub.tag}> inside <{elem.tag}>"
+            seen.add(sub.tag)
+    return kids
 
 
-def _staff(elem: ET.Element, what: str) -> int:
-    """0-based staff of a <note> or <direction>; <staff> defaults to 1."""
-    staff_elem = _child(elem, "staff")
+def _child(kids: dict, tag: str) -> Optional[ET.Element]:
+    """The child of this tag in ``_children``'s map, or None; a repeated
+    child is refused."""
+    found = kids.get(tag)
+    if isinstance(found, str):
+        raise UnsupportedElement(found)
+    return found
+
+
+def _staff(kids: dict, what: str) -> int:
+    """0-based staff of a <note> or <direction> (its ``_children``);
+    <staff> defaults to 1."""
+    staff_elem = _child(kids, "staff")
     staff = (_int_text(staff_elem, "staff") if staff_elem is not None
              else 1) - 1
     if staff not in (0, 1):
@@ -188,7 +219,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                                 f"from {divisions} to {value}")
                         divisions = value
                     elif attr.tag == "key":
-                        fifths_elem = _child(attr, "fifths")
+                        fifths_elem = _child(_children(attr), "fifths")
                         if fifths_elem is None:
                             raise UnsupportedElement("<key> without <fifths>")
                         cur_key = _int_text(fifths_elem, "fifths")
@@ -196,8 +227,9 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             raise UnsupportedElement(
                                 f"key fifths {cur_key} outside [-7, 7]")
                     elif attr.tag == "time":
-                        beats = _child(attr, "beats")
-                        beat_type = _child(attr, "beat-type")
+                        kids = _children(attr)
+                        beats = _child(kids, "beats")
+                        beat_type = _child(kids, "beat-type")
                         if beats is None or beat_type is None:
                             raise UnsupportedElement("<time> missing children")
                         cur_sig = TimeSignature(m_index,
@@ -219,7 +251,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             staff = None
                         if staff not in (0, 1):
                             raise UnsupportedElement("clef number must be 1 or 2")
-                        sign = _child(attr, "sign")
+                        sign = _child(_children(attr), "sign")
                         if sign is None or (sign.text or "").strip() not in _CLEF_SIGNS:
                             raise UnsupportedElement(
                                 f"clef sign {getattr(sign, 'text', None)!r}")
@@ -236,19 +268,20 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         raise InconsistentTiming(
                             f"measure {m_index + 1}: {exc}") from exc
             elif elem.tag == "note":
-                is_grace = _child(elem, "grace") is not None
+                kids = _children(elem)
+                is_grace = _child(kids, "grace") is not None
                 if is_grace:
                     grace_dropped += 1
                     continue
-                duration_elem = _child(elem, "duration")
+                duration_elem = _child(kids, "duration")
                 if duration_elem is None:
                     raise InconsistentTiming(
                         f"measure {m_index + 1}: non-grace note without duration")
                 duration = _int_text(duration_elem, "duration")
                 if duration <= 0:
                     raise InconsistentTiming("note duration must be positive")
-                is_chord = _child(elem, "chord") is not None
-                rest = _child(elem, "rest") is not None
+                is_chord = _child(kids, "chord") is not None
+                rest = _child(kids, "rest") is not None
                 end = measure_end()
                 if rest:
                     if is_chord:
@@ -259,17 +292,18 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             f"measure {m_index + 1}: rest overruns the bar")
                     last_unit = None
                     continue
-                pitch = _child(elem, "pitch")
+                pitch = _child(kids, "pitch")
                 if pitch is None:
                     raise UnsupportedElement("note with neither <pitch> nor <rest>")
-                step_elem = _child(pitch, "step")
-                octave_elem = _child(pitch, "octave")
+                pitch_kids = _children(pitch)
+                step_elem = _child(pitch_kids, "step")
+                octave_elem = _child(pitch_kids, "octave")
                 if step_elem is None or octave_elem is None:
                     raise UnsupportedElement("<pitch> missing step or octave")
                 step = (step_elem.text or "").strip()
                 if step not in STEP_NAMES:
                     raise UnsupportedElement(f"pitch step {step!r}")
-                alter_elem = _child(pitch, "alter")
+                alter_elem = _child(pitch_kids, "alter")
                 alter = _int_text(alter_elem, "alter") if alter_elem is not None else 0
                 if alter not in ALTER_VALUES:
                     raise UnsupportedElement(f"alter {alter} outside -2..2")
@@ -278,7 +312,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if not 0 <= midi <= 127:
                     raise UnsupportedElement(f"pitch outside MIDI range: {midi}")
 
-                type_elem = _child(elem, "type")
+                type_elem = _child(kids, "type")
                 if type_elem is None:
                     raise UnsupportedElement("note without <type>")
                 type_text = (type_elem.text or "").strip()
@@ -287,19 +321,20 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 dots = len(elem.findall("dot"))
                 if dots > MAX_DOTS:
                     raise UnsupportedElement(f"{dots} dots exceed the vocabulary")
-                voice_elem = _child(elem, "voice")
+                voice_elem = _child(kids, "voice")
                 voice = _int_text(voice_elem, "voice") if voice_elem is not None else 1
-                staff = _staff(elem, "staff")
-                stem_elem = _child(elem, "stem")
+                staff = _staff(kids, "staff")
+                stem_elem = _child(kids, "stem")
                 stem_text = ((stem_elem.text or "").strip()
                              if stem_elem is not None else "none")
                 if stem_text not in _TEXT_STEM:
                     raise UnsupportedElement(f"stem {stem_text!r}")
                 tuplet = 1
-                tmod = _child(elem, "time-modification")
+                tmod = _child(kids, "time-modification")
                 if tmod is not None:
-                    actual = _child(tmod, "actual-notes")
-                    normal = _child(tmod, "normal-notes")
+                    tmod_kids = _children(tmod)
+                    actual = _child(tmod_kids, "actual-notes")
+                    normal = _child(tmod_kids, "normal-notes")
                     if actual is None or normal is None:
                         raise UnsupportedElement("<time-modification> missing children")
                     ratio = (_int_text(actual, "actual-notes"),
@@ -308,9 +343,9 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     if not matches:
                         raise UnsupportedElement(f"tuplet ratio {ratio}")
                     tuplet = matches[0]
-                for extra in elem:
-                    if extra.tag not in _NOTE_ORDER:
-                        raise UnsupportedElement(f"<{extra.tag}> under <note>")
+                for tag in kids:
+                    if tag not in _NOTE_ORDER:
+                        raise UnsupportedElement(f"<{tag}> under <note>")
 
                 if is_chord:
                     if last_unit is None:
@@ -341,7 +376,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                              spelling_of(step, alter), _TEXT_STEM[stem_text],
                              _TYPE_INDEX[type_text], dots, tuplet, m_index))
             elif elem.tag == "backup":
-                dur = _child(elem, "duration")
+                dur = _child(_children(elem), "duration")
                 if dur is None:
                     raise MalformedXml("<backup> without duration")
                 cursor -= _int_text(dur, "backup duration")
@@ -350,7 +385,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         f"measure {m_index + 1}: backup before measure start")
                 last_unit = None
             elif elem.tag == "forward":
-                dur = _child(elem, "duration")
+                dur = _child(_children(elem), "duration")
                 if dur is None:
                     raise MalformedXml("<forward> without duration")
                 cursor += _int_text(dur, "forward duration")
@@ -359,14 +394,15 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         f"measure {m_index + 1}: forward past measure end")
                 last_unit = None
             elif elem.tag == "direction":
-                dtype = _child(elem, "direction-type")
+                kids = _children(elem)
+                dtype = _child(kids, "direction-type")
                 if dtype is None:
                     raise UnsupportedElement("<direction> without <direction-type>")
-                shift_elem = _child(dtype, "octave-shift")
+                shift_elem = _child(_children(dtype), "octave-shift")
                 if shift_elem is None or len(dtype) != 1:
                     raise UnsupportedElement(
                         "only octave-shift directions are supported")
-                staff = _staff(elem, "direction staff")
+                staff = _staff(kids, "direction staff")
                 kind = shift_elem.get("type")
                 size = shift_elem.get("size", "8")
                 if kind == "stop":
@@ -497,13 +533,18 @@ def _tuplet_marks(events, divisions: int) -> dict[tuple[int, int], list[str]]:
     another ratio starts the next run."""
     marks: dict[tuple[int, int], list[str]] = {}
     run = []
-    for ev in events:
-        if run and (ev.voice != run[-1].voice or ev.is_rest
+    last = -1
+    for k in itertools.compress(itertools.count(), map(
+            operator.ne, map(itemgetter(7), events), itertools.repeat(1))):
+        ev = events[k]
+        if not ev.note_ids:
+            continue
+        if run and (k != last + 1 or ev.voice != run[-1].voice
                     or ev.tuplet != run[-1].tuplet):
             _mark_run(run, divisions, marks)
             run = []
-        if not ev.is_rest and ev.tuplet != 1:
-            run.append(ev)
+        run.append(ev)
+        last = k
     if run:
         _mark_run(run, divisions, marks)
     return marks
@@ -544,25 +585,33 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
             raise TooManyVoices(
                 f"voice {voice} does not fit staff {staff + 1} "
                 f"(numbers {low}..{high})")
-    for ev in engraved.events:
-        if not (0 <= ev.note_type < len(NOTE_TYPE_NAMES)
-                and 0 <= ev.dots <= MAX_DOTS and ev.tuplet in TUPLET_RATIOS):
-            raise UnrepresentableDuration(
-                f"event at {ev.onset_div}: type={ev.note_type} "
-                f"dots={ev.dots} tuplet={ev.tuplet}")
+    if not set(map(itemgetter(5, 6, 7), engraved.events)) <= _DURATION_SYMBOLS:
+        ev = next(ev for ev in engraved.events if (
+            ev.note_type, ev.dots, ev.tuplet) not in _DURATION_SYMBOLS)
+        raise UnrepresentableDuration(
+            f"event at {ev.onset_div}: type={ev.note_type} "
+            f"dots={ev.dots} tuplet={ev.tuplet}")
 
     score = engraved.score
     bars = score.bars.tolist()
     divisions = score.divisions_per_quarter
     sig_by_bar = {ts.bar_index: ts for ts in score.time_signatures}
-    pitch = score.pitch.tolist()
     events, columns = engraved.timeline()
     marks = _tuplet_marks(events, divisions)
 
-    # bar -> voice -> events, voices ascending and each in onset order
-    events_by_bar: dict[int, dict[int, list]] = {}
-    for ev, b in zip(events, columns[3].tolist()):
-        events_by_bar.setdefault(b, {}).setdefault(ev.voice, []).append(ev)
+    # the events in (bar, voice, onset) order (the sort is stable), cut into
+    # runs of one (bar, voice); bar b's runs are ``bar_runs[b]:bar_runs[b+1]``
+    voice, onset, duration, bar = columns
+    order = np.lexsort((voice, bar))
+    voice, bar = voice[order], bar[order]
+    new_run = np.ones(len(order), dtype=bool)
+    new_run[1:] = (voice[1:] != voice[:-1]) | (bar[1:] != bar[:-1])
+    cuts = np.flatnonzero(new_run)
+    bar_runs = np.searchsorted(bar[cuts], np.arange(len(bars) + 1)).tolist()
+    cuts = cuts.tolist() + [len(order)]
+    offsets = (onset + duration)[order].tolist()
+    texts = _event_texts(list(map(events.__getitem__, order.tolist())),
+                         score.pitch.tolist(), engraved.spelling, marks)
 
     # timed items: (time, order, bar, builder); stops before clefs before starts
     timed: dict[int, list] = {}
@@ -623,15 +672,13 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
         prev_key = key_here
 
         cursor = bar_onset
-        voices_here = events_by_bar.get(b, {})
-        for idx, voice_events in enumerate(voices_here.values()):
-            if idx > 0:
+        first_run, end_run = bar_runs[b], bar_runs[b + 1]
+        for r in range(first_run, end_run):
+            if r > first_run:
                 out.append(_move("backup", cursor - bar_onset))
-                cursor = bar_onset
-            for ev in voice_events:
-                _emit_event(out, ev, pitch, engraved.spelling, marks)
-                cursor = ev.offset_div
-        if not voices_here:
+            out += texts[cuts[r]:cuts[r + 1]]
+            cursor = offsets[cuts[r + 1] - 1]
+        if first_run == end_run:
             out.append(_move("forward", bar_len))
             cursor = bar_end
 
@@ -674,41 +721,79 @@ def _move(tag: str, duration: int) -> str:
             f"      </{tag}>")
 
 
-def _emit_event(out: list[str], ev, pitch: list[int],
-                spelling: tuple[int, ...], marks: dict) -> None:
-    """Append one <note> block per chord member (one for a rest)."""
-    timing = (f"        <duration>{ev.duration_div}</duration>\n"
-              f"        <voice>{ev.voice}</voice>\n"
-              f"        <type>{NOTE_TYPE_NAMES[ev.note_type]}</type>\n"
-              + "        <dot />\n" * ev.dots)
-    staff = f"        <staff>{ev.staff + 1}</staff>\n"
-    if ev.is_rest:
-        out.append(f"      <note>\n        <rest />\n{timing}{staff}      </note>")
-        return
-    if ev.tuplet != 1:
-        actual, normal = TUPLET_RATIOS[ev.tuplet]
+_NOTE_OPEN = "      <note>\n"
+_CHORD_OPEN = "      <note>\n        <chord />\n"
+_NOTE_CLOSE = "      </note>"
+# an event's fields that its text after the <pitch> block depends on
+_TAIL_FIELDS = itemgetter(3, 0, 5, 6, 7, 8, 1)
+
+
+def _event_texts(events, pitch: list[int], spelling: tuple[int, ...],
+                 marks: dict) -> list[str]:
+    """Each event's text: one <note> block per chord member in ascending
+    pitch, ties in stored order (the first member carries the tuplet
+    notations, later ones the chord flag), or a rest's one block. The
+    <pitch> block of each (spelling, pitch) and the rest of each distinct
+    event (``_TAIL_FIELDS`` and whether it is a rest) are written once per
+    call and then looked up."""
+    pitch_text = list(map(functools.cache(_pitch_block), spelling, pitch))
+    tails = map(functools.cache(_tail_block), map(_TAIL_FIELDS, events),
+                map(operator.not_, map(itemgetter(4), events)))
+    notations = {key: "        <notations>\n"
+                 + "".join(f'          <tuplet type="{kind}" />\n'
+                           for kind in kinds) + "        </notations>\n"
+                 for key, kinds in marks.items()}
+    event_marks = (map(notations.get, zip(map(itemgetter(0), events),
+                                          map(itemgetter(2), events)),
+                       itertools.repeat(""))
+                   if notations else itertools.repeat(""))
+    texts = []
+    for ids, tail, mark in zip(map(itemgetter(4), events), tails,
+                               event_marks):
+        if len(ids) == 1:
+            texts.append(f"{_NOTE_OPEN}{pitch_text[ids[0]]}{tail}{mark}"
+                         f"{_NOTE_CLOSE}")
+        elif not ids:
+            texts.append(tail)
+        else:
+            first, *others = sorted(ids, key=pitch.__getitem__)
+            texts.append("\n".join([
+                f"{_NOTE_OPEN}{pitch_text[first]}{tail}{mark}{_NOTE_CLOSE}",
+                *(f"{_CHORD_OPEN}{pitch_text[i]}{tail}{_NOTE_CLOSE}"
+                  for i in others)]))
+    return texts
+
+
+def _pitch_block(spelling: int, midi: int) -> str:
+    """The <pitch> block of a note of this spelling class and MIDI pitch."""
+    step_i, alter_i = spelling_parts(spelling)
+    step, alter = STEP_NAMES[step_i], ALTER_VALUES[alter_i]
+    octave = (midi - STEP_TO_PC[step] - alter) // 12 - 1
+    alter_line = f"          <alter>{alter}</alter>\n" if alter else ""
+    return (f"        <pitch>\n          <step>{step}</step>\n"
+            f"{alter_line}          <octave>{octave}</octave>\n"
+            "        </pitch>\n")
+
+
+def _tail_block(fields: tuple[int, ...], is_rest: bool) -> str:
+    """A note's lines after its <pitch> block, from <duration> to <staff>,
+    or a rest's whole <note> block; ``fields`` are ``_TAIL_FIELDS``."""
+    duration, voice, note_type, dots, tuplet, stem, staff = fields
+    timing = (f"        <duration>{duration}</duration>\n"
+              f"        <voice>{voice}</voice>\n"
+              f"        <type>{NOTE_TYPE_NAMES[note_type]}</type>\n"
+              + "        <dot />\n" * dots)
+    staff_line = f"        <staff>{staff + 1}</staff>\n"
+    if is_rest:
+        return (f"{_NOTE_OPEN}        <rest />\n{timing}{staff_line}"
+                f"{_NOTE_CLOSE}")
+    if tuplet != 1:
+        actual, normal = TUPLET_RATIOS[tuplet]
         timing += ("        <time-modification>\n"
                    f"          <actual-notes>{actual}</actual-notes>\n"
                    f"          <normal-notes>{normal}</normal-notes>\n"
                    "        </time-modification>\n")
-    tail = f"{timing}        <stem>{_STEM_TEXT[ev.stem]}</stem>\n{staff}"
-    notations = ""
-    if (ev.voice, ev.onset_div) in marks:
-        notations = ("        <notations>\n"
-                     + "".join(f'          <tuplet type="{kind}" />\n'
-                               for kind in marks[(ev.voice, ev.onset_div)])
-                     + "        </notations>\n")
-    # the first member carries the tuplet notations, later ones the chord flag
-    opener, closer = "      <note>\n", notations + "      </note>"
-    for i in sorted(ev.note_ids, key=pitch.__getitem__):
-        step_i, alter_i = spelling_parts(spelling[i])
-        step, alter = STEP_NAMES[step_i], ALTER_VALUES[alter_i]
-        octave = (pitch[i] - STEP_TO_PC[step] - alter) // 12 - 1
-        alter_line = f"          <alter>{alter}</alter>\n" if alter else ""
-        out.append(f"{opener}        <pitch>\n          <step>{step}</step>\n"
-                   f"{alter_line}          <octave>{octave}</octave>\n"
-                   f"        </pitch>\n{tail}{closer}")
-        opener, closer = "      <note>\n        <chord />\n", "      </note>"
+    return f"{timing}        <stem>{_STEM_TEXT[stem]}</stem>\n{staff_line}"
 
 
 # --- subset validation ---
@@ -728,11 +813,12 @@ def validate_subset(data: bytes) -> None:
         _check_order(elem, _NOTE_ORDER)
         if (elem.find("pitch") is None) == (elem.find("rest") is None):
             raise UnsupportedElement("note needs exactly one of pitch/rest")
-        type_elem = _child(elem, "type")
+        kids = _children(elem)
+        type_elem = _child(kids, "type")
         if type_elem is not None and (
                 type_elem.text or "").strip() not in _TYPE_INDEX:
             raise UnsupportedElement(f"note type {type_elem.text!r}")
-        stem = _child(elem, "stem")
+        stem = _child(kids, "stem")
         if stem is not None and (stem.text or "").strip() not in _TEXT_STEM:
             raise UnsupportedElement(f"stem {stem.text!r}")
 

@@ -229,13 +229,7 @@ def _parse_dump(data: bytes,
 
     pairs, probs = {}, {}
     for head in PAIR_HEADS:
-        ends, probs[head] = next(arrays), next(arrays)
-        if len(ends) and (ends.min() < 0 or ends.max() >= n):
-            raise MissingInput(f"{head} pairs: an index is not a note id "
-                               f"in [0, {n})")
-        if (ends[:, 0] == ends[:, 1]).any():
-            raise MissingInput(f"{head} pairs: a pair joins a note to itself")
-        pairs[head] = ends
+        pairs[head], probs[head] = next(arrays), next(arrays)
 
     # non-finite logits are refused by validate(), without a warning here
     with np.errstate(invalid="ignore"):

@@ -132,6 +132,11 @@ class EngravedEvent(NamedTuple):
         return self.onset_div + self.duration_div
 
 
+# tuple rows built without a Python frame per row, as ``_make`` needs one
+_pool_row = functools.partial(tuple.__new__, PooledNode)
+_event_row = functools.partial(tuple.__new__, EngravedEvent)
+
+
 @dataclasses.dataclass(frozen=True)
 class EngravedScore:
     """The fully decided notation of one piece, ready for serialization."""
@@ -159,23 +164,30 @@ class EngravedScore:
 
     @functools.cached_property
     def _timeline(self) -> tuple[list[EngravedEvent], np.ndarray]:
-        voice, _, onset, duration = (list(zip(*self.events))[:4]
-                                     or ((), (), (), ()))
-        columns = np.empty((4, len(self.events)), dtype=np.int64)
-        columns[:3] = voice, onset, duration
-        order = np.lexsort((columns[1], columns[0]))
-        columns = columns[:, order]
+        n = len(self.events)
+        columns = np.empty((4, n), dtype=np.int64)
+        for k, field in enumerate((0, 2, 3)):         # voice, onset, duration
+            columns[k] = np.fromiter(map(operator.itemgetter(field),
+                                         self.events), np.int64, n)
+        voice, onset = columns[:2]
+        if ((voice[1:] > voice[:-1])
+                | (voice[1:] == voice[:-1]) & (onset[1:] >= onset[:-1])).all():
+            events = list(self.events)     # in order: the stable sort keeps it
+        else:
+            order = np.lexsort((onset, voice))
+            columns = columns[:, order]
+            events = list(map(self.events.__getitem__, order.tolist()))
         columns[3] = np.searchsorted(self.score.bars[:, 0], columns[1],
                                      side="right") - 1
         columns.flags.writeable = False
-        return list(map(self.events.__getitem__, order.tolist())), columns
+        return events, columns
 
     def validate(self) -> None:
         """Raise ValueError on the first fault: a note not covered exactly
         once, then the events' faults (``_first_event_fault``), then the
         keys, spellings and octave regions."""
         ids = np.fromiter(itertools.chain.from_iterable(
-            map(operator.attrgetter("note_ids"), self.events)), np.int64)
+            map(operator.itemgetter(4), self.events)), np.int64)
         if not np.array_equal(np.sort(ids), np.arange(len(self.score.onset))):
             raise ValueError("events do not cover every note exactly once")
         fault = _first_event_fault(self.timeline()[1], self.score.bars)
@@ -268,18 +280,27 @@ def pool_chords(bundle: PredictionBundle, score: Score,
     order = np.argsort(roots, kind="stable")
     starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
     counts = np.diff(starts, append=n)
-    # each pooled head decided once: the argmax of its members' mean logits
-    decided = {head: (np.add.reduceat(bundle.note_logits[head][order], starts,
-                                      axis=0) / counts[:, None]).argmax(axis=1)
-               for head in POOLED_HEADS}
+    first = order[starts]
+    # each pooled head decided once: the argmax of its members' mean logits,
+    # which for a single note are its own
+    multi = counts > 1
+    members = order[np.repeat(multi, counts)]
+    cuts = np.cumsum(counts[multi]) - counts[multi]
+    decided = {}
+    for head in POOLED_HEADS:
+        logits = bundle.note_logits[head]
+        decided[head] = logits[first].argmax(axis=1)
+        if len(cuts):
+            decided[head][multi] = (np.add.reduceat(logits[members], cuts,
+                                                    axis=0)
+                                    / counts[multi, None]).argmax(axis=1)
     decided["tuplet"] = np.asarray(TUPLET_VALUES)[decided["tuplet"]]
     # the pools in (onset, staff, first id) order, built from plain ints
-    first = order[starts]
     staff, onset = staff_pred[first], score.onset[first]
     place = np.lexsort((first, staff, onset))
     ids = order.tolist()
     runs = zip(starts[place].tolist(), (starts + counts)[place].tolist())
-    return list(map(PooledNode._make, zip(
+    return list(map(_pool_row, zip(
         [tuple(ids[begin:end]) for begin, end in runs],
         onset[place].tolist(), score.duration[first][place].tolist(),
         staff[place].tolist(),
@@ -499,7 +520,7 @@ def _voice_events(voice: int, staff: int, rows: Iterable[PooledNode],
     from the start of the first pool's bar to the end of the last one's."""
     rows = sorted(rows, key=operator.itemgetter(1))   # by onset, ties kept
     ids, onset, duration, _, *heads = zip(*rows)
-    notes = list(map(EngravedEvent._make, zip(
+    notes = list(map(_event_row, zip(
         itertools.repeat(voice), itertools.repeat(staff), onset, duration,
         ids, *heads)))
     first_onset = bars[bar_at(bars, onset[0])][0]
@@ -523,8 +544,8 @@ def _voice_events(voice: int, staff: int, rows: Iterable[PooledNode],
             if rests is None:
                 raise UnfillableGap(voice, b, start, stop - start)
             for div, type_index, dots in rests:
-                events.append(EngravedEvent(voice, staff, start, div, (),
-                                            type_index, dots, 1, STEM_NONE))
+                events.append(_event_row((voice, staff, start, div, (),
+                                          type_index, dots, 1, STEM_NONE)))
                 start += div
             b += 1
     if onset[-1] >= span_end:
@@ -542,26 +563,40 @@ def _group_votes(values: np.ndarray, group: np.ndarray, n_groups: int,
                        ).reshape(n_groups, width)
 
 
+def _measure_keys(counts: np.ndarray) -> tuple[int, ...]:
+    """Each measure's key fifths from its row of (measures x key classes)
+    vote ``counts``: the majority; on a tie the previous measure's key if
+    tied, else the tied key nearest to it, the lower of two; a measure
+    without votes keeps the previous key. The key before the first measure
+    is 0. Only tied measures are decided one by one."""
+    top = counts.max(axis=1)
+    keys = counts.argmax(axis=1) + KEY_MIN_FIFTHS
+    # each measure's last measure with votes, itself included; -1 for none
+    voted = np.flatnonzero(top)
+    last = np.full(len(counts), -1)
+    last[voted] = voted
+    last = np.maximum.accumulate(last)
+    tied = counts == top[:, None]
+    for m in voted[tied[voted].sum(axis=1) > 1].tolist():
+        before = last[m - 1] if m else -1
+        previous = int(keys[before]) if before >= 0 else 0
+        options = (np.flatnonzero(tied[m]) + KEY_MIN_FIFTHS).tolist()
+        if previous not in options:
+            previous = min(options, key=lambda f: (abs(f - previous), f))
+        keys[m] = previous
+    return tuple(np.where(last >= 0, keys[last], 0).tolist())
+
+
 def unpool_and_finalize(numbered: dict[int, VoiceStream],
                         pools: list[PooledNode], bundle: PredictionBundle,
                         score: Score) -> EngravedScore:
-    bars = score.bars.tolist()
     # a pool's notes share their predicted staff, so each note keeps its own
     staff = bundle.staff()
     clef_raw = bundle.argmax("clef")
     shift_raw = bundle.argmax("octave_shift")
 
-    # per-measure key: majority vote, ties toward the previous measure
-    measure_keys = []
-    previous = 0
-    for counts in _group_votes(bundle.argmax("key"), score.bar, len(bars),
-                               N_KEY_CLASSES):
-        top = counts.max()
-        if top:
-            tied = (np.flatnonzero(counts == top) + KEY_MIN_FIFTHS).tolist()
-            if previous not in tied:
-                previous = min(tied, key=lambda f: (abs(f - previous), f))
-        measure_keys.append(previous)
+    measure_keys = _measure_keys(_group_votes(
+        bundle.argmax("key"), score.bar, score.num_bars, N_KEY_CLASSES))
 
     # clefs and octave shifts: one value per onset group of each staff
     clef = np.zeros_like(staff)
@@ -581,8 +616,11 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
 
         # clef: median-3 filter, then the group majority; a tie keeps the
         # previous group's clef when it is among the tied, else the smallest
-        padded = np.pad(clef_raw[ids], 1, mode="edge")
-        filtered = np.sort([padded[:-2], padded[1:-1], padded[2:]], axis=0)[1]
+        raw = clef_raw[ids]
+        padded = np.concatenate((raw[:1], raw, raw[-1:]))
+        low, high = padded[:-2], padded[2:]
+        filtered = np.maximum(np.minimum(low, raw),
+                              np.minimum(np.maximum(low, raw), high))
         votes = _group_votes(filtered, group, len(first), HEAD_WIDTHS["clef"])
         value = votes.argmax(axis=1)
         tied = votes == votes.max(axis=1, keepdims=True)
@@ -611,6 +649,7 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
                                           value[runs][shifted].tolist()))
 
     # events per voice + rest infilling over each voice's active bars
+    bars = score.bars.tolist()
     vocabulary = _rest_vocabulary(score.divisions_per_quarter)
     events: list[EngravedEvent] = []
     voice_staff: dict[int, int] = {}
@@ -626,12 +665,15 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     spelling = np.where(_SPELLING_PC[spelling] == pitch_class, spelling,
                         _DEFAULT_SPELLING[pitch_class])
 
-    events.sort(key=operator.itemgetter(0, 2))      # (voice, onset)
+    # each voice's events come in onset order, so the list is in (voice,
+    # onset) order already when the voices are ascending
+    if list(numbered) != sorted(numbered):
+        events.sort(key=operator.itemgetter(0, 2))  # (voice, onset)
     return EngravedScore(
         score=score, staff=tuple(staff.tolist()),
         spelling=tuple(spelling.tolist()),
         octave_shift=tuple(octave_shift.tolist()), clef=tuple(clef.tolist()),
-        events=tuple(events), measure_keys=tuple(measure_keys),
+        events=tuple(events), measure_keys=measure_keys,
         clef_regions=clef_regions, octave_regions=octave_regions,
         voice_staff=voice_staff)
 
@@ -639,7 +681,9 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
 def engrave(bundle: PredictionBundle, score: Score,
             threshold: float = DEFAULT_THRESHOLD,
             pair_agg: str = DEFAULT_PAIR_AGG) -> EngravedScore:
-    """The full decode pipeline: pool chords, chain voices, unpool, fill."""
+    """The full decode pipeline: pool chords, chain voices, unpool, fill.
+    ``bundle`` must pass ``PredictionBundle.validate``; it is not checked
+    again here."""
     pools = pool_chords(bundle, score, threshold)
     streams = assign_voices(pools, bundle, threshold, pair_agg)
     numbered = number_voices(streams, pools, score.pitch)

@@ -18,6 +18,7 @@ from notesetter.graph import build_graph
 from notesetter.notes import LabelSet, make_score
 from notesetter.optim import NonFiniteLoss
 from notesetter.rng import Rng
+from notesetter.synth import random_bundle, random_score
 
 
 def test_head_vocabulary():
@@ -173,6 +174,28 @@ def test_bundle_argmax_and_validate_errors():
     for value in (np.nan, np.inf, -np.inf):
         bundle.note_logits["clef"][1, 2] = value
         with pytest.raises(ValueError, match="clef logits are not all finite"):
+            bundle.validate()
+
+
+def test_validate_refuses_pair_ids_that_are_not_note_ids():
+    score = random_score(3, n_notes=12)
+    bundle = random_bundle(build_graph(score), 1)
+    bundle.validate()
+    # a negative id would index another note from the end, silently
+    bundle.voice_pairs[0] = (-3, 3)
+    with pytest.raises(ValueError, match=r"voice pairs: an index is not a "
+                                         r"note id in \[0, 12\)"):
+        bundle.validate()
+    for name, value in (("voice_pairs", (2, 12)), ("chord_pairs", (0, 12))):
+        bundle = random_bundle(build_graph(score), 1)
+        getattr(bundle, name)[0] = value
+        with pytest.raises(ValueError, match="is not a note id"):
+            bundle.validate()
+    for name in ("voice_pairs", "chord_pairs"):
+        bundle = random_bundle(build_graph(score), 1)
+        pairs = getattr(bundle, name)
+        pairs[0, 1] = pairs[0, 0]
+        with pytest.raises(ValueError, match="a pair joins a note to itself"):
             bundle.validate()
 
 

@@ -609,6 +609,40 @@ def test_export_brackets_a_tuplet_group_after_another_ratio():
         [3] * 3 + [5] * 5 + [1])
 
 
+def test_export_keeps_no_text_between_calls():
+    first, other = (engrave_from_labels(read_score_file(fixture_path(name))
+                                        .score)
+                    for name in ("fixture_a", "triplet_octave"))
+    data = export_musicxml(first)
+    other_data = export_musicxml(other)
+    assert export_musicxml(first) == data
+    assert export_musicxml(other) == other_data
+
+
+def test_export_writes_events_that_differ_only_in_stem_staff_or_voice():
+    # two voices of four quarter C4s in one bar, one pitch and duration
+    # throughout: voice 1's second quarter has its stem down and its third
+    # sits on the lower staff; voice 2 differs from voice 1 only in voice
+    specs = [(2 * k, 2, 60) for k in range(4) for _ in range(2)]
+    score = _labelled_score(
+        specs, staff=[0] * 8, note_type=[3] * 8, spelling=[12] * 8,
+        voice_edges={(i, i + 2) for i in range(6)})
+    engraved = engrave_from_labels(score)
+    assert engraved.voice_staff == {1: 0, 2: 0}
+    edits = {(1, 2): dict(stem=STEM_DOWN), (1, 4): dict(staff=1)}
+    engraved = dataclasses.replace(engraved, events=tuple(
+        ev._replace(**edits.get((ev.voice, ev.onset_div), {}))
+        for ev in engraved.events))
+    data = export_musicxml(engraved)
+    validate_subset(data)
+    written = [(note.findtext("voice"), note.findtext("stem"),
+                note.findtext("staff"))
+               for note in ET.fromstring(data).iter("note")]
+    assert written == [("1", "up", "1"), ("1", "down", "1"),
+                       ("1", "up", "2"), ("1", "up", "1")] + [
+                           ("2", "up", "1")] * 4
+
+
 def test_export_declares_divisions_and_validates():
     score = _labelled_score(
         [(0, 2, 60), (2, 2, 62), (4, 4, 64)], staff=[0, 0, 0],

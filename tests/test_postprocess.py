@@ -22,7 +22,8 @@ from notesetter.musicxml import (export_musicxml, parse_musicxml,
 from notesetter.decoders import HEAD_WIDTHS, NODE_HEADS, PredictionBundle
 from notesetter.graph import build_graph
 from notesetter.hungarian import hungarian
-from notesetter.notes import (NOTE_TYPE_NAMES, STEM_NONE, LabelSet,
+from notesetter.notes import (KEY_MIN_FIFTHS, N_KEY_CLASSES,
+                              NOTE_TYPE_NAMES, STEM_NONE, LabelSet,
                               make_score)
 from notesetter.postprocess import (EngravedEvent, PooledNode, UnfillableGap,
                                     VoiceStream, assign_voices, decompose_gap,
@@ -525,6 +526,45 @@ def test_key_initial_default_is_natural():
     score = make_score(2, [(0, 4, 4)], triples, labels=full_labels(2))
     engraved = engrave_with(score, key=[3 + 7, 3 + 7])
     assert engraved.measure_keys == (0, 3)
+
+
+def reference_measure_keys(counts):
+    """The per-measure key vote as one loop over the measures."""
+    keys, previous = [], 0
+    for row in counts:
+        top = row.max()
+        if top:
+            tied = (np.flatnonzero(row == top) + KEY_MIN_FIFTHS).tolist()
+            if previous not in tied:
+                previous = min(tied, key=lambda f: (abs(f - previous), f))
+        keys.append(previous)
+    return tuple(keys)
+
+
+def test_measure_keys_match_the_reference_loop():
+    # [DERIVED] bar 0 ties -2 and 2 (equally near 0: the lower wins), bar 1
+    # is empty, bar 2 ties -2 with the previous key -2, which stays; bar 3
+    # ties 5 and 7 (5 is nearer to -2); bar 4 votes 0 alone
+    counts = np.zeros((5, N_KEY_CLASSES), dtype=np.int64)
+    counts[0, [5, 9]] = 1
+    counts[2, [5, 12]] = 2
+    counts[3, [12, 14]] = 3
+    counts[4, 7] = 1
+    assert postprocess._measure_keys(counts) == (-2, -2, -2, 5, 0)
+    assert reference_measure_keys(counts) == (-2, -2, -2, 5, 0)
+    assert postprocess._measure_keys(counts[:0]) == ()
+    assert postprocess._measure_keys(counts[1:2]) == (0,)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        bars = int(rng.integers(1, 30))
+        # few votes over few keys, so ties and empty bars are common
+        counts = np.zeros((bars, N_KEY_CLASSES), dtype=np.int64)
+        classes = rng.choice(N_KEY_CLASSES, size=int(rng.integers(1, 5)),
+                             replace=False)
+        counts[:, classes] = rng.integers(0, 3, size=(bars, len(classes)))
+        counts[rng.random(bars) < 0.2] = 0
+        assert (postprocess._measure_keys(counts)
+                == reference_measure_keys(counts)), counts.tolist()
 
 
 def test_clef_median_filter_kills_spikes():
