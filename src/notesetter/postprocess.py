@@ -280,22 +280,13 @@ def pool_chords(bundle: PredictionBundle, score: Score,
     order = np.argsort(roots, kind="stable")
     starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
     counts = np.diff(starts, append=n)
-    first = order[starts]
-    # each pooled head decided once: the argmax of its members' mean logits,
-    # which for a single note are its own
-    multi = counts > 1
-    members = order[np.repeat(multi, counts)]
-    cuts = np.cumsum(counts[multi]) - counts[multi]
-    decided = {}
-    for head in POOLED_HEADS:
-        logits = bundle.note_logits[head]
-        decided[head] = logits[first].argmax(axis=1)
-        if len(cuts):
-            decided[head][multi] = (np.add.reduceat(logits[members], cuts,
-                                                    axis=0)
-                                    / counts[multi, None]).argmax(axis=1)
+    # each pooled head decided once: the argmax of its members' mean logits
+    decided = {head: (np.add.reduceat(bundle.note_logits[head][order], starts,
+                                      axis=0) / counts[:, None]).argmax(axis=1)
+               for head in POOLED_HEADS}
     decided["tuplet"] = np.asarray(TUPLET_VALUES)[decided["tuplet"]]
     # the pools in (onset, staff, first id) order, built from plain ints
+    first = order[starts]
     staff, onset = staff_pred[first], score.onset[first]
     place = np.lexsort((first, staff, onset))
     ids = order.tolist()
