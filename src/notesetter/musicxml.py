@@ -11,11 +11,8 @@ The reader walks the measures once and appends one int row per note
 measure); a chord unit is a list of row indices. ``_assemble`` numbers the
 notes with one sort by (onset, midi, staff, voice), reads each note's clef
 and octave-shift label off its staff's sorted events with one binary search,
-and hands the columns to ``make_score``. Each element's children are read
-into a map by tag in one pass (``_children``); a repeated child is refused
-when its tag is looked up, so refusals come in the order the reader asks
-for the children. :func:`validate_subset` is the reader plus what it does
-not check: the schema order of <attributes> and
+and hands the columns to ``make_score``. :func:`validate_subset` is the
+reader plus what it does not check: the schema order of <attributes> and
 <note> children, exactly one of pitch and rest, and the type and stem words
 of the rests and grace notes the reader skips.
 
@@ -94,9 +91,6 @@ _CLEF_LINES = {0: "2", 1: "4", 2: "3"}
 _STEM_TEXT = {0: "up", 1: "down", 2: "none"}
 _TEXT_STEM = {v: k for k, v in _STEM_TEXT.items()}
 _TYPE_INDEX = {name: i for i, name in enumerate(NOTE_TYPE_NAMES)}
-# every (note type, dots, tuplet) the exporter can write
-_DURATION_SYMBOLS = frozenset(itertools.product(
-    range(len(NOTE_TYPE_NAMES)), range(MAX_DOTS + 1), TUPLET_RATIOS))
 # the <note> children of the subset, in schema order
 _NOTE_ORDER = ("grace", "chord", "pitch", "rest", "duration", "voice", "type",
                "dot", "time-modification", "stem", "staff", "notations")
@@ -124,32 +118,16 @@ def _int_text(elem: ET.Element, context: str) -> int:
         raise MalformedXml(f"{context}: non-integer text {elem.text!r}") from exc
 
 
-def _children(elem: ET.Element) -> dict:
-    """``elem``'s children by tag, from one pass over them. A tag that
-    occurs more than once maps to its refusal, which ``_child`` raises."""
-    kids = {sub.tag: sub for sub in elem}
-    if len(kids) < len(elem):
-        seen = set()
-        for sub in elem:
-            if sub.tag in seen:
-                kids[sub.tag] = f"repeated <{sub.tag}> inside <{elem.tag}>"
-            seen.add(sub.tag)
-    return kids
+def _child(elem: ET.Element, tag: str) -> Optional[ET.Element]:
+    found = elem.findall(tag)
+    if len(found) > 1:
+        raise UnsupportedElement(f"repeated <{tag}> inside <{elem.tag}>")
+    return found[0] if found else None
 
 
-def _child(kids: dict, tag: str) -> Optional[ET.Element]:
-    """The child of this tag in ``_children``'s map, or None; a repeated
-    child is refused."""
-    found = kids.get(tag)
-    if isinstance(found, str):
-        raise UnsupportedElement(found)
-    return found
-
-
-def _staff(kids: dict, what: str) -> int:
-    """0-based staff of a <note> or <direction> (its ``_children``);
-    <staff> defaults to 1."""
-    staff_elem = _child(kids, "staff")
+def _staff(elem: ET.Element, what: str) -> int:
+    """0-based staff of a <note> or <direction>; <staff> defaults to 1."""
+    staff_elem = _child(elem, "staff")
     staff = (_int_text(staff_elem, "staff") if staff_elem is not None
              else 1) - 1
     if staff not in (0, 1):
@@ -219,7 +197,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                                 f"from {divisions} to {value}")
                         divisions = value
                     elif attr.tag == "key":
-                        fifths_elem = _child(_children(attr), "fifths")
+                        fifths_elem = _child(attr, "fifths")
                         if fifths_elem is None:
                             raise UnsupportedElement("<key> without <fifths>")
                         cur_key = _int_text(fifths_elem, "fifths")
@@ -227,9 +205,8 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             raise UnsupportedElement(
                                 f"key fifths {cur_key} outside [-7, 7]")
                     elif attr.tag == "time":
-                        kids = _children(attr)
-                        beats = _child(kids, "beats")
-                        beat_type = _child(kids, "beat-type")
+                        beats = _child(attr, "beats")
+                        beat_type = _child(attr, "beat-type")
                         if beats is None or beat_type is None:
                             raise UnsupportedElement("<time> missing children")
                         cur_sig = TimeSignature(m_index,
@@ -251,7 +228,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             staff = None
                         if staff not in (0, 1):
                             raise UnsupportedElement("clef number must be 1 or 2")
-                        sign = _child(_children(attr), "sign")
+                        sign = _child(attr, "sign")
                         if sign is None or (sign.text or "").strip() not in _CLEF_SIGNS:
                             raise UnsupportedElement(
                                 f"clef sign {getattr(sign, 'text', None)!r}")
@@ -268,20 +245,19 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         raise InconsistentTiming(
                             f"measure {m_index + 1}: {exc}") from exc
             elif elem.tag == "note":
-                kids = _children(elem)
-                is_grace = _child(kids, "grace") is not None
+                is_grace = _child(elem, "grace") is not None
                 if is_grace:
                     grace_dropped += 1
                     continue
-                duration_elem = _child(kids, "duration")
+                duration_elem = _child(elem, "duration")
                 if duration_elem is None:
                     raise InconsistentTiming(
                         f"measure {m_index + 1}: non-grace note without duration")
                 duration = _int_text(duration_elem, "duration")
                 if duration <= 0:
                     raise InconsistentTiming("note duration must be positive")
-                is_chord = _child(kids, "chord") is not None
-                rest = _child(kids, "rest") is not None
+                is_chord = _child(elem, "chord") is not None
+                rest = _child(elem, "rest") is not None
                 end = measure_end()
                 if rest:
                     if is_chord:
@@ -292,18 +268,17 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             f"measure {m_index + 1}: rest overruns the bar")
                     last_unit = None
                     continue
-                pitch = _child(kids, "pitch")
+                pitch = _child(elem, "pitch")
                 if pitch is None:
                     raise UnsupportedElement("note with neither <pitch> nor <rest>")
-                pitch_kids = _children(pitch)
-                step_elem = _child(pitch_kids, "step")
-                octave_elem = _child(pitch_kids, "octave")
+                step_elem = _child(pitch, "step")
+                octave_elem = _child(pitch, "octave")
                 if step_elem is None or octave_elem is None:
                     raise UnsupportedElement("<pitch> missing step or octave")
                 step = (step_elem.text or "").strip()
                 if step not in STEP_NAMES:
                     raise UnsupportedElement(f"pitch step {step!r}")
-                alter_elem = _child(pitch_kids, "alter")
+                alter_elem = _child(pitch, "alter")
                 alter = _int_text(alter_elem, "alter") if alter_elem is not None else 0
                 if alter not in ALTER_VALUES:
                     raise UnsupportedElement(f"alter {alter} outside -2..2")
@@ -312,7 +287,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if not 0 <= midi <= 127:
                     raise UnsupportedElement(f"pitch outside MIDI range: {midi}")
 
-                type_elem = _child(kids, "type")
+                type_elem = _child(elem, "type")
                 if type_elem is None:
                     raise UnsupportedElement("note without <type>")
                 type_text = (type_elem.text or "").strip()
@@ -321,20 +296,19 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 dots = len(elem.findall("dot"))
                 if dots > MAX_DOTS:
                     raise UnsupportedElement(f"{dots} dots exceed the vocabulary")
-                voice_elem = _child(kids, "voice")
+                voice_elem = _child(elem, "voice")
                 voice = _int_text(voice_elem, "voice") if voice_elem is not None else 1
-                staff = _staff(kids, "staff")
-                stem_elem = _child(kids, "stem")
+                staff = _staff(elem, "staff")
+                stem_elem = _child(elem, "stem")
                 stem_text = ((stem_elem.text or "").strip()
                              if stem_elem is not None else "none")
                 if stem_text not in _TEXT_STEM:
                     raise UnsupportedElement(f"stem {stem_text!r}")
                 tuplet = 1
-                tmod = _child(kids, "time-modification")
+                tmod = _child(elem, "time-modification")
                 if tmod is not None:
-                    tmod_kids = _children(tmod)
-                    actual = _child(tmod_kids, "actual-notes")
-                    normal = _child(tmod_kids, "normal-notes")
+                    actual = _child(tmod, "actual-notes")
+                    normal = _child(tmod, "normal-notes")
                     if actual is None or normal is None:
                         raise UnsupportedElement("<time-modification> missing children")
                     ratio = (_int_text(actual, "actual-notes"),
@@ -343,9 +317,9 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     if not matches:
                         raise UnsupportedElement(f"tuplet ratio {ratio}")
                     tuplet = matches[0]
-                for tag in kids:
-                    if tag not in _NOTE_ORDER:
-                        raise UnsupportedElement(f"<{tag}> under <note>")
+                for extra in elem:
+                    if extra.tag not in _NOTE_ORDER:
+                        raise UnsupportedElement(f"<{extra.tag}> under <note>")
 
                 if is_chord:
                     if last_unit is None:
@@ -376,7 +350,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                              spelling_of(step, alter), _TEXT_STEM[stem_text],
                              _TYPE_INDEX[type_text], dots, tuplet, m_index))
             elif elem.tag == "backup":
-                dur = _child(_children(elem), "duration")
+                dur = _child(elem, "duration")
                 if dur is None:
                     raise MalformedXml("<backup> without duration")
                 cursor -= _int_text(dur, "backup duration")
@@ -385,7 +359,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         f"measure {m_index + 1}: backup before measure start")
                 last_unit = None
             elif elem.tag == "forward":
-                dur = _child(_children(elem), "duration")
+                dur = _child(elem, "duration")
                 if dur is None:
                     raise MalformedXml("<forward> without duration")
                 cursor += _int_text(dur, "forward duration")
@@ -394,15 +368,14 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         f"measure {m_index + 1}: forward past measure end")
                 last_unit = None
             elif elem.tag == "direction":
-                kids = _children(elem)
-                dtype = _child(kids, "direction-type")
+                dtype = _child(elem, "direction-type")
                 if dtype is None:
                     raise UnsupportedElement("<direction> without <direction-type>")
-                shift_elem = _child(_children(dtype), "octave-shift")
+                shift_elem = _child(dtype, "octave-shift")
                 if shift_elem is None or len(dtype) != 1:
                     raise UnsupportedElement(
                         "only octave-shift directions are supported")
-                staff = _staff(kids, "direction staff")
+                staff = _staff(elem, "direction staff")
                 kind = shift_elem.get("type")
                 size = shift_elem.get("size", "8")
                 if kind == "stop":
@@ -533,18 +506,13 @@ def _tuplet_marks(events, divisions: int) -> dict[tuple[int, int], list[str]]:
     another ratio starts the next run."""
     marks: dict[tuple[int, int], list[str]] = {}
     run = []
-    last = -1
-    for k in itertools.compress(itertools.count(), map(
-            operator.ne, map(itemgetter(7), events), itertools.repeat(1))):
-        ev = events[k]
-        if not ev.note_ids:
-            continue
-        if run and (k != last + 1 or ev.voice != run[-1].voice
+    for ev in events:
+        if run and (ev.voice != run[-1].voice or ev.is_rest
                     or ev.tuplet != run[-1].tuplet):
             _mark_run(run, divisions, marks)
             run = []
-        run.append(ev)
-        last = k
+        if not ev.is_rest and ev.tuplet != 1:
+            run.append(ev)
     if run:
         _mark_run(run, divisions, marks)
     return marks
@@ -585,12 +553,12 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
             raise TooManyVoices(
                 f"voice {voice} does not fit staff {staff + 1} "
                 f"(numbers {low}..{high})")
-    if not set(map(itemgetter(5, 6, 7), engraved.events)) <= _DURATION_SYMBOLS:
-        ev = next(ev for ev in engraved.events if (
-            ev.note_type, ev.dots, ev.tuplet) not in _DURATION_SYMBOLS)
-        raise UnrepresentableDuration(
-            f"event at {ev.onset_div}: type={ev.note_type} "
-            f"dots={ev.dots} tuplet={ev.tuplet}")
+    for ev in engraved.events:
+        if not (0 <= ev.note_type < len(NOTE_TYPE_NAMES)
+                and 0 <= ev.dots <= MAX_DOTS and ev.tuplet in TUPLET_RATIOS):
+            raise UnrepresentableDuration(
+                f"event at {ev.onset_div}: type={ev.note_type} "
+                f"dots={ev.dots} tuplet={ev.tuplet}")
 
     score = engraved.score
     bars = score.bars.tolist()
@@ -813,12 +781,11 @@ def validate_subset(data: bytes) -> None:
         _check_order(elem, _NOTE_ORDER)
         if (elem.find("pitch") is None) == (elem.find("rest") is None):
             raise UnsupportedElement("note needs exactly one of pitch/rest")
-        kids = _children(elem)
-        type_elem = _child(kids, "type")
+        type_elem = _child(elem, "type")
         if type_elem is not None and (
                 type_elem.text or "").strip() not in _TYPE_INDEX:
             raise UnsupportedElement(f"note type {type_elem.text!r}")
-        stem = _child(kids, "stem")
+        stem = _child(elem, "stem")
         if stem is not None and (stem.text or "").strip() not in _TEXT_STEM:
             raise UnsupportedElement(f"stem {stem.text!r}")
 

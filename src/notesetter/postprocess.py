@@ -169,18 +169,12 @@ class EngravedScore:
         for k, field in enumerate((0, 2, 3)):         # voice, onset, duration
             columns[k] = np.fromiter(map(operator.itemgetter(field),
                                          self.events), np.int64, n)
-        voice, onset = columns[:2]
-        if ((voice[1:] > voice[:-1])
-                | (voice[1:] == voice[:-1]) & (onset[1:] >= onset[:-1])).all():
-            events = list(self.events)     # in order: the stable sort keeps it
-        else:
-            order = np.lexsort((onset, voice))
-            columns = columns[:, order]
-            events = list(map(self.events.__getitem__, order.tolist()))
+        order = np.lexsort((columns[1], columns[0]))
+        columns = columns[:, order]
         columns[3] = np.searchsorted(self.score.bars[:, 0], columns[1],
                                      side="right") - 1
         columns.flags.writeable = False
-        return events, columns
+        return list(map(self.events.__getitem__, order.tolist())), columns
 
     def validate(self) -> None:
         """Raise ValueError on the first fault: a note not covered exactly
@@ -656,10 +650,7 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     spelling = np.where(_SPELLING_PC[spelling] == pitch_class, spelling,
                         _DEFAULT_SPELLING[pitch_class])
 
-    # each voice's events come in onset order, so the list is in (voice,
-    # onset) order already when the voices are ascending
-    if list(numbered) != sorted(numbered):
-        events.sort(key=operator.itemgetter(0, 2))  # (voice, onset)
+    events.sort(key=operator.itemgetter(0, 2))      # (voice, onset)
     return EngravedScore(
         score=score, staff=tuple(staff.tolist()),
         spelling=tuple(spelling.tolist()),
