@@ -441,7 +441,7 @@ def number_voices(streams: list[VoiceStream], pools: list[PooledNode],
     note ids as the final tiebreak. Numbers may exceed the 4-per-staff
     serialization budget; the exporter enforces that bound. When the upper
     staff overflows its block, the lower staff starts after it so numbers
-    stay unique.
+    stay unique. The keys come in ascending order, the upper staff's first.
     """
     numbered: dict[int, VoiceStream] = {}
     upper_count = sum(1 for s in streams if s.staff == 0)
@@ -575,6 +575,11 @@ def _measure_keys(counts: np.ndarray) -> tuple[int, ...]:
 def unpool_and_finalize(numbered: dict[int, VoiceStream],
                         pools: list[PooledNode], bundle: PredictionBundle,
                         score: Score) -> EngravedScore:
+    """Decide keys, clefs, octave shifts and spellings, and write each
+    voice's events with its rests. The events come voice by voice in
+    ``numbered``'s order, each voice in onset order, so numbers in ascending
+    order, as ``number_voices`` gives them, store them in (voice, onset)
+    order."""
     # a pool's notes share their predicted staff, so each note keeps its own
     staff = bundle.staff()
     clef_raw = bundle.argmax("clef")
@@ -650,7 +655,6 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     spelling = np.where(_SPELLING_PC[spelling] == pitch_class, spelling,
                         _DEFAULT_SPELLING[pitch_class])
 
-    events.sort(key=operator.itemgetter(0, 2))      # (voice, onset)
     return EngravedScore(
         score=score, staff=tuple(staff.tolist()),
         spelling=tuple(spelling.tolist()),

@@ -730,6 +730,17 @@ def test_timeline_and_export_ignore_stored_event_order():
     assert export_musicxml(shuffled) == export_musicxml(engraved)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_engrave_stores_events_in_voice_then_onset_order(seed):
+    # unpool_and_finalize does not sort: the events come in (voice, onset)
+    # order because number_voices gives the numbers ascending, here with
+    # dozens of voices on each staff and the lower block pushed past 5
+    score = random_score(seed, n_notes=120, n_bars=8)
+    engraved = engrave(random_bundle(build_graph(score), seed), score)
+    assert min(v for v, s in engraved.voice_staff.items() if s == 1) > 5
+    assert list(engraved.events) == engraved.timeline()[0]
+
+
 def test_long_single_voice_engraves_and_exports():
     # 1,000 quarter notes, each followed by a quarter rest, in one chained
     # voice: 2,000 events over 500 bars
