@@ -143,23 +143,6 @@ def add(a: Value, b: Value) -> Value:
     return _node(out_data, (a, b), bwd)
 
 
-def _segment_sum(values: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
-    """(rows x cols) matrix whose row k sums the rows i of ``values`` with
-    idx[i] == k; the indices must lie in [0, rows).
-
-    A stable sort groups equal indices (keeping their order), the rows are
-    gathered once in that order, and ``np.add.reduceat`` sums each group.
-    """
-    out = np.zeros((rows, values.shape[1]))
-    if idx.size == 0:
-        return out
-    perm = np.argsort(idx, kind="stable")
-    sorted_idx = idx[perm]
-    starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
-    out[sorted_idx[starts]] = np.add.reduceat(values[perm], starts, axis=0)
-    return out
-
-
 def _rank_steps(idx: np.ndarray, take: np.ndarray) -> tuple:
     """Pairs (rows, items) that together add item take[e] into row idx[e].
 
@@ -279,7 +262,9 @@ def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
     before the ReLU, and ``[h_u; h_w] @ w1 = h_u @ w1[:H] + h_w @ w1[H:]``, so
     one (n x 2hh) product per piece, ``emb @ [w1[:H] | w1[H:]]``, is gathered
     per pair. No (pairs x 2H) matrix is built, forward or backward: the
-    backward pass sums the pair gradients per note, over u and over w.
+    backward pass adds each pair's gradient into its u note and its w note
+    with the indexed adds of :func:`_rank_steps`, as the convolution's
+    scatter does, so each note sums its pairs in pair order.
     """
     ui = np.asarray(u, dtype=np.int64)
     wi = np.asarray(w, dtype=np.int64)
@@ -299,8 +284,10 @@ def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
 
     def bwd(g):
         d = g * (out_data > 0.0)
-        d_proj = np.concatenate([_segment_sum(d, ui, n), _segment_sum(d, wi, n)],
-                                axis=1)
+        d_proj = np.zeros((n, 2 * hh))
+        for cols, idx in ((slice(None, hh), ui), (slice(hh, None), wi)):
+            for rows, items in _rank_steps(idx, np.arange(len(idx))):
+                d_proj[rows, cols] += d[items]
         _accum(emb, d_proj @ halves.T)
         d_halves = emb.data.T @ d_proj
         _accum(w1, np.concatenate([d_halves[:, :hh], d_halves[:, hh:]]))

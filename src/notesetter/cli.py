@@ -285,18 +285,19 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_graph_dump(args) -> int:
     config = _run_config(args)
-    out_dir = Path(args.out_dir) if args.out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    for path in args.inputs:
-        if not Path(path).is_file():
-            raise MissingInput(f"input {path} does not exist")
+    names = [f"{Path(path).stem}.graph.jsonl" for path in args.inputs]
+    _refuse_missing_inputs(args.inputs)
+    out_dir = None
+    if args.out_dir is not None:
+        _refuse_shared_outputs(args.inputs, names)
+        out_dir = _need_out_dir(args)
+    for path, name in zip(args.inputs, names):
         result = read_score_file(path)
         text = dump_graph_jsonl(graph_for(result.score, config))
         if out_dir is None:
             sys.stdout.write(text)
         else:
-            out_path = out_dir / f"{Path(path).stem}.graph.jsonl"
+            out_path = out_dir / name
             out_path.write_text(text, encoding="utf-8")
             print(f"{path} -> {out_path}")
             if result.score.labels is not None:

@@ -2,14 +2,16 @@
 
 Eleven heads read the same embedding matrix: nine per-note softmax heads
 (staff, spelling, key, stem, octave shift, clef, note type, dots, tuplet)
-and two per-pair sigmoid heads (voice over the voice-candidate pairs, chord over
-all unordered same-onset pairs). Every head is a 2-layer MLP: a ReLU hidden
-layer followed by a linear output. A pair head's hidden layer reads the
-concatenation [h_u; h_w], computed in factored form: since
-[h_u; h_w]·W1 = h_u·W1[:H] + h_w·W1[H:], one (notes x 2 hidden) product per
-piece is gathered per pair (``autodiff.pair_hidden``). The parameters keep
-the concatenated shapes (W1 is 2H x hidden), so checkpoints are unchanged.
-Pairs are (m, 2) int64 arrays of note ids, ordered by (u, w).
+and two per-pair sigmoid heads: voice over the graph's voice-candidate pairs
+(``ScoreGraph.candidate_pairs``), chord over all unordered same-onset pairs
+(``ScoreGraph.chord_pairs``), both built once with the graph. Every head is
+a 2-layer MLP: a ReLU hidden layer followed by a linear output. A pair
+head's hidden layer reads the concatenation [h_u; h_w], computed in factored
+form: since [h_u; h_w]·W1 = h_u·W1[:H] + h_w·W1[H:], one (notes x 2 hidden)
+product per piece is gathered per pair (``autodiff.pair_hidden``). The
+parameters keep the concatenated shapes (W1 is 2H x hidden), so checkpoints
+are unchanged. Pairs are (m, 2) int64 arrays of note ids, ordered by (u, w);
+:func:`sigmoid` turns a pair logit into its probability.
 
 Each linear layer is one tape node (``autodiff.linear``).
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .graph import ScoreGraph, as_pairs, chord_candidate_pairs, in_edges
+from .graph import ScoreGraph, as_pairs, in_edges
 from .notes import (LabelSet, N_KEY_CLASSES, N_SPELLING, key_class,
                     tuplet_class)
 from .rng import Rng
@@ -81,7 +83,8 @@ def _head_forward(x: Value, params: dict[str, Value], head: str) -> Value:
     return _output_layer(hidden, params, head)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, with x clipped to [-500, 500] so exp stays finite."""
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
@@ -108,9 +111,9 @@ class Predictions:
     def bundle(self) -> "PredictionBundle":
         note = {h: np.array(v.data) for h, v in self.note_logits.items()}
         staff_probs = staff_probabilities(note["staff"])
-        voice = (_stable_sigmoid(self.voice_logits.data[:, 0])
+        voice = (sigmoid(self.voice_logits.data[:, 0])
                  if self.voice_logits is not None else np.zeros(0))
-        chord = (_stable_sigmoid(self.chord_logits.data[:, 0])
+        chord = (sigmoid(self.chord_logits.data[:, 0])
                  if self.chord_logits is not None else np.zeros(0))
         return PredictionBundle(note_logits=note, staff_probs=staff_probs,
                                 voice_pairs=self.voice_pairs, voice_probs=voice,
@@ -189,13 +192,11 @@ def decode_all(embeddings: Value, graph: ScoreGraph,
                                 pairs[:, 0], pairs[:, 1])
         return _output_layer(hidden, params, head)
 
-    voice_pairs = graph.candidate_pairs
-    chord_pairs = chord_candidate_pairs(graph)
     return Predictions(note_logits=note_logits,
-                       voice_pairs=voice_pairs,
-                       voice_logits=pair_logits(voice_pairs, "voice"),
-                       chord_pairs=chord_pairs,
-                       chord_logits=pair_logits(chord_pairs, "chord"))
+                       voice_pairs=graph.candidate_pairs,
+                       voice_logits=pair_logits(graph.candidate_pairs, "voice"),
+                       chord_pairs=graph.chord_pairs,
+                       chord_logits=pair_logits(graph.chord_pairs, "chord"))
 
 
 def labels_to_classes(labels: LabelSet, n: int) -> dict[str, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Score graph: one typed edge list, node features, voice candidates.
+"""Score graph: one typed edge list, node features, voice and chord candidates.
 
 The input graph has four forward relations over notes, plus an inverse for
 each (8 relation types). For ``offset(u) = onset(u) + duration(u)``:
@@ -13,6 +13,9 @@ each (8 relation types). For ``offset(u) = onset(u) + duration(u)``:
 The voice-candidate set contains ordered pairs (u, w) with
 ``offset(u) <= onset(w)`` in the same bar, plus — with the cross-bar
 extension on (default) — pairs where w sits on the downbeat of the next bar.
+The chord-candidate set holds every unordered same-onset pair (u < w): the
+forward onset edges, kept apart as ``ScoreGraph.chord_pairs`` when the graph
+is built.
 
 Every relation is built as index runs. ``make_score`` keeps notes in
 (onset, pitch) order with ids 0..n-1, so for each u the partners of every
@@ -51,11 +54,13 @@ class EmptyScore(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ScoreGraph:
-    """Typed edge list + feature matrix + voice-candidate pairs for one score.
+    """Typed edge list + feature matrix + candidate pairs for one score.
 
     Edge e runs from src[e] to dst[e] in relation ``RELATIONS[rel[e]]``. The
     forward relations come first, in ``RELATIONS`` order, each in (src, dst)
     order; then each inverse, as its forward edges swapped, in the same order.
+    The pair heads read ``candidate_pairs`` (voice) and ``chord_pairs``
+    (chord, the forward onset edges as pairs).
     """
 
     node_count: int
@@ -64,6 +69,7 @@ class ScoreGraph:
     dst: np.ndarray                       # (E,) int64 destination note ids
     rel: np.ndarray                       # (E,) int64 index into RELATIONS
     candidate_pairs: np.ndarray           # (m, 2) int64 voice candidates, by (u, w)
+    chord_pairs: np.ndarray               # (m, 2) int64 same-onset (u, w), u < w
 
     @functools.cached_property
     def conv_plan(self) -> ConvPlan:
@@ -179,22 +185,18 @@ def candidate_pairs(score: Score, cross_bar: bool = True) -> np.ndarray:
 def build_graph(score: Score, cross_bar: bool = True) -> ScoreGraph:
     if not len(score.onset):
         raise EmptyScore("cannot build a graph from a score with no notes")
-    forward = list(relation_edges(score).values())
+    edges = relation_edges(score)
+    forward = list(edges.values())
     counts = [len(src) for src, _ in forward]
     graph = ScoreGraph(
         node_count=len(score.onset), features=node_features(score),
         src=np.concatenate([src for src, _ in forward] + [dst for _, dst in forward]),
         dst=np.concatenate([dst for _, dst in forward] + [src for src, _ in forward]),
         rel=np.repeat(np.arange(len(RELATIONS), dtype=np.int64), counts + counts),
-        candidate_pairs=candidate_pairs(score, cross_bar))
+        candidate_pairs=candidate_pairs(score, cross_bar),
+        chord_pairs=np.stack(edges["onset"], axis=1))
     graph.validate()
     return graph
-
-
-def chord_candidate_pairs(graph: ScoreGraph) -> np.ndarray:
-    """All unordered same-onset pairs (u < v), i.e. the forward onset edges,
-    as an (m, 2) int64 array in (u, v) order."""
-    return np.stack(graph.edges("onset"), axis=1)
 
 
 @dataclasses.dataclass(frozen=True)

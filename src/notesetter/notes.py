@@ -282,7 +282,8 @@ def _int64(values, what: str) -> np.ndarray:
 
 def make_score(divisions: int, time_signatures, note_specs, labels=None,
                name: str = "") -> Score:
-    """Build a canonical Score from (onset, duration, midi) triples.
+    """Build a canonical Score from (onset, duration, midi) triples, given
+    as a sequence of triples or as an (n, 3) integer array.
 
     Notes may arrive in any order; they are sorted by (onset, pitch), equal
     keys keeping their input order, and numbered 0..n-1 in that order. Bar
@@ -295,7 +296,7 @@ def make_score(divisions: int, time_signatures, note_specs, labels=None,
         raise ValueError("divisions_per_quarter must be positive")
     if not sigs or sigs[0].bar_index != 0:
         raise ValueError("first time signature must sit at bar 0")
-    specs = _int64(list(note_specs), "note values")
+    specs = _int64(note_specs, "note values")
     if specs.size == 0:
         specs = specs.reshape(0, 3)
     if specs.ndim != 2 or specs.shape[1] != 3:

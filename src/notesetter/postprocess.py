@@ -52,7 +52,7 @@ import numpy as np
 
 from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
                        labels_to_classes, staff_probabilities)
-from .graph import build_graph, chord_candidate_pairs, components, in_edges
+from .graph import build_graph, components, in_edges
 from .hungarian import hungarian
 from .notes import (DEFAULT_SPELLING_BY_PC, KEY_MIN_FIFTHS, MAX_DOTS,
                     N_KEY_CLASSES, N_SPELLING, NOTE_TYPE_NAMES, STEM_NONE,
@@ -692,8 +692,7 @@ def perfect_bundle(score: Score) -> PredictionBundle:
         logits[np.arange(n), classes[head]] = 20.0
         note_logits[head] = logits
     staff_probs = staff_probabilities(note_logits["staff"])
-    voice_pairs = graph.candidate_pairs
-    chord_pairs = chord_candidate_pairs(graph)
+    voice_pairs, chord_pairs = graph.candidate_pairs, graph.chord_pairs
     voice_probs = np.where(in_edges(voice_pairs, score.labels.voice_edges, n),
                            0.99, 0.01)
     chord_probs = np.where(in_edges(chord_pairs, score.labels.chord_edges, n),

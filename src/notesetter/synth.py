@@ -11,10 +11,9 @@ import dataclasses
 
 import numpy as np
 
-from .decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle,
+from .decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle, sigmoid,
                        staff_probabilities)
-from .graph import (ScoreGraph, candidate_pairs, chord_candidate_pairs,
-                    relation_edges)
+from .graph import ScoreGraph, candidate_pairs, relation_edges
 from .notes import (KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, N_KEY_CLASSES, Score,
                     TimeSignature, TUPLET_VALUES, bar_table, make_score)
 from .rng import Rng
@@ -81,12 +80,7 @@ def random_bundle(graph: ScoreGraph, seed: int) -> PredictionBundle:
     note_logits = {head: rng.normal(n, HEAD_WIDTHS[head]) * 2.0
                    for head in NODE_HEADS}
     staff_probs = staff_probabilities(note_logits["staff"])
-
-    def sigmoid(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
-
-    voice_pairs = graph.candidate_pairs
-    chord_pairs = chord_candidate_pairs(graph)
+    voice_pairs, chord_pairs = graph.candidate_pairs, graph.chord_pairs
     return PredictionBundle(
         note_logits=note_logits, staff_probs=staff_probs,
         voice_pairs=voice_pairs,

@@ -224,22 +224,34 @@ def test_pair_hidden_shape_checks():
         ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W[:-1])
 
 
-def test_segment_sums_match_add_at():
-    # [DERIVED: np.add.at oracle] duplicate indices accumulate, rows no index
-    # names stay zero, and rows may exceed the largest index.
+def _apply_rank_steps(steps, values, rows):
+    out = np.zeros((rows, values.shape[1]))
+    for step_rows, items in steps:
+        out[step_rows] += values[items]
+    return out
+
+
+def test_rank_steps_match_add_at():
+    # [DERIVED: np.add.at oracle] duplicate indices accumulate in the order
+    # given, rows no index names stay zero, and rows may exceed the largest
+    # index; no step names a row twice, and the first names every row used.
     values = Rng(20).normal(5, 2).reshape(5, 2)
     idx = np.array([3, 0, 3, 1, 3])
     expected = np.zeros((6, 2))
     np.add.at(expected, idx, values)
-    np.testing.assert_array_equal(ad._segment_sum(values, idx, 6), expected)
+    steps = ad._rank_steps(idx, np.arange(len(idx)))
+    np.testing.assert_array_equal(_apply_rank_steps(steps, values, 6), expected)
+    assert steps[0][0].tolist() == [0, 1, 3]
+    assert all(len(set(rows.tolist())) == len(rows) for rows, _ in steps)
     np.testing.assert_array_equal(values, Rng(20).normal(5, 2).reshape(5, 2))
 
 
-def test_segment_sums_empty_index():
+def test_rank_steps_empty_index():
     # A piece with no edges or no chord candidates sums zero rows.
     values = np.ones((3, 2))
     empty = np.array([], dtype=np.int64)
-    np.testing.assert_array_equal(ad._segment_sum(values, empty, 4),
+    steps = ad._rank_steps(empty, empty)
+    np.testing.assert_array_equal(_apply_rank_steps(steps, values, 4),
                                   np.zeros((4, 2)))
 
 

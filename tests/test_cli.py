@@ -394,6 +394,40 @@ def test_graph_dump_to_files(tmp_path, capsys):
     assert "coverage" in out.lower() or "Coverage" in out or "missing" in out
 
 
+def test_graph_dump_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
+    # refused before the first input's graph is written, to files or stdout
+    missing = tmp_path / "missing.musicxml"
+    out_dir = tmp_path / "out"
+    inputs = [str(fixture_path("single_whole")), str(missing)]
+    code, out, err = run(capsys, "graph-dump", *inputs, "--out-dir", str(out_dir))
+    assert code == 3 and out == ""
+    assert err == f"ERROR MissingInput: input {missing} does not exist\n"
+    assert not out_dir.exists()
+    code, out, err = run(capsys, "graph-dump", *inputs)
+    assert code == 3 and out == ""
+    assert err == f"ERROR MissingInput: input {missing} does not exist\n"
+
+
+def test_graph_dump_refuses_inputs_sharing_an_output(tmp_path, capsys):
+    # both would write x.graph.jsonl; on stdout the two dumps do not collide
+    inputs = [tmp_path / "a" / "x.musicxml", tmp_path / "b" / "x.xml"]
+    for path in inputs:
+        path.parent.mkdir()
+        shutil.copy(fixture_path("single_whole"), path)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "graph-dump", *map(str, inputs),
+                         "--out-dir", str(out_dir))
+    assert code == 3 and out == ""
+    assert err == (f"ERROR MissingInput: inputs {inputs[0]} and {inputs[1]} "
+                   "would both write x.graph.jsonl; input stems must be "
+                   "unique\n")
+    assert not out_dir.exists()
+    code, out, err = run(capsys, "graph-dump", *map(str, inputs))
+    assert code == 0 and err == ""
+    one = run(capsys, "graph-dump", str(inputs[0]))[1]
+    assert out == one + one
+
+
 def test_strict_flag_reaches_config(tmp_path, capsys):
     code, _, _ = run(capsys, "ingest", "--in-dir", str(FIXTURE_DIR),
                      "--out-dir", str(tmp_path),

@@ -20,8 +20,7 @@ import pytest
 
 from notesetter.graph import (EDGE_TYPES, RELATIONS, CandidateCoverage,
                               EmptyScore, build_graph, candidate_pairs,
-                              chord_candidate_pairs, components,
-                              coverage_report, dump_graph_jsonl)
+                              components, coverage_report, dump_graph_jsonl)
 from notesetter.notes import (LabelSet, TimeSignature, bar_table, make_score,
                               node_features)
 from notesetter.pipeline import prediction_dump
@@ -117,7 +116,7 @@ def test_single_note_score():
     for rel in RELATIONS:
         assert edge_set(graph, rel) == set()
     assert graph.candidate_pairs.shape == (0, 2)
-    assert chord_candidate_pairs(graph).shape == (0, 2)
+    assert graph.chord_pairs.shape == (0, 2)
 
 
 def test_two_simultaneous_notes():
@@ -128,7 +127,7 @@ def test_two_simultaneous_notes():
     assert edge_set(graph, "onset") == {(0, 1)}
     assert edge_set(graph, "onset_inv") == {(1, 0)}
     assert pair_set(candidate_pairs(score)) == set()
-    assert chord_candidate_pairs(graph).tolist() == [[0, 1]]
+    assert graph.chord_pairs.tolist() == [[0, 1]]
 
 
 @pytest.mark.parametrize("change, message", [
@@ -340,7 +339,11 @@ def test_chord_candidates_are_forward_onset_edges():
     score = make_score(2, [(0, 4, 4)],
                        [(0, 4, 60), (0, 4, 64), (0, 2, 67), (4, 4, 62)])
     graph = build_graph(score)
-    assert chord_candidate_pairs(graph).tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert graph.chord_pairs.dtype == np.int64
+    assert graph.chord_pairs.shape == (3, 2)
+    assert graph.chord_pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+    np.testing.assert_array_equal(graph.chord_pairs,
+                                  np.stack(graph.edges("onset"), axis=1))
 
 
 def test_dump_graph_jsonl():
@@ -391,3 +394,11 @@ def graph_and_meta_digest(score) -> str:
 def test_graph_and_dump_meta_golden(parsed_fixtures, name):
     score = parsed_fixtures[name].score
     assert graph_and_meta_digest(score) == GRAPH_GOLDEN_SHA256[name]
+    # the digest holds the chord pairs' count (meta line) and the onset edges
+    # (graph text); the pairs themselves are those edges, in (u, w) order
+    graph = build_graph(score)
+    np.testing.assert_array_equal(graph.chord_pairs,
+                                  np.stack(graph.edges("onset"), axis=1))
+    meta = json.loads(prediction_dump(score, perfect_bundle(score))
+                      .split(b"\n", 1)[0])
+    assert meta["pairs"]["chord"] == len(graph.chord_pairs)
