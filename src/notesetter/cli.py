@@ -22,15 +22,14 @@ from .autodiff import reset_tape
 from .checkpoint import (BadCheckpoint, ChecksumMismatch, load_checkpoint,
                          restore_params)
 from .config import BadConfig, RunConfig, config_hash, load_run_config
-from .graph import coverage_report, dump_graph_jsonl
-from .model import graph_for, init_params, loss_for_score
+from .graph import EmptyScore, coverage_report, dump_graph_jsonl
+from .model import graph_for, init_params, loss_for_score, predict_bundle
 from .musicxml import (InconsistentTiming, MalformedXml, TooManyVoices,
                        UnrepresentableDuration, UnsupportedElement,
                        read_score_file)
 from .optim import NonFiniteLoss, grad_check
 from .pipeline import (MissingInput, engrave_dump, ingest_corpus, load_corpus,
-                       load_manifest, predict_file, write_manifest,
-                       write_predictions)
+                       load_manifest, write_manifest, write_predictions)
 from .postprocess import PAIR_AGGS, UnfillableGap
 from .rng import Rng
 from .synth import random_score
@@ -44,6 +43,7 @@ EXIT_CODES = {
     MalformedXml: 5,
     UnsupportedElement: 5,
     InconsistentTiming: 5,
+    EmptyScore: 5,
     UnfillableGap: 6,
     TooManyVoices: 6,
     UnrepresentableDuration: 6,
@@ -101,6 +101,17 @@ def _refuse_missing_inputs(inputs) -> None:
     for path in inputs:
         if not Path(path).is_file():
             raise MissingInput(f"input {path} does not exist")
+
+
+def _read_scores(inputs) -> list:
+    """Every input's score, read before anything is written; a missing
+    input and a score with no notes are refused."""
+    _refuse_missing_inputs(inputs)
+    scores = [read_score_file(path).score for path in inputs]
+    for path, score in zip(inputs, scores):
+        if not len(score.onset):
+            raise EmptyScore(f"{path} has no notes")
+    return scores
 
 
 def _echo_config(config, out_dir: Path) -> None:
@@ -188,6 +199,7 @@ def cmd_train(args) -> int:
 
 def _load_params(args, config):
     model_config = config.model_config()
+    _refuse_missing_inputs([args.checkpoint])
     tensors, meta = load_checkpoint(args.checkpoint)
     want = model_config.shape_dict()
     have = meta.get("model")
@@ -205,12 +217,12 @@ def cmd_predict(args) -> int:
     config = _run_config(args)
     names = [f"{Path(path).stem}.pred" for path in args.inputs]
     _refuse_shared_outputs(args.inputs, names)
-    _refuse_missing_inputs(args.inputs)
+    params, model_config = _load_params(args, config)
+    scores = _read_scores(args.inputs)
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
-    params, model_config = _load_params(args, config)
-    for path, name in zip(args.inputs, names):
-        score, bundle = predict_file(path, params, model_config)
+    for path, name, score in zip(args.inputs, names, scores):
+        bundle = predict_bundle(score, params, model_config)
         out_path = out_dir / name
         write_predictions(out_path, score, bundle)
         print(f"{path} -> {out_path} "
@@ -286,23 +298,20 @@ def cmd_gradcheck(args) -> int:
 def cmd_graph_dump(args) -> int:
     config = _run_config(args)
     names = [f"{Path(path).stem}.graph.jsonl" for path in args.inputs]
-    _refuse_missing_inputs(args.inputs)
-    out_dir = None
     if args.out_dir is not None:
         _refuse_shared_outputs(args.inputs, names)
-        out_dir = _need_out_dir(args)
-    for path, name in zip(args.inputs, names):
-        result = read_score_file(path)
-        text = dump_graph_jsonl(graph_for(result.score, config))
+    scores = _read_scores(args.inputs)
+    out_dir = None if args.out_dir is None else _need_out_dir(args)
+    for path, name, score in zip(args.inputs, names, scores):
+        text = dump_graph_jsonl(graph_for(score, config))
         if out_dir is None:
             sys.stdout.write(text)
         else:
             out_path = out_dir / name
             out_path.write_text(text, encoding="utf-8")
             print(f"{path} -> {out_path}")
-            if result.score.labels is not None:
-                print(coverage_report(result.score,
-                                      cross_bar=config.cross_bar))
+            if score.labels is not None:
+                print(coverage_report(score, cross_bar=config.cross_bar))
     return 0
 
 

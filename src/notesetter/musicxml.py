@@ -6,15 +6,15 @@ duration, voice, type, dots, stem, staff, chord flag, time-modification),
 backup/forward, and octave-shift directions. Anything else is rejected with
 a diagnostic naming the offending element.
 
-The reader walks the measures once and appends one int row per note
-(onset, duration, midi, staff, voice, spelling, stem, type, dots, tuplet,
-measure); a chord unit is a list of row indices. ``_assemble`` numbers the
-notes with one sort by (onset, midi, staff, voice), reads each note's clef
-and octave-shift label off its staff's sorted events with one binary search,
-and hands the columns to ``make_score``. :func:`validate_subset` is the
-reader plus what it does not check: the schema order of <attributes> and
-<note> children, exactly one of pitch and rest, and the type and stem words
-of the rests and grace notes the reader skips.
+The reader is the one definition of the subset (:func:`validate_subset`
+drops its result). It walks the measures once, reads each <note>'s children
+in one pass that checks their schema order, checks rests and grace notes
+before it skips them, and appends one int row per note (onset, duration,
+midi, staff, voice, spelling, stem, type, dots, tuplet, measure); a chord
+unit is a list of row indices. ``_assemble`` numbers the notes with one
+sort by (onset, midi, staff, voice), reads each note's clef and
+octave-shift label off its staff's sorted events with one binary search,
+and hands the columns to ``make_score``.
 
 Canonical serialization (what :func:`export_musicxml` emits and the
 round-trip and golden-bytes tests freeze): UTF-8 with an XML declaration and
@@ -94,6 +94,7 @@ _TYPE_INDEX = {name: i for i, name in enumerate(NOTE_TYPE_NAMES)}
 # the <note> children of the subset, in schema order
 _NOTE_ORDER = ("grace", "chord", "pitch", "rest", "duration", "voice", "type",
                "dot", "time-modification", "stem", "staff", "notations")
+_NOTE_RANK = {tag: pos for pos, tag in enumerate(_NOTE_ORDER)}
 
 _DOCTYPE = ('<!DOCTYPE score-partwise PUBLIC '
             '"-//Recordare//DTD MusicXML 3.1 Partwise//EN" '
@@ -125,14 +126,40 @@ def _child(elem: ET.Element, tag: str) -> Optional[ET.Element]:
     return found[0] if found else None
 
 
-def _staff(elem: ET.Element, what: str) -> int:
-    """0-based staff of a <note> or <direction>; <staff> defaults to 1."""
-    staff_elem = _child(elem, "staff")
+def _word(elem: Optional[ET.Element], default=None) -> Optional[str]:
+    """The stripped text of ``elem``, or ``default`` when it is absent."""
+    return default if elem is None else (elem.text or "").strip()
+
+
+def _staff(staff_elem: Optional[ET.Element], what: str) -> int:
+    """0-based staff of a <note>'s or <direction>'s <staff>; 1 if absent."""
     staff = (_int_text(staff_elem, "staff") if staff_elem is not None
              else 1) - 1
     if staff not in (0, 1):
         raise UnsupportedElement(f"{what} must be 1 or 2")
     return staff
+
+
+def _note_children(elem: ET.Element) -> tuple[dict[str, ET.Element], int]:
+    """A <note>'s children by tag and its <dot> count, in one pass refusing
+    an unknown tag, a tag out of ``_NOTE_ORDER`` (a <dot> may follow later
+    tags) and a repeat of any tag but <dot> and <notations>."""
+    children: dict[str, ET.Element] = {}
+    dots = 0
+    last = -1
+    for sub in elem:
+        pos = _NOTE_RANK.get(sub.tag)
+        if pos is None:
+            raise UnsupportedElement(f"<{sub.tag}> under <note>")
+        if sub.tag == "dot":
+            dots += 1
+        elif pos < last:
+            raise UnsupportedElement("note children out of order")
+        elif pos == last and sub.tag != "notations":
+            raise UnsupportedElement(f"repeated <{sub.tag}> inside <note>")
+        last = max(last, pos)
+        children[sub.tag] = sub
+    return children, dots
 
 
 def parse_musicxml(data: bytes) -> ParseResult:
@@ -186,6 +213,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
 
         for elem in measure:
             if elem.tag == "attributes":
+                last = 0
                 for attr in elem:
                     if attr.tag == "divisions":
                         value = _int_text(attr, "divisions")
@@ -228,14 +256,18 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             staff = None
                         if staff not in (0, 1):
                             raise UnsupportedElement("clef number must be 1 or 2")
-                        sign = _child(attr, "sign")
-                        if sign is None or (sign.text or "").strip() not in _CLEF_SIGNS:
-                            raise UnsupportedElement(
-                                f"clef sign {getattr(sign, 'text', None)!r}")
-                        clef_events[staff].append(
-                            (cursor, 1, _CLEF_SIGNS[(sign.text or "").strip()]))
+                        sign = _word(_child(attr, "sign"))
+                        if sign not in _CLEF_SIGNS:
+                            raise UnsupportedElement(f"clef sign {sign!r}")
+                        clef_events[staff].append((cursor, 1, _CLEF_SIGNS[sign]))
                     else:
                         raise UnsupportedElement(f"<{attr.tag}> under <attributes>")
+                    # schema order, in which a tag may repeat
+                    rank = ("divisions", "key", "time", "staves",
+                            "clef").index(attr.tag)
+                    if rank < last:
+                        raise UnsupportedElement("attributes children out of order")
+                    last = rank
                 # divisions and the time signature change only in here
                 if divisions is not None and cur_sig is not None:
                     try:
@@ -245,21 +277,31 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         raise InconsistentTiming(
                             f"measure {m_index + 1}: {exc}") from exc
             elif elem.tag == "note":
-                is_grace = _child(elem, "grace") is not None
-                if is_grace:
+                # grace notes and rests are checked before they are skipped
+                children, dots = _note_children(elem)
+                if ("pitch" in children) == ("rest" in children):
+                    raise UnsupportedElement(
+                        "note needs exactly one of pitch/rest")
+                type_text = _word(children.get("type"))
+                if type_text is not None and type_text not in _TYPE_INDEX:
+                    raise UnsupportedElement(f"note type {type_text!r}")
+                stem_text = _word(children.get("stem"), "none")
+                if stem_text not in _TEXT_STEM:
+                    raise UnsupportedElement(f"stem {stem_text!r}")
+                if "grace" in children:
                     grace_dropped += 1
                     continue
-                duration_elem = _child(elem, "duration")
+                duration_elem = children.get("duration")
                 if duration_elem is None:
                     raise InconsistentTiming(
                         f"measure {m_index + 1}: non-grace note without duration")
                 duration = _int_text(duration_elem, "duration")
                 if duration <= 0:
                     raise InconsistentTiming("note duration must be positive")
-                is_chord = _child(elem, "chord") is not None
-                rest = _child(elem, "rest") is not None
+                is_chord = "chord" in children
                 end = measure_end()
-                if rest:
+                pitch = children.get("pitch")
+                if pitch is None:
                     if is_chord:
                         raise UnsupportedElement("<chord> on a rest")
                     cursor += duration
@@ -268,14 +310,10 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             f"measure {m_index + 1}: rest overruns the bar")
                     last_unit = None
                     continue
-                pitch = _child(elem, "pitch")
-                if pitch is None:
-                    raise UnsupportedElement("note with neither <pitch> nor <rest>")
-                step_elem = _child(pitch, "step")
+                step = _word(_child(pitch, "step"))
                 octave_elem = _child(pitch, "octave")
-                if step_elem is None or octave_elem is None:
+                if step is None or octave_elem is None:
                     raise UnsupportedElement("<pitch> missing step or octave")
-                step = (step_elem.text or "").strip()
                 if step not in STEP_NAMES:
                     raise UnsupportedElement(f"pitch step {step!r}")
                 alter_elem = _child(pitch, "alter")
@@ -287,25 +325,15 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if not 0 <= midi <= 127:
                     raise UnsupportedElement(f"pitch outside MIDI range: {midi}")
 
-                type_elem = _child(elem, "type")
-                if type_elem is None:
+                if type_text is None:
                     raise UnsupportedElement("note without <type>")
-                type_text = (type_elem.text or "").strip()
-                if type_text not in _TYPE_INDEX:
-                    raise UnsupportedElement(f"note type {type_text!r}")
-                dots = len(elem.findall("dot"))
                 if dots > MAX_DOTS:
                     raise UnsupportedElement(f"{dots} dots exceed the vocabulary")
-                voice_elem = _child(elem, "voice")
+                voice_elem = children.get("voice")
                 voice = _int_text(voice_elem, "voice") if voice_elem is not None else 1
-                staff = _staff(elem, "staff")
-                stem_elem = _child(elem, "stem")
-                stem_text = ((stem_elem.text or "").strip()
-                             if stem_elem is not None else "none")
-                if stem_text not in _TEXT_STEM:
-                    raise UnsupportedElement(f"stem {stem_text!r}")
+                staff = _staff(children.get("staff"), "staff")
                 tuplet = 1
-                tmod = _child(elem, "time-modification")
+                tmod = children.get("time-modification")
                 if tmod is not None:
                     actual = _child(tmod, "actual-notes")
                     normal = _child(tmod, "normal-notes")
@@ -317,9 +345,6 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     if not matches:
                         raise UnsupportedElement(f"tuplet ratio {ratio}")
                     tuplet = matches[0]
-                for extra in elem:
-                    if extra.tag not in _NOTE_ORDER:
-                        raise UnsupportedElement(f"<{extra.tag}> under <note>")
 
                 if is_chord:
                     if last_unit is None:
@@ -328,24 +353,19 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     if duration != last_unit_dur:
                         raise InconsistentTiming(
                             "chord members with different durations")
+                    last_unit.append(len(rows))
                 else:
                     onset = cursor
                     if onset >= end:
                         raise InconsistentTiming(
                             f"measure {m_index + 1}: note at or past measure end")
-                    cursor += duration
-                    if cursor > end:
-                        cursor = end
-                clipped_duration = duration
-                if onset + duration > end:
-                    clipped_duration = end - onset
-                    clipped += 1
-                if is_chord:
-                    last_unit.append(len(rows))
-                else:
+                    cursor = min(cursor + duration, end)
                     last_unit = [len(rows)]
                     last_unit_dur = duration
                     units.setdefault(voice, []).append((onset, last_unit))
+                clipped_duration = min(duration, end - onset)
+                if clipped_duration < duration:
+                    clipped += 1
                 rows.append((onset, clipped_duration, midi, staff, voice,
                              spelling_of(step, alter), _TEXT_STEM[stem_text],
                              _TYPE_INDEX[type_text], dots, tuplet, m_index))
@@ -375,7 +395,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if shift_elem is None or len(dtype) != 1:
                     raise UnsupportedElement(
                         "only octave-shift directions are supported")
-                staff = _staff(elem, "direction staff")
+                staff = _staff(_child(elem, "staff"), "direction staff")
                 kind = shift_elem.get("type")
                 size = shift_elem.get("size", "8")
                 if kind == "stop":
@@ -766,38 +786,6 @@ def _tail_block(fields: tuple[int, ...], is_rest: bool) -> str:
 
 # --- subset validation ---
 
-_ATTRIBUTES_ORDER = ("divisions", "key", "time", "staves", "clef")
-
-
 def validate_subset(data: bytes) -> None:
-    """The reader's checks plus the schema order of <attributes> and <note>
-    children; raises on any deviation."""
+    """Raise on any deviation from the subset: the reader is the check."""
     parse_musicxml(data)
-    root = ET.fromstring(data)
-    for attributes in root.iterfind("part/measure/attributes"):
-        _check_order(attributes, _ATTRIBUTES_ORDER)
-    # the reader skips the contents of grace notes and rests
-    for elem in root.iterfind("part/measure/note"):
-        _check_order(elem, _NOTE_ORDER)
-        if (elem.find("pitch") is None) == (elem.find("rest") is None):
-            raise UnsupportedElement("note needs exactly one of pitch/rest")
-        type_elem = _child(elem, "type")
-        if type_elem is not None and (
-                type_elem.text or "").strip() not in _TYPE_INDEX:
-            raise UnsupportedElement(f"note type {type_elem.text!r}")
-        stem = _child(elem, "stem")
-        if stem is not None and (stem.text or "").strip() not in _TEXT_STEM:
-            raise UnsupportedElement(f"stem {stem.text!r}")
-
-
-def _check_order(elem: ET.Element, order: tuple[str, ...]) -> None:
-    """The children's tags come in the sequence of ``order``, each possibly
-    repeated; a <dot> may also follow later tags."""
-    last = -1
-    for sub in elem:
-        if sub.tag not in order:
-            raise UnsupportedElement(f"<{sub.tag}> under <{elem.tag}>")
-        pos = order.index(sub.tag)
-        if pos < last and sub.tag != "dot":
-            raise UnsupportedElement(f"{elem.tag} children out of order")
-        last = max(last, pos)

@@ -296,6 +296,8 @@ def pool_chords(bundle: PredictionBundle, score: Score,
 
 @dataclasses.dataclass
 class VoiceStream:
+    """One voice's pools, ``pool_indices`` ascending, so in onset order;
+    finalize keeps their order, and validation refuses a stream out of it."""
     staff: int
     pool_indices: list[int]
 
@@ -503,7 +505,6 @@ def _voice_events(voice: int, staff: int, rows: Iterable[PooledNode],
     """One voice's events: its pools ``rows`` in onset order, and the rests
     that fill the gaps before, between and after them, split at barlines,
     from the start of the first pool's bar to the end of the last one's."""
-    rows = sorted(rows, key=operator.itemgetter(1))   # by onset, ties kept
     ids, onset, duration, _, *heads = zip(*rows)
     notes = list(map(_event_row, zip(
         itertools.repeat(voice), itertools.repeat(staff), onset, duration,

@@ -39,6 +39,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused_inputs(tmp_path) -> tuple:
+    """A malformed document and a well-formed one with only a rest."""
+    malformed = tmp_path / "bad.musicxml"
+    malformed.write_bytes(b"<score-partwise><oops")
+    rests = tmp_path / "rests.musicxml"
+    rests.write_bytes(fixture_path("single_whole").read_bytes().replace(
+        b"<pitch>\n          <step>C</step>\n          <octave>4</octave>"
+        b"\n        </pitch>", b"<rest/>"))
+    return malformed, rests
+
+
 # --- full workflow: ingest -> train -> predict -> engrave -> eval ---
 
 
@@ -287,6 +298,34 @@ def test_predict_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == f"ERROR MissingInput: input {missing} does not exist\n"
     assert not out_dir.exists()
+    # a later input that cannot be read, a score with no notes and a
+    # missing checkpoint are refused before anything is written, too
+    malformed, rests = refused_inputs(tmp_path)
+    for checkpoint, later, want in (
+            (ckpt, malformed, (5, "ERROR MalformedXml: not well-formed")),
+            (ckpt, rests, (5, f"ERROR EmptyScore: {rests} has no notes")),
+            (missing, rests, (3, f"ERROR MissingInput: input {missing} "
+                                 "does not exist"))):
+        code, out, err = run(capsys, "predict", "--checkpoint",
+                             str(checkpoint),
+                             str(fixture_path("single_whole")), str(later),
+                             "--out-dir", str(out_dir), *TINY)
+        assert (code, out) == (want[0], "")
+        assert err.startswith(want[1]) and err.count("\n") == 1
+        assert not out_dir.exists()
+
+
+def test_eval_refuses_a_missing_checkpoint(tmp_path, capsys):
+    # a directory is not a checkpoint either
+    manifest = tmp_path / "manifest.json"
+    assert run(capsys, "ingest", "--in-dir", str(FIXTURE_DIR),
+               "--out-dir", str(tmp_path))[0] == 0
+    for checkpoint in (tmp_path / "nope.ckpt", tmp_path):
+        code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
+                             "--manifest", str(manifest), *TINY)
+        assert (code, out) == (3, "")
+        assert err == (f"ERROR MissingInput: input {checkpoint} does not "
+                       "exist\n")
 
 
 def test_engrave_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
@@ -406,6 +445,16 @@ def test_graph_dump_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
     code, out, err = run(capsys, "graph-dump", *inputs)
     assert code == 3 and out == ""
     assert err == f"ERROR MissingInput: input {missing} does not exist\n"
+    # so are a later input that cannot be read and a score with no notes
+    malformed, rests = refused_inputs(tmp_path)
+    for later, want in ((malformed, "ERROR MalformedXml: not well-formed"),
+                        (rests, f"ERROR EmptyScore: {rests} has no notes")):
+        inputs = [str(fixture_path("single_whole")), str(later)]
+        for out_args in (["--out-dir", str(out_dir)], []):
+            code, out, err = run(capsys, "graph-dump", *inputs, *out_args)
+            assert (code, out) == (5, "")
+            assert err.startswith(want) and err.count("\n") == 1
+            assert not out_dir.exists()
 
 
 def test_graph_dump_refuses_inputs_sharing_an_output(tmp_path, capsys):

@@ -667,13 +667,18 @@ def test_validate_subset_accepts_fixtures(name):
     validate_subset(fixture_path(name).read_bytes())
 
 
+# the reader is the subset check, so each refusal holds for both
+SUBSET_CHECKS = (validate_subset, parse_musicxml)
+
+
 def test_validate_subset_rejects_two_parts():
     data = fixture_path("single_whole").read_bytes()
     tampered = data.replace(
         b"</score-partwise>",
         b'<part id="P2"><measure number="1"/></part></score-partwise>')
-    with pytest.raises(UnsupportedElement, match="part"):
-        validate_subset(tampered)
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="part"):
+            check(tampered)
 
 
 def test_validate_subset_rejects_out_of_order_note_children():
@@ -681,16 +686,18 @@ def test_validate_subset_rejects_out_of_order_note_children():
     bad = ("<note><pitch><step>C</step><octave>4</octave></pitch>"
            "<type>quarter</type><duration>2</duration><voice>1</voice>"
            "</note>")
-    with pytest.raises(UnsupportedElement, match="order"):
-        validate_subset(doc(ATTRS + bad))
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="order"):
+            check(doc(ATTRS + bad))
 
 
 def test_validate_subset_rejects_pitch_and_rest():
     bad = ("<note><pitch><step>C</step><octave>4</octave></pitch><rest/>"
            "<duration>2</duration><voice>1</voice><type>quarter</type>"
            "</note>")
-    with pytest.raises(UnsupportedElement, match="exactly one"):
-        validate_subset(doc(ATTRS + bad))
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="exactly one"):
+            check(doc(ATTRS + bad))
 
 
 def test_validate_subset_rejects_bad_clef_sign():
@@ -698,21 +705,74 @@ def test_validate_subset_rejects_bad_clef_sign():
         "</attributes>",
         "<clef number=\"1\"><sign>TAB</sign><line>5</line></clef>"
         "</attributes>")
-    with pytest.raises(UnsupportedElement, match="clef"):
-        validate_subset(doc(attrs + note()))
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="clef"):
+            check(doc(attrs + note()))
 
 
 def test_validate_subset_rejects_bad_octave_shift_type():
     d = ("<direction><direction-type>"
          "<octave-shift type=\"continue\" size=\"8\"/>"
          "</direction-type></direction>")
-    with pytest.raises(UnsupportedElement, match="octave-shift"):
-        validate_subset(doc(ATTRS + d + note()))
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="octave-shift"):
+            check(doc(ATTRS + d + note()))
 
 
 def test_validate_subset_rejects_unknown_measure_child():
-    with pytest.raises(UnsupportedElement, match="print"):
-        validate_subset(doc(ATTRS + "<print/>" + note()))
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="print"):
+            check(doc(ATTRS + "<print/>" + note()))
+
+
+def test_subset_rejects_out_of_order_attributes_children():
+    # time before key
+    attrs = ("<attributes><divisions>2</divisions>"
+             "<time><beats>4</beats><beat-type>4</beat-type></time>"
+             "<key><fifths>0</fifths></key></attributes>")
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="attributes children"):
+            check(doc(attrs + note()))
+
+
+@pytest.mark.parametrize("bad", [
+    "<note><grace/><pitch><step>C</step><octave>4</octave></pitch><rest/>"
+    "<voice>1</voice><type>eighth</type></note>",
+    "<note><grace/><pitch><step>C</step><octave>4</octave></pitch>"
+    "<voice>1</voice><type>tiny</type></note>",
+    "<note><grace/><pitch><step>C</step><octave>4</octave></pitch>"
+    "<voice>1</voice><type>eighth</type><stem>sideways</stem></note>",
+    "<note><rest/><duration>2</duration><voice>1</voice><type>tiny</type>"
+    "</note>",
+    "<note><rest/><duration>2</duration><voice>1</voice><type>quarter</type>"
+    "<stem>sideways</stem></note>",
+    "<note><rest/><voice>1</voice><duration>2</duration><type>quarter</type>"
+    "</note>",
+], ids=["grace-pitch-and-rest", "grace-type", "grace-stem", "rest-type",
+        "rest-stem", "rest-order"])
+def test_subset_checks_grace_notes_and_rests_before_skipping_them(bad):
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement):
+            check(doc(ATTRS + bad + note()))
+
+
+def test_subset_refuses_a_repeated_voice_on_a_rest():
+    bad = ("<note><rest/><duration>2</duration><voice>1</voice>"
+           "<voice>1</voice><type>quarter</type></note>")
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match="repeated <voice>"):
+            check(doc(ATTRS + bad))
+
+
+def test_subset_accepts_repeated_notations_and_a_dot_after_stem():
+    # <notations> may repeat, and a <dot> may follow later tags
+    notations = "<notations><tied type=\"start\"/></notations>"
+    body = ATTRS + note(extra="<stem>up</stem>" + notations * 2) + note(
+        dur=3, extra="<stem>up</stem><dot/>")
+    validate_subset(doc(body))
+    labels = parse_musicxml(doc(body)).score.labels
+    assert labels.dots == (0, 1)
+    assert labels.stem == (STEM_UP, STEM_UP)
 
 
 # --- round trip ---

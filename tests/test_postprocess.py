@@ -741,6 +741,19 @@ def test_engrave_stores_events_in_voice_then_onset_order(seed):
     assert list(engraved.events) == engraved.timeline()[0]
 
 
+def test_finalize_refuses_a_stream_out_of_onset_order():
+    # _voice_events takes a stream's pools in the order given; a stream out
+    # of onset order is refused when the engraved score validates
+    score = two_voice_score()
+    bundle = perfect_bundle(score)
+    pools = pool_chords(bundle, score, 0.5)
+    numbered = number_voices(assign_voices(pools, bundle, 0.5, "max"),
+                             pools, score.pitch)
+    numbered[1].pool_indices.reverse()
+    with pytest.raises(ValueError, match="voice 1: overlapping events"):
+        postprocess.unpool_and_finalize(numbered, pools, bundle, score)
+
+
 def test_long_single_voice_engraves_and_exports():
     # 1,000 quarter notes, each followed by a quarter rest, in one chained
     # voice: 2,000 events over 500 bars
