@@ -26,11 +26,11 @@ from .graph import EmptyScore, coverage_report, dump_graph_jsonl
 from .model import graph_for, init_params, loss_for_score, predict_bundle
 from .musicxml import (InconsistentTiming, MalformedXml, TooManyVoices,
                        UnrepresentableDuration, UnsupportedElement,
-                       read_score_file)
+                       export_musicxml, read_score_file)
 from .optim import NonFiniteLoss, grad_check
-from .pipeline import (MissingInput, engrave_dump, ingest_corpus, load_corpus,
-                       load_manifest, write_manifest, write_predictions)
-from .postprocess import PAIR_AGGS, UnfillableGap
+from .pipeline import (MissingInput, ingest_corpus, load_corpus, load_manifest,
+                       read_predictions, write_manifest, write_predictions)
+from .postprocess import PAIR_AGGS, UnfillableGap, engrave
 from .rng import Rng
 from .synth import random_score
 from .trainer import DivergedLoss, EmptyCorpus, evaluate_corpus, train
@@ -237,13 +237,14 @@ def cmd_engrave(args) -> int:
              for path in args.inputs]
     _refuse_shared_outputs(args.inputs, names)
     _refuse_missing_inputs(args.inputs)
+    dumps = [read_predictions(path) for path in args.inputs]
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
-    for path, name in zip(args.inputs, names):
-        data = engrave_dump(path, threshold=config.threshold,
-                            pair_agg=config.pair_agg)
+    for path, name, (score, bundle) in zip(args.inputs, names, dumps):
+        engraved = engrave(bundle, score, threshold=config.threshold,
+                           pair_agg=config.pair_agg)
         out_path = out_dir / name
-        out_path.write_bytes(data)
+        out_path.write_bytes(export_musicxml(engraved))
         print(f"{path} -> {out_path}")
     return 0
 

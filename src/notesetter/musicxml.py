@@ -6,15 +6,17 @@ duration, voice, type, dots, stem, staff, chord flag, time-modification),
 backup/forward, and octave-shift directions. Anything else is rejected with
 a diagnostic naming the offending element.
 
-The reader is the one definition of the subset (:func:`validate_subset`
-drops its result). It walks the measures once, reads each <note>'s children
-in one pass that checks their schema order, checks rests and grace notes
-before it skips them, and appends one int row per note (onset, duration,
-midi, staff, voice, spelling, stem, type, dots, tuplet, measure); a chord
-unit is a list of row indices. ``_assemble`` numbers the notes with one
-sort by (onset, midi, staff, voice), reads each note's clef and
-octave-shift label off its staff's sorted events with one binary search,
-and hands the columns to ``make_score``.
+The table ``_SUBSET`` is the one definition of the subset's structure: for
+each element that holds children, its allowed children in schema order and
+how often each may occur. The reader (which :func:`validate_subset` is,
+with its result dropped) checks every element against its row as it enters
+it, and checks the words and numbers it reads. It walks the measures once,
+checks rests and grace notes before it skips them, and appends one int row
+per note (onset, duration, midi, staff, voice, spelling, stem, type, dots,
+tuplet, measure); a chord unit is a list of row indices. ``_assemble``
+numbers the notes with one sort by (onset, midi, staff, voice), reads each
+note's clef and octave-shift label off its staff's sorted events with one
+binary search, and hands the columns to ``make_score``.
 
 Canonical serialization (what :func:`export_musicxml` emits and the
 round-trip and golden-bytes tests freeze): UTF-8 with an XML declaration and
@@ -91,10 +93,45 @@ _CLEF_LINES = {0: "2", 1: "4", 2: "3"}
 _STEM_TEXT = {0: "up", 1: "down", 2: "none"}
 _TEXT_STEM = {v: k for k, v in _STEM_TEXT.items()}
 _TYPE_INDEX = {name: i for i, name in enumerate(NOTE_TYPE_NAMES)}
-# the <note> children of the subset, in schema order
-_NOTE_ORDER = ("grace", "chord", "pitch", "rest", "duration", "voice", "type",
-               "dot", "time-modification", "stem", "staff", "notations")
-_NOTE_RANK = {tag: pos for pos, tag in enumerate(_NOTE_ORDER)}
+
+# The subset: each element that holds child elements, with its allowed
+# children in MusicXML 3.1 schema order. A bare tag occurs exactly once,
+# "tag?" at most once, "tag*" any number of times in its place, and "tag~"
+# any number of times anywhere (it is not held to the order itself, but the
+# tags after it are). An element without a row holds no child elements.
+_SUBSET = {
+    "score-partwise": "part-list? part*",
+    "part-list": "score-part*",
+    "score-part": "part-name?",
+    "part": "measure*",
+    "measure": "attributes~ note~ backup~ forward~ direction~",
+    "attributes": "divisions* key* time* staves* clef*",
+    "key": "fifths mode?",
+    "time": "beats beat-type",
+    "clef": "sign line?",
+    "note": "grace? chord? pitch? rest? duration? voice? type? dot~ "
+            "time-modification? stem? staff? notations*",
+    "pitch": "step alter? octave",
+    "time-modification": "actual-notes normal-notes",
+    "notations": "tied~ tuplet~",
+    "direction": "direction-type staff?",
+    "direction-type": "octave-shift",
+    "backup": "duration?",
+    "forward": "duration?",
+}
+
+
+def _row(row: str) -> tuple[dict[str, tuple[int, str, bool]], list[str]]:
+    """A ``_SUBSET`` row as {child tag: (schema position, mark, whether the
+    child has no row)}, where a bare tag's mark is "1", and its bare tags."""
+    rules = {}
+    for pos, spec in enumerate(row.split()):
+        tag = spec.rstrip("?*~")
+        rules[tag] = (pos, spec[len(tag):] or "1", tag not in _SUBSET)
+    return rules, [tag for tag, (_, mark, _) in rules.items() if mark == "1"]
+
+
+_ROWS = {parent: _row(row) for parent, row in _SUBSET.items()}
 
 _DOCTYPE = ('<!DOCTYPE score-partwise PUBLIC '
             '"-//Recordare//DTD MusicXML 3.1 Partwise//EN" '
@@ -119,11 +156,30 @@ def _int_text(elem: ET.Element, context: str) -> int:
         raise MalformedXml(f"{context}: non-integer text {elem.text!r}") from exc
 
 
-def _child(elem: ET.Element, tag: str) -> Optional[ET.Element]:
-    found = elem.findall(tag)
-    if len(found) > 1:
-        raise UnsupportedElement(f"repeated <{tag}> inside <{elem.tag}>")
-    return found[0] if found else None
+def _children(elem: ET.Element) -> dict[str, ET.Element]:
+    """``elem``'s children by tag (the last of a repeated one), checked
+    against its ``_SUBSET`` row: an unknown tag, a tag out of order, a
+    repeat its mark does not allow, a missing required child and a child
+    element under a child without a row are refused."""
+    rules, required = _ROWS[elem.tag]
+    found: dict[str, ET.Element] = {}
+    last = -1
+    for sub in elem:
+        if sub.tag not in rules:
+            raise UnsupportedElement(f"<{sub.tag}> under <{elem.tag}>")
+        pos, mark, leaf = rules[sub.tag]
+        if mark in "1?" and sub.tag in found:
+            raise UnsupportedElement(f"repeated <{sub.tag}> inside <{elem.tag}>")
+        if pos < last and mark != "~":
+            raise UnsupportedElement(f"{elem.tag} children out of order")
+        if leaf and len(sub):
+            raise UnsupportedElement(f"<{sub[0].tag}> under <{sub.tag}>")
+        last = max(last, pos)
+        found[sub.tag] = sub
+    for tag in required:
+        if tag not in found:
+            raise UnsupportedElement(f"<{elem.tag}> without <{tag}>")
+    return found
 
 
 def _word(elem: Optional[ET.Element], default=None) -> Optional[str]:
@@ -140,28 +196,6 @@ def _staff(staff_elem: Optional[ET.Element], what: str) -> int:
     return staff
 
 
-def _note_children(elem: ET.Element) -> tuple[dict[str, ET.Element], int]:
-    """A <note>'s children by tag and its <dot> count, in one pass refusing
-    an unknown tag, a tag out of ``_NOTE_ORDER`` (a <dot> may follow later
-    tags) and a repeat of any tag but <dot> and <notations>."""
-    children: dict[str, ET.Element] = {}
-    dots = 0
-    last = -1
-    for sub in elem:
-        pos = _NOTE_RANK.get(sub.tag)
-        if pos is None:
-            raise UnsupportedElement(f"<{sub.tag}> under <note>")
-        if sub.tag == "dot":
-            dots += 1
-        elif pos < last:
-            raise UnsupportedElement("note children out of order")
-        elif pos == last and sub.tag != "notations":
-            raise UnsupportedElement(f"repeated <{sub.tag}> inside <note>")
-        last = max(last, pos)
-        children[sub.tag] = sub
-    return children, dots
-
-
 def parse_musicxml(data: bytes) -> ParseResult:
     """Parse a subset document into a canonical Score with labels."""
     try:
@@ -170,15 +204,12 @@ def parse_musicxml(data: bytes) -> ParseResult:
         raise MalformedXml(f"not well-formed XML: {exc}") from exc
     if root.tag != "score-partwise":
         raise UnsupportedElement(f"root element <{root.tag}>")
-
-    parts = []
-    for child in root:
-        if child.tag == "part-list":
-            _check_part_list(child)
-        elif child.tag == "part":
-            parts.append(child)
-        else:
-            raise UnsupportedElement(f"<{child.tag}> under <score-partwise>")
+    part_list = _children(root).get("part-list")
+    if part_list is not None:
+        _children(part_list)
+        for score_part in part_list:
+            _children(score_part)
+    parts = root.findall("part")
     if len(parts) != 1:
         raise UnsupportedElement(f"expected exactly one <part>, found {len(parts)}")
 
@@ -204,16 +235,16 @@ def parse_musicxml(data: bytes) -> ParseResult:
         return measure_onset + bar_len
 
     measure_onset = 0
+    _children(parts[0])
     for m_index, measure in enumerate(parts[0]):
-        if measure.tag != "measure":
-            raise UnsupportedElement(f"<{measure.tag}> under <part>")
+        _children(measure)
         cursor = measure_onset
         last_unit: Optional[list[int]] = None
         last_unit_dur = 0
 
         for elem in measure:
             if elem.tag == "attributes":
-                last = 0
+                _children(elem)
                 for attr in elem:
                     if attr.tag == "divisions":
                         value = _int_text(attr, "divisions")
@@ -225,21 +256,15 @@ def parse_musicxml(data: bytes) -> ParseResult:
                                 f"from {divisions} to {value}")
                         divisions = value
                     elif attr.tag == "key":
-                        fifths_elem = _child(attr, "fifths")
-                        if fifths_elem is None:
-                            raise UnsupportedElement("<key> without <fifths>")
-                        cur_key = _int_text(fifths_elem, "fifths")
+                        cur_key = _int_text(_children(attr)["fifths"], "fifths")
                         if not KEY_MIN_FIFTHS <= cur_key <= KEY_MAX_FIFTHS:
                             raise UnsupportedElement(
                                 f"key fifths {cur_key} outside [-7, 7]")
                     elif attr.tag == "time":
-                        beats = _child(attr, "beats")
-                        beat_type = _child(attr, "beat-type")
-                        if beats is None or beat_type is None:
-                            raise UnsupportedElement("<time> missing children")
-                        cur_sig = TimeSignature(m_index,
-                                                _int_text(beats, "beats"),
-                                                _int_text(beat_type, "beat-type"))
+                        sig = _children(attr)
+                        cur_sig = TimeSignature(
+                            m_index, _int_text(sig["beats"], "beats"),
+                            _int_text(sig["beat-type"], "beat-type"))
                         if cur_sig.numerator <= 0 or cur_sig.denominator <= 0:
                             raise InconsistentTiming(
                                 f"measure {m_index + 1}: time signature "
@@ -249,25 +274,22 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     elif attr.tag == "staves":
                         if _int_text(attr, "staves") not in (1, 2):
                             raise UnsupportedElement("staves must be 1 or 2")
-                    elif attr.tag == "clef":
+                    else:  # clef
                         try:
                             staff = int(attr.get("number", "1")) - 1
                         except ValueError:
                             staff = None
                         if staff not in (0, 1):
                             raise UnsupportedElement("clef number must be 1 or 2")
-                        sign = _word(_child(attr, "sign"))
+                        clef = _children(attr)
+                        sign = _word(clef["sign"])
                         if sign not in _CLEF_SIGNS:
                             raise UnsupportedElement(f"clef sign {sign!r}")
-                        clef_events[staff].append((cursor, 1, _CLEF_SIGNS[sign]))
-                    else:
-                        raise UnsupportedElement(f"<{attr.tag}> under <attributes>")
-                    # schema order, in which a tag may repeat
-                    rank = ("divisions", "key", "time", "staves",
-                            "clef").index(attr.tag)
-                    if rank < last:
-                        raise UnsupportedElement("attributes children out of order")
-                    last = rank
+                        clef_idx = _CLEF_SIGNS[sign]
+                        line = _CLEF_LINES[clef_idx]
+                        if _word(clef.get("line"), line) != line:
+                            raise UnsupportedElement(f"clef {sign} off line {line}")
+                        clef_events[staff].append((cursor, 1, clef_idx))
                 # divisions and the time signature change only in here
                 if divisions is not None and cur_sig is not None:
                     try:
@@ -278,7 +300,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             f"measure {m_index + 1}: {exc}") from exc
             elif elem.tag == "note":
                 # grace notes and rests are checked before they are skipped
-                children, dots = _note_children(elem)
+                children = _children(elem)
                 if ("pitch" in children) == ("rest" in children):
                     raise UnsupportedElement(
                         "note needs exactly one of pitch/rest")
@@ -288,6 +310,40 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 stem_text = _word(children.get("stem"), "none")
                 if stem_text not in _TEXT_STEM:
                     raise UnsupportedElement(f"stem {stem_text!r}")
+                voice_elem = children.get("voice")
+                voice = _int_text(voice_elem, "voice") if voice_elem is not None else 1
+                staff = _staff(children.get("staff"), "staff")
+                dots = len(elem.findall("dot")) if "dot" in children else 0
+                if dots > MAX_DOTS:
+                    raise UnsupportedElement(f"{dots} dots exceed the vocabulary")
+                tuplet = 1
+                tmod = children.get("time-modification")
+                if tmod is not None:
+                    tmod = _children(tmod)
+                    ratio = (_int_text(tmod["actual-notes"], "actual-notes"),
+                             _int_text(tmod["normal-notes"], "normal-notes"))
+                    matches = [k for k, v in TUPLET_RATIOS.items() if v == ratio]
+                    if not matches:
+                        raise UnsupportedElement(f"tuplet ratio {ratio}")
+                    tuplet = matches[0]
+                if "notations" in children:
+                    for notations in elem.iterfind("notations"):
+                        _children(notations)
+                pitch = children.get("pitch")
+                if pitch is not None:
+                    pitch = _children(pitch)
+                    step = _word(pitch["step"])
+                    if step not in STEP_NAMES:
+                        raise UnsupportedElement(f"pitch step {step!r}")
+                    alter = (_int_text(pitch["alter"], "alter")
+                             if "alter" in pitch else 0)
+                    if alter not in ALTER_VALUES:
+                        raise UnsupportedElement(f"alter {alter} outside -2..2")
+                    midi = (12 * (_int_text(pitch["octave"], "octave") + 1)
+                            + STEP_TO_PC[step] + alter)
+                    if not 0 <= midi <= 127:
+                        raise UnsupportedElement(
+                            f"pitch outside MIDI range: {midi}")
                 if "grace" in children:
                     grace_dropped += 1
                     continue
@@ -300,7 +356,6 @@ def parse_musicxml(data: bytes) -> ParseResult:
                     raise InconsistentTiming("note duration must be positive")
                 is_chord = "chord" in children
                 end = measure_end()
-                pitch = children.get("pitch")
                 if pitch is None:
                     if is_chord:
                         raise UnsupportedElement("<chord> on a rest")
@@ -310,41 +365,8 @@ def parse_musicxml(data: bytes) -> ParseResult:
                             f"measure {m_index + 1}: rest overruns the bar")
                     last_unit = None
                     continue
-                step = _word(_child(pitch, "step"))
-                octave_elem = _child(pitch, "octave")
-                if step is None or octave_elem is None:
-                    raise UnsupportedElement("<pitch> missing step or octave")
-                if step not in STEP_NAMES:
-                    raise UnsupportedElement(f"pitch step {step!r}")
-                alter_elem = _child(pitch, "alter")
-                alter = _int_text(alter_elem, "alter") if alter_elem is not None else 0
-                if alter not in ALTER_VALUES:
-                    raise UnsupportedElement(f"alter {alter} outside -2..2")
-                octave = _int_text(octave_elem, "octave")
-                midi = 12 * (octave + 1) + STEP_TO_PC[step] + alter
-                if not 0 <= midi <= 127:
-                    raise UnsupportedElement(f"pitch outside MIDI range: {midi}")
-
                 if type_text is None:
                     raise UnsupportedElement("note without <type>")
-                if dots > MAX_DOTS:
-                    raise UnsupportedElement(f"{dots} dots exceed the vocabulary")
-                voice_elem = children.get("voice")
-                voice = _int_text(voice_elem, "voice") if voice_elem is not None else 1
-                staff = _staff(children.get("staff"), "staff")
-                tuplet = 1
-                tmod = children.get("time-modification")
-                if tmod is not None:
-                    actual = _child(tmod, "actual-notes")
-                    normal = _child(tmod, "normal-notes")
-                    if actual is None or normal is None:
-                        raise UnsupportedElement("<time-modification> missing children")
-                    ratio = (_int_text(actual, "actual-notes"),
-                             _int_text(normal, "normal-notes"))
-                    matches = [k for k, v in TUPLET_RATIOS.items() if v == ratio]
-                    if not matches:
-                        raise UnsupportedElement(f"tuplet ratio {ratio}")
-                    tuplet = matches[0]
 
                 if is_chord:
                     if last_unit is None:
@@ -369,33 +391,20 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 rows.append((onset, clipped_duration, midi, staff, voice,
                              spelling_of(step, alter), _TEXT_STEM[stem_text],
                              _TYPE_INDEX[type_text], dots, tuplet, m_index))
-            elif elem.tag == "backup":
-                dur = _child(elem, "duration")
+            elif elem.tag in ("backup", "forward"):
+                dur = _children(elem).get("duration")
                 if dur is None:
-                    raise MalformedXml("<backup> without duration")
-                cursor -= _int_text(dur, "backup duration")
-                if cursor < measure_onset:
+                    raise MalformedXml(f"<{elem.tag}> without duration")
+                move = _int_text(dur, f"{elem.tag} duration")
+                cursor += -move if elem.tag == "backup" else move
+                if not measure_onset <= cursor <= measure_end():
                     raise InconsistentTiming(
-                        f"measure {m_index + 1}: backup before measure start")
+                        f"measure {m_index + 1}: {elem.tag} leaves the measure")
                 last_unit = None
-            elif elem.tag == "forward":
-                dur = _child(elem, "duration")
-                if dur is None:
-                    raise MalformedXml("<forward> without duration")
-                cursor += _int_text(dur, "forward duration")
-                if cursor > measure_end():
-                    raise InconsistentTiming(
-                        f"measure {m_index + 1}: forward past measure end")
-                last_unit = None
-            elif elem.tag == "direction":
-                dtype = _child(elem, "direction-type")
-                if dtype is None:
-                    raise UnsupportedElement("<direction> without <direction-type>")
-                shift_elem = _child(dtype, "octave-shift")
-                if shift_elem is None or len(dtype) != 1:
-                    raise UnsupportedElement(
-                        "only octave-shift directions are supported")
-                staff = _staff(_child(elem, "staff"), "direction staff")
+            else:  # direction
+                direction = _children(elem)
+                shift_elem = _children(direction["direction-type"])["octave-shift"]
+                staff = _staff(direction.get("staff"), "direction staff")
                 kind = shift_elem.get("type")
                 size = shift_elem.get("size", "8")
                 if kind == "stop":
@@ -412,8 +421,6 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 else:
                     raise UnsupportedElement(
                         f"octave-shift type={kind!r} size={size!r}")
-            else:
-                raise UnsupportedElement(f"<{elem.tag}> under <measure>")
 
         if bar_len is None:
             raise InconsistentTiming(
@@ -427,15 +434,6 @@ def parse_musicxml(data: bytes) -> ParseResult:
     return ParseResult(score=score, grace_dropped=grace_dropped,
                        clipped_notes=clipped, fifteen_mb_mapped=fifteen_mb,
                        warnings=tuple(warnings))
-
-
-def _check_part_list(part_list: ET.Element) -> None:
-    for child in part_list:
-        if child.tag != "score-part":
-            raise UnsupportedElement(f"<{child.tag}> under <part-list>")
-        for sub in child:
-            if sub.tag != "part-name":
-                raise UnsupportedElement(f"<{sub.tag}> under <score-part>")
 
 
 def _assemble(divisions, time_sigs, bars, keys, clef_events, shift_events,

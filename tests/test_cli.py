@@ -333,12 +333,17 @@ def test_engrave_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
     good = tmp_path / "good.pred"
     write_predictions(good, score, perfect_bundle(score))
     missing = tmp_path / "missing.pred"
+    # a later dump that exists but is malformed is refused the same way
+    malformed = tmp_path / "malformed.pred"
+    malformed.write_text('{"kind": "meta"}\n', encoding="utf-8")
     out_dir = tmp_path / "out"
-    code, out, err = run(capsys, "engrave", str(good), str(missing),
-                         "--out-dir", str(out_dir))
-    assert code == 3 and out == ""
-    assert err == f"ERROR MissingInput: input {missing} does not exist\n"
-    assert not out_dir.exists()
+    for later, error in ((missing, f"input {missing} does not exist\n"),
+                         (malformed, f"{malformed}: dump format None")):
+        code, out, err = run(capsys, "engrave", str(good), str(later),
+                             "--out-dir", str(out_dir))
+        assert code == 3 and out == ""
+        assert err.startswith(f"ERROR MissingInput: {error}")
+        assert not out_dir.exists()
 
 
 def test_checkpoint_shape_mismatch_exit_code(tmp_path, capsys):

@@ -9,6 +9,7 @@ running the parser.
 import dataclasses
 import gzip
 import hashlib
+import random
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -477,6 +478,14 @@ def test_backup_negative_cursor():
         parse_musicxml(doc(body))
 
 
+def test_forward_before_measure_start():
+    # [DERIVED] a forward of -2 at the start of measure 2 (tick 8) would
+    # put its note at tick 6, in measure 1
+    second = "<forward><duration>-2</duration></forward>" + note()
+    with pytest.raises(InconsistentTiming, match="forward leaves the measure"):
+        parse_musicxml(doc(ATTRS + note(dur=8, ntype="whole"), second))
+
+
 def test_backup_without_duration():
     with pytest.raises(MalformedXml, match="duration"):
         parse_musicxml(doc(ATTRS + note() + "<backup/>"))
@@ -773,6 +782,89 @@ def test_subset_accepts_repeated_notations_and_a_dot_after_stem():
     labels = parse_musicxml(doc(body)).score.labels
     assert labels.dots == (0, 1)
     assert labels.stem == (STEM_UP, STEM_UP)
+
+
+@pytest.mark.parametrize("body,error,match", [
+    (ATTRS.replace("<fifths>0</fifths>", "<fifths>0</fifths><bogus/>")
+     + note(), UnsupportedElement, "<bogus> under <key>"),
+    (ATTRS + note().replace("</pitch>", "<lyric/></pitch>"),
+     UnsupportedElement, "<lyric> under <pitch>"),
+    (ATTRS + "<direction><direction-type><octave-shift type=\"down\"/>"
+     "</direction-type><sound/></direction>" + note(),
+     UnsupportedElement, "<sound> under <direction>"),
+    (ATTRS + note().replace("<step>C", "<step>C<bogus/>"),
+     UnsupportedElement, "<bogus> under <step>"),
+    (ATTRS + rest(voice="x"), MalformedXml, "voice: non-integer"),
+    (ATTRS + rest().replace("</type>", "</type><staff>9</staff>"),
+     UnsupportedElement, "staff must be 1 or 2"),
+    (ATTRS.replace("</attributes>", '<clef number="1"><sign>G</sign>'
+                   "<line>1</line></clef></attributes>") + note(),
+     UnsupportedElement, "clef G off line 2"),
+], ids=["child-of-key", "child-of-pitch", "child-of-direction",
+        "child-of-leaf", "rest-voice", "rest-staff", "clef-line"])
+def test_subset_refuses_below_note_and_attributes(body, error, match):
+    for check in SUBSET_CHECKS:
+        with pytest.raises(error, match=match):
+            check(doc(body))
+
+
+# --- seeded mutations of the subset ---
+
+BAD_WORDS = ("x", "-1", "1.5", "", str(2**64))
+READER_REFUSALS = (MalformedXml, UnsupportedElement, InconsistentTiming)
+MUTATION_SEED = 26
+MUTATIONS_PER_KIND = 30
+
+
+def mutants(data: bytes, rng: random.Random, every_element: bool):
+    """(kind, document) for mutations of ``data``: an unknown child added
+    under each element (under ``MUTATIONS_PER_KIND`` seeded picks unless
+    ``every_element``), then as many seeded picks each of two adjacent
+    children swapped, a child duplicated and a bad word put in a text field.
+    The tree is mutated in place and restored after each."""
+    root = ET.fromstring(data)
+    elems = list(root.iter())
+
+    def pick(sites):
+        return rng.sample(sites, min(MUTATIONS_PER_KIND, len(sites)))
+
+    for elem in elems if every_element else pick(elems):
+        bogus = ET.SubElement(elem, "bogus")
+        yield "unknown", ET.tostring(root)
+        elem.remove(bogus)
+    for elem, i in pick([(e, i) for e in elems for i in range(len(e) - 1)]):
+        elem[i], elem[i + 1] = elem[i + 1], elem[i]
+        yield "swap", ET.tostring(root)
+        elem[i], elem[i + 1] = elem[i + 1], elem[i]
+    for elem, i in pick([(e, i) for e in elems for i in range(len(e))]):
+        elem.insert(i, elem[i])
+        yield "duplicate", ET.tostring(root)
+        del elem[i]
+    for elem, word in pick([(e, w) for e in elems
+                            if not len(e) and (e.text or "").strip()
+                            for w in BAD_WORDS]):
+        text, elem.text = elem.text, word
+        yield "text", ET.tostring(root)
+        elem.text = text
+
+
+def test_mutants_parse_or_are_refused(golden_streams):
+    # every element of the fixtures, and one seeded pick of each fixture's
+    # golden exports
+    rng = random.Random(MUTATION_SEED)
+    docs = [(fixture_path(name).read_bytes(), True) for name in FIXTURE_NAMES]
+    docs += [(rng.choice(golden_streams[name][1]), False)
+             for name in FIXTURE_NAMES]
+    kinds = set()
+    for data, every_element in docs:
+        for kind, mutant in mutants(data, rng, every_element):
+            kinds.add(kind)
+            try:
+                parse_musicxml(mutant)
+            except READER_REFUSALS:
+                continue
+            assert kind != "unknown", mutant.decode()
+    assert kinds == {"unknown", "swap", "duplicate", "text"}
 
 
 # --- round trip ---
