@@ -26,11 +26,12 @@ from .graph import EmptyScore, coverage_report, dump_graph_jsonl
 from .model import graph_for, init_params, loss_for_score, predict_bundle
 from .musicxml import (InconsistentTiming, MalformedXml, TooManyVoices,
                        UnrepresentableDuration, UnsupportedElement,
-                       export_musicxml, read_score_file)
+                       read_score_file)
 from .optim import NonFiniteLoss, grad_check
-from .pipeline import (MissingInput, ingest_corpus, load_corpus, load_manifest,
-                       read_predictions, write_manifest, write_predictions)
-from .postprocess import PAIR_AGGS, UnfillableGap, engrave
+from .pipeline import (MissingInput, engrave_bytes, ingest_corpus, load_corpus,
+                       load_manifest, read_predictions, write_manifest,
+                       write_predictions)
+from .postprocess import PAIR_AGGS, UnfillableGap
 from .rng import Rng
 from .synth import random_score
 from .trainer import DivergedLoss, EmptyCorpus, evaluate_corpus, train
@@ -241,10 +242,9 @@ def cmd_engrave(args) -> int:
     out_dir = _need_out_dir(args)
     _echo_config(config, out_dir)
     for path, name, (score, bundle) in zip(args.inputs, names, dumps):
-        engraved = engrave(bundle, score, threshold=config.threshold,
-                           pair_agg=config.pair_agg)
         out_path = out_dir / name
-        out_path.write_bytes(export_musicxml(engraved))
+        out_path.write_bytes(engrave_bytes(score, bundle, config.threshold,
+                                           config.pair_agg))
         print(f"{path} -> {out_path}")
     return 0
 

@@ -93,6 +93,9 @@ _CLEF_LINES = {0: "2", 1: "4", 2: "3"}
 _STEM_TEXT = {0: "up", 1: "down", 2: "none"}
 _TEXT_STEM = {v: k for k, v in _STEM_TEXT.items()}
 _TYPE_INDEX = {name: i for i, name in enumerate(NOTE_TYPE_NAMES)}
+_RATIO_TUPLET = {ratio: tuplet for tuplet, ratio in TUPLET_RATIOS.items()}
+# an <octave-shift>'s (type, size) -> its label; a 15mb is read as an 8vb
+_SHIFTS = {("down", "8"): 1, ("up", "8"): 2, ("down", "15"): 3, ("up", "15"): 2}
 
 # The subset: each element that holds child elements, with its allowed
 # children in MusicXML 3.1 schema order. A bare tag occurs exactly once,
@@ -204,11 +207,9 @@ def parse_musicxml(data: bytes) -> ParseResult:
         raise MalformedXml(f"not well-formed XML: {exc}") from exc
     if root.tag != "score-partwise":
         raise UnsupportedElement(f"root element <{root.tag}>")
-    part_list = _children(root).get("part-list")
-    if part_list is not None:
-        _children(part_list)
-        for score_part in part_list:
-            _children(score_part)
+    _children(root)
+    for elem in root.findall("part-list") + root.findall("part-list/score-part"):
+        _children(elem)
     parts = root.findall("part")
     if len(parts) != 1:
         raise UnsupportedElement(f"expected exactly one <part>, found {len(parts)}")
@@ -226,7 +227,6 @@ def parse_musicxml(data: bytes) -> ParseResult:
     rows: list[tuple[int, ...]] = []  # one (onset, ..., measure) row per note
     units: dict[int, list[tuple[int, list[int]]]] = {}  # voice -> (onset, rows)
     grace_dropped = clipped = fifteen_mb = 0
-    warnings: list[str] = []
 
     def measure_end() -> int:
         if bar_len is None:
@@ -310,22 +310,21 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 stem_text = _word(children.get("stem"), "none")
                 if stem_text not in _TEXT_STEM:
                     raise UnsupportedElement(f"stem {stem_text!r}")
-                voice_elem = children.get("voice")
-                voice = _int_text(voice_elem, "voice") if voice_elem is not None else 1
+                voice = _int_text(children["voice"], "voice") if "voice" in children else 1
+                if not 0 < voice < 2 ** 63:
+                    raise MalformedXml(f"voice {voice} is not a positive 64-bit integer")
                 staff = _staff(children.get("staff"), "staff")
                 dots = len(elem.findall("dot")) if "dot" in children else 0
                 if dots > MAX_DOTS:
                     raise UnsupportedElement(f"{dots} dots exceed the vocabulary")
                 tuplet = 1
-                tmod = children.get("time-modification")
-                if tmod is not None:
-                    tmod = _children(tmod)
+                if "time-modification" in children:
+                    tmod = _children(children["time-modification"])
                     ratio = (_int_text(tmod["actual-notes"], "actual-notes"),
                              _int_text(tmod["normal-notes"], "normal-notes"))
-                    matches = [k for k, v in TUPLET_RATIOS.items() if v == ratio]
-                    if not matches:
+                    if ratio not in _RATIO_TUPLET:
                         raise UnsupportedElement(f"tuplet ratio {ratio}")
-                    tuplet = matches[0]
+                    tuplet = _RATIO_TUPLET[ratio]
                 if "notations" in children:
                     for notations in elem.iterfind("notations"):
                         _children(notations)
@@ -409,15 +408,9 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 size = shift_elem.get("size", "8")
                 if kind == "stop":
                     shift_events[staff].append((cursor, 0, 0))
-                elif kind in ("down", "up") and size in ("8", "15"):
-                    if kind == "down":
-                        shift = 1 if size == "8" else 3
-                    else:
-                        shift = 2
-                        if size == "15":
-                            fifteen_mb += 1
-                            warnings.append("15mb bracket mapped to 8vb")
-                    shift_events[staff].append((cursor, 1, shift))
+                elif (kind, size) in _SHIFTS:
+                    fifteen_mb += (kind, size) == ("up", "15")
+                    shift_events[staff].append((cursor, 1, _SHIFTS[kind, size]))
                 else:
                     raise UnsupportedElement(
                         f"octave-shift type={kind!r} size={size!r}")
@@ -433,7 +426,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                       shift_events, rows, units)
     return ParseResult(score=score, grace_dropped=grace_dropped,
                        clipped_notes=clipped, fifteen_mb_mapped=fifteen_mb,
-                       warnings=tuple(warnings))
+                       warnings=("15mb bracket mapped to 8vb",) * fifteen_mb)
 
 
 def _assemble(divisions, time_sigs, bars, keys, clef_events, shift_events,

@@ -248,9 +248,14 @@ def predict_file(path: Path, params, config: ModelConfig) -> tuple[Score, Predic
     return result.score, predict_bundle(result.score, params, config)
 
 
+def engrave_bytes(score: Score, bundle: PredictionBundle, threshold: float,
+                  pair_agg: str) -> bytes:
+    """A score and its predictions -> engraved MusicXML bytes."""
+    return export_musicxml(engrave(bundle, score, threshold=threshold,
+                                   pair_agg=pair_agg))
+
+
 def engrave_dump(path: Path, threshold: float = DEFAULT_THRESHOLD,
                  pair_agg: str = DEFAULT_PAIR_AGG) -> bytes:
     """Prediction dump file -> engraved MusicXML bytes."""
-    score, bundle = read_predictions(path)
-    engraved = engrave(bundle, score, threshold=threshold, pair_agg=pair_agg)
-    return export_musicxml(engraved)
+    return engrave_bytes(*read_predictions(path), threshold, pair_agg)

@@ -20,7 +20,8 @@ from notesetter.config import RunConfig, parse_config_text
 from notesetter.model import init_params
 from notesetter.musicxml import parse_musicxml, read_score_file, validate_subset
 from notesetter.notes import DEFAULT_SPELLING_BY_PC, spelling_of
-from notesetter.pipeline import engrave_dump, load_manifest, write_predictions
+from notesetter.pipeline import (PREDICTION_FORMAT, engrave_dump,
+                                 load_manifest, write_predictions)
 from notesetter.postprocess import perfect_bundle
 from notesetter.rng import Rng
 
@@ -337,12 +338,14 @@ def test_engrave_writes_nothing_when_an_input_is_missing(tmp_path, capsys):
     malformed = tmp_path / "malformed.pred"
     malformed.write_text('{"kind": "meta"}\n', encoding="utf-8")
     out_dir = tmp_path / "out"
-    for later, error in ((missing, f"input {missing} does not exist\n"),
-                         (malformed, f"{malformed}: dump format None")):
+    for later, error in ((missing, f"input {missing} does not exist"),
+                         (malformed, f"{malformed}: dump format None is not "
+                                     f"{PREDICTION_FORMAT}: written by an "
+                                     "older notesetter; re-run predict")):
         code, out, err = run(capsys, "engrave", str(good), str(later),
                              "--out-dir", str(out_dir))
         assert code == 3 and out == ""
-        assert err.startswith(f"ERROR MissingInput: {error}")
+        assert err == f"ERROR MissingInput: {error}\n"
         assert not out_dir.exists()
 
 

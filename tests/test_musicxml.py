@@ -795,13 +795,16 @@ def test_subset_accepts_repeated_notations_and_a_dot_after_stem():
     (ATTRS + note().replace("<step>C", "<step>C<bogus/>"),
      UnsupportedElement, "<bogus> under <step>"),
     (ATTRS + rest(voice="x"), MalformedXml, "voice: non-integer"),
+    (ATTRS + rest(voice=2**64), MalformedXml, "not a positive 64-bit"),
+    (ATTRS + rest(voice=0), MalformedXml, "not a positive 64-bit"),
     (ATTRS + rest().replace("</type>", "</type><staff>9</staff>"),
      UnsupportedElement, "staff must be 1 or 2"),
     (ATTRS.replace("</attributes>", '<clef number="1"><sign>G</sign>'
                    "<line>1</line></clef></attributes>") + note(),
      UnsupportedElement, "clef G off line 2"),
 ], ids=["child-of-key", "child-of-pitch", "child-of-direction",
-        "child-of-leaf", "rest-voice", "rest-staff", "clef-line"])
+        "child-of-leaf", "rest-voice", "rest-voice-past-64-bits",
+        "rest-voice-0", "rest-staff", "clef-line"])
 def test_subset_refuses_below_note_and_attributes(body, error, match):
     for check in SUBSET_CHECKS:
         with pytest.raises(error, match=match):
