@@ -409,7 +409,8 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 if kind == "stop":
                     shift_events[staff].append((cursor, 0, 0))
                 elif (kind, size) in _SHIFTS:
-                    fifteen_mb += (kind, size) == ("up", "15")
+                    if (kind, size) == ("up", "15"):
+                        fifteen_mb += 1
                     shift_events[staff].append((cursor, 1, _SHIFTS[kind, size]))
                 else:
                     raise UnsupportedElement(
