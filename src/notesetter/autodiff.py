@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 matrices.
+"""Reverse-mode automatic differentiation over dense 2-D matrices.
 
 A dynamically recorded tape of 2-D ``Value`` nodes supplies exactly the
 nodes the encoder and decoder heads need, one per layer or head loss
@@ -10,6 +10,11 @@ a time, single-threaded); call :func:`reset_tape` between independent
 computations and :func:`backward` on a scalar loss. Inside
 :func:`no_grad` nothing is recorded, which makes repeated forward
 evaluation (finite differences, inference) cheap.
+
+Matrices are float64, except that a float32 array given to ``Value`` is kept
+as it is, and every op computes in the dtype of its inputs. Inference
+(``model.predict_bundle``) runs the forward in float32 that way; training,
+the gradient check and checkpoints only ever see float64.
 """
 
 from __future__ import annotations
@@ -57,13 +62,20 @@ def no_grad():
 
 
 class Value:
-    """A matrix on the tape. ``data`` is write-once; ``grad`` is lazily allocated."""
+    """A matrix on the tape. ``data`` is write-once; ``grad`` is lazily allocated.
+
+    A float32 ndarray is kept without a copy; anything else is converted to
+    float64.
+    """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents: tuple = (),
                  backward: Optional[Callable[[np.ndarray], None]] = None):
-        arr = np.asarray(data, dtype=np.float64)
+        if isinstance(data, np.ndarray) and data.dtype == np.float32:
+            arr = data
+        else:
+            arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -351,6 +363,7 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
     rows. The backward pass is backpropagation through time written by hand:
     one reverse loop carries dh and stores the gate pre-activation gradients,
     from which a few GEMMs after the loop give every weight gradient.
+    The state and the output take the dtype of ``seq``.
     """
     wx, wh, bias = tuple(wx), tuple(wh), tuple(bias)
     n, d = seq.shape
@@ -375,13 +388,13 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
     half_whzr = 0.5 * whzr
     gain, shift = ln_g.data[0], ln_b.data[0]
     keep = _GRAD_ENABLED
-    out = np.empty((n, hid))
+    out = np.empty((n, hid), dtype=seq.data.dtype)
     if keep:
         zr_all = np.empty((n, 2 * hid))
         c_all = np.empty((n, hid))
         norm_all = np.empty((n, hid))
         sd_all = np.empty(n)
-    h = np.zeros(hid)
+    h = np.zeros(hid, dtype=seq.data.dtype)
     for t in range(n):
         zr = np.tanh(proj[t, :2 * hid] + h @ half_whzr)
         zr *= 0.5

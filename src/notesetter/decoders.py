@@ -84,8 +84,10 @@ def _head_forward(x: Value, params: dict[str, Value], head: str) -> Value:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function, with x clipped to [-500, 500] so exp stays finite."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+    """The logistic function, strictly inside (0, 1) in float64: x is clipped
+    to [-500, 36], since exp(500) is finite and above 36 the result rounds
+    to exactly 1.0, which no probability in a bundle may be."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 36)))
 
 
 def staff_probabilities(staff_logits: np.ndarray) -> np.ndarray:
@@ -109,12 +111,16 @@ class Predictions:
         self.chord_pairs = as_pairs(self.chord_pairs)
 
     def bundle(self) -> "PredictionBundle":
-        note = {h: np.array(v.data) for h, v in self.note_logits.items()}
+        """Float64 arrays, whatever the forward's dtype. The logits are cast
+        before the softmax and sigmoid: in float32 the sigmoid of a logit
+        near 17 rounds to exactly 1.0, which ``validate`` refuses."""
+        def probs(logits):
+            return (sigmoid(logits.data[:, 0].astype(np.float64))
+                    if logits is not None else np.zeros(0))
+
+        note = {h: v.data.astype(np.float64) for h, v in self.note_logits.items()}
         staff_probs = staff_probabilities(note["staff"])
-        voice = (sigmoid(self.voice_logits.data[:, 0])
-                 if self.voice_logits is not None else np.zeros(0))
-        chord = (sigmoid(self.chord_logits.data[:, 0])
-                 if self.chord_logits is not None else np.zeros(0))
+        voice, chord = probs(self.voice_logits), probs(self.chord_logits)
         return PredictionBundle(note_logits=note, staff_probs=staff_probs,
                                 voice_pairs=self.voice_pairs, voice_probs=voice,
                                 chord_pairs=self.chord_pairs, chord_probs=chord)

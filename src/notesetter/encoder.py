@@ -91,7 +91,9 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
     """Embed every note; (node_count x hidden_size)."""
     config.validate()
     mean = config.aggregation == "mean"
-    features = Value(graph.features)
+    # in the parameters' dtype: float32 at inference, float64 otherwise
+    features = Value(graph.features.astype(params["enc.proj.W"].data.dtype,
+                                           copy=False))
     hidden = ad.linear(features, params["enc.proj.W"], params["enc.proj.b"])
     initial = hidden
 

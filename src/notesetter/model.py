@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+import numpy as np
+
 from .autodiff import Value, no_grad
 from .decoders import (LossResult, Predictions, PredictionBundle, decode_all,
                        init_decoder_params, total_loss)
@@ -77,8 +79,16 @@ def loss_for_score(score: Score, graph: ScoreGraph, params: dict[str, Value],
 
 def predict_bundle(score: Score, params: dict[str, Value],
                    config: ModelConfig) -> PredictionBundle:
-    """Deterministic inference: eval mode (no dropout), numpy bundle out."""
+    """Deterministic inference: eval mode (no dropout), numpy bundle out.
+
+    The forward runs in float32, on a float32 copy of every parameter; the
+    bundle casts the logits back to float64 before the softmax and sigmoid,
+    so its arrays are float64, as the dump format stores them. The caller's
+    ``params`` are not changed.
+    """
     graph = graph_for(score, config)
     with no_grad():
-        preds = forward(graph, params, config, rng=None, train=False)
+        params32 = {name: Value(p.data.astype(np.float32, copy=False))
+                    for name, p in params.items()}
+        preds = forward(graph, params32, config, rng=None, train=False)
     return preds.bundle()

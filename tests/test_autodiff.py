@@ -72,6 +72,14 @@ def test_value_shapes():
         Value(np.ones((2, 2))).item()
 
 
+def test_value_keeps_float32_and_converts_the_rest_to_float64():
+    single = np.ones((2, 3), dtype=np.float32)
+    assert Value(single).data is single
+    for data in (np.arange(6).reshape(2, 3), [[1, 2], [3, 4]], [0.5, 1.5],
+                 2.5, np.ones((2, 2), dtype=np.float16)):
+        assert Value(data).data.dtype == np.float64
+
+
 def test_tape_and_no_grad():
     ad.reset_tape()
     a = Value(1.0)
@@ -532,6 +540,45 @@ def test_gru_sweep_gradients(n):
     every = [seq, *wx, *wh, *bias, ln_g, ln_b]
     check_grads(lambda: weighted_sum(ad.gru_sweep(seq, wx, wh, bias, ln_g,
                                                   ln_b), 32), every)
+
+
+def test_gru_sweep_keeps_float32_under_no_grad():
+    seq, wx, wh, bias, ln_g, ln_b = _gru_inputs(12, 3, seed=37)
+
+    def single(v):
+        return Value(v.data.astype(np.float32))
+
+    with ad.no_grad():
+        double = ad.gru_sweep(seq, wx, wh, bias, ln_g, ln_b).data
+        got = ad.gru_sweep(single(seq), [single(w) for w in wx],
+                           [single(w) for w in wh], [single(b) for b in bias],
+                           single(ln_g), single(ln_b)).data
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, double, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("variant", [
+    {}, dict(aggregation="mean"), dict(gru_on_initial_features=True),
+    dict(use_gru=False)])
+def test_predict_bundle_embeds_in_float32(variant, monkeypatch):
+    # A NumPy without NEP 50 promotes float32 by other rules; an op that
+    # upcast silently would show here as float64 embeddings.
+    from notesetter import model
+
+    config = model.ModelConfig(hidden_size=8, num_layers=2, **variant)
+    params = model.init_params(config, Rng(0))
+    seen = []
+    decode_all = model.decode_all
+
+    def spy(embeddings, graph, weights):
+        seen.append(embeddings.data.dtype)
+        seen.extend({p.data.dtype for p in weights.values()})
+        return decode_all(embeddings, graph, weights)
+
+    monkeypatch.setattr(model, "decode_all", spy)
+    model.predict_bundle(random_score(5, n_notes=20), params, config)
+    assert seen == [np.float32, np.float32]
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}
 
 
 def test_gru_sweep_is_one_tape_node():

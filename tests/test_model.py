@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from notesetter.autodiff import backward, reset_tape, tape_size
+from notesetter import model
+from notesetter.autodiff import backward, no_grad, reset_tape, tape_size
 from notesetter.decoders import (
     HEAD_WIDTHS,
     NODE_HEADS,
@@ -23,10 +24,15 @@ from notesetter.model import (
     loss_for_score,
     predict_bundle,
 )
+from notesetter.musicxml import TooManyVoices, UnrepresentableDuration
+from notesetter.pipeline import engrave_bytes
+from notesetter.postprocess import (DEFAULT_PAIR_AGG, DEFAULT_THRESHOLD,
+                                    UnfillableGap)
 from notesetter.rng import Rng
 from notesetter.synth import random_score
+from notesetter.trainer import TrainConfig, train
 
-from conftest import parse_fixture
+from conftest import FIXTURE_NAMES, parse_fixture
 
 CONFIG = ModelConfig(hidden_size=8, num_layers=2, dropout=0.0)
 
@@ -196,3 +202,78 @@ def test_predict_bundle_dropout_ignored_at_inference():
     b = predict_bundle(score, params, CONFIG)
     for head in NODE_HEADS:
         assert np.array_equal(a.note_logits[head], b.note_logits[head])
+
+
+@pytest.mark.parametrize("logit", [40.0, 30.0, 17.0, -40.0, -100.0])
+def test_predict_bundle_is_float64_strictly_inside_0_1(logit):
+    # In float32 the sigmoid of a logit of 17 or more rounds to 1.0, and of
+    # -89 or less to 0.0; the bundle casts the logits to float64 first.
+    score = parse_fixture("fixture_a").score
+    params = init_params(CONFIG, Rng(4))
+    for head in PAIR_HEADS:
+        params[f"dec.{head}.W2"].data[...] = 0.0
+        params[f"dec.{head}.b2"].data[...] = logit
+    bundle = predict_bundle(score, params, CONFIG)
+    for head in NODE_HEADS:
+        assert bundle.note_logits[head].dtype == np.float64
+    assert bundle.staff_probs.dtype == np.float64
+    for probs in (bundle.voice_probs, bundle.chord_probs):
+        assert probs.dtype == np.float64 and len(probs)
+        assert ((probs > 0.0) & (probs < 1.0)).all()
+        assert (probs > 0.5).all() == (logit > 0)
+    bundle.validate()
+
+
+@pytest.fixture(scope="module")
+def trained_on_fixtures():
+    """Acceptance criterion 2's model: hidden 32, dropout 0, 300 epochs on
+    fixture_a and fixture_b."""
+    config = ModelConfig(hidden_size=32, dropout=0.0)
+    corpus = [parse_fixture(name).score for name in ("fixture_a", "fixture_b")]
+    params, _result = train(corpus, config,
+                            TrainConfig(epochs=300, lr=1e-3, weight_decay=0.0,
+                                        seed=0, val_fraction=0.0))
+    return config, params
+
+
+def _engraved(score, bundle):
+    """The engraved MusicXML bytes, or the class of the refusal."""
+    try:
+        return engrave_bytes(score, bundle, DEFAULT_THRESHOLD,
+                             DEFAULT_PAIR_AGG)
+    except (TooManyVoices, UnfillableGap, UnrepresentableDuration) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_float32_inference_decides_as_float64(name, trained_on_fixtures,
+                                              monkeypatch):
+    config, params = trained_on_fixtures
+    score = parse_fixture(name).score
+    kept = []
+
+    def keep(*args, **kwargs):
+        kept.append(forward(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(model, "forward", keep)
+    bundle = predict_bundle(score, params, config)
+    (single,) = kept
+    assert single.note_logits["staff"].data.dtype == np.float32
+    with no_grad():
+        double = forward(graph_for(score, config), params, config)
+    oracle = double.bundle()
+
+    for head in NODE_HEADS:
+        np.testing.assert_array_equal(bundle.argmax(head), oracle.argmax(head))
+        np.testing.assert_allclose(single.note_logits[head].data,
+                                   double.note_logits[head].data,
+                                   rtol=0, atol=1e-4)
+    for head in PAIR_HEADS:
+        got, want = (getattr(p, f"{head}_logits") for p in (single, double))
+        if want is not None:
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-4)
+    for kind in ("staff", "voice", "chord"):
+        got, want = (getattr(b, f"{kind}_probs") for b in (bundle, oracle))
+        np.testing.assert_array_equal(got >= 0.5, want >= 0.5)
+    assert _engraved(score, bundle) == _engraved(score, oracle)
