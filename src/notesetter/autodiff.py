@@ -112,12 +112,6 @@ def _accum(v: Value, g: np.ndarray) -> None:
         v.grad += g
 
 
-def _node(data: np.ndarray, parents: tuple, backward) -> Value:
-    if not _GRAD_ENABLED:
-        return Value(data)
-    return Value(data, parents, backward)
-
-
 def backward(loss: Value) -> None:
     """Accumulate gradients of a scalar loss into every reachable node."""
     if loss.shape != (1, 1):
@@ -141,7 +135,7 @@ def linear(x: Value, w: Value, b: Value) -> Value:
         _accum(b, g.sum(axis=0, keepdims=True))
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
-    return _node(out_data, (x, w, b), bwd)
+    return Value(out_data, (x, w, b), bwd)
 
 
 def add(a: Value, b: Value) -> Value:
@@ -152,7 +146,7 @@ def add(a: Value, b: Value) -> Value:
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
-    return _node(out_data, (a, b), bwd)
+    return Value(out_data, (a, b), bwd)
 
 
 def _rank_steps(idx: np.ndarray, take: np.ndarray) -> tuple:
@@ -264,7 +258,7 @@ def relational_conv(h: Value, weights: Sequence[Value], plan: ConvPlan,
         for rows, items in plan.scatter:
             d_h[rows] += d_sums[items]
         _accum(h, d_h)
-    return _node(out_data, (h, *weights), bwd)
+    return Value(out_data, (h, *weights), bwd)
 
 
 def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
@@ -304,7 +298,7 @@ def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
         d_halves = emb.data.T @ d_proj
         _accum(w1, np.concatenate([d_halves[:, :hh], d_halves[:, hh:]]))
         _accum(b1, d.sum(axis=0, keepdims=True))
-    return _node(out_data, (emb, w1, b1), bwd)
+    return Value(out_data, (emb, w1, b1), bwd)
 
 
 def relu(x: Value) -> Value:
@@ -312,7 +306,7 @@ def relu(x: Value) -> Value:
 
     def bwd(g):
         _accum(x, g * (x.data > 0.0))
-    return _node(out_data, (x,), bwd)
+    return Value(out_data, (x,), bwd)
 
 
 def dropout(x: Value, p: float, rng: Rng, train: bool) -> Value:
@@ -324,7 +318,7 @@ def dropout(x: Value, p: float, rng: Rng, train: bool) -> Value:
 
     def bwd(g):
         _accum(x, g * keep)
-    return _node(out_data, (x,), bwd)
+    return Value(out_data, (x,), bwd)
 
 
 def layer_norm(x: Value, gamma: Value, beta: Value) -> Value:
@@ -344,7 +338,7 @@ def layer_norm(x: Value, gamma: Value, beta: Value) -> Value:
         gy = g * gamma.data
         _accum(x, (gy - gy.mean(axis=1, keepdims=True)
                    - norm * (gy * norm).mean(axis=1, keepdims=True)) / sd)
-    return _node(out_data, (x, gamma, beta), bwd)
+    return Value(out_data, (x, gamma, beta), bwd)
 
 
 def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
@@ -480,7 +474,7 @@ def cross_entropy(logits: Value, classes) -> Value:
         onehot = np.zeros_like(logp)
         onehot[rows, cls] = v
         _accum(logits, onehot - np.exp(logp) * v)
-    return _node(out_data, (logits,), bwd)
+    return Value(out_data, (logits,), bwd)
 
 
 def bce_with_logits(logits: Value, targets) -> Value:
@@ -499,4 +493,4 @@ def bce_with_logits(logits: Value, targets) -> Value:
         d = (-each) * y
         d += each / (1.0 + np.exp(-np.clip(x, -500, 500)))
         _accum(logits, d)
-    return _node(out_data, (logits,), bwd)
+    return Value(out_data, (logits,), bwd)

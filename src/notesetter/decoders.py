@@ -1,23 +1,24 @@
 """Output heads over the shared embeddings and the summed multi-task loss.
 
-Eleven heads read the same embedding matrix: nine per-note softmax heads
-(staff, spelling, key, stem, octave shift, clef, note type, dots, tuplet)
-and two per-pair sigmoid heads: voice over the graph's voice-candidate pairs
-(``ScoreGraph.candidate_pairs``), chord over all unordered same-onset pairs
-(``ScoreGraph.chord_pairs``), both built once with the graph. Every head is
-a 2-layer MLP: a ReLU hidden layer followed by a linear output. A pair
-head's hidden layer reads the concatenation [h_u; h_w], computed in factored
-form: since [h_u; h_w]·W1 = h_u·W1[:H] + h_w·W1[H:], one (notes x 2 hidden)
-product per piece is gathered per pair (``autodiff.pair_hidden``). The
-parameters keep the concatenated shapes (W1 is 2H x hidden), so checkpoints
-are unchanged. Pairs are (m, 2) int64 arrays of note ids, ordered by (u, w);
+Eleven heads read the same embedding matrix: nine per-note softmax heads,
+one per row of ``notes.NODE_LABELS``, which fixes their order, their widths
+and what each class means, and two per-pair sigmoid heads: voice over the
+graph's voice-candidate pairs (``ScoreGraph.candidate_pairs``), chord over
+all unordered same-onset pairs (``ScoreGraph.chord_pairs``), both built once
+with the graph. Every head is a 2-layer MLP: a ReLU hidden layer followed by
+a linear output. A pair head's hidden layer reads the concatenation
+[h_u; h_w], computed in factored form: since [h_u; h_w]·W1 = h_u·W1[:H] +
+h_w·W1[H:], one (notes x 2 hidden) product per piece is gathered per pair
+(``autodiff.pair_hidden``). The parameters keep the concatenated shapes (W1
+is 2H x hidden), so checkpoints are unchanged. Pairs are (m, 2) int64 arrays of note ids, ordered by (u, w);
 :func:`sigmoid` turns a pair logit into its probability.
 
 Each linear layer is one tape node (``autodiff.linear``).
 
 The training objective is the plain (unweighted) sum of all head losses, one
 tape node each: categorical cross-entropy averaged over notes for each node
-head, binary cross-entropy averaged over pairs for the pair heads.
+head, against the classes ``notes.labels_to_classes`` reads off the labels,
+and binary cross-entropy averaged over pairs for the pair heads.
 """
 
 from __future__ import annotations
@@ -31,24 +32,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value
 from .graph import ScoreGraph, as_pairs, in_edges
-from .notes import (LabelSet, N_KEY_CLASSES, N_SPELLING, key_class,
-                    tuplet_class)
+from .notes import NODE_HEADS, NODE_LABELS, LabelSet, labels_to_classes
 from .rng import Rng
 
-NODE_HEADS = ("staff", "spelling", "key", "stem", "octave_shift", "clef",
-              "note_type", "dots", "tuplet")
 PAIR_HEADS = ("voice", "chord")
-HEAD_WIDTHS = {
-    "voice": 1, "chord": 1,
-    "staff": 2, "spelling": N_SPELLING, "key": N_KEY_CLASSES, "stem": 3,
-    "octave_shift": 4, "clef": 3, "note_type": 8, "dots": 4, "tuplet": 3,
-}
+HEAD_WIDTHS = {"voice": 1, "chord": 1,
+               **{head: len(row) for head, (_, row) in NODE_LABELS.items()}}
 # heads decided once per chord during postprocessing, from the members' mean
 POOLED_HEADS = ("note_type", "dots", "tuplet", "stem")
-
-
-class LabelOutOfRange(ValueError):
-    pass
 
 
 def init_decoder_params(hidden_size: int, rng: Rng) -> dict[str, Value]:
@@ -203,32 +194,6 @@ def decode_all(embeddings: Value, graph: ScoreGraph,
                        voice_logits=pair_logits(graph.candidate_pairs, "voice"),
                        chord_pairs=graph.chord_pairs,
                        chord_logits=pair_logits(graph.chord_pairs, "chord"))
-
-
-def labels_to_classes(labels: LabelSet, n: int) -> dict[str, np.ndarray]:
-    """Per-head class-index vectors from a LabelSet, range-checked."""
-    try:
-        classes = {
-            "staff": np.array(labels.staff, dtype=np.int64),
-            "spelling": np.array(labels.spelling, dtype=np.int64),
-            "key": np.array([key_class(f) for f in labels.key_fifths],
-                            dtype=np.int64),
-            "stem": np.array(labels.stem, dtype=np.int64),
-            "octave_shift": np.array(labels.octave_shift, dtype=np.int64),
-            "clef": np.array(labels.clef, dtype=np.int64),
-            "note_type": np.array(labels.note_type, dtype=np.int64),
-            "dots": np.array(labels.dots, dtype=np.int64),
-            "tuplet": np.array([tuplet_class(t) for t in labels.tuplet],
-                               dtype=np.int64),
-        }
-    except ValueError as exc:
-        raise LabelOutOfRange(str(exc)) from exc
-    for head, vec in classes.items():
-        if len(vec) != n:
-            raise LabelOutOfRange(f"{head}: {len(vec)} labels for {n} notes")
-        if len(vec) and (vec.min() < 0 or vec.max() >= HEAD_WIDTHS[head]):
-            raise LabelOutOfRange(f"{head}: class outside [0, {HEAD_WIDTHS[head]})")
-    return classes
 
 
 @dataclasses.dataclass

@@ -15,9 +15,8 @@ import json
 
 import numpy as np
 
-from .decoders import NODE_HEADS, labels_to_classes
 from .graph import as_pairs, components
-from .notes import LabelSet, Score
+from .notes import NODE_HEADS, LabelSet, Score, labels_to_classes
 
 
 class LengthMismatch(ValueError):

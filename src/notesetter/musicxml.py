@@ -60,11 +60,11 @@ from typing import Optional
 
 import numpy as np
 
-from .notes import (ALTER_VALUES, CLEF_F, CLEF_G, KEY_MAX_FIFTHS,
-                    KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, NOTE_TYPE_NAMES,
-                    NOTE_TYPE_QUARTERS, STEP_NAMES, STEP_TO_PC, Score,
-                    TimeSignature, TUPLET_RATIOS, _int64, bar_at,
-                    bar_length_div, make_score, spelling_of, spelling_parts)
+from .notes import (ALTER_VALUES, CLEF_C, CLEF_F, CLEF_G, KEY_FIFTHS,
+                    LabelSet, MAX_DOTS, NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS,
+                    STEP_NAMES, STEP_TO_PC, Score, TimeSignature,
+                    TUPLET_RATIOS, _int64, bar_at, bar_length_div, make_score,
+                    spelling_of, spelling_parts)
 from .postprocess import EngravedScore
 
 
@@ -88,14 +88,16 @@ class TooManyVoices(ValueError):
     pass
 
 
-_CLEF_SIGNS = {"G": 0, "F": 1, "C": 2}
-_CLEF_LINES = {0: "2", 1: "4", 2: "3"}
+# each clef class's (sign, line) and each octave-shift class's (type, size);
+# the writer looks a class up, the reader inverts the table
+_CLEFS = {CLEF_G: ("G", "2"), CLEF_F: ("F", "4"), CLEF_C: ("C", "3")}
+_CLEF_SIGNS = {sign: (clef, line) for clef, (sign, line) in _CLEFS.items()}
+_SHIFTS = {1: ("down", "8"), 2: ("up", "8"), 3: ("down", "15")}
+_SHIFT_CLASS = {words: shift for shift, words in _SHIFTS.items()}
 _STEM_TEXT = {0: "up", 1: "down", 2: "none"}
 _TEXT_STEM = {v: k for k, v in _STEM_TEXT.items()}
 _TYPE_INDEX = {name: i for i, name in enumerate(NOTE_TYPE_NAMES)}
 _RATIO_TUPLET = {ratio: tuplet for tuplet, ratio in TUPLET_RATIOS.items()}
-# an <octave-shift>'s (type, size) -> its label; a 15mb is read as an 8vb
-_SHIFTS = {("down", "8"): 1, ("up", "8"): 2, ("down", "15"): 3, ("up", "15"): 2}
 
 # The subset: each element that holds child elements, with its allowed
 # children in MusicXML 3.1 schema order. A bare tag occurs exactly once,
@@ -147,7 +149,6 @@ class ParseResult:
     grace_dropped: int = 0
     clipped_notes: int = 0
     fifteen_mb_mapped: int = 0
-    warnings: tuple[str, ...] = ()
 
 
 # --- small parse helpers ---
@@ -257,9 +258,9 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         divisions = value
                     elif attr.tag == "key":
                         cur_key = _int_text(_children(attr)["fifths"], "fifths")
-                        if not KEY_MIN_FIFTHS <= cur_key <= KEY_MAX_FIFTHS:
+                        if cur_key not in KEY_FIFTHS:
                             raise UnsupportedElement(
-                                f"key fifths {cur_key} outside [-7, 7]")
+                                f"key fifths {cur_key} not in {KEY_FIFTHS}")
                     elif attr.tag == "time":
                         sig = _children(attr)
                         cur_sig = TimeSignature(
@@ -285,8 +286,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
                         sign = _word(clef["sign"])
                         if sign not in _CLEF_SIGNS:
                             raise UnsupportedElement(f"clef sign {sign!r}")
-                        clef_idx = _CLEF_SIGNS[sign]
-                        line = _CLEF_LINES[clef_idx]
+                        clef_idx, line = _CLEF_SIGNS[sign]
                         if _word(clef.get("line"), line) != line:
                             raise UnsupportedElement(f"clef {sign} off line {line}")
                         clef_events[staff].append((cursor, 1, clef_idx))
@@ -406,12 +406,14 @@ def parse_musicxml(data: bytes) -> ParseResult:
                 staff = _staff(direction.get("staff"), "direction staff")
                 kind = shift_elem.get("type")
                 size = shift_elem.get("size", "8")
+                if (kind, size) == ("up", "15"):  # a 15mb is read as an 8vb
+                    fifteen_mb += 1
+                    size = "8"
                 if kind == "stop":
                     shift_events[staff].append((cursor, 0, 0))
-                elif (kind, size) in _SHIFTS:
-                    if (kind, size) == ("up", "15"):
-                        fifteen_mb += 1
-                    shift_events[staff].append((cursor, 1, _SHIFTS[kind, size]))
+                elif (kind, size) in _SHIFT_CLASS:
+                    shift_events[staff].append(
+                        (cursor, 1, _SHIFT_CLASS[kind, size]))
                 else:
                     raise UnsupportedElement(
                         f"octave-shift type={kind!r} size={size!r}")
@@ -426,8 +428,7 @@ def parse_musicxml(data: bytes) -> ParseResult:
     score = _assemble(divisions, time_sigs, bars, keys, clef_events,
                       shift_events, rows, units)
     return ParseResult(score=score, grace_dropped=grace_dropped,
-                       clipped_notes=clipped, fifteen_mb_mapped=fifteen_mb,
-                       warnings=("15mb bracket mapped to 8vb",) * fifteen_mb)
+                       clipped_notes=clipped, fifteen_mb_mapped=fifteen_mb)
 
 
 def _assemble(divisions, time_sigs, bars, keys, clef_events, shift_events,
@@ -673,8 +674,9 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
                 out += ["      <attributes>", _clef(staff, value),
                         "      </attributes>"]
                 continue
-            xml_type = "stop" if kind == "stop" else "up" if value == 2 else "down"
-            size = "15" if value == 3 else "8"
+            xml_type, size = _SHIFTS[value]
+            if kind == "stop":
+                xml_type = "stop"
             out += ["      <direction>", "        <direction-type>",
                     f'          <octave-shift type="{xml_type}" size="{size}" />',
                     "        </direction-type>",
@@ -689,9 +691,10 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
 
 def _clef(staff: int, clef_idx: int) -> str:
     """A <clef> block at <attributes> child depth."""
+    sign, line = _CLEFS[clef_idx]
     return (f'        <clef number="{staff + 1}">\n'
-            f"          <sign>{'GFC'[clef_idx]}</sign>\n"
-            f"          <line>{_CLEF_LINES[clef_idx]}</line>\n"
+            f"          <sign>{sign}</sign>\n"
+            f"          <line>{line}</line>\n"
             "        </clef>")
 
 

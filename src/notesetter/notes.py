@@ -45,8 +45,23 @@ TUPLET_VALUES = (1, 3, 5)  # no tuplet, triplet, quintuplet
 # (actual, normal): a tuplet note lasts normal/actual of its nominal length
 TUPLET_RATIOS = {1: (1, 1), 3: (3, 2), 5: (5, 4)}
 
-KEY_MIN_FIFTHS, KEY_MAX_FIFTHS = -7, 7
-N_KEY_CLASSES = 15
+# Each node head's LabelSet field and its labels, ascending; a label's class
+# is its position in the row. The head order is frozen: parameter creation,
+# checkpoints and the prediction dump's layout follow it.
+NODE_LABELS = {
+    "staff": ("staff", range(2)),
+    "spelling": ("spelling", range(N_SPELLING)),
+    "key": ("key_fifths", range(-7, 8)),
+    "stem": ("stem", (STEM_UP, STEM_DOWN, STEM_NONE)),
+    "octave_shift": ("octave_shift", range(4)),
+    "clef": ("clef", (CLEF_G, CLEF_F, CLEF_C)),
+    "note_type": ("note_type", range(len(NOTE_TYPE_NAMES))),
+    "dots": ("dots", range(MAX_DOTS + 1)),
+    "tuplet": ("tuplet", TUPLET_VALUES),
+}
+NODE_HEADS = tuple(NODE_LABELS)
+KEY_FIFTHS = NODE_LABELS["key"][1]
+N_KEY_CLASSES = len(KEY_FIFTHS)
 
 
 def spelling_class(step_index: int, alter_index: int) -> int:
@@ -75,18 +90,6 @@ DEFAULT_SPELLING_BY_PC = {
     0: ("C", 0), 1: ("C", 1), 2: ("D", 0), 3: ("E", -1), 4: ("E", 0), 5: ("F", 0),
     6: ("F", 1), 7: ("G", 0), 8: ("A", -1), 9: ("A", 0), 10: ("B", -1), 11: ("B", 0),
 }
-
-def key_class(fifths: int) -> int:
-    if not KEY_MIN_FIFTHS <= fifths <= KEY_MAX_FIFTHS:
-        raise ValueError(f"key fifths {fifths} outside [-7, 7]")
-    return fifths - KEY_MIN_FIFTHS
-
-def key_fifths(cls: int) -> int:
-    return cls + KEY_MIN_FIFTHS
-
-def tuplet_class(value: int) -> int:
-    return TUPLET_VALUES.index(value)
-
 
 def symbolic_duration_div(type_index: int, dots: int, tuplet: int,
                           divisions: int) -> Optional[int]:
@@ -147,10 +150,9 @@ def node_features(score: Score) -> np.ndarray:
 class LabelSet:
     """Ground-truth engraving labels for every note of a score.
 
-    Per-note vectors are indexed by note id. Conventions:
-      staff / stem / octave_shift / clef / note_type -> vocabulary index,
-      spelling -> class 0..34, key -> signed fifths -7..7,
-      dots -> count 0..3, tuplet -> ratio value in {1, 3, 5}.
+    Per-note vectors are indexed by note id; ``NODE_LABELS`` gives each
+    vector's head and the labels it may hold (key holds signed fifths, dots
+    a count, tuplet a ratio value, the others a class).
     voice_edges are ordered (u, w) pairs: w immediately follows u in a voice.
     chord_edges are unordered pairs stored as (min, max).
     """
@@ -168,20 +170,32 @@ class LabelSet:
     chord_edges: frozenset[tuple[int, int]]
 
     def validate(self, n: int) -> None:
-        for name in ("staff", "spelling", "key_fifths", "stem", "octave_shift",
-                     "clef", "note_type", "dots", "tuplet"):
-            vec = getattr(self, name)
-            if len(vec) != n:
-                raise ValueError(f"label vector {name} has length {len(vec)}, want {n}")
-        for f in self.key_fifths:
-            if not KEY_MIN_FIFTHS <= f <= KEY_MAX_FIFTHS:
-                raise ValueError(f"key fifths {f} outside [-7, 7]")
-        for t in self.tuplet:
-            if t not in TUPLET_VALUES:
-                raise ValueError(f"tuplet value {t}")
+        labels_to_classes(self, n)
         for u, w in self.chord_edges:
             if u >= w:
                 raise ValueError(f"chord edge ({u}, {w}) not (min, max)")
+
+
+class LabelOutOfRange(ValueError):
+    pass
+
+
+def labels_to_classes(labels: LabelSet, n: int) -> dict[str, np.ndarray]:
+    """Each node head's class vector from a LabelSet: every label's position
+    in its ``NODE_LABELS`` row. Raises LabelOutOfRange on a vector that is
+    not n long or a label that is not in its row."""
+    classes = {}
+    for head, (field, row) in NODE_LABELS.items():
+        values = np.array(getattr(labels, field), dtype=np.int64)
+        if len(values) != n:
+            raise LabelOutOfRange(f"{head}: {len(values)} labels for {n} notes")
+        row_array = np.asarray(row)
+        cls = np.searchsorted(row_array, values)
+        bad = row_array[np.minimum(cls, len(row) - 1)] != values
+        if bad.any():
+            raise LabelOutOfRange(f"{head}: label {values[bad][0]} not in {row}")
+        classes[head] = cls
+    return classes
 
 
 @dataclass(frozen=True)

@@ -50,13 +50,13 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .decoders import (PredictionBundle, POOLED_HEADS, NODE_HEADS, HEAD_WIDTHS,
-                       labels_to_classes, staff_probabilities)
+from .decoders import (PredictionBundle, POOLED_HEADS, HEAD_WIDTHS,
+                       staff_probabilities)
 from .graph import build_graph, components, in_edges
 from .hungarian import hungarian
-from .notes import (DEFAULT_SPELLING_BY_PC, KEY_MIN_FIFTHS, MAX_DOTS,
-                    N_KEY_CLASSES, N_SPELLING, NOTE_TYPE_NAMES, STEM_NONE,
-                    Score, TUPLET_VALUES, bar_at, spelling_of,
+from .notes import (DEFAULT_SPELLING_BY_PC, KEY_FIFTHS, N_KEY_CLASSES,
+                    N_SPELLING, NODE_HEADS, NODE_LABELS, STEM_NONE, Score,
+                    bar_at, labels_to_classes, spelling_of,
                     spelling_pitch_class, symbolic_duration_div)
 
 # defaults of the two engraving settings (pair acceptance, pooled voice pairs)
@@ -203,7 +203,7 @@ class EngravedScore:
                              f"sound pitch class {pitch_class[i]}")
         for staff, regions in self.octave_regions.items():
             for start, end, shift in regions:
-                if not (0 < shift < 4) or end <= start:
+                if not 0 < shift < HEAD_WIDTHS["octave_shift"] or end <= start:
                     raise ValueError(f"bad octave region on staff {staff}")
             for (s1, e1, _), (s2, _, _) in zip(regions, regions[1:]):
                 if s2 < e1:
@@ -278,7 +278,7 @@ def pool_chords(bundle: PredictionBundle, score: Score,
     decided = {head: (np.add.reduceat(bundle.note_logits[head][order], starts,
                                       axis=0) / counts[:, None]).argmax(axis=1)
                for head in POOLED_HEADS}
-    decided["tuplet"] = np.asarray(TUPLET_VALUES)[decided["tuplet"]]
+    decided["tuplet"] = np.asarray(NODE_LABELS["tuplet"][1])[decided["tuplet"]]
     # the pools in (onset, staff, first id) order, built from plain ints
     first = order[starts]
     staff, onset = staff_pred[first], score.onset[first]
@@ -465,8 +465,8 @@ def _rest_vocabulary(divisions: int) -> tuple[tuple[int, int, int], ...]:
     """(duration_div, type_index, dots) of every plain rest symbol, longest
     first; computed once per ``divisions``."""
     out = []
-    for type_index in range(len(NOTE_TYPE_NAMES)):
-        for dots in range(MAX_DOTS + 1):
+    for type_index in NODE_LABELS["note_type"][1]:
+        for dots in NODE_LABELS["dots"][1]:
             div = symbolic_duration_div(type_index, dots, 1, divisions)
             if div is not None:
                 out.append((div, type_index, dots))
@@ -555,8 +555,9 @@ def _measure_keys(counts: np.ndarray) -> tuple[int, ...]:
     tied, else the tied key nearest to it, the lower of two; a measure
     without votes keeps the previous key. The key before the first measure
     is 0. Only tied measures are decided one by one."""
+    fifths = np.asarray(KEY_FIFTHS)
     top = counts.max(axis=1)
-    keys = counts.argmax(axis=1) + KEY_MIN_FIFTHS
+    keys = fifths[counts.argmax(axis=1)]
     # each measure's last measure with votes, itself included; -1 for none
     voted = np.flatnonzero(top)
     last = np.full(len(counts), -1)
@@ -566,7 +567,7 @@ def _measure_keys(counts: np.ndarray) -> tuple[int, ...]:
     for m in voted[tied[voted].sum(axis=1) > 1].tolist():
         before = last[m - 1] if m else -1
         previous = int(keys[before]) if before >= 0 else 0
-        options = (np.flatnonzero(tied[m]) + KEY_MIN_FIFTHS).tolist()
+        options = fifths[tied[m]].tolist()
         if previous not in options:
             previous = min(options, key=lambda f: (abs(f - previous), f))
         keys[m] = previous

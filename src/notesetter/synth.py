@@ -14,8 +14,8 @@ import numpy as np
 from .decoders import (HEAD_WIDTHS, NODE_HEADS, PredictionBundle, sigmoid,
                        staff_probabilities)
 from .graph import ScoreGraph, candidate_pairs, relation_edges
-from .notes import (KEY_MIN_FIFTHS, LabelSet, MAX_DOTS, N_KEY_CLASSES, Score,
-                    TimeSignature, TUPLET_VALUES, bar_table, make_score)
+from .notes import (LabelSet, NODE_LABELS, Score, TimeSignature, bar_table,
+                    make_score)
 from .rng import Rng
 
 
@@ -43,12 +43,9 @@ def random_score(seed: int, n_notes: int = 12, numerator: int = 4,
 
 
 def random_labels(score: Score, rng: Rng) -> LabelSet:
-    """Uniformly random labels over the vocabularies, edges from candidates."""
+    """Uniformly random labels over the ``NODE_LABELS`` rows, drawn row by
+    row in table order; edges from candidates."""
     n = len(score.onset)
-
-    def draw(width: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in rng.integers(width, n))
-
     candidates = candidate_pairs(score)
     keep_v = rng.uniform(max(len(candidates), 1))
     voice_edges = frozenset(
@@ -58,18 +55,9 @@ def random_labels(score: Score, rng: Rng) -> LabelSet:
     chord_edges = frozenset(
         map(tuple, same_onset[keep_c[:len(same_onset)] < 0.3].tolist()))
     return LabelSet(
-        staff=draw(2),
-        spelling=draw(HEAD_WIDTHS["spelling"]),
-        key_fifths=tuple(KEY_MIN_FIFTHS + int(v)
-                         for v in rng.integers(N_KEY_CLASSES, n)),
-        stem=draw(3),
-        octave_shift=draw(4),
-        clef=draw(3),
-        note_type=draw(HEAD_WIDTHS["note_type"]),
-        dots=draw(MAX_DOTS + 1),
-        tuplet=tuple(TUPLET_VALUES[int(v)] for v in rng.integers(3, n)),
-        voice_edges=voice_edges,
-        chord_edges=chord_edges)
+        **{field: tuple(row[v] for v in rng.integers(len(row), n).tolist())
+           for field, row in NODE_LABELS.values()},
+        voice_edges=voice_edges, chord_edges=chord_edges)
 
 
 def random_bundle(graph: ScoreGraph, seed: int) -> PredictionBundle:

@@ -10,12 +10,12 @@ import pytest
 from notesetter import autodiff as ad
 from notesetter.autodiff import Value
 from notesetter.decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS,
-                                 POOLED_HEADS, LabelOutOfRange, Predictions,
-                                 decode_all,
-                                 init_decoder_params, labels_to_classes,
-                                 total_loss, zero_output_layers)
+                                 POOLED_HEADS, Predictions, decode_all,
+                                 init_decoder_params, total_loss,
+                                 zero_output_layers)
 from notesetter.graph import build_graph
-from notesetter.notes import LabelSet, make_score
+from notesetter.notes import (LabelOutOfRange, LabelSet, labels_to_classes,
+                              make_score)
 from notesetter.optim import NonFiniteLoss
 from notesetter.rng import Rng
 from notesetter.synth import random_bundle, random_score

@@ -92,7 +92,6 @@ def test_fixture_a_notes_and_labels(parsed_fixtures):
     assert result.grace_dropped == 0
     assert result.clipped_notes == 0
     assert result.fifteen_mb_mapped == 0
-    assert result.warnings == ()
     assert score.divisions_per_quarter == 2
     assert len(score.notes) == 24
     assert len(score.time_signatures) == 1
@@ -208,7 +207,6 @@ def test_triplet_octave_fixture(parsed_fixtures):
     assert len(score.notes) == 14
     assert score.num_bars == 4
     assert result.fifteen_mb_mapped == 1
-    assert result.warnings == ("15mb bracket mapped to 8vb",)
 
     expected = [
         (0, 12, 48), (0, 2, 76), (2, 2, 77), (4, 2, 79), (6, 6, 81),
@@ -1006,19 +1004,19 @@ def test_golden_documents_reach_every_writer_branch(golden_streams):
 # One sha256 per fixture over what the reader makes of the fixture itself,
 # of its engrave_from_labels export and of every exported random bundle
 # above: the repr of the score columns, bars, time signatures and labels
-# (edge sets sorted) and of every other ParseResult field (counters and
-# warnings). It pins the reader's output independently of how it is built.
+# (edge sets sorted) and of every other ParseResult field (the counters).
+# It pins the reader's output independently of how it is built.
 PARSE_GOLDEN_SHA256 = {
     "fixture_a":
-        "347f4d6ceb2758f64ffed674a917dd0f95f90884d4dd37c4aa54b23e4b4096ed",
+        "a4df0aff12ddae5261b4955dc19f056bfdef01732bc61ccaa01891ebfc042dc9",
     "fixture_b":
-        "fcebbe996aba218fa02a7fe990988f824d75fec0593c3184482b1c248eeaeb5c",
+        "4446265e2ae2b6bd61a95b86b38e44296b2e86032da3586202e23c871b33c9b2",
     "grace_clip":
-        "9435e55dfa1a8db34911c421607accb1c0888fdf3419916db6f03e1ebbc39f63",
+        "3008fd6fa22c9c10da47e09f1e72cec9fc4b66f39216085d3ea22002d427272d",
     "single_whole":
-        "8a6daef32eac4de8e6d392023c489c8a609110bd82218eff158c74e9407423c3",
+        "d266cd39453f16889e2cd22369a5969bdb709007a661930941d76151a91ef386",
     "triplet_octave":
-        "dc56605047c1c4d6475a0dfc70317f5917317f61024bec72740cf7753f54381c",
+        "f7bc1e2bdce21e69a969619a5281b80b855b0003e77ad87b854a08112aa79cb9",
 }
 
 

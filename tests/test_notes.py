@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from notesetter.decoders import HEAD_WIDTHS
 from notesetter.notes import (ALTER_VALUES, DEFAULT_SPELLING_BY_PC, MAX_BARS,
                               MAX_DOTS, N_FEATURES, N_KEY_CLASSES, N_SPELLING,
-                              NOTE_TYPE_NAMES, NOTE_TYPE_QUARTERS, STEP_NAMES,
-                              STEP_TO_PC, TUPLET_VALUES, TimeSignature, bar_at, bar_length_div, bar_table,
-                              key_class, key_fifths, node_features,
-                              make_score, spelling_class, spelling_of,
-                              spelling_parts, spelling_pitch_class,
-                              symbolic_duration_div, tuplet_class)
+                              NODE_HEADS, NODE_LABELS, NOTE_TYPE_NAMES,
+                              NOTE_TYPE_QUARTERS, STEP_NAMES, STEP_TO_PC,
+                              TUPLET_VALUES, LabelOutOfRange, LabelSet,
+                              TimeSignature, bar_at, bar_length_div, bar_table,
+                              labels_to_classes, node_features, make_score,
+                              spelling_class, spelling_of, spelling_parts,
+                              spelling_pitch_class, symbolic_duration_div)
+from notesetter.synth import random_score
 
 
 def test_spelling_class_oracle():
@@ -60,23 +65,58 @@ def test_default_spelling_covers_all_pitch_classes():
     assert set(DEFAULT_SPELLING_BY_PC) == set(range(12))
 
 
-def test_key_class_oracle():
-    # [DERIVED] shift by +7: fifths -7..7 -> classes 0..14.
-    assert key_class(-7) == 0
-    assert key_class(0) == 7
-    assert key_class(7) == 14
+def first_labels(n, **overrides):
+    """n notes' labels, each vector its row's first label unless overridden."""
+    vectors = {field: (row[0],) * n for field, row in NODE_LABELS.values()}
+    vectors.update(overrides)
+    return LabelSet(voice_edges=frozenset(), chord_edges=frozenset(), **vectors)
+
+
+def test_node_labels_table():
+    # the head order is frozen: parameters, checkpoints and dumps follow it
+    assert NODE_HEADS == ("staff", "spelling", "key", "stem", "octave_shift",
+                          "clef", "note_type", "dots", "tuplet")
+    assert tuple(NODE_LABELS) == NODE_HEADS
+    for head, (field, row) in NODE_LABELS.items():
+        assert HEAD_WIDTHS[head] == len(row), head
+        assert list(row) == sorted(set(row)), head
+        # every label maps to its position in the row, and back
+        labels = first_labels(len(row), **{field: tuple(row)})
+        classes = labels_to_classes(labels, len(row))[head]
+        assert classes.dtype == np.int64
+        assert classes.tolist() == list(range(len(row))), head
+        assert [row[c] for c in classes.tolist()] == list(row), head
+    # [DERIVED] key fifths -7..7 are classes 0..14; tuplet 1, 3, 5 are 0, 1, 2
+    assert list(NODE_LABELS["key"][1]) == list(range(-7, 8))
     assert N_KEY_CLASSES == 15
-    for f in range(-7, 8):
-        assert key_fifths(key_class(f)) == f
-    with pytest.raises(ValueError):
-        key_class(8)
-    with pytest.raises(ValueError):
-        key_class(-8)
+    assert NODE_LABELS["tuplet"][1] == TUPLET_VALUES == (1, 3, 5)
+    assert [len(row) for _, row in NODE_LABELS.values()] == [
+        2, N_SPELLING, 15, 3, 4, 3, len(NOTE_TYPE_NAMES), MAX_DOTS + 1, 3]
 
 
-def test_tuplet_class():
-    assert TUPLET_VALUES == (1, 3, 5)
-    assert [tuplet_class(v) for v in TUPLET_VALUES] == [0, 1, 2]
+@pytest.mark.parametrize("head", NODE_HEADS)
+def test_make_score_refuses_a_label_outside_its_row(head):
+    field, row = NODE_LABELS[head]
+    triples = [(0, 4, 60), (4, 4, 62)]
+    make_score(4, [(0, 4, 4)], triples, labels=first_labels(2))
+    for bad in (min(row) - 1, max(row) + 1):
+        labels = first_labels(2, **{field: (row[0], bad)})
+        with pytest.raises(LabelOutOfRange, match=f"{head}: label {bad} "):
+            make_score(4, [(0, 4, 4)], triples, labels=labels)
+
+
+def test_random_score_labels_are_pinned():
+    # the rows of NODE_LABELS, their order and one RNG draw per row decide
+    # every synthetic label; sha256 of each piece's labels, edge sets sorted
+    digest = hashlib.sha256()
+    for seed in range(30):
+        for n_notes in (4, 12, 30):
+            labels = random_score(seed, n_notes=n_notes, n_bars=3).labels
+            digest.update(json.dumps(
+                {k: sorted(v) if isinstance(v, frozenset) else v
+                 for k, v in dataclasses.asdict(labels).items()},
+                sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == "56d181bf273aed5d"
 
 
 def test_note_type_tables():

@@ -22,7 +22,7 @@ from notesetter.musicxml import (export_musicxml, parse_musicxml,
 from notesetter.decoders import HEAD_WIDTHS, NODE_HEADS, PredictionBundle
 from notesetter.graph import build_graph
 from notesetter.hungarian import hungarian
-from notesetter.notes import (KEY_MIN_FIFTHS, N_KEY_CLASSES,
+from notesetter.notes import (KEY_FIFTHS, N_KEY_CLASSES,
                               NOTE_TYPE_NAMES, STEM_NONE, LabelSet,
                               make_score)
 from notesetter.postprocess import (EngravedEvent, PooledNode, UnfillableGap,
@@ -534,7 +534,7 @@ def reference_measure_keys(counts):
     for row in counts:
         top = row.max()
         if top:
-            tied = (np.flatnonzero(row == top) + KEY_MIN_FIFTHS).tolist()
+            tied = (np.flatnonzero(row == top) + KEY_FIFTHS[0]).tolist()
             if previous not in tied:
                 previous = min(tied, key=lambda f: (abs(f - previous), f))
         keys.append(previous)
