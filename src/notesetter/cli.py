@@ -18,12 +18,15 @@ import math
 import sys
 from pathlib import Path
 
-from .autodiff import reset_tape
+import numpy as np
+
+from .autodiff import Value, reset_tape
 from .checkpoint import (BadCheckpoint, ChecksumMismatch, load_checkpoint,
                          restore_params)
 from .config import BadConfig, RunConfig, config_hash, load_run_config
 from .graph import EmptyScore, coverage_report, dump_graph_jsonl
-from .model import graph_for, init_params, loss_for_score, predict_bundle
+from .model import (graph_for, init_params, loss_for_score, param_shapes,
+                    predict_bundle)
 from .musicxml import (InconsistentTiming, MalformedXml, TooManyVoices,
                        UnrepresentableDuration, UnsupportedElement,
                        read_score_file)
@@ -208,9 +211,10 @@ def _load_params(args, config):
         raise BadConfig(
             f"checkpoint shape {have} does not match configured shape {want}; "
             f"pass the matching --hidden-size/--layers or config file")
-    params = init_params(model_config, Rng(config.seed))
+    # float32, the dtype predict_bundle runs in, so no call copies them again
+    params = {name: Value(np.zeros(shape, dtype=np.float32))
+              for name, shape, _ in param_shapes(model_config)}
     restore_params(params, tensors)
-    reset_tape()
     return params, model_config
 
 

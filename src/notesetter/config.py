@@ -2,8 +2,10 @@
 
 Config files are plain ``key = value`` lines (``#`` comments allowed).
 Unknown keys are rejected so typos fail loudly. The config hash covers only
-the keys that determine parameter shapes, so train/predict runs can check
-checkpoint compatibility without caring about, say, the learning rate.
+``model.MODEL_SHAPE_KEYS``, the keys a checkpoint must match: ``hidden_size``
+and ``num_layers`` set the parameter shapes, and the other three name the
+forward pass the parameters were trained for. So train/predict runs can
+check checkpoint compatibility without caring about, say, the learning rate.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ a linear output. A pair head's hidden layer reads the concatenation
 [h_u; h_w], computed in factored form: since [h_u; h_w]·W1 = h_u·W1[:H] +
 h_w·W1[H:], one (notes x 2 hidden) product per piece is gathered per pair
 (``autodiff.pair_hidden``). The parameters keep the concatenated shapes (W1
-is 2H x hidden), so checkpoints are unchanged. Pairs are (m, 2) int64 arrays of note ids, ordered by (u, w);
-:func:`sigmoid` turns a pair logit into its probability.
+is 2H x hidden), so checkpoints are unchanged. Pairs are (m, 2) int64 arrays
+of note ids, ordered by (u, w); :func:`sigmoid` turns a pair logit into its
+probability. The ``dec.*`` parameters, and their shapes from
+``HEAD_WIDTHS``, are declared in ``model.param_shapes``.
 
 Each linear layer is one tape node (``autodiff.linear``).
 
@@ -24,7 +26,6 @@ and binary cross-entropy averaged over pairs for the pair heads.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -33,28 +34,12 @@ from . import autodiff as ad
 from .autodiff import Value
 from .graph import ScoreGraph, as_pairs, in_edges
 from .notes import NODE_HEADS, NODE_LABELS, LabelSet, labels_to_classes
-from .rng import Rng
 
 PAIR_HEADS = ("voice", "chord")
 HEAD_WIDTHS = {"voice": 1, "chord": 1,
                **{head: len(row) for head, (_, row) in NODE_LABELS.items()}}
 # heads decided once per chord during postprocessing, from the members' mean
 POOLED_HEADS = ("note_type", "dots", "tuplet", "stem")
-
-
-def init_decoder_params(hidden_size: int, rng: Rng) -> dict[str, Value]:
-    """Fresh head parameters; creation order is fixed for determinism."""
-    params: dict[str, Value] = {}
-    for head in NODE_HEADS + PAIR_HEADS:
-        fan_in = 2 * hidden_size if head in PAIR_HEADS else hidden_size
-        width = HEAD_WIDTHS[head]
-        params[f"dec.{head}.W1"] = Value(rng.normal(fan_in, hidden_size)
-                                         * math.sqrt(1.0 / fan_in))
-        params[f"dec.{head}.b1"] = Value(np.zeros((1, hidden_size)))
-        params[f"dec.{head}.W2"] = Value(rng.normal(hidden_size, width)
-                                         * math.sqrt(1.0 / hidden_size))
-        params[f"dec.{head}.b2"] = Value(np.zeros((1, width)))
-    return params
 
 
 def zero_output_layers(params: dict[str, Value]) -> None:

@@ -30,60 +30,23 @@ makes every layer's GRU read the projected input features h^(0) instead of
 that layer's convolution output, adding its states to the convolution
 before the block norm.
 
-``encode`` and ``init_encoder_params`` take the model's ``ModelConfig``
-(declared in ``model.py``). They read ``hidden_size``, ``num_layers``,
-``dropout``, ``aggregation``, ``use_gru`` and ``gru_on_initial_features``;
-its one graph setting, ``strict_same_bar_candidates``, acts when the graph
-is built.
+``encode`` takes the model's ``ModelConfig`` (declared in ``model.py``) and
+reads ``num_layers``, ``dropout``, ``aggregation``, ``use_gru`` and
+``gru_on_initial_features``; ``strict_same_bar_candidates`` acts when the
+graph is built. ``model.param_shapes`` declares the ``enc.*`` parameters.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
 from .graph import RELATIONS, ScoreGraph
-from .notes import N_FEATURES
 from .rng import Rng
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-
-
-def init_encoder_params(config: ModelConfig, rng: Rng) -> dict[str, Value]:
-    """Fresh encoder parameters; creation order is fixed for determinism."""
-    config.validate()
-    h = config.hidden_size
-    params: dict[str, Value] = {}
-
-    def weight(name: str, rows: int, cols: int) -> None:
-        params[name] = Value(rng.normal(rows, cols) * math.sqrt(1.0 / rows))
-
-    def bias(name: str, cols: int) -> None:
-        params[name] = Value(np.zeros((1, cols)))
-
-    def norm(prefix: str, cols: int) -> None:
-        params[f"{prefix}.g"] = Value(np.ones((1, cols)))
-        params[f"{prefix}.b"] = Value(np.zeros((1, cols)))
-
-    weight("enc.proj.W", N_FEATURES, h)
-    bias("enc.proj.b", h)
-    for layer in range(1, config.num_layers + 1):
-        pre = f"enc.l{layer}"
-        weight(f"{pre}.conv.W0", h, h)
-        for rel in RELATIONS:
-            weight(f"{pre}.conv.W.{rel}", h, h)
-        for gate in ("z", "r", "c"):
-            weight(f"{pre}.gru.Wx{gate}", h, h)
-            weight(f"{pre}.gru.Wh{gate}", h, h)
-            bias(f"{pre}.gru.b{gate}", h)
-        norm(f"{pre}.gru.ln", h)
-        norm(f"{pre}.ln", h)
-    return params
 
 
 def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,

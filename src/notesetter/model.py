@@ -1,21 +1,28 @@
-"""Full model: graph encoder plus prediction heads, with one loss per piece."""
+"""Full model: graph encoder plus prediction heads, with one loss per piece.
+
+Every parameter is declared once, in :func:`param_shapes`. ``init_params``
+draws a fresh model from that table; the CLI loads checkpoints into it.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
 
 from .autodiff import Value, no_grad
-from .decoders import (LossResult, Predictions, PredictionBundle, decode_all,
-                       init_decoder_params, total_loss)
-from .encoder import encode, init_encoder_params
-from .graph import ScoreGraph, build_graph
-from .notes import Score
+from .decoders import (HEAD_WIDTHS, PAIR_HEADS, LossResult, Predictions,
+                       PredictionBundle, decode_all, total_loss)
+from .encoder import encode
+from .graph import RELATIONS, ScoreGraph, build_graph
+from .notes import N_FEATURES, NODE_HEADS, Score
 from .rng import Rng
 
-# keys that change parameter shapes; the config hash covers exactly these
+# the keys a checkpoint must match, and exactly what the config hash covers:
+# hidden_size and num_layers set the parameter shapes (``param_shapes``);
+# the other three name the forward pass the parameters were trained for
 MODEL_SHAPE_KEYS = ("hidden_size", "num_layers", "aggregation", "use_gru",
                     "gru_on_initial_features")
 
@@ -50,11 +57,46 @@ class ModelConfig:
         return {k: getattr(self, k) for k in MODEL_SHAPE_KEYS}
 
 
-def init_params(config: ModelConfig, rng: Rng) -> dict[str, Value]:
-    """All trainable parameters, in a fixed creation order."""
+def param_shapes(config: ModelConfig) -> list[tuple[str, tuple, str]]:
+    """(name, shape, initializer) of every parameter, in creation order: the
+    encoder (``encoder.encode`` reads it), then each head of ``NODE_HEADS +
+    PAIR_HEADS`` (``decoders.decode_all``). Initializers are "normal"
+    (N(0, 1/rows) entries), "zeros" (biases, norm shifts) and "ones" (norm
+    gains). Every block has its GRU tensors, whether or not ``use_gru``."""
     config.validate()
-    params = init_encoder_params(config, rng)
-    params.update(init_decoder_params(config.hidden_size, rng))
+    h = config.hidden_size
+    table = [("enc.proj.W", (N_FEATURES, h), "normal"),
+             ("enc.proj.b", (1, h), "zeros")]
+    for layer in range(1, config.num_layers + 1):
+        pre = f"enc.l{layer}"
+        table.append((f"{pre}.conv.W0", (h, h), "normal"))
+        table += [(f"{pre}.conv.W.{rel}", (h, h), "normal")
+                  for rel in RELATIONS]
+        for gate in ("z", "r", "c"):
+            table += [(f"{pre}.gru.Wx{gate}", (h, h), "normal"),
+                      (f"{pre}.gru.Wh{gate}", (h, h), "normal"),
+                      (f"{pre}.gru.b{gate}", (1, h), "zeros")]
+        for norm in ("gru.ln", "ln"):
+            table += [(f"{pre}.{norm}.g", (1, h), "ones"),
+                      (f"{pre}.{norm}.b", (1, h), "zeros")]
+    for head in NODE_HEADS + PAIR_HEADS:
+        fan_in, width = (2 * h if head in PAIR_HEADS else h), HEAD_WIDTHS[head]
+        table += [(f"dec.{head}.W1", (fan_in, h), "normal"),
+                  (f"dec.{head}.b1", (1, h), "zeros"),
+                  (f"dec.{head}.W2", (h, width), "normal"),
+                  (f"dec.{head}.b2", (1, width), "zeros")]
+    return table
+
+
+def init_params(config: ModelConfig, rng: Rng) -> dict[str, Value]:
+    """All trainable parameters, drawn in ``param_shapes`` order."""
+    params = {}
+    for name, (rows, cols), init in param_shapes(config):
+        if init == "normal":
+            data = rng.normal(rows, cols) * math.sqrt(1.0 / rows)
+        else:
+            data = np.full((rows, cols), 1.0 if init == "ones" else 0.0)
+        params[name] = Value(data)
     return params
 
 
@@ -81,10 +123,11 @@ def predict_bundle(score: Score, params: dict[str, Value],
                    config: ModelConfig) -> PredictionBundle:
     """Deterministic inference: eval mode (no dropout), numpy bundle out.
 
-    The forward runs in float32, on a float32 copy of every parameter; the
-    bundle casts the logits back to float64 before the softmax and sigmoid,
-    so its arrays are float64, as the dump format stores them. The caller's
-    ``params`` are not changed.
+    The forward runs in float32. Float32 parameters, as the CLI loads them,
+    are used without a copy; float64 ones, as training holds them, are cast
+    to a float32 copy for the call. The bundle casts the logits back to
+    float64 before the softmax and sigmoid, so its arrays are float64, as
+    the dump format stores them. The caller's ``params`` are not changed.
     """
     graph = graph_for(score, config)
     with no_grad():

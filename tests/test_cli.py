@@ -14,16 +14,20 @@ import numpy as np
 import pytest
 
 import notesetter
-from notesetter.checkpoint import load_checkpoint, save_checkpoint
+from notesetter import cli
+from notesetter.checkpoint import (load_checkpoint, restore_params,
+                                  save_checkpoint)
 from notesetter.cli import EXIT_CODES, main
 from notesetter.config import RunConfig, parse_config_text
-from notesetter.model import init_params
+from notesetter.model import init_params, predict_bundle
 from notesetter.musicxml import parse_musicxml, read_score_file, validate_subset
 from notesetter.notes import DEFAULT_SPELLING_BY_PC, spelling_of
 from notesetter.pipeline import (PREDICTION_FORMAT, engrave_dump,
-                                 load_manifest, write_predictions)
+                                 load_corpus, load_manifest, prediction_dump,
+                                 write_predictions)
 from notesetter.postprocess import perfect_bundle
 from notesetter.rng import Rng
+from notesetter.trainer import evaluate_corpus
 
 from conftest import FIXTURE_DIR, fixture_path
 from test_pipeline import dump_parts, join_parts, old_format_dump
@@ -362,6 +366,62 @@ def test_checkpoint_shape_mismatch_exit_code(tmp_path, capsys):
                        "--layers", "1")
     assert code == 2
     assert "does not match" in err
+
+
+def test_predict_and_eval_load_without_drawing_a_model(tmp_path, capsys,
+                                                      monkeypatch):
+    work = tmp_path / "run"
+    assert run(capsys, "ingest", "--in-dir", str(FIXTURE_DIR),
+               "--out-dir", str(work))[0] == 0
+    assert run(capsys, "train", "--manifest", str(work / "manifest.json"),
+               "--out-dir", str(work), *TINY, "--epochs", "1")[0] == 0
+    model = RunConfig(hidden_size=8, num_layers=1).model_config()
+    p64 = init_params(model, Rng(0))
+    restore_params(p64, load_checkpoint(work / "best.ckpt")[0])
+
+    def no_draw(*_):
+        raise AssertionError("loading a checkpoint drew a model")
+
+    monkeypatch.setattr(cli, "init_params", no_draw)
+    inputs = sorted(FIXTURE_DIR.glob("*.musicxml"))
+    code, _, err = run(capsys, "predict", "--checkpoint",
+                       str(work / "best.ckpt"), *map(str, inputs),
+                       "--out-dir", str(work / "pred"), *TINY)
+    assert (code, err) == (0, "") and len(inputs) == 5
+    for path in inputs:
+        score = read_score_file(path).score
+        assert (work / "pred" / f"{path.stem}.pred").read_bytes() == \
+            prediction_dump(score, predict_bundle(score, p64, model))
+
+    code, _, err = run(capsys, "eval", "--checkpoint", str(work / "best.ckpt"),
+                       "--manifest", str(work / "manifest.json"), "--split",
+                       "all", "--out-dir", str(work / "eval"), *TINY)
+    assert (code, err) == (0, "")
+    corpus = load_corpus(load_manifest(work / "manifest.json"))
+    assert (work / "eval" / "eval.json").read_text() == \
+        evaluate_corpus(corpus, p64, model).to_json() + "\n"
+
+
+@pytest.mark.parametrize("defect", ["dropped", "extra", "misshaped"])
+def test_checkpoint_tensor_mismatch_exit_code(tmp_path, capsys, defect):
+    # the meta matches the configured model; the tensors do not
+    model = RunConfig(hidden_size=8, num_layers=1).model_config()
+    tensors = {name: p.data for name, p in init_params(model, Rng(0)).items()}
+    if defect == "dropped":
+        del tensors["enc.l1.gru.ln.b"]
+    elif defect == "extra":
+        tensors["enc.l2.conv.W0"] = np.zeros((8, 8))
+    else:
+        tensors["dec.key.W2"] = np.zeros((8, 14))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, tensors, meta={"model": model.shape_dict()})
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "predict", "--checkpoint", str(ckpt),
+                         str(fixture_path("single_whole")),
+                         "--out-dir", str(out_dir), *TINY)
+    assert (code, out) == (4, "")
+    assert err.startswith("ERROR BadCheckpoint: ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_empty_split_exit_code(tmp_path, capsys):

@@ -11,9 +11,9 @@ from notesetter import autodiff as ad
 from notesetter.autodiff import Value
 from notesetter.decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS,
                                  POOLED_HEADS, Predictions, decode_all,
-                                 init_decoder_params, total_loss,
-                                 zero_output_layers)
+                                 total_loss, zero_output_layers)
 from notesetter.graph import build_graph
+from notesetter.model import ModelConfig, init_params
 from notesetter.notes import (LabelOutOfRange, LabelSet, labels_to_classes,
                               make_score)
 from notesetter.optim import NonFiniteLoss
@@ -31,19 +31,26 @@ def test_head_vocabulary():
     assert set(POOLED_HEADS) == {"note_type", "dots", "tuplet", "stem"}
 
 
+def head_params(hidden_size, seed):
+    """A one-layer model's parameters; the heads read the ``dec.*`` ones."""
+    return init_params(ModelConfig(hidden_size=hidden_size, num_layers=1),
+                       Rng(seed))
+
+
 def test_init_names_and_shapes():
-    params = init_decoder_params(8, Rng(0))
+    params = head_params(8, 0)
     for head in NODE_HEADS + PAIR_HEADS:
         fan_in = 16 if head in PAIR_HEADS else 8
         assert params[f"dec.{head}.W1"].shape == (fan_in, 8)
         assert params[f"dec.{head}.b1"].shape == (1, 8)
         assert params[f"dec.{head}.W2"].shape == (8, HEAD_WIDTHS[head])
         assert params[f"dec.{head}.b2"].shape == (1, HEAD_WIDTHS[head])
-    assert len(params) == 4 * len(NODE_HEADS + PAIR_HEADS)
+    assert sum(name.startswith("dec.") for name in params) == \
+        4 * len(NODE_HEADS + PAIR_HEADS)
 
 
 def test_zero_output_layers():
-    params = init_decoder_params(4, Rng(1))
+    params = head_params(4, 1)
     w1_before = np.array(params["dec.key.W1"].data)
     zero_output_layers(params)
     for head in NODE_HEADS + PAIR_HEADS:
@@ -60,7 +67,7 @@ def small_graph():
 
 def test_pair_head_first_layer_is_one_tape_node():
     graph = small_graph()
-    params = init_decoder_params(6, Rng(2))
+    params = head_params(6, 2)
     emb = Value(Rng(3).normal(graph.node_count, 6).reshape(graph.node_count, 6))
     ad.reset_tape()
     decode_all(emb, graph, params)
@@ -82,7 +89,7 @@ def test_pair_head_first_layer_is_one_tape_node():
 
 def test_decode_all_shapes_and_mlp_oracle():
     graph = small_graph()
-    params = init_decoder_params(6, Rng(2))
+    params = head_params(6, 2)
     emb = Value(Rng(3).normal(graph.node_count, 6).reshape(graph.node_count, 6))
     preds = decode_all(emb, graph, params)
     for head in NODE_HEADS:
@@ -116,7 +123,7 @@ def test_decode_all_shapes_and_mlp_oracle():
 
 def test_single_note_has_no_pair_logits():
     graph = build_graph(make_score(2, [(0, 4, 4)], [(0, 4, 60)]))
-    params = init_decoder_params(4, Rng(0))
+    params = head_params(4, 0)
     preds = decode_all(Value(np.ones((1, 4))), graph, params)
     assert preds.voice_logits is None
     assert preds.chord_logits is None
@@ -319,7 +326,7 @@ def test_total_loss_nonfinite_raises():
 def test_total_loss_is_differentiable():
     ad.reset_tape()
     graph = small_graph()
-    params = init_decoder_params(5, Rng(4))
+    params = head_params(5, 4)
     emb = Value(Rng(5).normal(4, 5).reshape(4, 5))
     preds = decode_all(emb, graph, params)
     labels = full_labels(4, voice_edges={(0, 2), (1, 2)},

@@ -1,6 +1,7 @@
 """Tests for the assembled model: params, forward, loss, inference."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from notesetter.model import (
     graph_for,
     init_params,
     loss_for_score,
+    param_shapes,
     predict_bundle,
 )
 from notesetter.musicxml import TooManyVoices, UnrepresentableDuration
@@ -80,6 +82,46 @@ def test_init_params_deterministic():
     assert set(a) == set(b)
     for name in a:
         assert np.array_equal(a[name].data, b[name].data), name
+
+
+def params_digest(params) -> str:
+    """sha256 over each parameter in dict order: name, repr(shape), data."""
+    digest = hashlib.sha256()
+    for name, p in params.items():
+        digest.update(name.encode("utf-8"))
+        digest.update(repr(p.data.shape).encode("utf-8"))
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("config, want", [
+    (ModelConfig(), "a94767216316d8f5"),
+    (ModelConfig(hidden_size=8, num_layers=1), "de1a372d4f1a9deb"),
+    (ModelConfig(hidden_size=5, num_layers=2, use_gru=False),
+     "f9792587b5f61a5a"),
+], ids=["default", "h8-l1", "h5-l2-nogru"])
+def test_init_params_is_pinned(config, want):
+    # names, shapes, order and drawn values, as the per-module draws made
+    # them before the parameters were declared in one table
+    assert params_digest(init_params(config, Rng(3))) == want
+
+
+def test_param_shapes_is_what_init_params_draws():
+    params = init_params(CONFIG, Rng(0))
+    table = param_shapes(CONFIG)
+    assert [(name, shape) for name, shape, _ in table] == \
+        [(name, p.shape) for name, p in params.items()]
+    for name, _, init in table:
+        data = params[name].data
+        if init == "normal":
+            assert data.std() > 0.0, name
+        else:
+            assert np.all(data == (1.0 if init == "ones" else 0.0)), name
+    assert {init for _, _, init in table} == {"normal", "zeros", "ones"}
+    # only hidden_size and num_layers set shapes
+    for other in (dict(aggregation="mean"), dict(use_gru=False),
+                  dict(gru_on_initial_features=True), dict(dropout=0.1)):
+        assert param_shapes(dataclasses.replace(CONFIG, **other)) == table
 
 
 def test_init_params_validates_config():
