@@ -20,6 +20,7 @@ the gradient check and checkpoints only ever see float64.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -178,9 +179,8 @@ class ConvPlan:
     destinations ``slot_dst``; ``size`` counts each slot's edges. ``gather``
     sums the sources into the slots and ``scatter`` sends slot gradients back
     to the sources, which may feed many slots (see :func:`_rank_steps`).
+    Only a backward pass reads ``scatter``, so it is built on first use.
     """
-
-    __slots__ = ("nodes", "slot_dst", "blocks", "size", "gather", "scatter")
 
     def __init__(self, src, dst, rel, nodes: int, relations: int):
         src, dst, rel = (np.asarray(a, dtype=np.int64) for a in (src, dst, rel))
@@ -199,7 +199,39 @@ class ConvPlan:
         self.blocks = tuple(zip(bounds[:-1], bounds[1:]))
         self.size = np.bincount(slot, minlength=len(keys))
         self.gather = _rank_steps(slot, src)
-        self.scatter = _rank_steps(src, slot)
+        self._edges = (src, slot)
+
+    @functools.cached_property
+    def scatter(self) -> tuple:
+        return _rank_steps(*self._edges)
+
+
+class PairPlan:
+    """Pairs of notes (u[k], w[k]) for :func:`pair_hidden`.
+
+    ``scatter`` adds each pair's gradient into its u note and its w note. It
+    acts on the (2n x hh) view of an (n x 2hh) matrix, in which row 2i is
+    note i's u half and row 2i + 1 its w half, so one set of indexed adds
+    (see :func:`_rank_steps`) serves both ends, and each half row sums its
+    pairs in pair order. Only a backward pass reads it, so it is built on
+    first use.
+    """
+
+    def __init__(self, u, w):
+        self.u = np.ascontiguousarray(u, dtype=np.int64)
+        self.w = np.ascontiguousarray(w, dtype=np.int64)
+        if self.u.shape != self.w.shape or self.u.ndim != 1:
+            raise ShapeMismatch("PairPlan", ("m",),
+                                (self.u.shape, self.w.shape))
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    @functools.cached_property
+    def scatter(self) -> tuple:
+        pairs = np.arange(len(self.u))
+        return _rank_steps(np.concatenate([2 * self.u, 2 * self.w + 1]),
+                           np.concatenate([pairs, pairs]))
 
 
 def relational_conv(h: Value, weights: Sequence[Value], plan: ConvPlan,
@@ -261,39 +293,34 @@ def relational_conv(h: Value, weights: Sequence[Value], plan: ConvPlan,
     return Value(out_data, (h, *weights), bwd)
 
 
-def pair_hidden(emb: Value, w1: Value, b1: Value, u, w) -> Value:
+def pair_hidden(emb: Value, w1: Value, b1: Value, plan: PairPlan) -> Value:
     """The ReLU first layer of a pair head, as one tape node.
 
-    Row k is ``relu([emb[u[k]]; emb[w[k]]] @ w1 + b1)``. The layer is linear
-    before the ReLU, and ``[h_u; h_w] @ w1 = h_u @ w1[:H] + h_w @ w1[H:]``, so
-    one (n x 2hh) product per piece, ``emb @ [w1[:H] | w1[H:]]``, is gathered
-    per pair. No (pairs x 2H) matrix is built, forward or backward: the
-    backward pass adds each pair's gradient into its u note and its w note
-    with the indexed adds of :func:`_rank_steps`, as the convolution's
-    scatter does, so each note sums its pairs in pair order.
+    Row k is ``relu([emb[u[k]]; emb[w[k]]] @ w1 + b1)`` for the pairs of
+    ``plan``. The layer is linear before the ReLU, and ``[h_u; h_w] @ w1 =
+    h_u @ w1[:H] + h_w @ w1[H:]``, so one (n x 2hh) product per piece,
+    ``emb @ [w1[:H] | w1[H:]]``, is gathered per pair. No (pairs x 2H)
+    matrix is built, forward or backward: the backward pass adds each pair's
+    gradient into its u note and its w note with the plan's ``scatter``.
     """
-    ui = np.asarray(u, dtype=np.int64)
-    wi = np.asarray(w, dtype=np.int64)
     n, hid = emb.shape
     if w1.shape[0] != 2 * hid or b1.shape != (1, w1.shape[1]):
         raise ShapeMismatch("pair_hidden", ((2 * hid, "hh"), (1, "hh")),
                             (w1.shape, b1.shape))
-    if ui.shape != wi.shape or ui.ndim != 1:
-        raise ShapeMismatch("pair_hidden", ("m",), (ui.shape, wi.shape))
     hh = w1.shape[1]
     halves = np.concatenate([w1.data[:hid], w1.data[hid:]], axis=1)  # H x 2hh
     proj = emb.data @ halves            # row i: [h_i W1[:H] | h_i W1[H:]]
-    out_data = np.take(proj[:, :hh], ui, axis=0)
-    out_data += np.take(proj[:, hh:], wi, axis=0)
+    out_data = np.take(proj[:, :hh], plan.u, axis=0)
+    out_data += np.take(proj[:, hh:], plan.w, axis=0)
     out_data += b1.data
     np.maximum(out_data, 0.0, out=out_data)
 
     def bwd(g):
         d = g * (out_data > 0.0)
         d_proj = np.zeros((n, 2 * hh))
-        for cols, idx in ((slice(None, hh), ui), (slice(hh, None), wi)):
-            for rows, items in _rank_steps(idx, np.arange(len(idx))):
-                d_proj[rows, cols] += d[items]
+        d_ends = d_proj.reshape(2 * n, hh)     # the u and w half of each note
+        for rows, items in plan.scatter:
+            d_ends[rows] += d[items]
         _accum(emb, d_proj @ halves.T)
         d_halves = emb.data.T @ d_proj
         _accum(w1, np.concatenate([d_halves[:, :hh], d_halves[:, hh:]]))
@@ -354,10 +381,21 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
         h = (1 - z) * c + z * h
 
     The input projections are one GEMM before a plain NumPy loop over the
-    rows. The backward pass is backpropagation through time written by hand:
-    one reverse loop carries dh and stores the gate pre-activation gradients,
-    from which a few GEMMs after the loop give every weight gradient.
-    The state and the output take the dtype of ``seq``.
+    rows. The layer norm's centering is linear, so it is folded out of the
+    loop: each row of ``x Wxc + bc`` is centered once, and so is each row of
+    ``Whc``, and their sum is the centered pre-activation. Each step writes
+    its gates, norm and candidate into row buffers with ``out=``, 17 NumPy
+    calls, and the same loop runs with and without the tape.
+
+    The backward pass is backpropagation through time written by hand. The
+    factors that do not depend on dh, the norm's gain / sd among them, are
+    computed for all rows before the reverse loop. Each step fills one row
+    [dh | drh], the gradients at the state and at r * h, so one product with
+    [dz/dh | dr/drh] gives both gate gradients and one with [z | r] both
+    carry terms: 11 NumPy calls. Inside the loop the candidate's gradient
+    keeps its row mean, which the centered ``Whc``^T drops; it is
+    subtracted once after the loop, before the few GEMMs that give every
+    weight gradient. The state and the output take the dtype of ``seq``.
     """
     wx, wh, bias = tuple(wx), tuple(wh), tuple(bias)
     n, d = seq.shape
@@ -372,73 +410,94 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
         if b.shape != (1, hid):
             raise ShapeMismatch("gru_sweep bias", (1, hid), b.shape)
 
+    dtype = seq.data.dtype
     wx_all = np.concatenate([w.data for w in wx], axis=1)          # d x 3H
     proj = seq.data @ wx_all + np.concatenate([b.data for b in bias], axis=1)
     whzr = np.concatenate([wh[0].data, wh[1].data], axis=1)         # H x 2H
-    whc = wh[2].data
     # sigmoid(x) = 0.5 tanh(x / 2) + 0.5; the halving is folded into the z|r
     # columns once, exactly, since it scales by a power of two
     proj[:, :2 * hid] *= 0.5
     half_whzr = 0.5 * whzr
+    proj[:, 2 * hid:] -= proj[:, 2 * hid:].mean(axis=1, keepdims=True)
+    whc = wh[2].data - wh[2].data.mean(axis=1, keepdims=True)
     gain, shift = ln_g.data[0], ln_b.data[0]
-    keep = _GRAD_ENABLED
-    out = np.empty((n, hid), dtype=seq.data.dtype)
-    if keep:
-        zr_all = np.empty((n, 2 * hid))
-        c_all = np.empty((n, hid))
-        norm_all = np.empty((n, hid))
-        sd_all = np.empty(n)
-    h = np.zeros(hid, dtype=seq.data.dtype)
-    for t in range(n):
-        zr = np.tanh(proj[t, :2 * hid] + h @ half_whzr)
-        zr *= 0.5
-        zr += 0.5
-        z, r = zr[:hid], zr[hid:]
-        pre = proj[t, 2 * hid:] + (r * h) @ whc
-        centered = pre - np.add.reduce(pre) / hid      # the mean, cheaper per call
-        sd = math.sqrt(float(centered @ centered) / hid + LN_EPS)
-        norm = centered / sd
-        c = np.tanh(norm * gain + shift)
-        h = (1.0 - z) * c + z * h
-        out[t] = h
-        if keep:
-            zr_all[t] = zr
-            c_all[t] = c
-            norm_all[t] = norm
-            sd_all[t] = sd
-    if not keep:
+    out = np.empty((n, hid), dtype=dtype)
+    zr_all = np.empty((n, 2 * hid), dtype=dtype)
+    norm_all = np.empty((n, hid), dtype=dtype)
+    c_all = np.empty((n, hid), dtype=dtype)
+    sds = []                                    # each row's norm divisor
+    rh = np.empty(hid, dtype=dtype)             # r * h
+    kept = np.empty(hid, dtype=dtype)           # (1 - z) * c
+    h = np.zeros(hid, dtype=dtype)
+    # constants as arrays: a ufunc converts a Python float on every call
+    half, ones = np.full(2 * hid, 0.5, dtype=dtype), np.ones(hid, dtype=dtype)
+    rows = zip(zr_all, zr_all[:, :hid], zr_all[:, hid:], norm_all, c_all, out,
+               proj[:, :2 * hid], proj[:, 2 * hid:])
+    dot, multiply, tanh = np.dot, np.multiply, np.tanh
+    for zr, z, r, norm, c, h_next, x_zr, x_c in rows:
+        dot(h, half_whzr, zr)
+        zr += x_zr
+        tanh(zr, zr)
+        zr *= half
+        zr += half
+        multiply(r, h, rh)
+        dot(rh, whc, norm)               # centered, not yet scaled
+        norm += x_c
+        sd = math.sqrt(float(dot(norm, norm)) / hid + LN_EPS)
+        sds.append(sd)
+        norm /= sd
+        multiply(norm, gain, c)
+        c += shift
+        tanh(c, c)
+        np.subtract(ones, z, kept)
+        kept *= c
+        multiply(z, h, h_next)
+        h_next += kept
+        h = h_next
+    if not _GRAD_ENABLED:
         return Value(out)
 
     def bwd(g):
         prev = np.zeros_like(out)           # the state each row starts from
         prev[1:] = out[:-1]
-        z_all, r_all = zr_all[:, :hid], zr_all[:, hid:]
         # Factors that do not depend on dh, for all rows at once: from dh to
-        # the layer-norm output, and to the z and r pre-activations (the
-        # latter through the gradient at r * prev).
-        dy_dh = (1.0 - z_all) * (1.0 - c_all * c_all)
-        gy_dh = dy_dh * gain
-        dz_dh = (prev - c_all) * z_all * (1.0 - z_all)
-        dr_drh = prev * r_all * (1.0 - r_all)
-        d_h = np.empty((n, hid))            # full gradient at each state
+        # the layer-norm output, that times gain / sd (the norm's input,
+        # before its mean is taken out), and from [dh | drh] to the z and r
+        # pre-activations (the latter through the gradient at r * prev).
+        dy_dh = (1.0 - zr_all[:, :hid]) * (1.0 - c_all * c_all)
+        fold = dy_dh * (gain / np.array(sds)[:, None])
+        gate = np.concatenate([prev - c_all, prev], axis=1)
+        gate *= zr_all
+        gate *= 1.0 - zr_all
+        norm_mean = norm_all / hid
+        hr_all = np.empty((n, 2 * hid))     # [dh | drh] at each row
         d_pre = np.empty((n, 3 * hid))      # dZ | dR | dP, pre-activation
         whzr_t, whc_t = whzr.T, whc.T
-        dh = np.zeros(hid)
-        for t in range(n - 1, -1, -1):
-            dh = dh + g[t]
-            d_h[t] = dh
-            gy = dh * gy_dh[t]
-            norm = norm_all[t]
-            row = d_pre[t]
-            dp = row[2 * hid:]
-            dp[:] = (gy - np.add.reduce(gy) / hid
-                     - norm * (gy @ norm / hid)) / sd_all[t]
-            drh = dp @ whc_t
-            np.multiply(dh, dz_dh[t], out=row[:hid])
-            np.multiply(drh, dr_drh[t], out=row[hid:2 * hid])
-            dh = dh * z_all[t] + drh * r_all[t] + row[:2 * hid] @ whzr_t
-        d_y = d_h * dy_dh
+        carry = np.zeros(hid)               # dh from the rows after t
+        scaled = np.empty(hid)              # norm * (dp . norm) / H
+        both = np.empty(2 * hid)            # [dh * z | drh * r]
+        both_z, both_r = both[:hid], both[hid:]
+        back = slice(None, None, -1)
+        hr_all[:, :hid] = g
+        rows = zip(hr_all[back], hr_all[back, :hid], hr_all[back, hid:],
+                   fold[back], norm_all[back], norm_mean[back],
+                   gate[back], zr_all[back], d_pre[back, :2 * hid],
+                   d_pre[back, 2 * hid:])
+        dot, multiply = np.dot, np.multiply
+        for hr, dh, drh, fold_t, norm, norm_t, gate_t, zr, d_zr, dp in rows:
+            dh += carry
+            multiply(dh, fold_t, dp)
+            multiply(norm, dot(dp, norm_t), scaled)
+            dp -= scaled
+            dot(dp, whc_t, drh)
+            multiply(hr, gate_t, d_zr)
+            multiply(hr, zr, both)
+            dot(d_zr, whzr_t, carry)
+            carry += both_z
+            carry += both_r
         d_zr, d_p = d_pre[:, :2 * hid], d_pre[:, 2 * hid:]
+        d_p -= d_p.mean(axis=1, keepdims=True)
+        d_y = hr_all[:, :hid] * dy_dh
         _accum(seq, d_pre @ wx_all.T)
         grads_x = seq.data.T @ d_pre
         grads_b = d_pre.sum(axis=0, keepdims=True)
@@ -449,7 +508,7 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
         grads_hzr = prev.T @ d_zr
         _accum(wh[0], grads_hzr[:, :hid])
         _accum(wh[1], grads_hzr[:, hid:])
-        _accum(wh[2], (r_all * prev).T @ d_p)
+        _accum(wh[2], (zr_all[:, hid:] * prev).T @ d_p)
         _accum(ln_g, (d_y * norm_all).sum(axis=0, keepdims=True))
         _accum(ln_b, d_y.sum(axis=0, keepdims=True))
     return Value(out, (seq, *wx, *wh, *bias, ln_g, ln_b), bwd)

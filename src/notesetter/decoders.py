@@ -9,8 +9,9 @@ with the graph. Every head is a 2-layer MLP: a ReLU hidden layer followed by
 a linear output. A pair head's hidden layer reads the concatenation
 [h_u; h_w], computed in factored form: since [h_u; h_w]·W1 = h_u·W1[:H] +
 h_w·W1[H:], one (notes x 2 hidden) product per piece is gathered per pair
-(``autodiff.pair_hidden``). The parameters keep the concatenated shapes (W1
-is 2H x hidden), so checkpoints are unchanged. Pairs are (m, 2) int64 arrays
+(``autodiff.pair_hidden``, over the graph's ``pair_plans``). The parameters
+keep the concatenated shapes (W1 is 2H x hidden), so checkpoints are
+unchanged. Pairs are (m, 2) int64 arrays
 of note ids, ordered by (u, w); :func:`sigmoid` turns a pair logit into its
 probability. The ``dec.*`` parameters, and their shapes from
 ``HEAD_WIDTHS``, are declared in ``model.param_shapes``.
@@ -20,7 +21,9 @@ Each linear layer is one tape node (``autodiff.linear``).
 The training objective is the plain (unweighted) sum of all head losses, one
 tape node each: categorical cross-entropy averaged over notes for each node
 head, against the classes ``notes.labels_to_classes`` reads off the labels,
-and binary cross-entropy averaged over pairs for the pair heads.
+and binary cross-entropy averaged over pairs for the pair heads. The
+targets depend only on a piece's labels and pairs, so :func:`loss_targets`
+builds them once per piece, as ``LossTargets``.
 """
 
 from __future__ import annotations
@@ -166,19 +169,44 @@ def decode_all(embeddings: Value, graph: ScoreGraph,
     note_logits = {head: _head_forward(embeddings, params, head)
                    for head in NODE_HEADS}
 
-    def pair_logits(pairs, head):
-        if not len(pairs):
+    def pair_logits(plan, head):
+        if not len(plan):
             return None
         hidden = ad.pair_hidden(embeddings, params[f"dec.{head}.W1"],
-                                params[f"dec.{head}.b1"],
-                                pairs[:, 0], pairs[:, 1])
+                                params[f"dec.{head}.b1"], plan)
         return _output_layer(hidden, params, head)
 
+    voice_plan, chord_plan = graph.pair_plans
     return Predictions(note_logits=note_logits,
                        voice_pairs=graph.candidate_pairs,
-                       voice_logits=pair_logits(graph.candidate_pairs, "voice"),
+                       voice_logits=pair_logits(voice_plan, "voice"),
                        chord_pairs=graph.chord_pairs,
-                       chord_logits=pair_logits(graph.chord_pairs, "chord"))
+                       chord_logits=pair_logits(chord_plan, "chord"))
+
+
+@dataclasses.dataclass(frozen=True)
+class LossTargets:
+    """What the heads' losses compare against for one labeled piece: each
+    node head's classes, a 0/1 target column for the voice and for the chord
+    pairs, and how many true voice edges no voice pair holds. They depend
+    only on the labels and the pairs, so a piece's targets are built once."""
+
+    classes: dict[str, np.ndarray]
+    voice: np.ndarray                    # (m, 1) float64, per voice pair
+    chord: np.ndarray                    # (m, 1) float64, per chord pair
+    excluded_voice_edges: int
+
+
+def loss_targets(labels: LabelSet, voice_pairs, chord_pairs,
+                 n: int) -> LossTargets:
+    """The targets ``labels`` give a piece of ``n`` notes over its pairs."""
+    voice =in_edges(as_pairs(voice_pairs), labels.voice_edges, n)
+    chord = in_edges(as_pairs(chord_pairs), labels.chord_edges, n)
+    return LossTargets(classes=labels_to_classes(labels, n),
+                       voice=voice.reshape(-1, 1).astype(np.float64),
+                       chord=chord.reshape(-1, 1).astype(np.float64),
+                       excluded_voice_edges=len(labels.voice_edges)
+                       - int(voice.sum()))
 
 
 @dataclasses.dataclass
@@ -188,9 +216,8 @@ class LossResult:
     excluded_voice_edges: int
 
 
-def total_loss(preds: Predictions, labels: LabelSet, n: int) -> LossResult:
+def total_loss(preds: Predictions, targets: LossTargets) -> LossResult:
     """Unweighted sum of per-head mean losses; finite by construction."""
-    classes = labels_to_classes(labels, n)
     per_head: dict[str, float] = {}
     total: Optional[Value] = None
 
@@ -200,20 +227,17 @@ def total_loss(preds: Predictions, labels: LabelSet, n: int) -> LossResult:
         total = term if total is None else ad.add(total, term)
 
     for head in NODE_HEADS:
-        accumulate(ad.cross_entropy(preds.note_logits[head], classes[head]), head)
-
-    excluded = len(labels.voice_edges)
+        accumulate(ad.cross_entropy(preds.note_logits[head],
+                                    targets.classes[head]), head)
     if preds.voice_logits is not None:
-        y = in_edges(preds.voice_pairs, labels.voice_edges, n)
-        excluded -= int(y.sum())
-        accumulate(ad.bce_with_logits(preds.voice_logits, y.reshape(-1, 1)),
+        accumulate(ad.bce_with_logits(preds.voice_logits, targets.voice),
                    "voice")
     if preds.chord_logits is not None:
-        y = in_edges(preds.chord_pairs, labels.chord_edges, n)
-        accumulate(ad.bce_with_logits(preds.chord_logits, y.reshape(-1, 1)),
+        accumulate(ad.bce_with_logits(preds.chord_logits, targets.chord),
                    "chord")
 
     if not np.isfinite(total.item()):
         from .optim import NonFiniteLoss
         raise NonFiniteLoss("total loss is not finite")
-    return LossResult(total=total, per_head=per_head, excluded_voice_edges=excluded)
+    return LossResult(total=total, per_head=per_head,
+                      excluded_voice_edges=targets.excluded_voice_edges)

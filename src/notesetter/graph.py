@@ -41,7 +41,7 @@ import json
 
 import numpy as np
 
-from .autodiff import ConvPlan
+from .autodiff import ConvPlan, PairPlan
 from .notes import Score, node_features
 
 EDGE_TYPES = ("onset", "during", "follow", "silence")
@@ -76,6 +76,13 @@ class ScoreGraph:
         """The edge list grouped for the encoder's convolutions, built on
         first use and kept with the graph (training reuses it every epoch)."""
         return ConvPlan(self.src, self.dst, self.rel, self.node_count, len(RELATIONS))
+
+    @functools.cached_property
+    def pair_plans(self) -> tuple[PairPlan, PairPlan]:
+        """The voice and the chord pairs planned for the pair heads, built on
+        first use and kept with the graph, as ``conv_plan`` is."""
+        return tuple(PairPlan(pairs[:, 0], pairs[:, 1])
+                     for pairs in (self.candidate_pairs, self.chord_pairs))
 
     def edges(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
         """One relation's (src, dst) arrays, in the order stored."""

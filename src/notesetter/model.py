@@ -13,8 +13,9 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Value, no_grad
-from .decoders import (HEAD_WIDTHS, PAIR_HEADS, LossResult, Predictions,
-                       PredictionBundle, decode_all, total_loss)
+from .decoders import (HEAD_WIDTHS, PAIR_HEADS, LossResult, LossTargets,
+                       Predictions, PredictionBundle, decode_all, loss_targets,
+                       total_loss)
 from .encoder import encode
 from .graph import RELATIONS, ScoreGraph, build_graph
 from .notes import N_FEATURES, NODE_HEADS, Score
@@ -110,13 +111,25 @@ def graph_for(score: Score, config: ModelConfig) -> ScoreGraph:
     return build_graph(score, cross_bar=config.cross_bar)
 
 
-def loss_for_score(score: Score, graph: ScoreGraph, params: dict[str, Value],
-                   config: ModelConfig, rng: Optional[Rng] = None,
-                   train: bool = True) -> LossResult:
+def targets_for(score: Score, graph: ScoreGraph) -> LossTargets:
+    """The loss targets of a labeled score over its graph's pairs."""
     if score.labels is None:
         raise ValueError(f"score {score.name!r} carries no labels")
+    return loss_targets(score.labels, graph.candidate_pairs, graph.chord_pairs,
+                        len(score.onset))
+
+
+def loss_for_score(score: Score, graph: ScoreGraph, params: dict[str, Value],
+                   config: ModelConfig, rng: Optional[Rng] = None,
+                   train: bool = True,
+                   targets: Optional[LossTargets] = None) -> LossResult:
+    """The summed loss of one piece. ``targets`` are ``targets_for(score,
+    graph)``, built here when not given; training builds them once per
+    piece and passes them at every step."""
+    if targets is None:
+        targets = targets_for(score, graph)
     preds = forward(graph, params, config, rng=rng, train=train)
-    return total_loss(preds, score.labels, len(score.onset))
+    return total_loss(preds, targets)
 
 
 def predict_bundle(score: Score, params: dict[str, Value],

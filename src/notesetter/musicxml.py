@@ -10,7 +10,8 @@ The table ``_SUBSET`` is the one definition of the subset's structure: for
 each element that holds children, its allowed children in schema order and
 how often each may occur. The reader (which :func:`validate_subset` is,
 with its result dropped) checks every element against its row as it enters
-it, and checks the words and numbers it reads. It walks the measures once,
+it, refuses text inside the elements ``_EMPTY`` declares empty, and checks
+the words and numbers it reads. It walks the measures once,
 checks rests and grace notes before it skips them, and appends one int row
 per note (onset, duration, midi, staff, voice, spelling, stem, type, dots,
 tuplet, measure); a chord unit is a list of row indices. ``_assemble``
@@ -124,6 +125,9 @@ _SUBSET = {
     "backup": "duration?",
     "forward": "duration?",
 }
+# the elements of the subset that hold neither children nor text
+_EMPTY = frozenset({"grace", "chord", "rest", "dot", "tied", "tuplet",
+                    "octave-shift"})
 
 
 def _row(row: str) -> tuple[dict[str, tuple[int, str, bool]], list[str]]:
@@ -163,8 +167,9 @@ def _int_text(elem: ET.Element, context: str) -> int:
 def _children(elem: ET.Element) -> dict[str, ET.Element]:
     """``elem``'s children by tag (the last of a repeated one), checked
     against its ``_SUBSET`` row: an unknown tag, a tag out of order, a
-    repeat its mark does not allow, a missing required child and a child
-    element under a child without a row are refused."""
+    repeat its mark does not allow, a missing required child, a child
+    element under a child without a row and text that is not blank inside
+    an ``_EMPTY`` child are refused."""
     rules, required = _ROWS[elem.tag]
     found: dict[str, ET.Element] = {}
     last = -1
@@ -178,6 +183,9 @@ def _children(elem: ET.Element) -> dict[str, ET.Element]:
             raise UnsupportedElement(f"{elem.tag} children out of order")
         if leaf and len(sub):
             raise UnsupportedElement(f"<{sub[0].tag}> under <{sub.tag}>")
+        if sub.tag in _EMPTY and sub.text and sub.text.strip():
+            raise UnsupportedElement(f"text {sub.text.strip()!r} inside "
+                                     f"<{sub.tag}>")
         last = max(last, pos)
         found[sub.tag] = sub
     for tag in required:

@@ -19,7 +19,7 @@ from .autodiff import Value, backward, no_grad, reset_tape
 from .checkpoint import save_checkpoint
 from .metrics import EvalReport, evaluate_bundle
 from .model import (ModelConfig, graph_for, init_params, loss_for_score,
-                    predict_bundle)
+                    predict_bundle, targets_for)
 from .optim import Adam, clip_grad_norm
 from .postprocess import DEFAULT_THRESHOLD
 from .rng import Rng
@@ -81,13 +81,14 @@ class TrainResult:
     excluded_voice_edges: int
 
 
-def _mean_eval_loss(scores, graphs, params, config: ModelConfig) -> float:
+def _mean_eval_loss(scores, pieces, params, config: ModelConfig) -> float:
     total = 0.0
     with no_grad():
         for score in scores:
             reset_tape()
-            result = loss_for_score(score, graphs[score.name], params, config,
-                                    rng=None, train=False)
+            graph, targets = pieces[score.name]
+            result = loss_for_score(score, graph, params, config, rng=None,
+                                    train=False, targets=targets)
             total += result.total.item()
     reset_tape()
     return total / len(scores)
@@ -120,7 +121,11 @@ def train(corpus, model_config: ModelConfig, train_config: TrainConfig,
         params = init_params(model_config, rng)
     optimizer = Adam(params, lr=train_config.lr,
                      weight_decay=train_config.weight_decay)
-    graphs = {s.name: graph_for(s, model_config) for s in corpus}
+    # each piece's graph and loss targets, built once for every epoch
+    pieces = {}
+    for score in corpus:
+        graph = graph_for(score, model_config)
+        pieces[score.name] = graph, targets_for(score, graph)
 
     best_loss = math.inf
     best_epoch = -1
@@ -146,8 +151,9 @@ def train(corpus, model_config: ModelConfig, train_config: TrainConfig,
                 score = train_set[idx]
                 optimizer.zero_grad()
                 reset_tape()
-                result = loss_for_score(score, graphs[score.name], params,
-                                        model_config, rng=rng, train=True)
+                graph, targets = pieces[score.name]
+                result = loss_for_score(score, graph, params, model_config,
+                                        rng=rng, train=True, targets=targets)
                 loss_value = result.total.item()
                 if not math.isfinite(loss_value):
                     raise DivergedLoss(
@@ -162,7 +168,7 @@ def train(corpus, model_config: ModelConfig, train_config: TrainConfig,
             reset_tape()
             train_loss = epoch_loss / len(train_set)
             if val_set:
-                select_loss = _mean_eval_loss(val_set, graphs, params,
+                select_loss = _mean_eval_loss(val_set, pieces, params,
                                               model_config)
             else:
                 select_loss = train_loss

@@ -167,7 +167,8 @@ def test_add_and_mul():
 # appears as both u and w.
 PAIR_U = np.array([0, 0, 2, 3, 3, 1, 4, 2])
 PAIR_W = np.array([1, 2, 1, 1, 0, 0, 1, 3])
-NO_PAIRS = np.zeros(0, dtype=np.int64)
+PAIRS = ad.PairPlan(PAIR_U, PAIR_W)
+NO_PAIRS = ad.PairPlan(*np.zeros((2, 0), dtype=np.int64))
 
 
 def _pair_inputs(seed, n=5, hid=4, hh=6):
@@ -186,33 +187,33 @@ def numpy_pair_hidden(emb, w1, b1, u, w):
 def test_pair_hidden_matches_concatenated_form():
     emb, w1, b1 = _pair_inputs(40)
     ad.reset_tape()
-    out = ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W)
+    out = ad.pair_hidden(emb, w1, b1, PAIRS)
     assert ad.tape_size() == 1
     want = numpy_pair_hidden(emb.data, w1.data, b1.data, PAIR_U, PAIR_W)
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
     assert (want == 0).any() and (want > 0).any()   # both sides of the ReLU
     with ad.no_grad():
         np.testing.assert_array_equal(
-            ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W).data, out.data)
+            ad.pair_hidden(emb, w1, b1, PAIRS).data, out.data)
     assert ad.tape_size() == 1
-    assert ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS).shape == (0, 6)
+    assert ad.pair_hidden(emb, w1, b1, NO_PAIRS).shape == (0, 6)
     ad.reset_tape()
 
 
 def test_pair_hidden_gradients():
     emb, w1, b1 = _pair_inputs(41)
     check_grads(lambda: weighted_sum(
-        ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W), 42), [emb, w1, b1])
+        ad.pair_hidden(emb, w1, b1, PAIRS), 42), [emb, w1, b1])
 
 
 def test_pair_hidden_empty_pair_set_gradients():
     # No pairs: the head adds nothing, and its backward adds zeros.
     emb, w1, b1 = _pair_inputs(43)
     check_grads(lambda: ad.add(
-        weighted_sum(ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS), 44),
+        weighted_sum(ad.pair_hidden(emb, w1, b1, NO_PAIRS), 44),
         weighted_sum(emb, 45)), [emb, w1, b1])
     ad.reset_tape()
-    loss = ad.add(sum_all(ad.pair_hidden(emb, w1, b1, NO_PAIRS, NO_PAIRS)),
+    loss = ad.add(sum_all(ad.pair_hidden(emb, w1, b1, NO_PAIRS)),
                   sum_all(emb))
     w1.grad = b1.grad = emb.grad = None
     ad.backward(loss)
@@ -225,11 +226,11 @@ def test_pair_hidden_empty_pair_set_gradients():
 def test_pair_hidden_shape_checks():
     emb, w1, b1 = _pair_inputs(47)
     with pytest.raises(ShapeMismatch):
-        ad.pair_hidden(emb, Value(w1.data[:7]), b1, PAIR_U, PAIR_W)
+        ad.pair_hidden(emb, Value(w1.data[:7]), b1, PAIRS)
     with pytest.raises(ShapeMismatch):
-        ad.pair_hidden(emb, w1, Value(b1.data[:, :5]), PAIR_U, PAIR_W)
+        ad.pair_hidden(emb, w1, Value(b1.data[:, :5]), PAIRS)
     with pytest.raises(ShapeMismatch):
-        ad.pair_hidden(emb, w1, b1, PAIR_U, PAIR_W[:-1])
+        ad.PairPlan(PAIR_U, PAIR_W[:-1])
 
 
 def _apply_rank_steps(steps, values, rows):
@@ -540,6 +541,40 @@ def test_gru_sweep_gradients(n):
     every = [seq, *wx, *wh, *bias, ln_g, ln_b]
     check_grads(lambda: weighted_sum(ad.gru_sweep(seq, wx, wh, bias, ln_g,
                                                   ln_b), 32), every)
+
+
+def _wide_gru_inputs(n: int, hidden: int, seed: int):
+    """``_gru_inputs`` at any hidden size, with drawn norm gains and shifts
+    and a candidate bias of 1e3: a large part common to every column, which
+    the centering folded into the input rows and ``Whc`` must take out."""
+    seq, wx, wh, bias, _, _ = _gru_inputs(n, hidden, seed)
+    rng = Rng(seed + 1)
+    bias[2].data += 1e3
+    ln_g = Value(1.0 + 0.2 * rng.normal(1, hidden).reshape(1, hidden))
+    ln_b = Value(0.1 * rng.normal(1, hidden).reshape(1, hidden))
+    return seq, wx, wh, bias, ln_g, ln_b
+
+
+def test_gru_sweep_at_hidden_64_matches_numpy():
+    inputs = _wide_gru_inputs(50, 64, seed=38)
+    seq, wx, wh, bias, ln_g, ln_b = inputs
+    ad.reset_tape()
+    got = ad.gru_sweep(*inputs).data
+    with ad.no_grad():
+        np.testing.assert_array_equal(ad.gru_sweep(*inputs).data, got)
+    ad.reset_tape()
+    want = numpy_gru(seq.data, [w.data for w in wx], [w.data for w in wh],
+                     [b.data for b in bias], ln_g.data, ln_b.data)
+    # relative to the states' scale: a few states lie near 1e-8
+    np.testing.assert_allclose(got, want, rtol=1e-9,
+                               atol=1e-9 * np.abs(want).max())
+
+
+def test_gru_sweep_gradients_with_a_large_candidate_bias():
+    seq, wx, wh, bias, ln_g, ln_b = _wide_gru_inputs(12, 8, seed=40)
+    every = [seq, *wx, *wh, *bias, ln_g, ln_b]
+    check_grads(lambda: weighted_sum(ad.gru_sweep(seq, wx, wh, bias, ln_g,
+                                                  ln_b), 41), every)
 
 
 def test_gru_sweep_keeps_float32_under_no_grad():

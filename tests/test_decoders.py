@@ -11,7 +11,7 @@ from notesetter import autodiff as ad
 from notesetter.autodiff import Value
 from notesetter.decoders import (HEAD_WIDTHS, NODE_HEADS, PAIR_HEADS,
                                  POOLED_HEADS, Predictions, decode_all,
-                                 total_loss, zero_output_layers)
+                                 loss_targets, total_loss, zero_output_layers)
 from notesetter.graph import build_graph
 from notesetter.model import ModelConfig, init_params
 from notesetter.notes import (LabelOutOfRange, LabelSet, labels_to_classes,
@@ -238,11 +238,17 @@ def test_labels_to_classes_errors():
         labels_to_classes(full_labels(1), 2)
 
 
+def loss_of(preds, labels, n):
+    """The summed loss against the targets ``labels`` give ``preds``' pairs."""
+    return total_loss(preds, loss_targets(labels, preds.voice_pairs,
+                                          preds.chord_pairs, n))
+
+
 def test_total_loss_uniform_oracle():
     # [DERIVED] zero logits: CE = ln K per node head, BCE = ln 2 per pair head.
     preds = hand_predictions()
     labels = full_labels(2, voice_edges={(0, 1)}, chord_edges={(0, 1)})
-    result = total_loss(preds, labels, 2)
+    result = loss_of(preds, labels, 2)
     for head in NODE_HEADS:
         assert result.per_head[head] == pytest.approx(
             math.log(HEAD_WIDTHS[head]), abs=1e-12), head
@@ -266,7 +272,7 @@ def test_total_loss_hand_values():
                         voice_logits=Value(np.array([[z]])),
                         chord_pairs=(), chord_logits=None)
     labels = full_labels(1, voice_edges={(0, 0)})
-    result = total_loss(preds, labels, 1)
+    result = loss_of(preds, labels, 1)
     assert result.per_head["staff"] == pytest.approx(
         math.log(1 + math.exp(-m)), abs=1e-12)
     assert result.per_head["voice"] == pytest.approx(
@@ -280,11 +286,11 @@ def test_total_loss_counts_excluded_voice_edges():
     preds = hand_predictions()
     # Truth edge (1, 0) is not a candidate; (0, 1) is.
     labels = full_labels(2, voice_edges={(0, 1), (1, 0)})
-    result = total_loss(preds, labels, 2)
+    result = loss_of(preds, labels, 2)
     assert result.excluded_voice_edges == 1
     # All-negative targets when no truth edge is a candidate.
     labels2 = full_labels(2, voice_edges={(1, 0)})
-    result2 = total_loss(hand_predictions(), labels2, 2)
+    result2 = loss_of(hand_predictions(), labels2, 2)
     assert result2.excluded_voice_edges == 1
     assert result2.per_head["voice"] == pytest.approx(math.log(2), abs=1e-12)
 
@@ -295,7 +301,7 @@ def test_total_loss_bce_negative_target_oracle():
     preds = hand_predictions()
     preds.voice_logits = Value(np.array([[z]]))
     labels = full_labels(2)  # no voice edges
-    result = total_loss(preds, labels, 2)
+    result = loss_of(preds, labels, 2)
     assert result.per_head["voice"] == pytest.approx(
         math.log(1 + math.exp(z)), abs=1e-12)
 
@@ -304,14 +310,14 @@ def test_total_loss_chord_targets_from_labels():
     preds = hand_predictions()
     preds.chord_logits = Value(np.array([[4.0]]))
     with_chord = full_labels(2, chord_edges={(0, 1)})
-    res_pos = total_loss(preds, with_chord, 2)
+    res_pos = loss_of(preds, with_chord, 2)
     # softplus(4) - 4 = log(1+e^-4)
     assert res_pos.per_head["chord"] == pytest.approx(
         math.log(1 + math.exp(-4.0)), abs=1e-12)
     ad.reset_tape()
     preds2 = hand_predictions()
     preds2.chord_logits = Value(np.array([[4.0]]))
-    res_neg = total_loss(preds2, full_labels(2), 2)
+    res_neg = loss_of(preds2, full_labels(2), 2)
     assert res_neg.per_head["chord"] == pytest.approx(
         math.log(1 + math.exp(4.0)), abs=1e-10)
 
@@ -320,7 +326,7 @@ def test_total_loss_nonfinite_raises():
     preds = hand_predictions()
     preds.note_logits["key"] = Value(np.full((2, 15), np.nan))
     with pytest.raises(NonFiniteLoss):
-        total_loss(preds, full_labels(2, voice_edges={(0, 1)}), 2)
+        loss_of(preds, full_labels(2, voice_edges={(0, 1)}), 2)
 
 
 def test_total_loss_is_differentiable():
@@ -331,7 +337,7 @@ def test_total_loss_is_differentiable():
     preds = decode_all(emb, graph, params)
     labels = full_labels(4, voice_edges={(0, 2), (1, 2)},
                          chord_edges={(0, 1)})
-    result = total_loss(preds, labels, 4)
+    result = loss_of(preds, labels, 4)
     ad.backward(result.total)
     assert emb.grad is not None
     assert np.all(np.isfinite(emb.grad))

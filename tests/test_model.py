@@ -200,6 +200,46 @@ def test_loss_backward_reaches_all_used_params():
     reset_tape()
 
 
+def _scatter_plans_built(graph) -> list[bool]:
+    """Whether the convolution's and each pair head's scatter plan exist."""
+    plans = (graph.conv_plan, *graph.pair_plans)
+    return ["scatter" in vars(plan) for plan in plans]
+
+
+def test_backward_builds_the_scatter_plans_and_repeats_bit_for_bit():
+    # The first backward builds the graph's scatter plans, the second reuses
+    # them: both give the same gradients, bit for bit.
+    score = parse_fixture("fixture_a").score
+    graph = graph_for(score, CONFIG)
+    params = init_params(CONFIG, Rng(0))
+    grads = []
+    for _ in range(2):
+        reset_tape()
+        for p in params.values():
+            p.grad = None
+        backward(loss_for_score(score, graph, params, CONFIG, rng=Rng(7),
+                                train=True).total)
+        assert _scatter_plans_built(graph) == [True, True, True]
+        grads.append({name: p.grad.copy() for name, p in params.items()})
+    reset_tape()
+    for name in params:
+        np.testing.assert_array_equal(grads[0][name], grads[1][name], name)
+
+
+def test_predict_bundle_builds_no_scatter_plan(monkeypatch):
+    score = parse_fixture("fixture_a").score
+    graphs = []
+
+    def recording_graph_for(*args):
+        graphs.append(graph_for(*args))
+        return graphs[-1]
+    monkeypatch.setattr(model, "graph_for", recording_graph_for)
+    predict_bundle(score, init_params(CONFIG, Rng(3)), CONFIG)
+    (graph,) = graphs
+    assert {"conv_plan", "pair_plans"} <= set(vars(graph))
+    assert _scatter_plans_built(graph) == [False, False, False]
+
+
 @pytest.mark.parametrize("name,nodes", [
     ("fixture_a", 68), ("fixture_b", 68), ("triplet_octave", 68),
     ("grace_clip", 64), ("single_whole", 60)])

@@ -782,6 +782,25 @@ def test_subset_accepts_repeated_notations_and_a_dot_after_stem():
     assert labels.stem == (STEM_UP, STEM_UP)
 
 
+@pytest.mark.parametrize("name,empty,words", [
+    ("fixture_a", "<rest/>", "xx"), ("fixture_a", "<chord/>", "yes"),
+    ("fixture_b", "<dot/>", "1"), ("grace_clip", "<grace/>", "zz"),
+    ("triplet_octave", '<tuplet type="start"/>', "3"),
+    ("fixture_b", '<octave-shift type="down" size="8"/>', "8va")])
+def test_subset_refuses_text_inside_empty_elements(name, empty, words):
+    # The elements the subset declares empty hold no text; blank text, as
+    # indentation gives, still parses.
+    data = fixture_path(name).read_bytes().decode()
+    assert empty in data
+    tag = empty[1:].split()[0].rstrip("/>")
+    filled = empty[:-2] + f">{words}</{tag}>"
+    blank = empty[:-2] + f">\n  </{tag}>"
+    for check in SUBSET_CHECKS:
+        with pytest.raises(UnsupportedElement, match=f"inside <{tag}>"):
+            check(data.replace(empty, filled, 1).encode())
+        check(data.replace(empty, blank).encode())
+
+
 @pytest.mark.parametrize("body,error,match", [
     (ATTRS.replace("<fifths>0</fifths>", "<fifths>0</fifths><bogus/>")
      + note(), UnsupportedElement, "<bogus> under <key>"),

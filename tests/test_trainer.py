@@ -8,10 +8,11 @@ import zlib
 import numpy as np
 import pytest
 
+from notesetter import autodiff as ad, graph
 from notesetter.checkpoint import load_checkpoint
 from notesetter.optim import NonFiniteLoss
 from notesetter.metrics import EvalReport
-from notesetter.model import ModelConfig
+from notesetter.model import ModelConfig, graph_for
 from notesetter.rng import Rng
 from notesetter.synth import random_score
 from notesetter.trainer import (
@@ -214,6 +215,33 @@ def test_train_counts_excluded_voice_edges():
     assert one_epoch.excluded_voice_edges > 0
     assert three_epochs.excluded_voice_edges == (
         3 * one_epoch.excluded_voice_edges)
+
+
+def test_train_builds_each_graphs_plans_once(monkeypatch):
+    # Every plan (the convolution's gather and scatter, each pair head's
+    # scatter) is built in the first epoch and reused by the later ones.
+    corpus = corpus_of(0, 1, n_notes=12)
+    heads_with_pairs = sum(
+        len(pairs) > 0 for g in (graph_for(s, SMALL) for s in corpus)
+        for pairs in (g.candidate_pairs, g.chord_pairs))
+    built = {}
+    rank_steps = ad._rank_steps
+
+    class CountedPairPlan(graph.PairPlan):
+        def __init__(self, u, w):
+            built["pair plans"] += 1
+            super().__init__(u, w)
+
+    def counted_rank_steps(idx, take):
+        built["rank steps"] += 1
+        return rank_steps(idx, take)
+    monkeypatch.setattr(graph, "PairPlan", CountedPairPlan)
+    monkeypatch.setattr(ad, "_rank_steps", counted_rank_steps)
+    for epochs in (1, 3):
+        built.update({"pair plans": 0, "rank steps": 0})
+        train(corpus, SMALL, dataclasses.replace(FAST, epochs=epochs))
+        assert built == {"pair plans": 2 * len(corpus),
+                         "rank steps": 2 * len(corpus) + heads_with_pairs}
 
 
 def test_train_full_candidates_exclude_nothing():
