@@ -7,7 +7,8 @@ encoder kernels); :func:`add` sums equal shapes. The tests' smallest
 scalar gradient probes, ``mul`` and ``sum_all``, live in
 ``tests/conftest.py``. The tape is a module-level list (one computation at
 a time, single-threaded); call :func:`reset_tape` between independent
-computations and :func:`backward` on a scalar loss. Inside
+computations and :func:`backward` on a scalar loss, which runs the tape in
+reverse; a node's backward closure holds its inputs. Inside
 :func:`no_grad` nothing is recorded, which makes repeated forward
 evaluation (finite differences, inference) cheap.
 
@@ -69,9 +70,9 @@ class Value:
     float64.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_backward")
 
-    def __init__(self, data, parents: tuple = (),
+    def __init__(self, data,
                  backward: Optional[Callable[[np.ndarray], None]] = None):
         if isinstance(data, np.ndarray) and data.dtype == np.float32:
             arr = data
@@ -86,11 +87,9 @@ class Value:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         if _GRAD_ENABLED and backward is not None:
-            self._parents = parents
             self._backward = backward
             _TAPE.append(self)
         else:
-            self._parents = ()
             self._backward = None
 
     @property
@@ -136,7 +135,7 @@ def linear(x: Value, w: Value, b: Value) -> Value:
         _accum(b, g.sum(axis=0, keepdims=True))
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
-    return Value(out_data, (x, w, b), bwd)
+    return Value(out_data, bwd)
 
 
 def add(a: Value, b: Value) -> Value:
@@ -147,7 +146,7 @@ def add(a: Value, b: Value) -> Value:
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
-    return Value(out_data, (a, b), bwd)
+    return Value(out_data, bwd)
 
 
 def _rank_steps(idx: np.ndarray, take: np.ndarray) -> tuple:
@@ -290,7 +289,7 @@ def relational_conv(h: Value, weights: Sequence[Value], plan: ConvPlan,
         for rows, items in plan.scatter:
             d_h[rows] += d_sums[items]
         _accum(h, d_h)
-    return Value(out_data, (h, *weights), bwd)
+    return Value(out_data, bwd)
 
 
 def pair_hidden(emb: Value, w1: Value, b1: Value, plan: PairPlan) -> Value:
@@ -325,7 +324,7 @@ def pair_hidden(emb: Value, w1: Value, b1: Value, plan: PairPlan) -> Value:
         d_halves = emb.data.T @ d_proj
         _accum(w1, np.concatenate([d_halves[:, :hh], d_halves[:, hh:]]))
         _accum(b1, d.sum(axis=0, keepdims=True))
-    return Value(out_data, (emb, w1, b1), bwd)
+    return Value(out_data, bwd)
 
 
 def relu(x: Value) -> Value:
@@ -333,19 +332,20 @@ def relu(x: Value) -> Value:
 
     def bwd(g):
         _accum(x, g * (x.data > 0.0))
-    return Value(out_data, (x,), bwd)
+    return Value(out_data, bwd)
 
 
-def dropout(x: Value, p: float, rng: Rng, train: bool) -> Value:
-    """Inverted dropout: scales by 1/(1-p) in training, identity in eval."""
-    if not train or p <= 0.0:
+def dropout(x: Value, p: float, rng: Optional[Rng]) -> Value:
+    """Inverted dropout with masks drawn from ``rng``: scales kept entries
+    by 1/(1-p). Without an ``rng`` (evaluation) it returns ``x``."""
+    if rng is None or p <= 0.0:
         return x
     keep = (rng.uniform(*x.shape) >= p) / (1.0 - p)
     out_data = x.data * keep
 
     def bwd(g):
         _accum(x, g * keep)
-    return Value(out_data, (x,), bwd)
+    return Value(out_data, bwd)
 
 
 def layer_norm(x: Value, gamma: Value, beta: Value) -> Value:
@@ -365,7 +365,7 @@ def layer_norm(x: Value, gamma: Value, beta: Value) -> Value:
         gy = g * gamma.data
         _accum(x, (gy - gy.mean(axis=1, keepdims=True)
                    - norm * (gy * norm).mean(axis=1, keepdims=True)) / sd)
-    return Value(out_data, (x, gamma, beta), bwd)
+    return Value(out_data, bwd)
 
 
 def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
@@ -511,7 +511,7 @@ def gru_sweep(seq: Value, wx: Sequence[Value], wh: Sequence[Value],
         _accum(wh[2], (zr_all[:, hid:] * prev).T @ d_p)
         _accum(ln_g, (d_y * norm_all).sum(axis=0, keepdims=True))
         _accum(ln_b, d_y.sum(axis=0, keepdims=True))
-    return Value(out, (seq, *wx, *wh, *bias, ln_g, ln_b), bwd)
+    return Value(out, bwd)
 
 
 def cross_entropy(logits: Value, classes) -> Value:
@@ -533,7 +533,7 @@ def cross_entropy(logits: Value, classes) -> Value:
         onehot = np.zeros_like(logp)
         onehot[rows, cls] = v
         _accum(logits, onehot - np.exp(logp) * v)
-    return Value(out_data, (logits,), bwd)
+    return Value(out_data, bwd)
 
 
 def bce_with_logits(logits: Value, targets) -> Value:
@@ -552,4 +552,4 @@ def bce_with_logits(logits: Value, targets) -> Value:
         d = (-each) * y
         d += each / (1.0 + np.exp(-np.clip(x, -500, 500)))
         _accum(logits, d)
-    return Value(out_data, (logits,), bwd)
+    return Value(out_data, bwd)

@@ -288,7 +288,7 @@ def cmd_gradcheck(args) -> int:
     def loss_fn():
         reset_tape()
         return loss_for_score(score, graph, params, model_config,
-                              rng=Rng(config.seed + 1), train=True).total
+                              rng=Rng(config.seed + 1)).total
 
     report = grad_check(loss_fn, params,
                         entries_per_param=args.entries,

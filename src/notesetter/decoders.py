@@ -37,6 +37,7 @@ from . import autodiff as ad
 from .autodiff import Value
 from .graph import ScoreGraph, as_pairs, in_edges
 from .notes import NODE_HEADS, NODE_LABELS, LabelSet, labels_to_classes
+from .optim import NonFiniteLoss
 
 PAIR_HEADS = ("voice", "chord")
 HEAD_WIDTHS = {"voice": 1, "chord": 1,
@@ -200,7 +201,7 @@ class LossTargets:
 def loss_targets(labels: LabelSet, voice_pairs, chord_pairs,
                  n: int) -> LossTargets:
     """The targets ``labels`` give a piece of ``n`` notes over its pairs."""
-    voice =in_edges(as_pairs(voice_pairs), labels.voice_edges, n)
+    voice = in_edges(as_pairs(voice_pairs), labels.voice_edges, n)
     chord = in_edges(as_pairs(chord_pairs), labels.chord_edges, n)
     return LossTargets(classes=labels_to_classes(labels, n),
                        voice=voice.reshape(-1, 1).astype(np.float64),
@@ -237,7 +238,6 @@ def total_loss(preds: Predictions, targets: LossTargets) -> LossResult:
                    "chord")
 
     if not np.isfinite(total.item()):
-        from .optim import NonFiniteLoss
         raise NonFiniteLoss("total loss is not finite")
     return LossResult(total=total, per_head=per_head,
                       excluded_voice_edges=targets.excluded_voice_edges)

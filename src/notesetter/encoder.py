@@ -4,9 +4,10 @@ Each of the L blocks computes a heterogeneous GraphSAGE convolution
 
     h~_u = ReLU( W0 h_u + sum_r sum_{v in N_r(u)} W_r h_v )
 
-followed by dropout, then sweeps a GRU over the notes in id order, which
-is (onset, pitch) order (``make_score``), carrying the hidden state from
-each note to the next. Layer normalization is applied inside the GRU cell
+followed by dropout (only when ``encode`` is given an ``Rng``, as training
+does), then sweeps a GRU over the notes in id order, which is (onset,
+pitch) order (``make_score``), carrying the hidden state from each note to
+the next. Layer normalization is applied inside the GRU cell
 (on the candidate pre-activation) and between blocks. The block output — the
 GRU states, row u for note u — feeds the next block; the last block's output
 is the embedding matrix.
@@ -38,7 +39,7 @@ graph is built. ``model.param_shapes`` declares the ``enc.*`` parameters.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from . import autodiff as ad
 from .autodiff import Value
@@ -50,8 +51,8 @@ if TYPE_CHECKING:
 
 
 def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
-           rng: Rng, train: bool) -> Value:
-    """Embed every note; (node_count x hidden_size)."""
+           rng: Optional[Rng]) -> Value:
+    """Embed every note; (node_count x hidden_size). No rng, no dropout."""
     config.validate()
     mean = config.aggregation == "mean"
     # in the parameters' dtype: float32 at inference, float64 otherwise
@@ -65,7 +66,7 @@ def encode(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
         weights = [params[f"{pre}.conv.W0"]]
         weights += [params[f"{pre}.conv.W.{rel}"] for rel in RELATIONS]
         mixed = ad.relational_conv(hidden, weights, graph.conv_plan, mean)
-        conv = ad.dropout(ad.relu(mixed), config.dropout, rng, train)
+        conv = ad.dropout(ad.relu(mixed), config.dropout, rng)
         if config.use_gru:
             source = initial if config.gru_on_initial_features else conv
             gru = f"{pre}.gru"

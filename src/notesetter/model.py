@@ -102,8 +102,8 @@ def init_params(config: ModelConfig, rng: Rng) -> dict[str, Value]:
 
 
 def forward(graph: ScoreGraph, params: dict[str, Value], config: ModelConfig,
-            rng: Optional[Rng] = None, train: bool = False) -> Predictions:
-    embeddings = encode(graph, params, config, rng=rng, train=train)
+            rng: Optional[Rng] = None) -> Predictions:
+    embeddings = encode(graph, params, config, rng)
     return decode_all(embeddings, graph, params)
 
 
@@ -121,20 +121,19 @@ def targets_for(score: Score, graph: ScoreGraph) -> LossTargets:
 
 def loss_for_score(score: Score, graph: ScoreGraph, params: dict[str, Value],
                    config: ModelConfig, rng: Optional[Rng] = None,
-                   train: bool = True,
                    targets: Optional[LossTargets] = None) -> LossResult:
-    """The summed loss of one piece. ``targets`` are ``targets_for(score,
-    graph)``, built here when not given; training builds them once per
-    piece and passes them at every step."""
+    """The summed loss of one piece, with dropout drawn from ``rng`` (none
+    without one). ``targets`` are ``targets_for(score, graph)``, built here
+    when not given; training builds them once per piece."""
     if targets is None:
         targets = targets_for(score, graph)
-    preds = forward(graph, params, config, rng=rng, train=train)
+    preds = forward(graph, params, config, rng)
     return total_loss(preds, targets)
 
 
 def predict_bundle(score: Score, params: dict[str, Value],
                    config: ModelConfig) -> PredictionBundle:
-    """Deterministic inference: eval mode (no dropout), numpy bundle out.
+    """Deterministic inference: no dropout, numpy bundle out.
 
     The forward runs in float32. Float32 parameters, as the CLI loads them,
     are used without a copy; float64 ones, as training holds them, are cast
@@ -146,5 +145,5 @@ def predict_bundle(score: Score, params: dict[str, Value],
     with no_grad():
         params32 = {name: Value(p.data.astype(np.float32, copy=False))
                     for name, p in params.items()}
-        preds = forward(graph, params32, config, rng=None, train=False)
+        preds = forward(graph, params32, config)
     return preds.bundle()

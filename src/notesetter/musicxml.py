@@ -66,7 +66,7 @@ from .notes import (ALTER_VALUES, CLEF_C, CLEF_F, CLEF_G, KEY_FIFTHS,
                     STEP_NAMES, STEP_TO_PC, Score, TimeSignature,
                     TUPLET_RATIOS, _int64, bar_at, bar_length_div, make_score,
                     spelling_of, spelling_parts)
-from .postprocess import EngravedScore
+from .postprocess import VOICES_PER_STAFF, EngravedScore
 
 
 class MalformedXml(ValueError):
@@ -93,6 +93,8 @@ class TooManyVoices(ValueError):
 # the writer looks a class up, the reader inverts the table
 _CLEFS = {CLEF_G: ("G", "2"), CLEF_F: ("F", "4"), CLEF_C: ("C", "3")}
 _CLEF_SIGNS = {sign: (clef, line) for clef, (sign, line) in _CLEFS.items()}
+# each staff's clef until a clef element says otherwise, read and written
+DEFAULT_CLEFS = (CLEF_G, CLEF_F)
 _SHIFTS = {1: ("down", "8"), 2: ("up", "8"), 3: ("down", "15")}
 _SHIFT_CLASS = {words: shift for shift, words in _SHIFTS.items()}
 _STEM_TEXT = {0: "up", 1: "down", 2: "none"}
@@ -475,7 +477,7 @@ def _assemble(divisions, time_sigs, bars, keys, clef_events, shift_events,
         staff=tuple(staff), spelling=tuple(spelling),
         key_fifths=tuple(keys[m] for m in measure), stem=tuple(stem),
         octave_shift=_active(shift_events, cols, (0, 0)),
-        clef=_active(clef_events, cols, (CLEF_G, CLEF_F)),
+        clef=_active(clef_events, cols, DEFAULT_CLEFS),
         note_type=tuple(note_type), dots=tuple(dots), tuplet=tuple(tuplet),
         voice_edges=frozenset(voice_edges),
         chord_edges=frozenset(chord_edges))
@@ -568,12 +570,15 @@ def _mark_run(run, divisions, marks) -> None:
 
 
 def export_musicxml(engraved: EngravedScore) -> bytes:
-    for voice, staff in engraved.voice_staff.items():
-        low, high = (1, 4) if staff == 0 else (5, 8)
-        if not low <= voice <= high:
+    events, columns = engraved.timeline
+    # each voice, lowest first, on the staff of its first event
+    firsts = np.diff(columns[0], prepend=columns[0][:1] - 1).nonzero()[0]
+    for voice, staff, *_ in map(events.__getitem__, firsts.tolist()):
+        low = 1 + staff * VOICES_PER_STAFF
+        if not low <= voice < low + VOICES_PER_STAFF:
             raise TooManyVoices(
                 f"voice {voice} does not fit staff {staff + 1} "
-                f"(numbers {low}..{high})")
+                f"(numbers {low}..{low + VOICES_PER_STAFF - 1})")
     for ev in engraved.events:
         if not (0 <= ev.note_type < len(NOTE_TYPE_NAMES)
                 and 0 <= ev.dots <= MAX_DOTS and ev.tuplet in TUPLET_RATIOS):
@@ -585,7 +590,6 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
     bars = score.bars.tolist()
     divisions = score.divisions_per_quarter
     sig_by_bar = {ts.bar_index: ts for ts in score.time_signatures}
-    events, columns = engraved.timeline()
     marks = _tuplet_marks(events, divisions)
 
     # the events in (bar, voice, onset) order (the sort is stable), cut into
@@ -651,7 +655,7 @@ def export_musicxml(engraved: EngravedScore) -> bytes:
                 out.append("        <staves>2</staves>")
                 for staff in (0, 1):
                     regions = engraved.clef_regions.get(staff)
-                    clef_idx = regions[0][1] if regions else (CLEF_G, CLEF_F)[staff]
+                    clef_idx = regions[0][1] if regions else DEFAULT_CLEFS[staff]
                     out.append(_clef(staff, clef_idx))
             else:
                 for staff in (0, 1):

@@ -35,8 +35,10 @@ never letting a rest start off its own-length grid within the bar (so
 decompositions split at beat boundaries).
 
 Pools and events are tuple rows (``NamedTuple``) built in bulk from column
-lists, and ``EngravedScore.validate`` checks the events as int64 columns in
-one (voice, onset) order, which the exporter shares.
+lists. ``EngravedScore`` holds a note's staff and voice only in its event,
+and its clef and octave shift only in its staff's regions; ``validate``
+checks the events as int64 columns in one (voice, onset) order, which the
+exporter shares.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ from .notes import (DEFAULT_SPELLING_BY_PC, KEY_FIFTHS, N_KEY_CLASSES,
                     N_SPELLING, NODE_HEADS, NODE_LABELS, STEM_NONE, Score,
                     bar_at, labels_to_classes, spelling_of,
                     spelling_pitch_class, symbolic_duration_div)
+
+# the voice numbers one staff may write: staff s (0 upper, 1 lower) writes
+# s * VOICES_PER_STAFF + 1 up to (s + 1) * VOICES_PER_STAFF
+VOICES_PER_STAFF = 4
 
 # defaults of the two engraving settings (pair acceptance, pooled voice pairs)
 DEFAULT_THRESHOLD = 0.5
@@ -142,28 +148,21 @@ class EngravedScore:
     """The fully decided notation of one piece, ready for serialization."""
 
     score: Score
-    staff: tuple[int, ...]           # per note
     spelling: tuple[int, ...]        # per note
-    octave_shift: tuple[int, ...]    # per note, region-canonical
-    clef: tuple[int, ...]            # per note, region-canonical
     events: tuple[EngravedEvent, ...]
     measure_keys: tuple[int, ...]    # fifths per bar
     clef_regions: dict               # staff -> ((start_div, clef_index), ...)
     octave_regions: dict             # staff -> ((start_div, end_div, shift), ...)
-    voice_staff: dict                # voice number -> staff index
 
     def __post_init__(self) -> None:
         self.validate()     # every instance, ``dataclasses.replace`` copies too
 
+    @functools.cached_property
     def timeline(self) -> tuple[list[EngravedEvent], np.ndarray]:
         """The events in (voice, onset) order, ties in stored order, and a
         read-only (4, events) int64 array of their voice, onset, duration
         and bar (-1 before bar 0) in that order. Computed once per
         instance: validation and export share it."""
-        return self._timeline
-
-    @functools.cached_property
-    def _timeline(self) -> tuple[list[EngravedEvent], np.ndarray]:
         n = len(self.events)
         columns = np.empty((4, n), dtype=np.int64)
         for k, field in enumerate((0, 2, 3)):         # voice, onset, duration
@@ -184,7 +183,7 @@ class EngravedScore:
             map(operator.itemgetter(4), self.events)), np.int64)
         if not np.array_equal(np.sort(ids), np.arange(len(self.score.onset))):
             raise ValueError("events do not cover every note exactly once")
-        fault = _first_event_fault(self.timeline()[1], self.score.bars)
+        fault = _first_event_fault(self.timeline[1], self.score.bars)
         if fault is not None:
             raise ValueError(fault)
         if len(self.measure_keys) != self.score.num_bars:
@@ -436,18 +435,18 @@ def assign_voices(pools: list[PooledNode], bundle: PredictionBundle,
 
 def number_voices(streams: list[VoiceStream], pools: list[PooledNode],
                   pitch: np.ndarray) -> dict[int, VoiceStream]:
-    """Assign MusicXML voice numbers: 1.. on the upper staff, 5.. on the lower.
+    """Assign MusicXML voice numbers: 1.. upper, VOICES_PER_STAFF + 1.. lower.
 
     Within a staff, voices are ordered by first onset, then by descending
     top ``pitch`` of the first chord (the melody gets the lowest number), with
-    note ids as the final tiebreak. Numbers may exceed the 4-per-staff
-    serialization budget; the exporter enforces that bound. When the upper
-    staff overflows its block, the lower staff starts after it so numbers
-    stay unique. The keys come in ascending order, the upper staff's first.
+    note ids as the final tiebreak. Numbers may exceed a staff's block; the
+    exporter enforces that bound. When the upper staff overflows its block,
+    the lower staff starts after it so numbers stay unique. The keys come in
+    ascending order, the upper staff's first.
     """
     numbered: dict[int, VoiceStream] = {}
     upper_count = sum(1 for s in streams if s.staff == 0)
-    for staff, base in ((0, 1), (1, max(5, upper_count + 1))):
+    for staff, base in ((0, 1), (1, max(VOICES_PER_STAFF, upper_count) + 1)):
         staff_streams = [s for s in streams if s.staff == staff]
         staff_streams.sort(key=lambda s: (
             pools[s.pool_indices[0]].onset_div,
@@ -582,7 +581,7 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     ``numbered``'s order, each voice in onset order, so numbers in ascending
     order, as ``number_voices`` gives them, store them in (voice, onset)
     order."""
-    # a pool's notes share their predicted staff, so each note keeps its own
+    # each note's predicted staff, which its pool and so its event share
     staff = bundle.staff()
     clef_raw = bundle.argmax("clef")
     shift_raw = bundle.argmax("octave_shift")
@@ -591,8 +590,6 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
         bundle.argmax("key"), score.bar, score.num_bars, N_KEY_CLASSES))
 
     # clefs and octave shifts: one value per onset group of each staff
-    clef = np.zeros_like(staff)
-    octave_shift = np.zeros_like(staff)
     clef_regions: dict[int, tuple] = {}
     octave_regions: dict[int, tuple] = {}
     for s in (0, 1):
@@ -619,7 +616,6 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
         for g in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
             if g and tied[g, value[g - 1]]:
                 value[g] = value[g - 1]
-        clef[ids] = value[group]
         runs = np.flatnonzero(np.diff(value, prepend=-1))
         starts = group_onset[runs]
         starts[0] = 0
@@ -630,7 +626,6 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
         # last offset but no later than the next group's onset
         value = _group_votes(shift_raw[ids], group, len(first),
                              HEAD_WIDTHS["octave_shift"]).argmax(axis=1)
-        octave_shift[ids] = value[group]
         runs = np.flatnonzero(np.diff(value, prepend=-1))
         ends = np.maximum.reduceat(onset + score.duration[ids], first[runs])
         ends[:-1] = np.minimum(ends[:-1], group_onset[runs[1:]])
@@ -644,9 +639,7 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
     bars = score.bars.tolist()
     vocabulary = _rest_vocabulary(score.divisions_per_quarter)
     events: list[EngravedEvent] = []
-    voice_staff: dict[int, int] = {}
     for voice, stream in numbered.items():
-        voice_staff[voice] = stream.staff
         events += _voice_events(voice, stream.staff,
                                 map(pools.__getitem__, stream.pool_indices),
                                 bars, vocabulary)
@@ -658,12 +651,9 @@ def unpool_and_finalize(numbered: dict[int, VoiceStream],
                         _DEFAULT_SPELLING[pitch_class])
 
     return EngravedScore(
-        score=score, staff=tuple(staff.tolist()),
-        spelling=tuple(spelling.tolist()),
-        octave_shift=tuple(octave_shift.tolist()), clef=tuple(clef.tolist()),
-        events=tuple(events), measure_keys=measure_keys,
-        clef_regions=clef_regions, octave_regions=octave_regions,
-        voice_staff=voice_staff)
+        score=score, spelling=tuple(spelling.tolist()), events=tuple(events),
+        measure_keys=measure_keys, clef_regions=clef_regions,
+        octave_regions=octave_regions)
 
 
 def engrave(bundle: PredictionBundle, score: Score,

@@ -87,8 +87,8 @@ def _mean_eval_loss(scores, pieces, params, config: ModelConfig) -> float:
         for score in scores:
             reset_tape()
             graph, targets = pieces[score.name]
-            result = loss_for_score(score, graph, params, config, rng=None,
-                                    train=False, targets=targets)
+            result = loss_for_score(score, graph, params, config,
+                                    targets=targets)
             total += result.total.item()
     reset_tape()
     return total / len(scores)
@@ -153,7 +153,7 @@ def train(corpus, model_config: ModelConfig, train_config: TrainConfig,
                 reset_tape()
                 graph, targets = pieces[score.name]
                 result = loss_for_score(score, graph, params, model_config,
-                                        rng=rng, train=True, targets=targets)
+                                        rng=rng, targets=targets)
                 loss_value = result.total.item()
                 if not math.isfinite(loss_value):
                     raise DivergedLoss(

@@ -103,11 +103,11 @@ def mul(a: Value, b: Value) -> Value:
     def bwd(g):
         ad._accum(a, g * b.data)
         ad._accum(b, g * a.data)
-    return Value(a.data * b.data, (a, b), bwd)
+    return Value(a.data * b.data, bwd)
 
 
 def sum_all(x: Value) -> Value:
     """The (1 x 1) sum of every entry, as one tape node."""
     def bwd(g):
         ad._accum(x, np.full_like(x.data, g[0, 0]))
-    return Value(np.array([[x.data.sum()]]), (x,), bwd)
+    return Value(np.array([[x.data.sum()]]), bwd)

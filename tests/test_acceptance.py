@@ -64,16 +64,15 @@ def test_criterion_1_gradient_correctness():
     config = ModelConfig(hidden_size=16)  # full depth, GRU, dropout 0.5
     graph = graph_for(score, config)
     params = init_params(config, Rng(0))
-    probe = loss_for_score(score, graph, params, config, rng=Rng(1),
-                           train=True)
+    probe = loss_for_score(score, graph, params, config, rng=Rng(1))
     assert set(probe.per_head) == set(HEAD_WIDTHS)  # all eleven heads active
 
     def loss_fn():
         # A fresh Rng(1) per call keeps the dropout masks identical across
         # the finite-difference evaluations, as grad_check requires.
         reset_tape()
-        return loss_for_score(score, graph, params, config, rng=Rng(1),
-                              train=True).total
+        return loss_for_score(score, graph, params, config,
+                              rng=Rng(1)).total
 
     report = grad_check(loss_fn, params, entries_per_param=3, rng=Rng(2))
     elapsed = time.perf_counter() - t0
@@ -372,7 +371,7 @@ def test_criterion_8_candidate_coverage():
                              strict_same_bar_candidates=True)
     params = init_params(strict_cfg, Rng(0))
     out = loss_for_score(score, graph_for(score, strict_cfg), params,
-                         strict_cfg, train=False)
+                         strict_cfg)
     bar = {note.id: note.bar_index for note in score.notes}
     expected_excluded = sum(1 for u, w in score.labels.voice_edges
                             if bar[u] != bar[w])
@@ -394,8 +393,7 @@ def test_criterion_9_uniform_loss_at_zero_output():
     config = ModelConfig(hidden_size=16)
     params = init_params(config, Rng(0))
     zero_output_layers(params)
-    out = loss_for_score(score, graph_for(score, config), params, config,
-                         train=False)
+    out = loss_for_score(score, graph_for(score, config), params, config)
     expected = {head: math.log(width) if width > 1 else math.log(2.0)
                 for head, width in HEAD_WIDTHS.items()}
     deviations = {head: abs(float(out.per_head[head]) - expected[head])

@@ -7,6 +7,7 @@ tape-based implementation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,10 +91,11 @@ def test_encode_shape_and_eval_determinism():
     graph = small_graph()
     config = ModelConfig(hidden_size=8, num_layers=2, dropout=0.5)
     params = init_params(config, Rng(1))
-    out1 = encode(graph, params, config, Rng(11), train=False)
-    out2 = encode(graph, params, config, Rng(999), train=False)
+    out1 = encode(graph, params, config, None)
+    out2 = encode(graph, params, dataclasses.replace(config, dropout=0.0),
+                  Rng(999))
     assert out1.shape == (7, 8)
-    np.testing.assert_array_equal(out1.data, out2.data)  # rng unused in eval
+    np.testing.assert_array_equal(out1.data, out2.data)  # no rng, no dropout
     assert np.all(np.isfinite(out1.data))
 
 
@@ -101,9 +103,9 @@ def test_dropout_draws_differ_in_training():
     graph = small_graph()
     config = ModelConfig(hidden_size=8, num_layers=1, dropout=0.5)
     params = init_params(config, Rng(1))
-    t1 = encode(graph, params, config, Rng(11), train=True)
-    t2 = encode(graph, params, config, Rng(12), train=True)
-    t1_again = encode(graph, params, config, Rng(11), train=True)
+    t1 = encode(graph, params, config, Rng(11))
+    t2 = encode(graph, params, config, Rng(12))
+    t1_again = encode(graph, params, config, Rng(11))
     assert not np.array_equal(t1.data, t2.data)
     np.testing.assert_array_equal(t1.data, t1_again.data)
 
@@ -132,7 +134,7 @@ def test_no_gru_single_layer_matches_numpy(aggregation):
     config = ModelConfig(hidden_size=5, num_layers=1, dropout=0.0,
                            aggregation=aggregation, use_gru=False)
     params = init_params(config, Rng(3))
-    got = encode(graph, params, config, Rng(0), train=False).data
+    got = encode(graph, params, config, None).data
 
     h0 = graph.features @ params["enc.proj.W"].data + params["enc.proj.b"].data
     conv = _numpy_conv(graph, h0, params, "enc.l1", aggregation)
@@ -163,7 +165,7 @@ def test_gru_single_layer_matches_numpy():
     # Perturb the norm parameters so the oracle can't pass by symmetry.
     params["enc.l1.gru.ln.g"].data[...] = [[1.1, 0.9, 1.3]]
     params["enc.l1.gru.ln.b"].data[...] = [[0.05, -0.1, 0.2]]
-    got = encode(graph, params, config, Rng(0), train=False).data
+    got = encode(graph, params, config, None).data
 
     h0 = graph.features @ params["enc.proj.W"].data + params["enc.proj.b"].data
     conv = _numpy_conv(graph, h0, params, "enc.l1", "sum")
@@ -181,7 +183,7 @@ def test_gru_on_initial_features_matches_numpy():
     config = ModelConfig(hidden_size=3, num_layers=1, dropout=0.0,
                            use_gru=True, gru_on_initial_features=True)
     params = init_params(config, Rng(9))
-    got = encode(graph, params, config, Rng(0), train=False).data
+    got = encode(graph, params, config, None).data
 
     h0 = graph.features @ params["enc.proj.W"].data + params["enc.proj.b"].data
     conv = _numpy_conv(graph, h0, params, "enc.l1", "sum")
@@ -199,8 +201,8 @@ def test_aggregation_modes_differ():
     cfg_sum = ModelConfig(aggregation="sum", **base)
     cfg_mean = ModelConfig(aggregation="mean", **base)
     params = init_params(cfg_sum, Rng(4))
-    out_sum = encode(graph, params, cfg_sum, Rng(0), train=False)
-    out_mean = encode(graph, params, cfg_mean, Rng(0), train=False)
+    out_sum = encode(graph, params, cfg_sum, None)
+    out_mean = encode(graph, params, cfg_mean, None)
     assert not np.array_equal(out_sum.data, out_mean.data)
 
 
@@ -209,7 +211,7 @@ def test_multi_layer_random_scores_finite():
     params = init_params(config, Rng(10))
     for seed in range(4):
         graph = build_graph(random_score(seed, n_notes=9))
-        out = encode(graph, params, config, Rng(seed), train=True)
+        out = encode(graph, params, config, Rng(seed))
         assert out.shape == (graph.node_count, 8)
         assert np.all(np.isfinite(out.data))
 
@@ -224,10 +226,10 @@ def test_gru_tape_size_independent_of_piece_length():
         graph = build_graph(random_score(0, n_notes=n_notes, n_bars=n_bars))
         assert graph.node_count == n_notes
         ad.reset_tape()
-        encode(graph, params, config, Rng(0), train=True)
+        encode(graph, params, config, Rng(0))
         sizes.append(ad.tape_size())
         ad.reset_tape()
         with ad.no_grad():
-            encode(graph, params, config, Rng(0), train=True)
+            encode(graph, params, config, Rng(0))
         assert ad.tape_size() == 0
     assert sizes[0] == sizes[1]

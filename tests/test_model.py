@@ -156,12 +156,28 @@ def test_forward_eval_deterministic():
     score = random_score(2, n_notes=8)
     graph = graph_for(score, CONFIG)
     params = init_params(CONFIG, Rng(1))
-    a = forward(graph, params, CONFIG, rng=None, train=False)
-    b = forward(graph, params, CONFIG, rng=Rng(999), train=False)
+    # no rng, so no dropout: the same as a zero dropout rate
+    a = forward(graph, params, CONFIG)
+    b = forward(graph, params, dataclasses.replace(CONFIG, dropout=0.0),
+                rng=Rng(999))
     for head in NODE_HEADS:
         assert np.array_equal(a.note_logits[head].data,
                               b.note_logits[head].data)
     reset_tape()
+
+
+def test_loss_for_score_without_rng_has_no_dropout():
+    # no rng means no dropout, whatever the configured rate
+    score = random_score(5, n_notes=10)
+    config = ModelConfig(hidden_size=8, num_layers=1)
+    assert config.dropout == 0.5
+    graph = graph_for(score, config)
+    params = init_params(config, Rng(0))
+    got = loss_for_score(score, graph, params, config).total.item()
+    want = loss_for_score(score, graph, params,
+                          dataclasses.replace(config, dropout=0.0)).total.item()
+    reset_tape()
+    assert got == want
 
 
 def test_loss_for_score_requires_labels():
@@ -179,7 +195,7 @@ def test_loss_for_score_uniform_at_zero_output():
     graph = graph_for(score, CONFIG)
     params = init_params(CONFIG, Rng(0))
     zero_output_layers(params)
-    result = loss_for_score(score, graph, params, CONFIG, train=False)
+    result = loss_for_score(score, graph, params, CONFIG)
     for head in NODE_HEADS:
         assert result.per_head[head] == pytest.approx(
             math.log(HEAD_WIDTHS[head]), abs=1e-9), head
@@ -191,8 +207,7 @@ def test_loss_backward_reaches_all_used_params():
     graph = graph_for(score, CONFIG)
     params = init_params(CONFIG, Rng(0))
     reset_tape()
-    result = loss_for_score(score, graph, params, CONFIG, rng=Rng(7),
-                            train=True)
+    result = loss_for_score(score, graph, params, CONFIG, rng=Rng(7))
     backward(result.total)
     for name, p in params.items():
         assert p.grad is not None, name
@@ -217,8 +232,8 @@ def test_backward_builds_the_scatter_plans_and_repeats_bit_for_bit():
         reset_tape()
         for p in params.values():
             p.grad = None
-        backward(loss_for_score(score, graph, params, CONFIG, rng=Rng(7),
-                                train=True).total)
+        backward(loss_for_score(score, graph, params, CONFIG,
+                                rng=Rng(7)).total)
         assert _scatter_plans_built(graph) == [True, True, True]
         grads.append({name: p.grad.copy() for name, p in params.items()})
     reset_tape()
@@ -256,7 +271,7 @@ def test_training_step_tape_length(name, nodes):
     config = ModelConfig(hidden_size=8)
     reset_tape()
     loss_for_score(score, graph_for(score, config),
-                   init_params(config, Rng(0)), config, rng=Rng(1), train=True)
+                   init_params(config, Rng(0)), config, rng=Rng(1))
     assert tape_size() == nodes
     reset_tape()
 

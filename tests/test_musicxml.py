@@ -568,6 +568,18 @@ def test_export_too_many_voices():
         export_musicxml(engraved)
 
 
+def test_export_reads_each_voices_staff_off_its_events(parsed_fixtures):
+    # grace_clip engraves as one upper-staff voice of four notes; renamed to
+    # voice 9, it lies outside the upper staff's numbers 1..4
+    engraved = engrave_from_labels(parsed_fixtures["grace_clip"].score)
+    assert {(ev.voice, ev.staff) for ev in engraved.events} == {(1, 0)}
+    renamed = dataclasses.replace(engraved, events=tuple(
+        ev._replace(voice=9) for ev in engraved.events))
+    with pytest.raises(TooManyVoices,
+                       match=r"voice 9 does not fit staff 1 \(numbers 1..4\)"):
+        export_musicxml(renamed)
+
+
 def test_export_unrepresentable_duration():
     score = _labelled_score(
         [(0, 8, 60)], staff=[0], note_type=[1], spelling=[12],
@@ -635,7 +647,7 @@ def test_export_writes_events_that_differ_only_in_stem_staff_or_voice():
         specs, staff=[0] * 8, note_type=[3] * 8, spelling=[12] * 8,
         voice_edges={(i, i + 2) for i in range(6)})
     engraved = engrave_from_labels(score)
-    assert engraved.voice_staff == {1: 0, 2: 0}
+    assert {(ev.voice, ev.staff) for ev in engraved.events} == {(1, 0), (2, 0)}
     edits = {(1, 2): dict(stem=STEM_DOWN), (1, 4): dict(staff=1)}
     engraved = dataclasses.replace(engraved, events=tuple(
         ev._replace(**edits.get((ev.voice, ev.onset_div), {}))
@@ -980,15 +992,15 @@ def test_export_writes_engraved_spelling(golden_streams, name):
 # behind them.
 ENGRAVE_GOLDEN_SHA256 = {
     "fixture_a":
-        "9efe1593c8d797731c585c1a469335e3e2f99df3d404d1b8a10a8b8dfcd3a1f8",
+        "2dee1049a145664e51bc026dbd991ae3d033adbce685de943fc3d2cc4398c42a",
     "fixture_b":
-        "6976f9e6dd4798c4947fa037ffe9005a05b9de216106b8b824829173d1bb4970",
+        "0dd011dd58bbf74a96d7f7639aedaed3a1279d1cca14607894d8b4350d385521",
     "grace_clip":
-        "92ade8dad13e90f57bf9c5d919f1a7157b261a9da7e44d7a6d7ed66104a4aa94",
+        "59d8e601a04e451729817c9d264600528864575bed00f5ed6e8cd34e48edeb82",
     "single_whole":
-        "f1c963f584d1ca47a38d3e44e8e991284b664610f49787a7ea0e20a17c74df61",
+        "5e63c0827f4c25d8da0c4bcd79cabf16503672c301800a1382a7dfec1b6e9d30",
     "triplet_octave":
-        "fde749b110c73b598e417a54c236c10738eee6d8337010818b8d35e6230565ed",
+        "65f0285d202cfba66c37123c8c3e832b056cb39de2e5ef1f1556fea881649f28",
 }
 
 

@@ -571,19 +571,16 @@ def test_clef_median_filter_kills_spikes():
     score = melody_score(5)
     engraved = engrave_with(score, clef=[0, 0, 2, 0, 0])
     # [DERIVED] median-3 turns the lone C clef into G; single region from 0.
-    assert engraved.clef == (0, 0, 0, 0, 0)
     assert engraved.clef_regions[0] == ((0, 0),)
 
     # [DERIVED] with the ends replicated, a two-note staff passes unfiltered.
     engraved = engrave_with(melody_score(2), clef=[0, 2])
-    assert engraved.clef == (0, 2)
     assert engraved.clef_regions[0] == ((0, 0), (2, 2))
 
 
 def test_clef_change_creates_region_at_group_onset():
     score = melody_score(5)
     engraved = engrave_with(score, clef=[1, 1, 2, 2, 2])
-    assert engraved.clef == (1, 1, 2, 2, 2)
     # [DERIVED] change at note 2 (onset 4); first region forced to start 0.
     assert engraved.clef_regions[0] == ((0, 1), (4, 2))
 
@@ -594,7 +591,6 @@ def test_clef_chord_group_majority():
     score = make_score(2, [(0, 4, 4)], triples, labels=full_labels(5))
     engraved = engrave_with(score, clef=[0, 0, 0, 1, 0])
     # [DERIVED] onset-4 group votes {0,1} tie -> previous value 0 wins.
-    assert engraved.clef == (0, 0, 0, 0, 0)
     assert engraved.clef_regions[0] == ((0, 0),)
 
     # A tie in the first group has no previous clef: the smallest wins.
@@ -603,7 +599,6 @@ def test_clef_chord_group_majority():
     engraved = engrave_with(score, clef=[2, 1, 1, 1])
     # [DERIVED] median-3 keeps (2, 1, 1, 1); onset-0 group votes {2,1} tie
     # -> 1.
-    assert engraved.clef == (1, 1, 1, 1)
     assert engraved.clef_regions[0] == ((0, 1),)
 
     # A tie without the previous clef among the tied: the smallest wins.
@@ -613,7 +608,6 @@ def test_clef_chord_group_majority():
     engraved = engrave_with(score, clef=[0, 0, 1, 2, 2, 2])
     # [DERIVED] median-3 keeps (0, 0, 1, 2, 2, 2); onset-4 group votes {1,2}
     # tie, previous 0 not tied -> 1; then 2 from onset 6.
-    assert engraved.clef == (0, 0, 1, 1, 2, 2)
     assert engraved.clef_regions[0] == ((0, 0), (4, 1), (6, 2))
 
 
@@ -623,14 +617,12 @@ def test_octave_region_extents():
     # [DERIVED] run over notes 1-2 (onsets 2,4, duration 2): start 2,
     # natural end 6, next group onset 6 -> (2, 6, 1).
     assert engraved.octave_regions[0] == ((2, 6, 1),)
-    assert engraved.octave_shift == (0, 1, 1, 0)
 
     triples = [(0, 2, 60), (0, 2, 64), (2, 2, 62)]
     score = make_score(2, [(0, 4, 4)], triples, labels=full_labels(3))
     engraved = engrave_with(score, octave_shift=[2, 1, 0])
     # [DERIVED] onset-0 group votes {2,1} tie -> smallest shift 1; the
     # bracket ends at the group's offset 2, the next group's onset.
-    assert engraved.octave_shift == (1, 1, 0)
     assert engraved.octave_regions[0] == ((0, 2, 1),)
 
 
@@ -679,7 +671,7 @@ def test_engrave_from_labels_round_trip():
     engraved.validate()
     assert engraved.score.num_bars == 2
     # Upper voice is 1, lower is 5; every note covered exactly once.
-    assert set(engraved.voice_staff.items()) == {(1, 0), (5, 1)}
+    assert {(e.voice, e.staff) for e in engraved.events} == {(1, 0), (5, 1)}
     recovered = parse_musicxml(export_musicxml(engraved)).score.labels
     assert recovered.voice_edges == score.labels.voice_edges
     assert recovered.chord_edges == score.labels.chord_edges
@@ -697,8 +689,7 @@ def test_engrave_inserts_rests_for_late_voice_entry():
                          voice_edges={(0, 1), (1, 3), (3, 4)})
     score = make_score(2, [(0, 4, 4)], triples, labels=labels)
     engraved = engrave_from_labels(score)
-    lower_voice = [v for v, s in engraved.voice_staff.items() if s == 1][0]
-    evs = [e for e in engraved.timeline()[0] if e.voice == lower_voice]
+    evs = [e for e in engraved.timeline[0] if e.staff == 1]
     # [DERIVED] half rest at 0..4, then the half note at 4..8.
     assert [(e.onset_div, e.duration_div, e.is_rest) for e in evs] \
         == [(0, 4, True), (4, 4, False)]
@@ -719,7 +710,7 @@ def test_event_and_pool_rows_print_their_fields():
 def test_timeline_and_export_ignore_stored_event_order():
     engraved = engrave_from_labels(two_voice_score())
     shuffled = dataclasses.replace(engraved, events=engraved.events[::-1])
-    events, columns = shuffled.timeline()
+    events, columns = shuffled.timeline
     assert events == list(engraved.events)
     # voice 1's quarters and half, then voice 5's halves and whole
     np.testing.assert_array_equal(columns, [
@@ -737,8 +728,8 @@ def test_engrave_stores_events_in_voice_then_onset_order(seed):
     # dozens of voices on each staff and the lower block pushed past 5
     score = random_score(seed, n_notes=120, n_bars=8)
     engraved = engrave(random_bundle(build_graph(score), seed), score)
-    assert min(v for v, s in engraved.voice_staff.items() if s == 1) > 5
-    assert list(engraved.events) == engraved.timeline()[0]
+    assert min(e.voice for e in engraved.events if e.staff == 1) > 5
+    assert list(engraved.events) == engraved.timeline[0]
 
 
 def test_finalize_refuses_a_stream_out_of_onset_order():
@@ -763,8 +754,8 @@ def test_long_single_voice_engraves_and_exports():
     score = make_score(2, [(0, 4, 4)], triples, labels=labels)
     engraved = engrave_from_labels(score)
     engraved.validate()
-    assert list(engraved.voice_staff) == [1]
-    events = engraved.timeline()[0]
+    events = engraved.timeline[0]
+    assert {e.voice for e in events} == {1}
     assert len(events) == 2 * n
     assert [e.is_rest for e in events[:4]] == [False, True, False, True]
     data = export_musicxml(engraved)
@@ -906,7 +897,7 @@ def scrambled(events, rng, voices):
 def test_validate_matches_the_reference_loop(parsed_fixtures, name):
     engraved = engrave_from_labels(parsed_fixtures[name].score)
     rng = np.random.default_rng(7)
-    voices = sorted(engraved.voice_staff) + [9]
+    voices = sorted({e.voice for e in engraved.events}) + [9]
     for _ in range(200):
         events = scrambled(engraved.events, rng, voices)
         expected = reference_event_fault(engraved.score, events)
